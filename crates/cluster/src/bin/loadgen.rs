@@ -667,7 +667,7 @@ fn run_wal(args: &Args, data: &[f64], expected: &ServiceHp) -> WalReport {
     // stable-vs-noisy yields a ratio that is mostly baseline noise.
     // And specificity: WAL-on vs WAL-off is already gated above over
     // the threaded transport; what the group gate must police is the
-    // *fsync discipline* — accumulation windows, group coalescing,
+    // *fsync discipline* — group coalescing, the fsyncs themselves,
     // commit-mark pumping — which is exactly the delta between `group`
     // and `never` on identical machinery. (The 89% regression this
     // gate exists to catch was group-vs-never slop: a timer-held
@@ -1513,9 +1513,8 @@ fn main() {
             // Group commit is measured at its design point — an epoll
             // fan wide enough for one fsync to amortize over — against
             // the same fan running `fsync=never`. That isolates the
-            // fsync *discipline* (accumulation windows, coalescing,
-            // commit-mark pumping), which is the code's to answer for,
-            // and gated.
+            // fsync *discipline* (group coalescing, commit-mark
+            // pumping), which is the code's to answer for, and gated.
             let group_ceiling = env_floor("OISUM_GATE_WAL_GROUP_OVERHEAD_PCT", 10.0);
             assert!(
                 w.group.overhead_pct <= group_ceiling,

@@ -322,8 +322,8 @@ pub(crate) fn check_condvar_predicate(
         }) else {
             continue;
         };
-        // Lookback 12: a multi-line `while` condition (the committer's
-        // accumulation loop) still counts as the enclosing predicate.
+        // Lookback 12: a `while` condition split over several lines
+        // still counts as the enclosing predicate.
         let lo = idx.saturating_sub(12);
         let looped = (lo..=idx).any(|j| {
             !lines[j].in_test && toks[j].iter().any(|x| x == "while" || x == "loop")

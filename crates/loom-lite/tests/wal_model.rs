@@ -4,10 +4,11 @@
 //! `oisum_service::wal::Shared` is generic over
 //! [`oisum_core::SyncShimLike`] and a storage sink, so the exact
 //! production code paths — `append`'s inline fast path, the contended
-//! spin/park path, `run_committer`'s accumulate-and-drain loop, the
-//! `done_waiters` notify skip-guard — run here against model
-//! primitives, with every lock, wait, notify, and atomic a scheduling
-//! point. Each scenario asserts, in every explored schedule:
+//! spin/park path, `submit` and the `wait_mark_beyond` pump the epoll
+//! reactor parks on, `run_committer`'s drain loop, the `done_waiters`
+//! notify skip-guard — run here against model primitives, with every
+//! lock, wait, notify, and atomic a scheduling point. Each scenario
+//! asserts, in every explored schedule:
 //!
 //! * **no verdicts** — no deadlock, no lost wakeup, no lock-order
 //!   inversion (the `segment < state` order is declared to the
@@ -18,7 +19,8 @@
 //!   watermark covers everything `committed` claims (with fsync on), so
 //!   an `Ok` append was durable when ACKed;
 //! * **clean close** — the sink is sealed exactly once, after all
-//!   records.
+//!   records (the sink double below refuses a second seal and any
+//!   record after one).
 //!
 //! The contended park path once had a genuine stranding window here: an
 //! appender that lost the segment-lock race to a direct committer whose
@@ -30,8 +32,8 @@
 
 use oisum_loom_lite::{declare_lock_order, Model, ModelSyncShim, ThreadBody};
 use oisum_service::wal::{FsyncPolicy, MemSink, SegmentSink, Shared, WalError, LOCK_ORDER};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex as StdMutex};
-use std::time::Duration;
 
 /// [`MemSink`] behind an `Arc` so the scenario can still observe it
 /// after the committer's close path takes it out of the protocol
@@ -56,19 +58,25 @@ impl SegmentSink for SharedSink {
         value_bytes: &[u8],
         fsync: bool,
     ) -> Result<(), WalError> {
-        self.mem().commit_one(stream, client_id, seq, value_bytes, fsync)
+        let mut m = self.mem();
+        assert!(!m.sealed, "record committed after the seal");
+        m.commit_one(stream, client_id, seq, value_bytes, fsync)
     }
     fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
         self.mem().ensure_group_fits(incoming)
     }
     fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError> {
-        self.mem().commit_group(buf, count, fsync)
+        let mut m = self.mem();
+        assert!(!m.sealed, "group committed after the seal");
+        m.commit_group(buf, count, fsync)
     }
     fn rotate_if_full(&mut self) -> Result<(), WalError> {
         self.mem().rotate_if_full()
     }
     fn seal(&mut self) -> Result<(), WalError> {
-        self.mem().seal()
+        let mut m = self.mem();
+        assert!(!m.sealed, "sealed twice");
+        m.seal()
     }
     fn index(&self) -> u64 {
         self.mem().index()
@@ -135,6 +143,39 @@ fn appender_then_closer(id: u64, fsyncs: bool, n: u64) -> ThreadBody<WalScenario
     })
 }
 
+/// A reactor-side submitter: enqueues one record without waiting for
+/// its commit (the connection, not the thread, parks on the ticket).
+fn submitter(id: u64, n: u64) -> ThreadBody<WalScenario> {
+    Box::new(move |s: &WalScenario| {
+        let ticket = s.shared.submit("model", id, 1, &id.to_le_bytes()).expect("submit accepted");
+        assert!((1..=n).contains(&ticket), "tickets are issued densely");
+    })
+}
+
+/// The reactor's WAL pump, doubling as the closer: parks in
+/// `wait_mark_beyond` until the mark moves, checks at every wake that
+/// the lock-free mark the reactor releases replies on covers only
+/// synced records, and once all `n` tickets are durable stops the
+/// committer so it drains and seals. The sink is read through its
+/// plain mutex, which is never held across a scheduling point, so the
+/// checks add one choice point per wake rather than two lock handoffs.
+fn pump_then_closer(n: u64) -> ThreadBody<WalScenario> {
+    Box::new(move |s: &WalScenario| {
+        let cancel = AtomicBool::new(false);
+        let mut seen = 0;
+        while seen < n {
+            let committed = s.shared.wait_mark_beyond(seen, &cancel);
+            assert!(seen < committed && committed <= n, "watermark must stay dense");
+            let mark = s.shared.commit_mark();
+            assert!(mark >= committed, "the lock-free mark lags the watermark");
+            let synced = s.sink.lock().unwrap().synced_records;
+            assert!(synced >= mark, "mark {mark} covers unsynced records (synced {synced})");
+            seen = committed;
+        }
+        s.shared.request_stop();
+    })
+}
+
 /// Waits (blocking, counted — never polling) for all `n` tickets to
 /// commit, then stops the committer so it drains and seals.
 fn closer(n: u64) -> ThreadBody<WalScenario> {
@@ -162,14 +203,14 @@ fn declared_order_matches_wal_annotation() {
     assert_eq!(LOCK_ORDER, ["segment", "state"]);
 }
 
-/// One appender + committer + closer, `always` policy. Bound 2 — the
+/// One appender + committer + closer, `group` policy. Bound 2 — the
 /// CHESS result: almost every concurrency bug manifests within two
 /// preemptions, and the tree stays enumerable.
 #[test]
-fn wal_always_single_appender() {
+fn wal_group_single_appender() {
     declare_lock_order(&LOCK_ORDER);
     let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario(FsyncPolicy::Always),
+        || mk_scenario(FsyncPolicy::Group),
         vec![appender(1, true), committer(), closer(1)],
         observe(1),
     );
@@ -178,16 +219,16 @@ fn wal_always_single_appender() {
     assert!(report.executions > 10, "blocking points must branch the tree");
 }
 
-/// Two racing appenders + committer under `always`: the contended path
+/// Two racing appenders + committer under `group`: the contended path
 /// (try_lock race, spin-exhausted park, committer handoff) is exercised
 /// across schedules. Preemption-bounded (CHESS, bound 2) to keep the
 /// tree tractable; the stranding regression above needs exactly two
 /// preemptions, so the bound covers it.
 #[test]
-fn wal_always_two_appenders_bounded() {
+fn wal_group_two_appenders_bounded() {
     declare_lock_order(&LOCK_ORDER);
     let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario(FsyncPolicy::Always),
+        || mk_scenario(FsyncPolicy::Group),
         vec![appender_then_closer(1, true, 2), appender(2, true), committer()],
         observe(2),
     );
@@ -195,16 +236,17 @@ fn wal_always_two_appenders_bounded() {
     assert_eq!(*report.sole_outcome(), (2, 2, 2, 2, true));
 }
 
-/// Two appenders under the `group` policy: both records travel through
-/// the queue and the committer's timed accumulation loop (`max_wait`
-/// below one wait slice ⇒ exactly one timeout window per pass).
+/// The reactor's path under `group`: two non-blocking submitters, the
+/// committer, and a pump parked in `wait_mark_beyond`. Only the
+/// committer drains here, woken by the empty→1 submit alone — a lost
+/// wake strands a record and the pump with it, which the checker
+/// reports as a lost wakeup.
 #[test]
-fn wal_group_two_appenders_bounded() {
+fn wal_group_submit_pump_bounded() {
     declare_lock_order(&LOCK_ORDER);
-    let policy = FsyncPolicy::Group { max_batch: 2, max_wait: Duration::from_nanos(1) };
     let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario(policy),
-        vec![appender_then_closer(1, true, 2), appender(2, true), committer()],
+        || mk_scenario(FsyncPolicy::Group),
+        vec![submitter(1, 2), submitter(2, 2), committer(), pump_then_closer(2)],
         observe(2),
     );
     declare_lock_order(&[]);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! oisum-server [--addr HOST:PORT] [--shards N] [--workers N] [--snapshot PATH]
-//!              [--wal DIR] [--fsync always|group|group(N,Tus)|never]
+//!              [--wal DIR] [--fsync group|never]
 //!              [--transport threads|epoll] [--max-conns N]
 //! ```
 //!
@@ -25,7 +25,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: oisum-server [--addr HOST:PORT] [--shards N] [--workers N] [--snapshot PATH] \
-         [--wal DIR] [--fsync always|group|group(N,Tus)|never] \
+         [--wal DIR] [--fsync group|never] \
          [--transport threads|epoll] [--max-conns N]"
     );
     std::process::exit(2);

@@ -83,7 +83,8 @@ pub trait ClusterOps: Send + Sync {
 pub enum WalMode {
     /// Block inside the dispatch until the commit covers the record —
     /// the threaded server, where each connection owns a thread that
-    /// can afford to sleep on the group-commit condvar.
+    /// can afford to commit the record itself or wait for the group
+    /// that carries it.
     Block,
     /// Enqueue the record and return its ticket without waiting — the
     /// epoll reactor, which parks the *connection* (zero threads) and
@@ -231,8 +232,8 @@ impl RequestCore {
     }
 
     /// Makes a tracked batch durable if a WAL is attached: appends its
-    /// record and blocks until the committer's group commit (write +
-    /// policy fsync) covers it. Called *after* the local apply and
+    /// record and blocks until its group commit (write + policy fsync)
+    /// covers it. Called *after* the local apply and
     /// *before* the ACK — so "ACKed ⇒ durable" holds, and a batch that
     /// committed but died before the ACK is merely re-sent by the client
     /// and absorbed by the dedup watermark on replay. Replayed batches

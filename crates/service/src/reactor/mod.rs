@@ -78,9 +78,9 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// reading its frames. A window (rather than one) keeps a pipelining
 /// client's submits flowing into the WAL while earlier tickets await
 /// their group's fsync — the committer sees a continuous stream and
-/// fills groups toward `max_batch` instead of draining one wave per
-/// commit. Small, because each parked reply pins a pooled buffer and
-/// an unACKed client request.
+/// commits whatever queued during the last fsync as one group instead
+/// of draining one wave per commit. Small, because each parked reply
+/// pins a pooled buffer and an unACKed client request.
 pub(crate) const PARKED_LIMIT: usize = 8;
 
 /// Runs the reactor on the calling thread until shutdown. This is the

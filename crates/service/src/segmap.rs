@@ -11,8 +11,8 @@
 //! a plain `memcpy` into memory the kernel already owns — the store is
 //! in the page cache the instant it retires, with no syscall on the
 //! path. `fsync(2)` on the file descriptor still flushes pages dirtied
-//! through the mapping, so the `always`/`group` policies keep their
-//! power-loss guarantees unchanged.
+//! through the mapping, so the `group` policy keeps its power-loss
+//! guarantee unchanged.
 //!
 //! The tree deliberately has no C-binding dependency, so the three
 //! syscalls this needs (`mmap`, `munmap`, `fallocate`) are issued

@@ -50,18 +50,20 @@
 //!
 //! ## Group commit
 //!
-//! [`Wal::append`] encodes the record, enqueues it, and returns only
-//! once the group containing it is written (and synced, per
-//! [`FsyncPolicy`]). Under `group(..)` a dedicated committer thread
-//! accumulates the group so one fsync covers many appenders; under
-//! `always`/`never` there is nothing to accumulate, so the appender
-//! that wins the segment lock commits the whole queue inline on its
-//! own thread — same file discipline, two condvar handoffs cheaper.
-//! When that appender also finds the queue empty (the common case at
-//! any sane load), its record is a complete group of one and is framed
-//! *directly into the segment*: no `Vec`, no queue round-trip, no
-//! wakeups. The server sends an `Added` ACK only after `append`
-//! returns, which is the whole contract.
+//! [`Wal::append`] returns only once the group containing its record is
+//! written (and synced, per [`FsyncPolicy`]). Commits run on the
+//! appenders' own threads, leader/follower style: the appender that
+//! wins the segment lock commits, and when it also finds the queue
+//! empty (the common case at any sane load) its record is a complete
+//! group of one, framed *directly into the segment* — no `Vec`, no
+//! queue round-trip, no wakeups. Appenders that arrive while that
+//! commit and its fsync are in flight queue up, and the next lock
+//! winner commits the whole queue as one group under one fsync, so
+//! group size tracks the fsync's cost with no timer and no hand-off.
+//! The committer thread drains what [`Wal::submit`] (the epoll
+//! reactor's non-blocking path) and parked appenders hand it, serves
+//! `flush`, and seals on close. The server sends an `Added` ACK only
+//! after `append` returns, which is the whole contract.
 //!
 //! ## Mapped segments
 //!
@@ -71,11 +73,11 @@
 //! `memcpy` into the kernel's own page cache — the bytes already have
 //! process-crash durability when the store retires, which is exactly
 //! the `never` policy's contract — and `fsync` on the descriptor still
-//! flushes mapping-dirtied pages, so `always`/`group` keep their
-//! power-loss guarantees. The page-dirtying cost hasn't vanished, it
-//! has *moved*: segment creation (server start, or rotation) eats it
-//! in one streaming pass, off the per-ACK path — the same
-//! preallocation trade classic databases make for their logs. Until a
+//! flushes mapping-dirtied pages, so `group` keeps its power-loss
+//! guarantee. The page-dirtying cost hasn't vanished, it has *moved*:
+//! segment creation (server start, or rotation) eats it in one
+//! streaming pass, off the per-ACK path — the same preallocation
+//! trade classic databases make for their logs. Until a
 //! mapped segment is sealed, its file carries a zero-filled tail;
 //! recovery reads a zero length field followed by only zeros as the
 //! clean end of a pre-sized segment (a real record can't have length
@@ -105,7 +107,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// First 8 bytes of every segment file.
 pub const WAL_MAGIC: [u8; 8] = *b"OISWALv1";
@@ -134,71 +135,40 @@ pub const MAX_RECORD_PAYLOAD: usize = 16 << 20;
 /// Default segment rotation threshold.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
 
-/// When the committer syncs a group to disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Whether a committed group is synced to disk before its ACKs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every group, with no accumulation wait: the
-    /// committer commits whatever is queued the moment it wakes.
-    /// Strongest latency-to-durability coupling, most syncs.
-    Always,
-    /// The committer waits up to `max_wait` (or until `max_batch`
-    /// records are queued) to let a group accumulate, then writes and
-    /// `fsync`s once for the whole group. The default: ACKs are still
-    /// durable, but N concurrent appenders share one sync.
-    Group {
-        /// Commit as soon as this many records are pending.
-        max_batch: usize,
-        /// Commit no later than this long after the first pending record.
-        max_wait: Duration,
-    },
+    /// `fsync` every group before any of its records is ACKed. The
+    /// default: ACKs survive power loss, and concurrent appenders still
+    /// share syncs, because whatever queues up during one group's fsync
+    /// commits as the next group (see the module docs).
+    #[default]
+    Group,
     /// Write without ever calling `fsync` (the OS flushes at its
     /// leisure). An ACK then survives a process kill but not a power
     /// cut; the format still detects whatever made it to disk.
     Never,
 }
 
-impl Default for FsyncPolicy {
-    fn default() -> Self {
-        FsyncPolicy::Group { max_batch: 64, max_wait: Duration::from_millis(2) }
-    }
-}
-
 impl core::fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            FsyncPolicy::Always => f.write_str("always"),
-            FsyncPolicy::Group { max_batch, max_wait } => {
-                write!(f, "group({max_batch},{}us)", max_wait.as_micros())
-            }
-            FsyncPolicy::Never => f.write_str("never"),
-        }
+        f.write_str(match self {
+            FsyncPolicy::Group => "group",
+            FsyncPolicy::Never => "never",
+        })
     }
 }
 
 impl std::str::FromStr for FsyncPolicy {
     type Err = String;
 
-    /// Parses the [`Display`](core::fmt::Display) forms: `always`,
-    /// `never`, `group` (default batch/wait), or `group(N,Tus)`.
+    /// Parses the [`Display`](core::fmt::Display) forms: `group` or
+    /// `never`.
     fn from_str(s: &str) -> Result<FsyncPolicy, String> {
-        let bad = || {
-            format!("unknown fsync policy `{s}` (expected always | never | group | group(N,Tus))")
-        };
         match s {
-            "always" => Ok(FsyncPolicy::Always),
+            "group" => Ok(FsyncPolicy::Group),
             "never" => Ok(FsyncPolicy::Never),
-            "group" => Ok(FsyncPolicy::default()),
-            _ => {
-                let inner = s
-                    .strip_prefix("group(")
-                    .and_then(|rest| rest.strip_suffix(')'))
-                    .ok_or_else(bad)?;
-                let (batch, wait) = inner.split_once(',').ok_or_else(bad)?;
-                let max_batch = batch.trim().parse().map_err(|_| bad())?;
-                let micros =
-                    wait.trim().strip_suffix("us").ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                Ok(FsyncPolicy::Group { max_batch, max_wait: Duration::from_micros(micros) })
-            }
+            _ => Err(format!("unknown fsync policy `{s}` (expected group | never)")),
         }
     }
 }
@@ -594,20 +564,12 @@ pub struct Shared<S: SyncShimLike, G: SegmentSink> {
     /// Index of the segment currently being appended to — the GC
     /// boundary readers snapshot before persisting the ledger.
     active: S::Atomic,
-    /// Appenders that have entered [`Wal::append`] but not yet enqueued
-    /// their record. The committer's group accumulation waits only
-    /// while this is nonzero: appenders already *in* the queue are
-    /// blocked on the commit itself and cannot contribute more, so
-    /// waiting for them is pure added latency (a 2 ms policy wait per
-    /// group once throttled a synchronous-client workload ~35x).
-    appending: S::Atomic,
-    /// The sink being appended to, shared so the inline policies
-    /// (`always`/`never`) can commit on the appender's own thread —
-    /// two condvar handoffs per batch otherwise. Locked BEFORE `state`
-    /// whenever both are held ([`LOCK_ORDER`]); the queue is only
-    /// drained while this is held, which keeps file order equal to
-    /// enqueue order no matter which thread commits. `None` once
-    /// sealed on close.
+    /// The sink being appended to, shared so appenders can commit on
+    /// their own threads — two condvar handoffs per batch otherwise.
+    /// Locked BEFORE `state` whenever both are held ([`LOCK_ORDER`]);
+    /// the queue is only drained while this is held, which keeps file
+    /// order equal to enqueue order no matter which thread commits.
+    /// `None` once sealed on close.
     segment: S::Mutex<Option<G>>,
     /// Mirror of `CommitQueue::committed`, so the inline-commit fast
     /// path can watch for its ticket without taking the state lock.
@@ -654,7 +616,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             work: S::condvar("work"),
             done: S::condvar("done"),
             active: S::Atomic::new(active_index),
-            appending: S::Atomic::new(0),
             segment: S::mutex("segment", Some(sink)),
             commit_mark: S::Atomic::new(0),
             done_waiters: S::Atomic::new(0),
@@ -725,6 +686,13 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// Appends one tracked batch and blocks until its group commits
     /// (written and, per policy, fsynced). `Ok(())` is the license to
     /// ACK; any `Err` means the batch must be refused.
+    ///
+    /// An appender that wins the segment lock outright is the leader:
+    /// it commits on its own thread — framed straight into the mapped
+    /// segment, with no queue round-trip and no condvar handoff.
+    /// Losing the lock means another commit is in flight; the record
+    /// joins the queue, and the next lock winner commits it together
+    /// with everything else queued behind that commit, under one fsync.
     pub fn append(
         &self,
         stream: &str,
@@ -732,14 +700,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         seq: u64,
         value_bytes: &[u8],
     ) -> Result<(), WalError> {
-        if matches!(self.fsync, FsyncPolicy::Group { .. }) {
-            return self.append_grouped(stream, client_id, seq, value_bytes);
-        }
-        // `always`/`never` have nothing to accumulate, so an appender
-        // that wins the segment lock outright commits on its own
-        // thread — framed straight into the mapped segment, with no
-        // queue round-trip and no condvar handoff. Losing the lock
-        // means another commit is in flight; join the queue instead.
         if let Some(mut seg) = S::try_lock(&self.segment) {
             let out = self.append_won(&mut seg, stream, client_id, seq, value_bytes);
             // Release before notifying (see commit_pending): a woken
@@ -749,46 +709,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             return out;
         }
         self.append_contended(stream, client_id, seq, value_bytes)
-    }
-
-    /// `group(..)` append: timed accumulation lives on the committer
-    /// thread; hand the record over and sleep until the group's fsync
-    /// lands.
-    fn append_grouped(
-        &self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<(), WalError> {
-        // Raised for the whole encode-to-enqueue window so the
-        // committer's group accumulation knows one more record is
-        // genuinely on its way (see `Shared::appending`).
-        // ORDERING: Relaxed — an advisory batching gauge; a stale read
-        // only changes how long a group waits, never what commits.
-        self.appending.fetch_add(1, Ordering::Relaxed);
-        let enqueued = (|| {
-            let rec = encode_record(stream, client_id, seq, value_bytes)?;
-            let mut s = self.lock();
-            if let Some(detail) = &s.crashed {
-                return Err(WalError::Crashed(detail.clone()));
-            }
-            if s.stopping {
-                return Err(WalError::Closed);
-            }
-            s.queue.push_back(rec);
-            s.submitted += 1;
-            let ticket = s.submitted;
-            Ok((s, ticket))
-        })();
-        // ORDERING: Relaxed — see above; paired with the fetch_add.
-        self.appending.fetch_sub(1, Ordering::Relaxed);
-        let (mut s, ticket) = enqueued?;
-        S::notify_one(&self.work);
-        while s.committed < ticket && s.crashed.is_none() {
-            s = self.wait_done(s);
-        }
-        verdict::<S>(s, ticket)
     }
 
     /// Inline append holding the segment lock. With an empty queue the
@@ -836,9 +756,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         let ticket = s.submitted;
         debug_assert_eq!(s.committed + 1, ticket, "empty queue means all prior tickets committed");
         drop(s);
-        let fsync = !matches!(self.fsync, FsyncPolicy::Never);
         let result = segment
-            .commit_one(stream, client_id, seq, value_bytes, fsync)
+            .commit_one(stream, client_id, seq, value_bytes, self.fsync == FsyncPolicy::Group)
             .and_then(|()| segment.rotate_if_full());
         // ORDERING: Relaxed — monotonic GC boundary, as in commit_locked.
         self.active.store(segment.index(), Ordering::Relaxed);
@@ -846,6 +765,9 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             Ok(()) => {
                 let mut s = self.lock();
                 s.committed = ticket;
+                // ORDERING: Relaxed — a statistics gauge, as in
+                // commit_locked; a group of one is still a group.
+                self.groups.fetch_add(1, Ordering::Relaxed);
                 // ORDERING: Release — publishes the durable watermark
                 // to the contended path's Acquire load; written only
                 // under the state lock, so it stays monotonic.
@@ -860,11 +782,12 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
     }
 
-    /// `always`/`never` append while another commit holds the segment
-    /// lock: enqueue, then alternate between watching the commit mark
-    /// (the in-flight group usually carries our record out), retrying
-    /// the lock to commit the queue ourselves, and — only when the
-    /// lock stays contended — sleeping on the condvar.
+    /// Append while another commit holds the segment lock: enqueue,
+    /// then alternate between watching the commit mark (the in-flight
+    /// group usually carries our record out), retrying the lock to
+    /// commit the queue ourselves, and — only when the lock stays
+    /// contended — handing the queue to the committer and sleeping on
+    /// the condvar.
     fn append_contended(
         &self,
         stream: &str,
@@ -978,12 +901,9 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// finished, and the ACK is licensed exactly as if a blocking
     /// [`append`](Self::append) had returned `Ok`.
     ///
-    /// Unlike `append`, `submit` never raises the `appending` gauge: the
-    /// submitter is not blocked on this record, so there is no latency
-    /// to hide by holding a group open for it. The committer therefore
-    /// commits whatever a reactor's readiness burst enqueued as one
-    /// group the moment it wakes — fsync cost amortizes over the burst
-    /// instead of over a timed accumulation window.
+    /// The committer commits whatever a reactor's readiness burst
+    /// enqueued as one group the moment it wakes, so fsync cost
+    /// amortizes over the burst with no timed accumulation window.
     pub fn submit(
         &self,
         stream: &str,
@@ -1002,21 +922,17 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         s.queue.push_back(rec);
         s.submitted += 1;
         let ticket = s.submitted;
-        let qlen = s.queue.len();
+        let first = s.queue.len() == 1;
         drop(s);
-        // Wake the committer only on the transitions it acts on: the
-        // first queued record (start a group) and the batch threshold
-        // (commit it). The submits in between would merely interrupt
-        // its accumulation nap — on a busy reactor that is a futex wake
-        // plus two context switches per record, which costs more than
-        // the group commit itself. Missed wakes are safe: the committer
-        // only sleeps unbounded on an empty queue, and its accumulation
-        // waits are timeout-bounded.
-        let threshold = match self.fsync {
-            FsyncPolicy::Group { max_batch, .. } => max_batch,
-            _ => 1,
-        };
-        if qlen == 1 || qlen == threshold {
+        // Wake the committer only when the queue goes empty→1. A
+        // non-empty queue already has a drainer on its way — the
+        // committer woken by its first record (whose predicate loop
+        // re-checks the queue under the state lock before sleeping), or
+        // the appender that queued it — and every drain takes the whole
+        // queue. Waking per record would cost a busy reactor a futex
+        // wake plus two context switches each, more than the group
+        // commit itself.
+        if first {
             S::notify_one(&self.work);
         }
         Ok(ticket)
@@ -1101,8 +1017,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     }
 
     /// `(records committed, groups written)` — the realized group-commit
-    /// amortization. One fsync per group under the `group`/`always`
-    /// policies, so `records / groups` is also records-per-fsync.
+    /// amortization. One fsync per group under the `group` policy, so
+    /// `records / groups` is also records-per-fsync.
     pub fn group_stats(&self) -> (u64, u64) {
         // ORDERING: Relaxed — statistics reads; the two gauges are not
         // mutually consistent to the record, which a ratio tolerates.
@@ -1170,7 +1086,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             static GROUP_SCRATCH: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
         }
-        let fsync = !matches!(self.fsync, FsyncPolicy::Never);
+        let fsync = self.fsync == FsyncPolicy::Group;
         let result = GROUP_SCRATCH.with(|scratch| {
             let mut buf = scratch.borrow_mut();
             buf.clear();
@@ -1209,13 +1125,15 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
     }
 
-    /// The committer loop: wait for work, accumulate a group per
-    /// policy, commit it, and on stop drain everything and seal. Under
-    /// the inline policies (`always`/`never`) appenders commit on their
-    /// own threads and this loop mostly sleeps, waking for close, a
-    /// `flush` kick, or a contended appender handing over its record;
-    /// it still owns sealing either way. [`Wal::open`] runs this on a
-    /// dedicated thread; model scenarios run it as a model thread.
+    /// The committer loop: wait for work, commit whatever is queued as
+    /// one group, and on stop drain everything and seal. Blocking
+    /// appenders commit on their own threads, so this loop wakes for
+    /// [`submit`](Self::submit) streams, a parked appender handing over
+    /// the queue, a `flush` kick, or close; it owns sealing either way.
+    /// No accumulation window: whatever arrives during one commit and
+    /// its fsync forms the next group, so group size tracks the fsync's
+    /// cost by construction. [`Wal::open`] runs this on a dedicated
+    /// thread; model scenarios run it as a model thread.
     pub fn run_committer(&self) {
         loop {
             let mut s = self.lock();
@@ -1236,43 +1154,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
                 *seg = None;
                 return;
             }
-            // Group accumulation: wait (bounded by max_wait) only while
-            // a blocking appender is mid-flight between encode and
-            // enqueue — its record should make this group, not wait a
-            // full commit cycle for the next one. Submit streams
-            // ([`submit`](Self::submit) never raises `appending`) get
-            // no window at all: group commit self-clocks. Whatever
-            // arrives during one commit+fsync forms the next group, so
-            // group size tracks fsync cost by construction — a slow
-            // disk grows the groups that amortize it, a fast one keeps
-            // latency at the commit's own cost. Holding the group open
-            // on a timer instead is pure added latency: a parked
-            // connection's next frame is behind the reply this commit
-            // licenses, so the timer starves the very stream it is
-            // waiting on. Committing early (spurious wakeup, more
-            // arrivals than max_batch) is always safe — the policy
-            // bounds added latency, never group size.
-            if let FsyncPolicy::Group { max_batch, max_wait } = self.fsync {
-                let mut remaining = max_wait;
-                while s.queue.len() < max_batch
-                    && !s.stopping
-                    && s.crashed.is_none()
-                    && !remaining.is_zero()
-                {
-                    // ORDERING: Relaxed — advisory batching gauge (see
-                    // Shared::appending); a stale read only changes how
-                    // long this group waits, never what commits.
-                    if self.appending.load(Ordering::Relaxed) == 0 {
-                        break;
-                    }
-                    let slice = remaining.min(Duration::from_micros(200));
-                    s = S::wait_timeout(&self.work, s, slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-            }
-            if s.crashed.is_some() {
-                return;
-            }
             drop(s);
             self.commit_pending();
             if self.lock().crashed.is_some() {
@@ -1290,7 +1171,8 @@ const PROD_SPIN_BUDGET: u32 = 200;
 /// The segmented group-commit write-ahead log. See the module docs.
 ///
 /// `Wal` is `Sync`: many worker threads call [`append`](Wal::append)
-/// concurrently while one committer thread owns the file. The protocol
+/// concurrently and commit on their own threads, while one committer
+/// thread drains submits and parked appenders and seals on close. The protocol
 /// itself lives in [`Shared`], generic over its blocking primitives so
 /// the model checker explores the same code; `Wal` binds it to
 /// [`StdSyncShim`] + segment files and owns the committer thread.
@@ -1401,7 +1283,7 @@ impl Wal {
 
     /// `(records committed, groups written)` so far — `records / groups`
     /// is the realized group-commit amortization (records per fsync
-    /// under the `group`/`always` policies).
+    /// under the `group` policy).
     pub fn group_stats(&self) -> (u64, u64) {
         self.shared.group_stats()
     }
@@ -1798,16 +1680,22 @@ mod tests {
 
     #[test]
     fn fsync_policy_parses_its_display_forms() {
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::Never,
-            FsyncPolicy::default(),
-            FsyncPolicy::Group { max_batch: 7, max_wait: Duration::from_micros(1500) },
-        ] {
+        for policy in [FsyncPolicy::Group, FsyncPolicy::Never] {
             assert_eq!(policy.to_string().parse::<FsyncPolicy>(), Ok(policy));
         }
         assert_eq!("group".parse::<FsyncPolicy>(), Ok(FsyncPolicy::default()));
-        for bad in ["", "Always", "group(", "group(64)", "group(64,2ms)", "group(x,1us)"] {
+        // The retired `always` and `group(N,Tus)` spellings are refused,
+        // not quietly aliased to `group`.
+        for bad in [
+            "",
+            "Always",
+            "always",
+            "group(",
+            "group(64)",
+            "group(64,2000us)",
+            "group(64,2ms)",
+            "group(x,1us)",
+        ] {
             assert!(bad.parse::<FsyncPolicy>().is_err(), "`{bad}` must not parse");
         }
     }
@@ -1905,11 +1793,7 @@ mod tests {
 
     #[test]
     fn tiny_segments_rotate_and_every_policy_commits() {
-        for fsync in [
-            FsyncPolicy::Always,
-            FsyncPolicy::Group { max_batch: 4, max_wait: Duration::from_micros(200) },
-            FsyncPolicy::Never,
-        ] {
+        for fsync in [FsyncPolicy::Group, FsyncPolicy::Never] {
             let dir = temp_dir(&format!("rotate-{fsync}"));
             let config = WalConfig { dir: dir.clone(), segment_bytes: 128, fsync };
             let wal = Wal::open(config).unwrap();
@@ -1925,6 +1809,56 @@ mod tests {
             }
             fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn sequential_appends_count_one_group_each() {
+        // A lone appender always wins the segment lock over an empty
+        // queue, so each record commits inline as its own group — and
+        // counts as one, or `records / groups` overstates amortization.
+        for fsync in [FsyncPolicy::Group, FsyncPolicy::Never] {
+            let dir = temp_dir(&format!("groups-{fsync}"));
+            let wal = Wal::open(WalConfig { fsync, ..WalConfig::new(&dir) }).unwrap();
+            for seq in 1..=6u64 {
+                wal.append("s", 1, seq, &le_bytes(&[seq as f64])).unwrap();
+            }
+            assert_eq!(wal.group_stats(), (6, 6), "{fsync}");
+            wal.close().unwrap();
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn blocking_appends_commit_without_a_committer_thread() {
+        // No committer runs here, so an append that handed its record
+        // to one would block forever: the appends run on a spawned
+        // thread and the test waits for them with a timeout.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let appender = std::thread::spawn(move || {
+            let shared = Shared::<StdSyncShim, MemSink>::new(
+                FsyncPolicy::default(),
+                MemSink::default(),
+                0,
+                PROD_SPIN_BUDGET,
+            );
+            let acks: Vec<Result<(), WalError>> = (1..=3u64)
+                .map(|seq| shared.append("s", 1, seq, &le_bytes(&[seq as f64])))
+                .collect();
+            let synced = shared.probe(|sink, _, _| sink.map(|m| m.synced_records));
+            let _ = tx.send((acks, shared.group_stats(), synced));
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            !matches!(got, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "a blocking append waited on a committer thread"
+        );
+        appender.join().expect("appender thread panicked");
+        let (acks, stats, synced) = got.expect("the appender sent its verdict");
+        for ack in acks {
+            ack.unwrap();
+        }
+        assert_eq!(stats, (3, 3));
+        assert_eq!(synced, Some(3), "every ACK rode on an fsync");
     }
 
     #[test]
@@ -1965,7 +1899,7 @@ mod tests {
         let config = WalConfig {
             dir: dir.clone(),
             segment_bytes: 4096,
-            fsync: FsyncPolicy::Group { max_batch: 8, max_wait: Duration::from_micros(500) },
+            fsync: FsyncPolicy::Group,
         };
         let wal = std::sync::Arc::new(Wal::open(config).unwrap());
         std::thread::scope(|scope| {

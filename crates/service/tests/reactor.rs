@@ -225,7 +225,7 @@ fn malformed_frame_is_refused_without_collateral() {
 fn wal_parking_acks_are_durable() {
     let dir = temp_dir("parking");
     let wal = WalConfig {
-        fsync: FsyncPolicy::Group { max_batch: 64, max_wait: std::time::Duration::from_millis(2) },
+        fsync: FsyncPolicy::Group,
         ..WalConfig::new(&dir)
     };
     let (server, addr) =
@@ -390,7 +390,7 @@ mod storms {
         }
         let dir = temp_dir("crash-1k");
         let wal = WalConfig {
-            fsync: FsyncPolicy::Group { max_batch: 64, max_wait: std::time::Duration::from_millis(2) },
+            fsync: FsyncPolicy::Group,
             ..WalConfig::new(&dir)
         };
         let (server, addr) =

@@ -227,7 +227,7 @@ fn dropped_fsync_refuses_the_group() {
         registry().reset(seed);
         registry().arm("wal.fsync.drop", FireRule::Nth(nth), FaultAction::Disconnect);
         let fired =
-            run_crash_matrix("fsync-drop", seed, FsyncPolicy::Always, &["wal.fsync.drop"]);
+            run_crash_matrix("fsync-drop", seed, FsyncPolicy::Group, &["wal.fsync.drop"]);
         assert!(fired > 0, "seed {seed}: the fsync-drop seam never fired");
     }
 }

@@ -19,7 +19,6 @@ use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn temp_dir(seed: u64) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -223,8 +222,7 @@ impl Model {
 fn random_interleavings_pin_the_acked_prefix() {
     for seed in 0..10u64 {
         let fsync = match seed % 3 {
-            0 => FsyncPolicy::Always,
-            1 => FsyncPolicy::Group { max_batch: 8, max_wait: Duration::from_millis(1) },
+            0 | 1 => FsyncPolicy::Group,
             _ => FsyncPolicy::Never,
         };
         let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ seed);

@@ -14,6 +14,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
+echo "==> benchmark build (perfbench/ must keep compiling against the program's API)"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> oisum-lint (invariant linter, hard gate)"
 cargo run --offline --release -q -p oisum-lint
 
@@ -114,8 +117,8 @@ echo "==> WAL gate: logged cost ceilings (never + group) + bitwise log replay"
 #     (OISUM_GATE_WAL_OVERHEAD_PCT; the old 10% rode on a stale-baseline
 #     measurement bug that under-reported the cost as 0%).
 #   * `group` vs `never` over a 256-connection epoll fan — the fsync
-#     *discipline's* cost on identical machinery (accumulation windows,
-#     group coalescing, commit-mark pumping), ceiling 10%
+#     *discipline's* cost on identical machinery (group coalescing,
+#     the fsyncs, commit-mark pumping), ceiling 10%
 #     (OISUM_GATE_WAL_GROUP_OVERHEAD_PCT). This is the ratio that
 #     caught the 89% group-commit stall regression.
 # The bench WAL lives on a tmpfs when one is mounted: these gates
