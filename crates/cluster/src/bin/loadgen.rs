@@ -45,7 +45,7 @@
 use oisum_cluster::start_local_cluster;
 use oisum_core::{encode_f64_batch, encode_f64_le_batch, lane_evidence, BatchAcc};
 use oisum_faults::{registry, FaultAction, FireRule};
-use oisum_service::proto::{add_binary_into, read_frame, Response};
+use oisum_service::proto::{add_binary_into, le_bytes, read_frame, Response};
 use oisum_service::wal::Wal;
 use oisum_service::{
     raise_nofile_limit, recovery, serve, serve_with_core, Client, ClientConfig, FsyncPolicy,
@@ -1177,7 +1177,7 @@ fn microbench(seed: u64) -> KernelBench {
         encode_f64_batch(&mut acc, black_box(&xs[..]));
         black_box(acc.finish());
     });
-    let wire: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
+    let wire = le_bytes(&xs);
     let bytes_encode_vps = best(&mut || {
         let mut acc = BatchAcc::<6, 3>::new();
         encode_f64_le_batch(&mut acc, black_box(&wire[..]));

@@ -541,12 +541,12 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
                 let name = mirror_stream_name(origin, add.stream);
                 let hint = shard_cursor;
                 shard_cursor = shard_cursor.wrapping_add(1);
-                let (count, applied) = state.mirrors.add_batch_dedup(
+                let (count, applied) = state.mirrors.add_batch_le_bytes_dedup(
                     &name,
                     hint,
                     add.client_id,
                     add.seq,
-                    add.values(),
+                    add.value_bytes(),
                 );
                 if check(SEAM_MIRROR_DROP_AFTER).is_some() {
                     return Ok(());

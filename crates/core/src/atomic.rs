@@ -157,9 +157,16 @@ impl<A: AtomicU64Like, const N: usize, const K: usize> AtomicHpImpl<A, N, K> {
 
     /// An accumulator initialized to `v`.
     pub fn new(v: HpFixed<N, K>) -> Self {
+        Self::with_overflows(v, 0)
+    }
+
+    /// An accumulator initialized to `v` with `overflows` detected
+    /// top-limb overflows already on record: how a persisted accumulator
+    /// comes back with its sticky poison flag intact.
+    pub fn with_overflows(v: HpFixed<N, K>, overflows: u64) -> Self {
         AtomicHpImpl {
             limbs: core::array::from_fn(|i| A::new(v.as_limbs()[i])),
-            overflows: A::new(0),
+            overflows: A::new(overflows),
         }
     }
 
@@ -366,27 +373,7 @@ impl<A: AtomicU64Like, const N: usize, const K: usize> AtomicHpImpl<A, N, K> {
     #[inline]
     pub fn add_batch_le_bytes(&self, bytes: &[u8]) -> usize {
         let mut acc = crate::batch::BatchAcc::<N, K>::new();
-        acc.extend_f64_le_bytes(bytes);
-        self.add_dense(&acc.finish())
-    }
-
-    /// [`Self::add_batch`] over any `f64` iterator (e.g. values decoded
-    /// straight off a wire buffer), without materializing a slice: the
-    /// iterator is drained through a stack chunk buffer so the branchless
-    /// encode kernel runs on every value, exactly as in the slice path.
-    pub fn add_batch_iter<I: IntoIterator<Item = f64>>(&self, xs: I) -> usize {
-        let mut acc = crate::batch::BatchAcc::<N, K>::new();
-        let mut buf = [0.0f64; crate::kernel::ENCODE_CHUNK];
-        let mut filled = 0;
-        for x in xs {
-            buf[filled] = x;
-            filled += 1;
-            if filled == buf.len() {
-                acc.extend_f64(&buf);
-                filled = 0;
-            }
-        }
-        acc.extend_f64(&buf[..filled]);
+        crate::kernel::encode_f64_le_batch(&mut acc, bytes);
         self.add_dense(&acc.finish())
     }
 

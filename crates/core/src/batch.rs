@@ -174,17 +174,6 @@ impl<const N: usize, const K: usize> BatchAcc<N, K> {
         crate::kernel::encode_f64_batch(self, xs);
     }
 
-    /// [`Self::extend_f64`] over raw little-endian `f64` bytes (the
-    /// service's binary wire layout), via
-    /// [`crate::kernel::encode_f64_le_batch`]: bitwise identical to
-    /// decoding the values first, without a per-value iterator between
-    /// the wire buffer and the lane kernel. `bytes.len()` must be a
-    /// multiple of 8.
-    #[inline]
-    pub fn extend_f64_le_bytes(&mut self, bytes: &[u8]) {
-        crate::kernel::encode_f64_le_batch(self, bytes);
-    }
-
     /// Folds the deferred-carry counters into the lanes, restoring the
     /// invariant `value == lanes` (all counters zero).
     ///

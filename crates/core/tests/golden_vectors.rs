@@ -7,7 +7,7 @@
 //! stay bit-identical on every vector case.
 
 use oisum_bignum::testvec;
-use oisum_core::{BatchAcc, Hp6x3};
+use oisum_core::{encode_f64_le_batch, BatchAcc, Hp6x3};
 
 #[test]
 fn hp6x3_matches_golden_vectors() {
@@ -34,7 +34,7 @@ fn hp6x3_matches_golden_vectors() {
             );
 
             let mut acc = BatchAcc::<6, 3>::new();
-            acc.extend_f64_le_bytes(&x.to_le_bytes());
+            encode_f64_le_batch(&mut acc, &x.to_le_bytes());
             assert_eq!(
                 acc.finish().as_limbs().to_vec(),
                 expected,

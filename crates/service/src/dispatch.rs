@@ -9,6 +9,13 @@
 //! transport (framing, fault seams, buffer reuse), and the cluster node
 //! reuses the identical dispatch for operations that arrive via peers.
 //!
+//! Within the core, too, an `Add` has one definition. A JSON `Add` is
+//! checked against what a binary Add frame could carry and its values
+//! are converted once to little-endian bytes; from there both frame
+//! kinds run the same routine: replicate a tracked batch, deposit it
+//! through [`ShardedLedger::add_batch_le_bytes_dedup`], then make it
+//! durable before the ACK.
+//!
 //! The cluster attaches through the [`ClusterOps`] trait rather than a
 //! concrete type so this crate stays free of any cluster dependency
 //! (the dependency points the other way: `oisum-cluster` depends on
@@ -19,7 +26,8 @@
 
 use crate::ledger::ShardedLedger;
 use crate::proto::{
-    ClientFrameView, ErrorCode, Request, Response, StreamStatsRepr, UNTRACKED_CLIENT,
+    binary_add_lengths, le_bytes, ClientFrameView, ErrorCode, Request, Response, StreamStatsRepr,
+    UNTRACKED_CLIENT,
 };
 use crate::snapshot;
 use crate::wal::Wal;
@@ -189,45 +197,110 @@ impl RequestCore {
         shard_cursor: &mut usize,
         mode: WalMode,
     ) -> FrameOutcome {
-        match frame {
+        let req = match frame {
+            // The hot path: the raw value bytes go from the read buffer
+            // straight into the multi-lane encode kernel.
             ClientFrameView::BinaryAdd(view) => {
-                let hint = *shard_cursor;
-                *shard_cursor = shard_cursor.wrapping_add(1);
-                if view.client_id != UNTRACKED_CLIENT {
-                    if let Err(reply) =
-                        self.replicate(view.stream, view.client_id, view.seq, view.value_bytes())
-                    {
-                        return FrameOutcome::Done(reply, false);
-                    }
-                }
-                // The hot path: the raw value bytes go from the read
-                // buffer straight into the multi-lane encode kernel,
-                // with no per-value iterator in between (untracked
-                // clients skip the dedup window inside the ledger).
-                let (count, applied) = self.ledger.add_batch_le_bytes_dedup(
+                return self.add(
                     view.stream,
-                    hint,
                     view.client_id,
                     view.seq,
                     view.value_bytes(),
-                );
-                let response = Response::Added { count, deduped: !applied };
-                if view.client_id != UNTRACKED_CLIENT {
-                    return match self.commit_step(
-                        view.stream,
-                        view.client_id,
-                        view.seq,
-                        view.value_bytes(),
-                        mode,
-                    ) {
-                        Err(reply) => FrameOutcome::Done(reply, false),
-                        Ok(Some(ticket)) => FrameOutcome::WalPending { ticket, response },
-                        Ok(None) => FrameOutcome::Done(response, false),
-                    };
-                }
-                FrameOutcome::Done(response, false)
+                    shard_cursor,
+                    mode,
+                )
             }
-            ClientFrameView::Json(req) => self.handle_request_with(req, shard_cursor, mode),
+            ClientFrameView::Json(req) => req,
+        };
+        let ledger = &self.ledger;
+        let reply = match req {
+            Request::Add { stream, values, client_id, seq } => {
+                // Accept only what a binary Add frame could carry: that
+                // bound is also the WAL record's, so no accepted Add can
+                // be refused by the log after it was applied.
+                if let Err(e) = binary_add_lengths(&stream, values.len()) {
+                    return FrameOutcome::Done(
+                        Response::Error {
+                            code: ErrorCode::BadRequest,
+                            message: format!("add does not fit a binary frame: {e}"),
+                        },
+                        false,
+                    );
+                }
+                // Tracked only with both halves of the identity; the
+                // sentinel id, or either half missing, is untracked.
+                let (client_id, seq) = match (client_id, seq) {
+                    (Some(id), Some(seq)) => (id, seq),
+                    _ => (UNTRACKED_CLIENT, 0),
+                };
+                return self.add(&stream, client_id, seq, &le_bytes(&values), shard_cursor, mode);
+            }
+            Request::Sum { stream } => match ledger.sum(&stream) {
+                Some(sum) => Response::Sum {
+                    limbs: sum.as_limbs().to_vec(),
+                    poisoned: ledger.overflows(&stream) != 0,
+                },
+                None => unknown_stream(&stream),
+            },
+            Request::ClusterSum { stream } => self.cluster_sum(&stream),
+            Request::Snapshot => self.snapshot(),
+            Request::Reset => {
+                ledger.reset();
+                Response::ResetDone
+            }
+            Request::Stats => {
+                let stats = ledger.stats();
+                Response::Stats {
+                    shard_count: stats.shard_count,
+                    streams: stats
+                        .streams
+                        .into_iter()
+                        .map(|s| StreamStatsRepr {
+                            name: s.name,
+                            batches: s.batches,
+                            values: s.values,
+                            overflows: s.overflows,
+                        })
+                        .collect(),
+                }
+            }
+            Request::Shutdown => return FrameOutcome::Done(Response::ShuttingDown, true),
+        };
+        FrameOutcome::Done(reply, false)
+    }
+
+    /// Executes one Add, whichever frame carried it: a tracked batch is
+    /// replicated first, then deposited through the ledger's one deposit
+    /// call, then made durable before its ACK. `value_bytes` are raw
+    /// little-endian `f64`s; the shard cursor advances once.
+    fn add(
+        &self,
+        stream: &str,
+        client_id: u64,
+        seq: u64,
+        value_bytes: &[u8],
+        shard_cursor: &mut usize,
+        mode: WalMode,
+    ) -> FrameOutcome {
+        let hint = *shard_cursor;
+        *shard_cursor = shard_cursor.wrapping_add(1);
+        let tracked = client_id != UNTRACKED_CLIENT;
+        if tracked {
+            if let Err(reply) = self.replicate(stream, client_id, seq, value_bytes) {
+                return FrameOutcome::Done(reply, false);
+            }
+        }
+        // Untracked clients skip the dedup window inside the ledger.
+        let (count, applied) =
+            self.ledger.add_batch_le_bytes_dedup(stream, hint, client_id, seq, value_bytes);
+        let response = Response::Added { count, deduped: !applied };
+        if !tracked {
+            return FrameOutcome::Done(response, false);
+        }
+        match self.commit_step(stream, client_id, seq, value_bytes, mode) {
+            Err(reply) => FrameOutcome::Done(reply, false),
+            Ok(Some(ticket)) => FrameOutcome::WalPending { ticket, response },
+            Ok(None) => FrameOutcome::Done(response, false),
         }
     }
 
@@ -306,140 +379,36 @@ impl RequestCore {
             })
     }
 
-    /// Executes one JSON request.
-    pub fn handle_request(&self, req: Request, shard_cursor: &mut usize) -> (Response, bool) {
-        match self.handle_request_with(req, shard_cursor, WalMode::Block) {
-            FrameOutcome::Done(reply, stop) => (reply, stop),
-            // lint:allow(service-unwrap) -- unreachable: WalMode::Block never pends
-            FrameOutcome::WalPending { .. } => unreachable!("Block mode never pends"),
-        }
-    }
-
-    /// [`handle_request`](Self::handle_request) under an explicit
-    /// [`WalMode`]; only a tracked `Add` can return
-    /// [`FrameOutcome::WalPending`].
-    pub fn handle_request_with(
-        &self,
-        req: Request,
-        shard_cursor: &mut usize,
-        mode: WalMode,
-    ) -> FrameOutcome {
-        let ledger = &self.ledger;
-        match req {
-            Request::Add { stream, values, client_id, seq } => {
-                let hint = *shard_cursor;
-                *shard_cursor = shard_cursor.wrapping_add(1);
-                // A tracked identity goes through the exactly-once
-                // window; an untracked one (no id, or the explicit
-                // sentinel) deposits unconditionally, preserving the
-                // PR-2 wire behavior.
-                match (client_id, seq) {
-                    (Some(id), Some(seq)) if id != UNTRACKED_CLIENT => {
-                        // Replication and the WAL both consume the batch
-                        // as raw LE bytes, the binary path's native form.
-                        let bytes: Vec<u8> = if self.cluster.is_some() || self.wal.is_some() {
-                            values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
-                        } else {
-                            Vec::new()
-                        };
-                        if self.cluster.is_some() {
-                            if let Err(reply) = self.replicate(&stream, id, seq, &bytes) {
-                                return FrameOutcome::Done(reply, false);
-                            }
-                        }
-                        let (count, applied) =
-                            ledger.add_batch_dedup(&stream, hint, id, seq, values.iter().copied());
-                        let response = Response::Added { count, deduped: !applied };
-                        match self.commit_step(&stream, id, seq, &bytes, mode) {
-                            Err(reply) => FrameOutcome::Done(reply, false),
-                            Ok(Some(ticket)) => FrameOutcome::WalPending { ticket, response },
-                            Ok(None) => FrameOutcome::Done(response, false),
-                        }
-                    }
-                    _ => FrameOutcome::Done(
-                        Response::Added {
-                            count: ledger.add_batch_on(&stream, hint, values.iter().copied()),
-                            deduped: false,
-                        },
-                        false,
-                    ),
-                }
-            }
-            Request::Sum { stream } => match ledger.sum(&stream) {
-                Some(sum) => FrameOutcome::Done(
-                    Response::Sum {
-                        limbs: sum.as_limbs().to_vec(),
-                        poisoned: ledger.overflows(&stream) != 0,
-                    },
-                    false,
-                ),
-                None => FrameOutcome::Done(unknown_stream(&stream), false),
-            },
-            Request::ClusterSum { stream } => FrameOutcome::Done(self.cluster_sum(&stream), false),
-            Request::Snapshot => match &self.snapshot_path {
-                Some(path) => {
-                    // GC boundary *before* the save: every record in a
-                    // segment below the committer's active index was
-                    // committed — hence applied, since applies precede
-                    // commits — before the snapshot read the ledger, so
-                    // a snapshot taken now dominates those segments.
-                    let boundary = self.wal.as_ref().map(|w| w.active_segment());
-                    match snapshot::save(path, ledger) {
-                        Ok(streams) => {
-                            if let (Some(wal), Some(boundary)) = (&self.wal, boundary) {
-                                // Trust the bytes, not the Ok: only a
-                                // snapshot that re-reads and re-seals is
-                                // license to delete its WAL coverage.
-                                if snapshot::verify(path) {
-                                    let _ = wal.gc_below(boundary);
-                                }
-                            }
-                            FrameOutcome::Done(
-                                Response::Snapshot { streams: streams as u64 },
-                                false,
-                            )
-                        }
-                        Err(e) => FrameOutcome::Done(
-                            Response::Error {
-                                code: ErrorCode::Internal,
-                                message: format!("snapshot failed: {e}"),
-                            },
-                            false,
-                        ),
+    /// Persists the ledger to the snapshot path, then deletes the WAL
+    /// segments the verified snapshot covers.
+    fn snapshot(&self) -> Response {
+        let Some(path) = &self.snapshot_path else {
+            return Response::Error {
+                code: ErrorCode::Internal,
+                message: "server started without a snapshot path".to_owned(),
+            };
+        };
+        // GC boundary *before* the save: every record in a segment below
+        // the committer's active index was committed — hence applied,
+        // since applies precede commits — before the snapshot read the
+        // ledger, so a snapshot taken now dominates those segments.
+        let boundary = self.wal.as_ref().map(|w| w.active_segment());
+        match snapshot::save(path, &self.ledger) {
+            Ok(streams) => {
+                if let (Some(wal), Some(boundary)) = (&self.wal, boundary) {
+                    // Trust the bytes, not the Ok: only a snapshot that
+                    // re-reads and re-seals is license to delete its WAL
+                    // coverage.
+                    if snapshot::verify(path) {
+                        let _ = wal.gc_below(boundary);
                     }
                 }
-                None => FrameOutcome::Done(
-                    Response::Error {
-                        code: ErrorCode::Internal,
-                        message: "server started without a snapshot path".to_owned(),
-                    },
-                    false,
-                ),
+                Response::Snapshot { streams: streams as u64 }
+            }
+            Err(e) => Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("snapshot failed: {e}"),
             },
-            Request::Reset => {
-                ledger.reset();
-                FrameOutcome::Done(Response::ResetDone, false)
-            }
-            Request::Stats => {
-                let stats = ledger.stats();
-                FrameOutcome::Done(
-                    Response::Stats {
-                        shard_count: stats.shard_count,
-                        streams: stats
-                            .streams
-                            .into_iter()
-                            .map(|s| StreamStatsRepr {
-                                name: s.name,
-                                batches: s.batches,
-                                values: s.values,
-                                overflows: s.overflows,
-                            })
-                            .collect(),
-                    },
-                    false,
-                )
-            }
-            Request::Shutdown => FrameOutcome::Done(Response::ShuttingDown, true),
         }
     }
 
@@ -501,8 +470,10 @@ fn unknown_stream(stream: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::ClientFrame;
+    use crate::proto::{add_binary_bytes, parse_client_frame, MAGIC_ADD_BIN, MAX_FRAME};
+    use crate::wal::{FsyncPolicy, WalConfig};
     use crate::ServiceHp;
+    use oisum_core::convert::encode_listing1;
     use std::sync::Mutex;
 
     fn core() -> RequestCore {
@@ -511,14 +482,24 @@ mod tests {
 
     fn run(core: &RequestCore, req: Request) -> (Response, bool) {
         let mut cursor = 0usize;
-        core.handle_request(req, &mut cursor)
+        core.handle_frame(ClientFrameView::Json(req), &mut cursor)
+    }
+
+    /// A fresh WAL (no fsync: these tests check what is logged, not
+    /// what survives power loss) in a per-test scratch directory.
+    fn scratch_wal(name: &str) -> Arc<Wal> {
+        let dir = std::env::temp_dir()
+            .join(format!("oisum-dispatch-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = WalConfig { fsync: FsyncPolicy::Never, ..WalConfig::new(&dir) };
+        Arc::new(Wal::open(config).unwrap())
     }
 
     #[test]
     fn cluster_sum_without_a_cluster_is_the_local_sum() {
         let core = core();
         let xs = [0.1, -2.5, 1e9, -1e-9];
-        core.ledger().add("s", &xs);
+        core.ledger().add_batch_le_bytes_dedup("s", 0, UNTRACKED_CLIENT, 0, &le_bytes(&xs));
         let (reply, stop) = run(&core, Request::ClusterSum { stream: "s".into() });
         assert!(!stop);
         let expected = ServiceHp::sum_f64_slice(&xs);
@@ -540,6 +521,7 @@ mod tests {
     }
 
     /// Records replicate calls; fails them while `partitioned`.
+    #[derive(Default)]
     struct RecordingCluster {
         calls: Mutex<Vec<(String, u64, u64, usize)>>,
         partitioned: Mutex<bool>,
@@ -572,24 +554,21 @@ mod tests {
 
     #[test]
     fn tracked_adds_replicate_before_apply_and_refuse_on_failure() {
-        let cluster = Arc::new(RecordingCluster {
-            calls: Mutex::new(Vec::new()),
-            partitioned: Mutex::new(false),
-        });
+        let cluster = Arc::new(RecordingCluster::default());
         let ledger = Arc::new(ShardedLedger::new(2));
         let core = RequestCore::new(Arc::clone(&ledger))
             .with_cluster(Arc::clone(&cluster) as Arc<dyn ClusterOps>);
         let mut cursor = 0usize;
 
         // Tracked JSON add: replicated (as raw LE bytes), then applied.
-        let (reply, _) = core.handle_request(
+        let (reply, _) = run(
+            &core,
             Request::Add {
                 stream: "s".into(),
                 values: vec![1.5, 2.5],
                 client_id: Some(7),
                 seq: Some(1),
             },
-            &mut cursor,
         );
         assert_eq!(reply, Response::Added { count: 2, deduped: false });
         assert_eq!(
@@ -598,25 +577,16 @@ mod tests {
         );
 
         // Tracked binary add: value bytes forwarded verbatim.
-        let mut frame = Vec::new();
-        crate::proto::write_add_binary(&mut frame, "s", 7, 2, &[4.0]).unwrap();
-        let Some(ClientFrame::BinaryAdd { .. }) =
-            crate::proto::read_client_frame(&mut frame.as_slice()).unwrap()
-        else {
-            panic!("frame kind")
-        };
-        let mut read_buf = Vec::new();
-        let view = crate::proto::read_client_frame_into(&mut frame.as_slice(), &mut read_buf)
-            .unwrap()
-            .unwrap();
+        let frame = add_binary_bytes("s", 7, 2, &[4.0]).unwrap();
+        let view = parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap();
         let (reply, _) = core.handle_frame(view, &mut cursor);
         assert_eq!(reply, Response::Added { count: 1, deduped: false });
         assert_eq!(cluster.calls.lock().unwrap().len(), 2);
 
         // Untracked adds are not replicated.
-        let (reply, _) = core.handle_request(
+        let (reply, _) = run(
+            &core,
             Request::Add { stream: "s".into(), values: vec![9.0], client_id: None, seq: None },
-            &mut cursor,
         );
         assert_eq!(reply, Response::Added { count: 1, deduped: false });
         assert_eq!(cluster.calls.lock().unwrap().len(), 2);
@@ -625,16 +595,144 @@ mod tests {
         // apply — the ACK invariant "acked ⇒ replicated" holds.
         let before = ledger.sum("s").unwrap();
         *cluster.partitioned.lock().unwrap() = true;
-        let (reply, _) = core.handle_request(
+        let (reply, _) = run(
+            &core,
             Request::Add {
                 stream: "s".into(),
                 values: vec![100.0],
                 client_id: Some(7),
                 seq: Some(3),
             },
-            &mut cursor,
         );
         assert!(matches!(reply, Response::Error { code: ErrorCode::Internal, .. }));
         assert_eq!(ledger.sum("s").unwrap(), before);
+    }
+
+    /// A JSON Add is one more spelling of a binary Add. Every identity
+    /// shape, from either frame kind, must deposit bitwise the Listing-1
+    /// sum, count one batch per applied Add, dedup a tracked replay, and
+    /// write a WAL record only when tracked.
+    #[test]
+    fn every_add_shape_deposits_the_listing1_sum_once() {
+        let xs = [0.1, -2.5e-30, 1e15, -0.0, 5e-324, 3.75, -7.0e-200];
+        let n = xs.len() as u64;
+        let listing1 = |copies: usize| {
+            (0..copies).flat_map(|_| xs).fold(ServiceHp::ZERO, |acc, x| {
+                acc.wrapping_add(&ServiceHp::from_limbs(encode_listing1::<6, 3>(x)))
+            })
+        };
+        // (stream, binary frame?, client_id, seq, tracked)
+        let shapes = [
+            ("binary-tracked", true, Some(7), Some(1), true),
+            ("binary-untracked", true, Some(UNTRACKED_CLIENT), Some(1), false),
+            ("json-tracked", false, Some(7), Some(1), true),
+            ("json-no-identity", false, None, None, false),
+            ("json-client-id-only", false, Some(7), None, false),
+            ("json-seq-only", false, None, Some(1), false),
+            ("json-client-id-0", false, Some(UNTRACKED_CLIENT), Some(1), false),
+        ];
+        let wal = scratch_wal("shapes");
+        let ledger = Arc::new(ShardedLedger::new(3));
+        let core = RequestCore::new(Arc::clone(&ledger)).with_wal(Arc::clone(&wal));
+        let mut cursor = 0usize;
+        for (stream, binary, client_id, seq, tracked) in shapes {
+            let wire = add_binary_bytes(stream, client_id.unwrap_or(0), seq.unwrap_or(0), &xs)
+                .unwrap();
+            // The second send is a replay of the first.
+            for send in 1..=2u64 {
+                let frame = if binary {
+                    parse_client_frame(MAGIC_ADD_BIN, &wire[8..]).unwrap()
+                } else {
+                    ClientFrameView::Json(Request::Add {
+                        stream: stream.to_owned(),
+                        values: xs.to_vec(),
+                        client_id,
+                        seq,
+                    })
+                };
+                let logged = wal.group_stats().0;
+                let (reply, stop) = core.handle_frame(frame, &mut cursor);
+                assert!(!stop);
+                let applies = if tracked { 1 } else { send };
+                let deduped = tracked && send == 2;
+                assert_eq!(reply, Response::Added { count: n, deduped }, "{stream} send {send}");
+                assert_eq!(
+                    ledger.sum(stream).unwrap(),
+                    listing1(applies as usize),
+                    "{stream} send {send}"
+                );
+                let stats = ledger.stats();
+                let s = stats.streams.iter().find(|s| s.name == stream).unwrap();
+                assert_eq!((s.batches, s.values), (applies, applies * n), "{stream} send {send}");
+                assert_eq!(wal.group_stats().0 - logged, u64::from(tracked), "{stream} send {send}");
+            }
+        }
+        // The log holds the tracked shapes alone, and replays to their sums.
+        wal.close().unwrap();
+        let recovered = ShardedLedger::new(2);
+        let report = crate::recover(wal.dir(), &recovered).unwrap();
+        assert_eq!((report.records, report.applied, report.deduped), (4, 2, 2));
+        assert_eq!(recovered.stream_names(), vec!["binary-tracked", "json-tracked"]);
+        for name in recovered.stream_names() {
+            assert_eq!(recovered.sum(&name).unwrap(), listing1(1));
+        }
+        std::fs::remove_dir_all(wal.dir()).ok();
+    }
+
+    /// A JSON Add that no binary Add frame could carry (a name over
+    /// 65,535 bytes, or more values than a 16 MiB payload holds) would
+    /// fail its WAL append after the deposit. It is refused as a bad
+    /// request before replication or apply, tracked or not.
+    #[test]
+    fn json_adds_no_binary_frame_could_carry_are_refused_before_apply() {
+        let wal = scratch_wal("refuse");
+        let cluster = Arc::new(RecordingCluster::default());
+        let ledger = Arc::new(ShardedLedger::new(2));
+        let core = RequestCore::new(Arc::clone(&ledger))
+            .with_cluster(Arc::clone(&cluster) as Arc<dyn ClusterOps>)
+            .with_wal(Arc::clone(&wal));
+        let long_name = "n".repeat(65_536);
+        // The most values a binary Add into a 1-byte name carries.
+        let most = (MAX_FRAME as usize - 18 - 1) / 8;
+        let mut seq = 0;
+        for (stream, count) in [(long_name.as_str(), 1), ("s", most + 1)] {
+            for tracked in [true, false] {
+                seq += 1;
+                let (reply, _) = run(
+                    &core,
+                    Request::Add {
+                        stream: stream.to_owned(),
+                        values: vec![1.0; count],
+                        client_id: tracked.then_some(7),
+                        seq: tracked.then_some(seq),
+                    },
+                );
+                let Response::Error { code, message } = reply else {
+                    panic!("{count} values into a {}-byte name were accepted", stream.len())
+                };
+                assert_eq!(code, ErrorCode::BadRequest, "{message}");
+            }
+        }
+        assert!(ledger.stats().streams.is_empty());
+        assert!(cluster.calls.lock().unwrap().is_empty());
+        assert_eq!(wal.group_stats().0, 0);
+
+        // The largest batch a binary frame carries is still accepted,
+        // logged and replicated.
+        let (reply, _) = run(
+            &core,
+            Request::Add {
+                stream: "s".into(),
+                values: vec![1.0; most],
+                client_id: Some(7),
+                seq: Some(100),
+            },
+        );
+        assert_eq!(reply, Response::Added { count: most as u64, deduped: false });
+        assert_eq!(ledger.sum("s").unwrap().to_f64(), most as f64);
+        assert_eq!(cluster.calls.lock().unwrap().len(), 1);
+        assert_eq!(wal.group_stats().0, 1);
+        wal.close().unwrap();
+        std::fs::remove_dir_all(wal.dir()).ok();
     }
 }

@@ -13,16 +13,17 @@
 //! Shard *selection* is deliberately not centralized: a shared
 //! round-robin cursor would put one contended cache line in front of
 //! every deposit from every connection. Instead each depositor walks
-//! its own cursor — the server passes a per-connection counter to
-//! [`ShardedLedger::add_batch_on`], and the in-process
-//! [`ShardedLedger::add`] keeps a thread-local one (seeded from a
-//! global counter once per thread, so distinct threads start on
-//! distinct shards). Any assignment is valid; only contention changes.
+//! its own cursor and passes it as the `shard_hint` of
+//! [`ShardedLedger::add_batch_le_bytes_dedup`]: the server keeps one per
+//! connection, WAL recovery and the cluster's mirror handler one each.
+//! Any assignment is valid; only contention changes.
 //!
-//! A deposit folds its whole batch into a thread-local carry-deferred
-//! [`BatchAcc`](oisum_core::BatchAcc) and lands it with
-//! [`AtomicHp::add_batch_iter`]: exactly `N` atomic RMWs per batch
-//! instead of `N` per value.
+//! That call is the ledger's only deposit. Every batch arrives as raw
+//! little-endian `f64` bytes, whether a binary Add frame, a JSON Add
+//! converted once, a peer `MirrorAdd` or a replayed WAL record carried
+//! it. It folds into a carry-deferred [`BatchAcc`](oisum_core::BatchAcc)
+//! and lands with [`AtomicHp::add_batch_le_bytes`]: exactly `N` atomic
+//! RMWs per batch instead of `N` per value.
 //!
 //! Locking is two-level: a `RwLock` guards only the stream *directory*
 //! (name → shard bank); the hot deposit path takes the read lock,
@@ -32,36 +33,12 @@ use crate::proto::UNTRACKED_CLIENT;
 use crate::ServiceHp;
 use crossbeam::utils::CachePadded;
 use oisum_core::AtomicHp;
-use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Number of integer/fractional limbs in the service accumulator format.
 pub const SERVICE_LIMBS: usize = 6;
-
-/// Seeds each thread's shard cursor; touched once per thread lifetime,
-/// not per deposit.
-static THREAD_CURSOR_SEED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's private shard cursor for [`ShardedLedger::add`].
-    // ORDERING: Relaxed — the seed only spreads threads across shards;
-    // any interleaving of the counter is fine (shard choice never
-    // affects the sum, only contention).
-    static SHARD_CURSOR: Cell<usize> = Cell::new(
-        THREAD_CURSOR_SEED.fetch_add(1, Ordering::Relaxed)
-    );
-}
-
-/// Advances the calling thread's private shard cursor.
-fn next_thread_shard() -> usize {
-    SHARD_CURSOR.with(|c| {
-        let v = c.get();
-        c.set(v.wrapping_add(1));
-        v
-    })
-}
 
 /// One named stream: its shard bank, deposit statistics, and the
 /// per-client dedup window for exactly-once retries.
@@ -106,30 +83,7 @@ impl Stream {
     /// `(values accounted for, false)` when `(client_id, seq)` was
     /// already applied — the deposit is skipped and the stats counters
     /// untouched, so `values` stays an exact count of applied summands.
-    fn add_batch_dedup<I: ExactSizeIterator<Item = f64>>(
-        &self,
-        shard_hint: usize,
-        client_id: u64,
-        seq: u64,
-        values: I,
-    ) -> (u64, bool) {
-        let slot = self.dedup_slot(client_id);
-        let mut last = slot.lock().unwrap();
-        if seq <= *last {
-            // A recognized replay is counted without decoding a single
-            // value — with the wire view this costs a length read, not
-            // an iteration over the batch.
-            return (values.len() as u64, false);
-        }
-        let n = self.add_batch_on(shard_hint, values);
-        *last = seq;
-        (n, true)
-    }
-
-    /// [`Self::add_batch_dedup`] fed the raw little-endian value bytes
-    /// of a binary Add frame: the replay check still costs only a
-    /// length read, and an applied batch reaches the lane kernel with
-    /// no per-value iterator (see [`Self::add_batch_le_bytes_on`]).
+    /// A recognized replay is counted from the byte length alone.
     fn add_batch_le_bytes_dedup(
         &self,
         shard_hint: usize,
@@ -147,26 +101,11 @@ impl Stream {
         (n, true)
     }
 
-    /// Deposits a batch into the shard selected by `shard_hint` (any
-    /// value; reduced mod the bank size): one local batch fold, one
-    /// `N`-limb atomic deposit. Returns the number of values deposited.
-    fn add_batch_on<I: IntoIterator<Item = f64>>(&self, shard_hint: usize, values: I) -> u64 {
-        let shard = &self.shards[shard_hint % self.shards.len()];
-        let mut n = 0u64;
-        shard.add_batch_iter(values.into_iter().inspect(|_| n += 1));
-        // ORDERING: Relaxed — monotonic stats tallies; readers only need
-        // eventually-consistent counts, never an edge with the deposits.
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.values.fetch_add(n, Ordering::Relaxed);
-        n
-    }
-
-    /// [`Self::add_batch_on`] over raw little-endian `f64` bytes (a
-    /// binary Add payload, length pre-validated to a multiple of 8):
-    /// the wire buffer feeds the multi-lane encode kernel directly —
-    /// no `WireF64Iter`, no per-value counting — and lands with the
-    /// same single `N`-limb atomic deposit, bitwise identical to the
-    /// iterator path.
+    /// Deposits raw little-endian `f64` bytes (length a multiple of 8)
+    /// into the shard selected by `shard_hint` (any value; reduced mod
+    /// the bank size): the bytes feed the multi-lane encode kernel
+    /// directly and land with one `N`-limb atomic deposit. Returns the
+    /// number of values deposited.
     fn add_batch_le_bytes_on(&self, shard_hint: usize, bytes: &[u8]) -> u64 {
         let shard = &self.shards[shard_hint % self.shards.len()];
         shard.add_batch_le_bytes(bytes);
@@ -300,31 +239,12 @@ impl ShardedLedger {
         )
     }
 
-    /// Deposits `values` into `name`, creating the stream on first use.
-    /// Shard selection uses the calling thread's private cursor.
-    pub fn add(&self, name: &str, values: &[f64]) {
-        self.stream(name)
-            .add_batch_on(next_thread_shard(), values.iter().copied());
-    }
-
     /// Deposits a batch into `name` on the shard selected by
     /// `shard_hint` (reduced mod the shard count), creating the stream
-    /// on first use. Returns the number of values deposited.
+    /// on first use — the ledger's one deposit. `bytes` are raw
+    /// little-endian `f64`s, length a multiple of 8.
     ///
-    /// This is the server's hot path: the caller owns the cursor (one
-    /// per connection), so unrelated connections never contend on shard
-    /// selection, and the whole batch lands with a single `N`-limb
-    /// atomic deposit via [`AtomicHp::add_batch_iter`].
-    pub fn add_batch_on<I: IntoIterator<Item = f64>>(
-        &self,
-        name: &str,
-        shard_hint: usize,
-        values: I,
-    ) -> u64 {
-        self.stream(name).add_batch_on(shard_hint, values)
-    }
-
-    /// Deposits a batch carrying a `(client_id, seq)` retry identity
+    /// A batch carrying a `(client_id, seq)` retry identity lands
     /// **exactly once**: a replay of an already-applied identity is
     /// acknowledged without depositing, so however many times a retry
     /// loop resends a frame, the stream's sum — and its `values`
@@ -334,34 +254,10 @@ impl ShardedLedger {
     /// [`UNTRACKED_CLIENT`](crate::proto::UNTRACKED_CLIENT) bypasses the
     /// window entirely.
     ///
-    /// Generic over any exact-size `f64` iterator so the server's binary
-    /// fast path can feed values decoded lazily off its read buffer — a
-    /// replay is then counted from the frame length alone.
-    pub fn add_batch_dedup<I>(
-        &self,
-        name: &str,
-        shard_hint: usize,
-        client_id: u64,
-        seq: u64,
-        values: I,
-    ) -> (u64, bool)
-    where
-        I: IntoIterator<Item = f64>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let stream = self.stream(name);
-        if client_id == UNTRACKED_CLIENT {
-            (stream.add_batch_on(shard_hint, values), true)
-        } else {
-            stream.add_batch_dedup(shard_hint, client_id, seq, values.into_iter())
-        }
-    }
-
-    /// [`Self::add_batch_dedup`] over the raw little-endian value bytes
-    /// of a binary Add frame (length pre-validated to a multiple of 8
-    /// by the frame parser). This is the server's hottest path: the
-    /// wire buffer reaches the multi-lane encode kernel with no
-    /// per-value iterator at all, bitwise identical to decoding first.
+    /// The caller owns the cursor behind `shard_hint` (one per
+    /// connection), so unrelated connections never contend on shard
+    /// selection, and the bytes reach the multi-lane encode kernel with
+    /// no per-value iterator at all.
     pub fn add_batch_le_bytes_dedup(
         &self,
         name: &str,
@@ -430,8 +326,8 @@ impl ShardedLedger {
     }
 
     /// Restores a snapshot produced by [`Self::snapshot`], replacing any
-    /// existing contents. Each restored sum lands in shard 0; subsequent
-    /// deposits spread over the bank as usual.
+    /// existing contents. Each restored sum and overflow count lands in
+    /// shard 0; subsequent deposits spread over the bank as usual.
     pub fn restore(&self, entries: &[StreamState]) {
         let mut map = self.streams.write().unwrap();
         map.clear();
@@ -452,10 +348,11 @@ impl ShardedLedger {
             .insert(entry.name.clone(), stream);
     }
 
-    /// Builds a live stream out of persisted state.
+    /// Builds a live stream out of persisted state, poison included: a
+    /// stream that overflowed stays flagged after a restart or rejoin.
     fn revive(&self, entry: &StreamState) -> Stream {
-        let stream = Stream::new(self.shard_count);
-        stream.shards[0].add(&entry.sum);
+        let mut stream = Stream::new(self.shard_count);
+        stream.shards[0] = CachePadded::new(AtomicHp::with_overflows(entry.sum, entry.overflows));
         let mut dedup = stream.dedup.write().unwrap();
         for &(client_id, seq) in &entry.dedup {
             dedup.insert(client_id, Arc::new(Mutex::new(seq)));
@@ -494,7 +391,24 @@ impl ShardedLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::le_bytes;
     use proptest::prelude::*;
+
+    /// An untracked deposit on shard 0.
+    fn add(ledger: &ShardedLedger, name: &str, xs: &[f64]) {
+        ledger.add_batch_le_bytes_dedup(name, 0, UNTRACKED_CLIENT, 0, &le_bytes(xs));
+    }
+
+    /// A tracked deposit on shard 0; returns `(count, applied)`.
+    fn add_tracked(
+        ledger: &ShardedLedger,
+        name: &str,
+        client_id: u64,
+        seq: u64,
+        xs: &[f64],
+    ) -> (u64, bool) {
+        ledger.add_batch_le_bytes_dedup(name, 0, client_id, seq, &le_bytes(xs))
+    }
 
     #[test]
     fn empty_stream_is_none() {
@@ -506,15 +420,15 @@ mod tests {
     fn single_batch_matches_slice_sum() {
         let ledger = ShardedLedger::new(4);
         let xs = [0.1, -2.5, 1e9, -1e-9, 0.25];
-        ledger.add("s", &xs);
+        add(&ledger, "s", &xs);
         assert_eq!(ledger.sum("s").unwrap(), ServiceHp::sum_f64_slice(&xs));
     }
 
     #[test]
     fn streams_are_independent() {
         let ledger = ShardedLedger::new(2);
-        ledger.add("a", &[1.0]);
-        ledger.add("b", &[2.0]);
+        add(&ledger, "a", &[1.0]);
+        add(&ledger, "b", &[2.0]);
         assert_eq!(ledger.sum("a").unwrap().to_f64(), 1.0);
         assert_eq!(ledger.sum("b").unwrap().to_f64(), 2.0);
     }
@@ -524,9 +438,9 @@ mod tests {
         let ledger = ShardedLedger::new(8);
         let xs: Vec<f64> = (0..500).map(|i| (i as f64 - 250.0) * 1e-7).collect();
         for chunk in xs.chunks(37) {
-            ledger.add("s", chunk);
+            add(&ledger, "s", chunk);
         }
-        ledger.add("t", &[42.0]);
+        add(&ledger, "t", &[42.0]);
         let snap = ledger.snapshot();
         let restored = ShardedLedger::new(3); // different shard count
         restored.restore(&snap);
@@ -538,14 +452,20 @@ mod tests {
     fn shard_hint_never_changes_the_sum() {
         // Any shard assignment is valid by order-invariance: pathological
         // hint patterns (all-one-shard, striped, "random") must agree
-        // bitwise with the thread-local-cursor path and the slice sum.
+        // bitwise with the slice sum.
         let xs: Vec<f64> = (0..2_000).map(|i| (i as f64 - 1000.0) * 2.3e-6).collect();
         let expected = ServiceHp::sum_f64_slice(&xs);
         for pattern in [0usize, 1, 7, 0x9E37] {
             let ledger = ShardedLedger::new(5);
             for (b, chunk) in xs.chunks(97).enumerate() {
-                let n = ledger.add_batch_on("s", b.wrapping_mul(pattern), chunk.iter().copied());
-                assert_eq!(n as usize, chunk.len());
+                let (n, applied) = ledger.add_batch_le_bytes_dedup(
+                    "s",
+                    b.wrapping_mul(pattern),
+                    UNTRACKED_CLIENT,
+                    0,
+                    &le_bytes(chunk),
+                );
+                assert_eq!((n as usize, applied), (chunk.len(), true));
             }
             assert_eq!(ledger.sum("s").unwrap(), expected);
         }
@@ -555,29 +475,26 @@ mod tests {
     fn replayed_identity_applies_exactly_once() {
         let ledger = ShardedLedger::new(4);
         let xs = [0.1, -2.5, 1e9];
-        let (n, applied) = ledger.add_batch_dedup("s", 0, 7, 1, xs.iter().copied());
-        assert_eq!((n, applied), (3, true));
+        assert_eq!(add_tracked(&ledger, "s", 7, 1, &xs), (3, true));
         // Replays of seq 1 — any number, any shard hint — deposit nothing.
         for hint in 0..5 {
-            let (n, applied) = ledger.add_batch_dedup("s", hint, 7, 1, xs.iter().copied());
+            let (n, applied) = ledger.add_batch_le_bytes_dedup("s", hint, 7, 1, &le_bytes(&xs));
             assert_eq!((n, applied), (3, false));
         }
         assert_eq!(ledger.sum("s").unwrap(), ServiceHp::sum_f64_slice(&xs));
         assert_eq!(ledger.stats().streams[0].values, 3);
         // The next seq applies; an older (out-of-window) seq does not.
-        assert!(ledger.add_batch_dedup("s", 0, 7, 2, [1.0]).1);
-        assert!(!ledger.add_batch_dedup("s", 0, 7, 1, xs.iter().copied()).1);
+        assert!(add_tracked(&ledger, "s", 7, 2, &[1.0]).1);
+        assert!(!add_tracked(&ledger, "s", 7, 1, &xs).1);
         // A different client with the same seq is unrelated.
-        assert!(ledger.add_batch_dedup("s", 0, 8, 1, [2.0]).1);
+        assert!(add_tracked(&ledger, "s", 8, 1, &[2.0]).1);
     }
 
     #[test]
     fn untracked_client_bypasses_dedup() {
         let ledger = ShardedLedger::new(2);
         for _ in 0..3 {
-            let (n, applied) =
-                ledger.add_batch_dedup("s", 0, crate::proto::UNTRACKED_CLIENT, 1, [1.0]);
-            assert_eq!((n, applied), (1, true));
+            assert_eq!(add_tracked(&ledger, "s", UNTRACKED_CLIENT, 1, &[1.0]), (1, true));
         }
         assert_eq!(ledger.sum("s").unwrap().to_f64(), 3.0);
     }
@@ -585,8 +502,8 @@ mod tests {
     #[test]
     fn snapshot_carries_the_dedup_window() {
         let ledger = ShardedLedger::new(3);
-        ledger.add_batch_dedup("s", 0, 7, 4, [1.5]);
-        ledger.add_batch_dedup("s", 0, 9, 2, [2.5]);
+        add_tracked(&ledger, "s", 7, 4, &[1.5]);
+        add_tracked(&ledger, "s", 9, 2, &[2.5]);
         let snap = ledger.snapshot();
         assert_eq!(snap[0].dedup, vec![(7, 4), (9, 2)]);
 
@@ -594,19 +511,19 @@ mod tests {
         restored.restore(&snap);
         // A replay of an identity applied before the snapshot must still
         // be recognized after restore.
-        assert!(!restored.add_batch_dedup("s", 0, 7, 4, [1.5]).1);
-        assert!(!restored.add_batch_dedup("s", 0, 9, 1, [2.5]).1);
+        assert!(!add_tracked(&restored, "s", 7, 4, &[1.5]).1);
+        assert!(!add_tracked(&restored, "s", 9, 1, &[2.5]).1);
         assert_eq!(restored.sum("s").unwrap(), ledger.sum("s").unwrap());
         // Fresh work continues from the window.
-        assert!(restored.add_batch_dedup("s", 0, 7, 5, [3.0]).1);
+        assert!(add_tracked(&restored, "s", 7, 5, &[3.0]).1);
     }
 
     #[test]
     fn restore_preserves_counters_and_install_is_per_stream() {
         let ledger = ShardedLedger::new(4);
-        ledger.add("a", &[1.0, 2.0]);
-        ledger.add("a", &[3.0]);
-        ledger.add_batch_dedup("b", 0, 7, 1, [4.0]);
+        add(&ledger, "a", &[1.0, 2.0]);
+        add(&ledger, "a", &[3.0]);
+        add_tracked(&ledger, "b", 7, 1, &[4.0]);
         let snap = ledger.snapshot();
         assert_eq!(snap[0].batches, 2);
         assert_eq!(snap[0].values, 3);
@@ -620,8 +537,8 @@ mod tests {
 
         // install() replaces exactly one stream, leaving the rest alone.
         let target = ShardedLedger::new(3);
-        target.add("a", &[9.0]); // stale copy, about to be replaced
-        target.add("c", &[5.0]);
+        add(&target, "a", &[9.0]); // stale copy, about to be replaced
+        add(&target, "c", &[5.0]);
         let b_state = ledger.stream_state("b").unwrap();
         let a_state = ledger.stream_state("a").unwrap();
         target.install(&a_state);
@@ -631,14 +548,45 @@ mod tests {
         assert_eq!(target.sum("c").unwrap().to_f64(), 5.0);
         assert_eq!(target.stream_names(), vec!["a", "b", "c"]);
         // The installed dedup window is live.
-        assert!(!target.add_batch_dedup("b", 0, 7, 1, [4.0]).1);
+        assert!(!add_tracked(&target, "b", 7, 1, &[4.0]).1);
+    }
+
+    #[test]
+    fn poison_survives_restore_install_and_snapshot_load() {
+        // Two deposits of 3e57 on one shard leave the 2^191 range: the
+        // second top-limb deposit overflows and poisons the stream.
+        let ledger = ShardedLedger::new(2);
+        add(&ledger, "hot", &[3e57]);
+        add(&ledger, "hot", &[3e57]);
+        add(&ledger, "cool", &[1.0]);
+        let overflows = ledger.overflows("hot");
+        assert!(overflows > 0);
+
+        let restored = ShardedLedger::new(3);
+        restored.restore(&ledger.snapshot());
+        let installed = ShardedLedger::new(3);
+        installed.install(&ledger.stream_state("hot").unwrap());
+        installed.install(&ledger.stream_state("cool").unwrap());
+        let path = std::env::temp_dir()
+            .join(format!("oisum-ledger-poison-{}.json", std::process::id()));
+        crate::snapshot::save(&path, &ledger).unwrap();
+        let loaded = ShardedLedger::new(3);
+        crate::snapshot::load(&path, &loaded).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        for revived in [&restored, &installed, &loaded] {
+            assert_eq!(revived.overflows("hot"), overflows);
+            assert_eq!(revived.overflows("cool"), 0);
+            assert_eq!(revived.sum("hot"), ledger.sum("hot"));
+            assert_eq!(revived.stats().streams, ledger.stats().streams);
+        }
     }
 
     #[test]
     fn stats_count_batches_and_values() {
         let ledger = ShardedLedger::new(2);
-        ledger.add("s", &[1.0, 2.0]);
-        ledger.add("s", &[3.0]);
+        add(&ledger, "s", &[1.0, 2.0]);
+        add(&ledger, "s", &[3.0]);
         let stats = ledger.stats();
         assert_eq!(stats.shard_count, 2);
         assert_eq!(stats.streams.len(), 1);
@@ -670,8 +618,16 @@ mod tests {
                         .step_by(threads)
                         .collect();
                     s.spawn(move || {
-                        for b in mine {
-                            ledger.add("s", b);
+                        // Each thread walks its own cursor, as a
+                        // connection does.
+                        for (i, b) in mine.into_iter().enumerate() {
+                            ledger.add_batch_le_bytes_dedup(
+                                "s",
+                                t + i,
+                                UNTRACKED_CLIENT,
+                                0,
+                                &le_bytes(b),
+                            );
                         }
                     });
                 }

@@ -8,11 +8,13 @@
 //!
 //! * [`ledger`] — [`ShardedLedger`](ledger::ShardedLedger): named
 //!   streams of cache-padded atomic HP shards (two-level locking: an
-//!   `RwLock` directory over lock-free shard deposits). Batches land
-//!   through the carry-deferred batch pipeline: one local
+//!   `RwLock` directory over lock-free shard deposits). Every batch —
+//!   binary or JSON Add, peer mirror, WAL replay — lands as raw
+//!   little-endian `f64` bytes through one call,
+//!   `ShardedLedger::add_batch_le_bytes_dedup`: one local
 //!   [`BatchAcc`](oisum_core::BatchAcc) fold, then exactly `N` atomic
-//!   RMWs per batch (`AtomicHp::add_batch_iter`), with shard selection
-//!   on per-connection/per-thread cursors instead of one shared
+//!   RMWs per batch (`AtomicHp::add_batch_le_bytes`), with shard
+//!   selection on each depositor's own cursor instead of one shared
 //!   round-robin cache line.
 //! * [`proto`] — the wire protocol: `b"OIS\x01"`-tagged,
 //!   length-prefixed JSON frames, plus the `b"OIS\x02"` **binary Add

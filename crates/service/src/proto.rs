@@ -649,25 +649,43 @@ pub fn add_binary_into(
     seq: u64,
     values: &[f64],
 ) -> io::Result<()> {
-    let name = stream.as_bytes();
-    let name_len = u16::try_from(name.len()).map_err(|_| bad_data("stream name too long"))?;
-    let payload_len = 2 + name.len() + 16 + 8 * values.len();
-    let len = u32::try_from(payload_len).map_err(|_| bad_data("frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(bad_data("frame too large"));
-    }
+    let (name_len, len) = binary_add_lengths(stream, values.len())?;
     buf.clear();
-    buf.reserve(8 + payload_len);
+    buf.reserve(8 + len as usize);
     buf.extend_from_slice(&MAGIC_ADD_BIN);
     buf.extend_from_slice(&len.to_be_bytes());
     buf.extend_from_slice(&name_len.to_be_bytes());
-    buf.extend_from_slice(name);
+    buf.extend_from_slice(stream.as_bytes());
     buf.extend_from_slice(&client_id.to_be_bytes());
     buf.extend_from_slice(&seq.to_be_bytes());
     for v in values {
         buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     Ok(())
+}
+
+/// The `(name length, payload length)` header fields of a binary Add
+/// frame carrying `n` values into `stream`, or the reason no frame can
+/// carry that batch: a name over 65,535 bytes, or a payload
+/// (`18 + name + 8·n` bytes) over [`MAX_FRAME`]. A WAL record has the
+/// same payload bound, so every batch that passes fits one too; the
+/// server refuses a JSON `Add` that fails this check.
+pub fn binary_add_lengths(stream: &str, n: usize) -> io::Result<(u16, u32)> {
+    let name_len = u16::try_from(stream.len()).map_err(|_| bad_data("stream name too long"))?;
+    let payload_len = n
+        .checked_mul(8)
+        .and_then(|v| v.checked_add(2 + stream.len() + 16))
+        .and_then(|len| u32::try_from(len).ok())
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or_else(|| bad_data("frame too large"))?;
+    Ok((name_len, payload_len))
+}
+
+/// The little-endian bytes of `values`: the service's one deposit
+/// format, as a binary Add frame, a WAL record and a peer `MirrorAdd`
+/// carry it. A JSON `Add` is converted through this once on arrival.
+pub fn le_bytes(values: &[f64]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 /// Writes one binary Add frame; see [`add_binary_bytes`] for the layout.
@@ -709,11 +727,6 @@ impl<'a> BinaryAddView<'a> {
         self.value_bytes.is_empty()
     }
 
-    /// The summands, decoded bit-exactly straight off the wire bytes.
-    pub fn values(&self) -> WireF64Iter<'a> {
-        WireF64Iter { chunks: self.value_bytes.chunks_exact(8) }
-    }
-
     /// The raw little-endian `f64` payload bytes. This is what a cluster
     /// node forwards to replicas: the ingested frame's value bytes are
     /// copied verbatim into the peer `MirrorAdd` frame, so a mirrored
@@ -723,30 +736,6 @@ impl<'a> BinaryAddView<'a> {
         self.value_bytes
     }
 }
-
-/// Iterator decoding raw little-endian `f64`s from a frame payload view;
-/// exact-size so batch consumers can count a replay without decoding it.
-#[derive(Debug, Clone)]
-pub struct WireF64Iter<'a> {
-    chunks: core::slice::ChunksExact<'a, u8>,
-}
-
-impl Iterator for WireF64Iter<'_> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        self.chunks
-            .next()
-            // lint:allow(service-unwrap) -- infallible: chunks_exact(8) yields 8-byte slices
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.chunks.size_hint()
-    }
-}
-
-impl ExactSizeIterator for WireF64Iter<'_> {}
 
 /// Parses the payload of a binary Add frame without copying: the name
 /// and value bytes of the returned view borrow `payload`.
@@ -1097,26 +1086,6 @@ pub fn read_peer_reply_into<'a, R: Read>(
     }
 }
 
-/// A frame arriving at a server: either a JSON [`Request`] (`OIS\x01`)
-/// or a binary Add (`OIS\x02`). Both arrive on the same port; the magic
-/// byte dispatches.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClientFrame {
-    /// A JSON-framed request.
-    Json(Request),
-    /// A binary Add: deposit `values` into `stream`.
-    BinaryAdd {
-        /// Target stream (created on first use).
-        stream: String,
-        /// Retry identity; [`UNTRACKED_CLIENT`] opts out of dedup.
-        client_id: u64,
-        /// Per-client sequence number of this batch.
-        seq: u64,
-        /// Batch of summands, decoded bit-exactly from the wire.
-        values: Vec<f64>,
-    },
-}
-
 /// A client frame parsed out of a caller-owned read buffer. The JSON
 /// arm is owned (requests are small and heterogeneous); the binary Add
 /// arm borrows the buffer — see [`BinaryAddView`].
@@ -1161,22 +1130,6 @@ pub fn parse_client_frame(magic: [u8; 4], payload: &[u8]) -> io::Result<ClientFr
             "bad frame magic {m:02x?} (speaking a different protocol or version?)"
         ))),
     }
-}
-
-/// Reads one client frame of either protocol version, returning `None`
-/// on a clean EOF at a frame boundary. Allocating convenience wrapper
-/// over [`read_client_frame_into`].
-pub fn read_client_frame<R: Read>(r: &mut R) -> io::Result<Option<ClientFrame>> {
-    let mut buf = Vec::new();
-    Ok(read_client_frame_into(r, &mut buf)?.map(|frame| match frame {
-        ClientFrameView::Json(req) => ClientFrame::Json(req),
-        ClientFrameView::BinaryAdd(view) => ClientFrame::BinaryAdd {
-            stream: view.stream.to_owned(),
-            client_id: view.client_id,
-            seq: view.seq,
-            values: view.values().collect(),
-        },
-    }))
 }
 
 #[cfg(test)]
@@ -1287,78 +1240,89 @@ mod tests {
             0.1 + 0.2,
             -1.5e-300,
         ];
+        let mut wire = Vec::new();
+        write_add_binary(&mut wire, "stream/α", 0xDEAD_BEEF_0BAD_F00D, 41, &values).unwrap();
         let mut buf = Vec::new();
-        write_add_binary(&mut buf, "stream/α", 0xDEAD_BEEF_0BAD_F00D, 41, &values).unwrap();
-        let Some(ClientFrame::BinaryAdd { stream, client_id, seq, values: back }) =
-            read_client_frame(&mut buf.as_slice()).unwrap()
+        let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap()
         else {
             panic!("wrong frame kind")
         };
-        assert_eq!(stream, "stream/α");
-        assert_eq!(client_id, 0xDEAD_BEEF_0BAD_F00D);
-        assert_eq!(seq, 41);
-        let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        let back_bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, back_bits);
+        assert_eq!(view.stream, "stream/α");
+        assert_eq!(view.client_id, 0xDEAD_BEEF_0BAD_F00D);
+        assert_eq!(view.seq, 41);
+        assert_eq!(view.len(), values.len());
+        assert_eq!(view.value_bytes(), &le_bytes(&values)[..]);
     }
 
     #[test]
     fn binary_add_empty_batch_roundtrips() {
+        let mut wire = Vec::new();
+        write_add_binary(&mut wire, "s", UNTRACKED_CLIENT, 0, &[]).unwrap();
         let mut buf = Vec::new();
-        write_add_binary(&mut buf, "s", UNTRACKED_CLIENT, 0, &[]).unwrap();
-        let frame = read_client_frame(&mut buf.as_slice()).unwrap().unwrap();
-        assert_eq!(
-            frame,
-            ClientFrame::BinaryAdd {
-                stream: "s".into(),
-                client_id: UNTRACKED_CLIENT,
-                seq: 0,
-                values: vec![],
-            }
-        );
+        let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap()
+        else {
+            panic!("wrong frame kind")
+        };
+        assert_eq!((view.stream, view.client_id, view.seq), ("s", UNTRACKED_CLIENT, 0));
+        assert!(view.is_empty());
     }
 
     #[test]
     fn client_frame_reader_accepts_both_versions() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Request::Sum { stream: "s".into() }).unwrap();
+        write_add_binary(&mut wire, "s", 7, 1, &[4.25]).unwrap();
+        let mut r = wire.as_slice();
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Sum { stream: "s".into() }).unwrap();
-        write_add_binary(&mut buf, "s", 7, 1, &[4.25]).unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(
-            read_client_frame(&mut r).unwrap().unwrap(),
-            ClientFrame::Json(Request::Sum { stream: "s".into() })
-        );
-        assert_eq!(
-            read_client_frame(&mut r).unwrap().unwrap(),
-            ClientFrame::BinaryAdd { stream: "s".into(), client_id: 7, seq: 1, values: vec![4.25] }
-        );
-        assert!(read_client_frame(&mut r).unwrap().is_none());
+        let Some(ClientFrameView::Json(req)) = read_client_frame_into(&mut r, &mut buf).unwrap() else {
+            panic!("expected a JSON frame")
+        };
+        assert_eq!(req, Request::Sum { stream: "s".into() });
+        let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut r, &mut buf).unwrap() else {
+            panic!("expected a binary Add")
+        };
+        assert_eq!((view.stream, view.client_id, view.seq), ("s", 7, 1));
+        assert_eq!(view.value_bytes(), &4.25f64.to_le_bytes()[..]);
+        assert!(read_client_frame_into(&mut r, &mut buf).unwrap().is_none());
+    }
+
+    #[test]
+    fn binary_add_lengths_bound_name_and_payload() {
+        // 18 fixed bytes + a 1-byte name leave room for this many values.
+        let most = (MAX_FRAME as usize - 19) / 8;
+        assert_eq!(binary_add_lengths("s", most).unwrap(), (1, 19 + 8 * most as u32));
+        assert!(binary_add_lengths("s", most + 1).is_err());
+        assert!(binary_add_lengths("s", usize::MAX).is_err());
+        assert!(binary_add_lengths(&"n".repeat(65_535), 0).is_ok());
+        assert!(binary_add_lengths(&"n".repeat(65_536), 0).is_err());
     }
 
     #[test]
     fn malformed_binary_add_is_rejected() {
+        let mut scratch = Vec::new();
+        let mut rejects = |wire: &[u8]| read_client_frame_into(&mut { wire }, &mut scratch).is_err();
         // Truncated name.
         let mut buf = MAGIC_ADD_BIN.to_vec();
         buf.extend_from_slice(&5u32.to_be_bytes());
         buf.extend_from_slice(&[0, 9, b'a', b'b', b'c']); // claims 9-byte name, has 3
-        assert!(read_client_frame(&mut buf.as_slice()).is_err());
+        assert!(rejects(&buf));
         // Truncated retry identity (fewer than 16 bytes after the name).
         let mut buf = MAGIC_ADD_BIN.to_vec();
         buf.extend_from_slice(&6u32.to_be_bytes());
         buf.extend_from_slice(&[0, 1, b's', 1, 2, 3]);
-        assert!(read_client_frame(&mut buf.as_slice()).is_err());
+        assert!(rejects(&buf));
         // Value bytes not a multiple of 8.
         let mut buf = MAGIC_ADD_BIN.to_vec();
         buf.extend_from_slice(&22u32.to_be_bytes());
         buf.extend_from_slice(&[0, 1, b's']);
         buf.extend_from_slice(&[0u8; 16]); // identity
         buf.extend_from_slice(&[1, 2, 3]); // 3 stray value bytes
-        assert!(read_client_frame(&mut buf.as_slice()).is_err());
+        assert!(rejects(&buf));
         // Non-UTF-8 stream name.
         let mut buf = MAGIC_ADD_BIN.to_vec();
         buf.extend_from_slice(&4u32.to_be_bytes());
         buf.extend_from_slice(&[0, 2, 0xFF, 0xFE]);
-        assert!(read_client_frame(&mut buf.as_slice()).is_err());
+        assert!(rejects(&buf));
     }
 
     #[test]
@@ -1367,11 +1331,7 @@ mod tests {
         let mut frame = Vec::new();
         peer_hello_into(&mut frame, 2, 0xFEED_FACE_CAFE_F00D).unwrap();
         wire.extend_from_slice(&frame);
-        let values: [f64; 4] = [0.1, -2.5e-30, 1e15, -0.0];
-        let value_bytes: Vec<u8> = values
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .collect();
+        let value_bytes = le_bytes(&[0.1, -2.5e-30, 1e15, -0.0]);
         peer_mirror_add_into(&mut frame, 1, "stream/α", 77, 41, &value_bytes).unwrap();
         wire.extend_from_slice(&frame);
         peer_tree_sum_into(&mut frame, 2, 4, "s").unwrap();
@@ -1397,9 +1357,6 @@ mod tests {
         assert_eq!(origin, 1);
         assert_eq!(add.stream, "stream/α");
         assert_eq!((add.client_id, add.seq), (77, 41));
-        let back_bits: Vec<u64> = add.values().map(|v| v.to_bits()).collect();
-        let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(back_bits, bits);
         assert_eq!(add.value_bytes(), &value_bytes[..]);
         let Some(PeerRequestView::TreeSum { root, limit, stream }) =
             read_peer_request_into(&mut r, &mut buf).unwrap()

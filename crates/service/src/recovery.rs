@@ -366,6 +366,7 @@ fn parse_payload(index: u64, offset: usize, payload: &[u8]) -> Result<ParsedReco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::le_bytes;
     use crate::wal::{Wal, WalConfig};
     use oisum_core::Hp6x3;
     use std::path::PathBuf;
@@ -375,10 +376,6 @@ mod tests {
         p.push(format!("oisum-recovery-unit-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&p);
         p
-    }
-
-    fn le_bytes(values: &[f64]) -> Vec<u8> {
-        values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
     }
 
     #[test]

@@ -412,6 +412,12 @@ pub fn load(path: &Path, ledger: &ShardedLedger) -> Result<usize, SnapshotError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{le_bytes, UNTRACKED_CLIENT};
+
+    /// An untracked deposit on shard 0.
+    fn add(ledger: &ShardedLedger, name: &str, xs: &[f64]) {
+        ledger.add_batch_le_bytes_dedup(name, 0, UNTRACKED_CLIENT, 0, &le_bytes(xs));
+    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -425,10 +431,10 @@ mod tests {
         let ledger = ShardedLedger::new(8);
         let xs: Vec<f64> = (0..1000).map(|i| (i as f64 - 500.0) * 1.7e-8).collect();
         for chunk in xs.chunks(93) {
-            ledger.add("a", chunk);
+            add(&ledger, "a", chunk);
         }
-        ledger.add("b", &[f64::MIN_POSITIVE, -0.0, 1e12]);
-        ledger.add_batch_dedup("b", 0, 42, 6, [0.5]);
+        add(&ledger, "b", &[f64::MIN_POSITIVE, -0.0, 1e12]);
+        ledger.add_batch_le_bytes_dedup("b", 0, 42, 6, &le_bytes(&[0.5]));
         assert_eq!(save(&path, &ledger).unwrap(), 2);
 
         let restored = ShardedLedger::new(2);
@@ -436,15 +442,15 @@ mod tests {
         assert_eq!(restored.sum("a"), ledger.sum("a"));
         assert_eq!(restored.sum("b"), ledger.sum("b"));
         // The dedup window crossed the snapshot too.
-        assert!(!restored.add_batch_dedup("b", 0, 42, 6, [0.5]).1);
+        assert!(!restored.add_batch_le_bytes_dedup("b", 0, 42, 6, &le_bytes(&[0.5])).1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn sealed_roundtrip_preserves_counters_and_rejects_truncation() {
         let ledger = ShardedLedger::new(4);
-        ledger.add("s", &[1.5, -0.25, 1e9]);
-        ledger.add_batch_dedup("s", 0, 7, 3, [2.0]);
+        add(&ledger, "s", &[1.5, -0.25, 1e9]);
+        ledger.add_batch_le_bytes_dedup("s", 0, 7, 3, &le_bytes(&[2.0]));
         let sealed = states_to_sealed(ledger.snapshot()).unwrap();
         // The full transfer parses back bitwise, counters included.
         let states = parse_sealed(&sealed).unwrap();
@@ -495,7 +501,7 @@ mod tests {
     fn corrupt_body_rejected_by_checksum_before_parse() {
         let path = temp_path("corrupt");
         let ledger = ShardedLedger::new(1);
-        ledger.add("s", &[1.0]);
+        add(&ledger, "s", &[1.0]);
         save(&path, &ledger).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[10] ^= 0x04; // one flipped bit in the body

@@ -1654,16 +1654,13 @@ fn verdict<S: SyncShimLike>(s: S::Guard<'_, CommitQueue>, ticket: u64) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::le_bytes;
 
     fn temp_dir(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("oisum-wal-unit-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&p);
         p
-    }
-
-    fn le_bytes(values: &[f64]) -> Vec<u8> {
-        values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
     }
 
     #[test]

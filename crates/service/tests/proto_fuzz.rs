@@ -1,27 +1,31 @@
-//! Fuzzing the frame parser: whatever bytes arrive on the socket —
+//! Fuzzing the frame parsers: whatever bytes arrive on the socket —
 //! random garbage, mutated valid frames, truncated prefixes — the parser
 //! must return `Ok`/`Err`, never panic, never allocate unboundedly, and
 //! must still parse a clean frame that follows a cleanly-rejected one's
 //! connection teardown.
 //!
-//! The parser under test is [`oisum_service::proto::read_client_frame`],
-//! the exact function the server's connection loop feeds; both frame
-//! versions (`OIS\x01` JSON and `OIS\x02` binary Add) go through it.
+//! Every property runs the exact parsers the two server transports feed:
+//! the threaded server's [`read_client_frame_into`] over a blocking
+//! reader, and the epoll reactor's [`parse_frame_header`] +
+//! [`parse_client_frame`] over complete buffered frames. Both frame
+//! versions (`OIS\x01` JSON and `OIS\x02` binary Add) go through them,
+//! and the two must agree on every input.
 
 use oisum_service::proto::{
-    add_binary_bytes, frame_bytes, read_client_frame, ClientFrame, Request,
+    add_binary_bytes, frame_bytes, le_bytes, parse_client_frame, parse_frame_header,
+    read_client_frame_into, ClientFrameView, Request,
 };
 use proptest::prelude::*;
-use std::io::Cursor;
 
-/// Drains frames from `bytes` until EOF or the first error, counting
-/// parsed frames. The only failure mode this harness cannot tolerate is
-/// a panic (or an infinite loop, bounded here by the frame count).
-fn drain(bytes: &[u8]) -> (usize, bool) {
-    let mut cursor = Cursor::new(bytes);
+/// Drains frames from `bytes` through the threaded server's reader until
+/// EOF or the first error. Returns the frames parsed and whether the
+/// input ended cleanly at a frame boundary.
+fn drain_threaded(bytes: &[u8]) -> (usize, bool) {
+    let mut r = bytes;
+    let mut buf = Vec::new();
     let mut parsed = 0usize;
     loop {
-        match read_client_frame(&mut cursor) {
+        match read_client_frame_into(&mut r, &mut buf) {
             Ok(Some(_)) => parsed += 1,
             Ok(None) => return (parsed, true),
             Err(_) => return (parsed, false),
@@ -30,6 +34,40 @@ fn drain(bytes: &[u8]) -> (usize, bool) {
         // the loop even if the parser were to stop consuming input.
         assert!(parsed <= bytes.len() / 8 + 1, "parser yielded frames without consuming bytes");
     }
+}
+
+/// The same drain as the reactor parses: a complete 8-byte header, then
+/// a complete payload, then the in-place parse. A header or payload cut
+/// short by the end of input is the reactor's torn EOF.
+fn drain_reactor(bytes: &[u8]) -> (usize, bool) {
+    let mut rest = bytes;
+    let mut parsed = 0usize;
+    while !rest.is_empty() {
+        let Some((header, body)) = rest.split_first_chunk::<8>() else {
+            return (parsed, false);
+        };
+        let Ok((magic, len)) = parse_frame_header(header) else {
+            return (parsed, false);
+        };
+        let Some((payload, next)) = body.split_at_checked(len as usize) else {
+            return (parsed, false);
+        };
+        if parse_client_frame(magic, payload).is_err() {
+            return (parsed, false);
+        }
+        parsed += 1;
+        rest = next;
+    }
+    (parsed, true)
+}
+
+/// Both transports' parsers over `bytes`; they must agree exactly. The
+/// only failure mode this harness cannot tolerate besides disagreement
+/// is a panic (or an infinite loop, bounded in `drain_threaded`).
+fn drain(bytes: &[u8]) -> (usize, bool) {
+    let threaded = drain_threaded(bytes);
+    assert_eq!(threaded, drain_reactor(bytes), "the two server parsers disagree");
+    threaded
 }
 
 /// A valid JSON `Add` frame with a tracked retry identity.
@@ -115,9 +153,10 @@ proptest! {
         prop_assert_eq!(clean_eof, keep == 0);
     }
 
-    /// A clean frame parses back exactly, and a mutated frame ahead of it
-    /// on the same stream cannot corrupt it into parsing differently —
-    /// the server tears the connection down at the first error, so the
+    /// A clean frame parses back exactly through both parsers — identity
+    /// fields and every value bit — and a mutated frame ahead of it on
+    /// the same stream cannot corrupt it into parsing differently: the
+    /// server tears the connection down at the first error, so the
     /// parser never resynchronizes into misparsed identity fields.
     #[test]
     fn identity_fields_roundtrip_exactly(
@@ -126,18 +165,25 @@ proptest! {
         values in proptest::collection::vec(any::<f64>(), 0..=6),
     ) {
         let frame = add_binary_bytes("ident", client_id, seq, &values).unwrap();
-        let mut cursor = Cursor::new(frame.as_slice());
-        match read_client_frame(&mut cursor) {
-            Ok(Some(ClientFrame::BinaryAdd { stream, client_id: cid, seq: sq, values: vals })) => {
-                prop_assert_eq!(stream.as_str(), "ident");
-                prop_assert_eq!(cid, client_id);
-                prop_assert_eq!(sq, seq);
-                prop_assert_eq!(vals.len(), values.len());
-                for (a, b) in vals.iter().zip(values.iter()) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "f64 bit pattern mangled in transit");
+        let mut buf = Vec::new();
+        let threaded = read_client_frame_into(&mut frame.as_slice(), &mut buf);
+        let header: &[u8; 8] = frame[..8].try_into().unwrap();
+        let (magic, _) = parse_frame_header(header).unwrap();
+        let reactor = parse_client_frame(magic, &frame[8..]);
+        for parsed in [threaded.map(Option::unwrap), reactor] {
+            match parsed {
+                Ok(ClientFrameView::BinaryAdd(view)) => {
+                    prop_assert_eq!(view.stream, "ident");
+                    prop_assert_eq!(view.client_id, client_id);
+                    prop_assert_eq!(view.seq, seq);
+                    prop_assert_eq!(
+                        view.value_bytes(),
+                        &le_bytes(&values)[..],
+                        "f64 bit pattern mangled in transit"
+                    );
                 }
+                other => prop_assert!(false, "valid frame failed to parse: {:?}", other),
             }
-            other => prop_assert!(false, "valid frame failed to parse: {:?}", other),
         }
     }
 }

@@ -8,6 +8,7 @@
 //! Unlike the chaos suite this file needs no `failpoints` feature: it
 //! corrupts the bytes directly, so it runs in the default tier-1 pass.
 
+use oisum_service::proto::{le_bytes, UNTRACKED_CLIENT};
 use oisum_service::snapshot::{load, save, SnapshotError};
 use oisum_service::{serve, ServerConfig, ShardedLedger};
 use std::path::{Path, PathBuf};
@@ -22,9 +23,9 @@ fn temp_path(name: &str) -> PathBuf {
 /// negative limbs, a dedup window.
 fn write_reference_snapshot(path: &Path) -> ShardedLedger {
     let ledger = ShardedLedger::new(4);
-    ledger.add("alpha", &[1.5, -2.25, 5e-324, 1e12]);
-    ledger.add("beta", &[-0.5]);
-    ledger.add_batch_dedup("alpha", 0, 9, 4, [0.125]);
+    ledger.add_batch_le_bytes_dedup("alpha", 0, UNTRACKED_CLIENT, 0, &le_bytes(&[1.5, -2.25, 5e-324, 1e12]));
+    ledger.add_batch_le_bytes_dedup("beta", 1, UNTRACKED_CLIENT, 0, &le_bytes(&[-0.5]));
+    ledger.add_batch_le_bytes_dedup("alpha", 2, 9, 4, &le_bytes(&[0.125]));
     save(path, &ledger).unwrap();
     ledger
 }
@@ -207,7 +208,7 @@ fn pristine_snapshot_still_restores() {
     );
     // Dedup window survived: replaying (9, 4) deposits nothing.
     let before = fresh.sum("alpha").unwrap();
-    assert!(!fresh.add_batch_dedup("alpha", 0, 9, 4, [0.125]).1);
+    assert!(!fresh.add_batch_le_bytes_dedup("alpha", 0, 9, 4, &le_bytes(&[0.125])).1);
     assert_eq!(fresh.sum("alpha").unwrap(), before);
     std::fs::remove_file(&path).ok();
 }

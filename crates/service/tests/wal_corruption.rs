@@ -13,6 +13,7 @@
 //! record that was never written would fabricate deposits.
 
 use oisum_core::Hp6x3;
+use oisum_service::proto::le_bytes;
 use oisum_service::wal::{list_segments, Wal, WalConfig};
 use oisum_service::{recovery, ShardedLedger};
 use std::path::{Path, PathBuf};
@@ -30,10 +31,6 @@ fn batch(client: u64, seq: u64) -> Vec<f64> {
     (0..3)
         .map(|i| (client as f64 + 1.0) * 1e3 + seq as f64 + i as f64 * 1e-6)
         .collect()
-}
-
-fn le_bytes(values: &[f64]) -> Vec<u8> {
-    values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
 }
 
 /// Writes the torture fixture: tiny segments so the first 12 records

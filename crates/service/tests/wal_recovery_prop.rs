@@ -12,6 +12,7 @@
 //! nothing — idempotent replay is what makes the WAL honest.
 
 use oisum_core::Hp6x3;
+use oisum_service::proto::le_bytes;
 use oisum_service::wal::{Wal, WalConfig};
 use oisum_service::{recovery, snapshot, FsyncPolicy, ShardedLedger};
 use rand::prelude::*;
@@ -25,10 +26,6 @@ fn temp_dir(seed: u64) -> PathBuf {
     p.push(format!("oisum-wal-prop-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&p);
     p
-}
-
-fn le_bytes(values: &[f64]) -> Vec<u8> {
-    values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect()
 }
 
 const CLIENTS: u64 = 3;

@@ -17,6 +17,18 @@ cargo build --release --offline --workspace
 echo "==> benchmark build (perfbench/ must keep compiling against the program's API)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "==> benchmark smoke: one short traced ingest-durable run"
+# The traced layer passes call the program's internals directly
+# (dispatch, the ledger deposit, MirrorAdd, snapshot pull, recovery) and
+# check exact counts: 6 RMWs per batch, 64 dedup replays, recovered
+# records equal to Adds issued. A change can keep them compiling while
+# breaking those checks; the run then exits nonzero and fails verify.
+bench_work=$(mktemp -d)
+"${CARGO_TARGET_DIR:-perfbench/target}/release/oisum-perfbench" --workload ingest-durable \
+    --seed 1 --seconds 2 --trace 1 --work-dir "$bench_work" \
+    || { echo "verify: traced benchmark smoke failed" >&2; rm -rf "$bench_work"; exit 1; }
+rm -rf "$bench_work"
+
 echo "==> oisum-lint (invariant linter, hard gate)"
 cargo run --offline --release -q -p oisum-lint
 
