@@ -572,7 +572,7 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
             }
             PeerRequestView::SnapshotPull { origin, scope } => {
                 let states = state.snapshot_for(origin, scope);
-                let sealed = snapshot::states_to_sealed(states)?;
+                let sealed = snapshot::states_to_sealed(&states)?;
                 peer_snapshot_data_into(&mut reply_buf, &sealed)?;
                 if let Some(FaultAction::PartialWrite { keep }) = check(SEAM_SNAPSHOT_PARTIAL) {
                     let keep = keep.min(reply_buf.len());

@@ -253,8 +253,8 @@ impl PeerPool {
 
     /// Pulls a sealed snapshot of the streams in `scope` from `peer` and
     /// parses it. A transfer cut mid-frame fails the framing read; a cut
-    /// that somehow delivers a broken body fails the unseal — both are
-    /// transient (the retry pulls a complete copy), so a partial
+    /// that somehow delivers broken bytes fails the snapshot parse — both
+    /// are transient (the retry pulls a complete copy), so a partial
     /// snapshot can never be installed.
     pub fn snapshot_pull(
         &self,

@@ -112,7 +112,7 @@ impl Failpoint {
     }
 }
 
-/// FNV-1a 64-bit hash; also used by the snapshot footer checksum.
+/// FNV-1a 64-bit hash; the cluster's placement hash too.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in bytes {

@@ -81,7 +81,8 @@ fn main() -> ExitCode {
     let handle = match serve(config) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("oisum-server: bind failed: {e}");
+            // Bind, snapshot restore or WAL replay; `e` says which.
+            eprintln!("oisum-server: startup failed: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -29,8 +29,9 @@ use crate::proto::{
     binary_add_lengths, le_bytes, ClientFrameView, ErrorCode, Request, Response, StreamStatsRepr,
     UNTRACKED_CLIENT,
 };
-use crate::snapshot;
+use crate::snapshot::Checkpointer;
 use crate::wal::Wal;
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -123,7 +124,7 @@ pub enum FrameOutcome {
 /// The shared request executor; see the module docs.
 pub struct RequestCore {
     ledger: Arc<ShardedLedger>,
-    snapshot_path: Option<PathBuf>,
+    snapshots: Option<Checkpointer>,
     cluster: Option<Arc<dyn ClusterOps>>,
     wal: Option<Arc<Wal>>,
 }
@@ -131,13 +132,13 @@ pub struct RequestCore {
 impl RequestCore {
     /// A core over `ledger` with no persistence and no cluster.
     pub fn new(ledger: Arc<ShardedLedger>) -> Self {
-        RequestCore { ledger, snapshot_path: None, cluster: None, wal: None }
+        RequestCore { ledger, snapshots: None, cluster: None, wal: None }
     }
 
     /// Sets the snapshot path `Snapshot` requests and graceful shutdown
     /// persist to.
     pub fn with_snapshot_path(mut self, path: Option<PathBuf>) -> Self {
-        self.snapshot_path = path;
+        self.snapshots = path.map(Checkpointer::new);
         self
     }
 
@@ -159,11 +160,6 @@ impl RequestCore {
     /// The ledger requests execute against.
     pub fn ledger(&self) -> &Arc<ShardedLedger> {
         &self.ledger
-    }
-
-    /// The configured snapshot path, if any.
-    pub fn snapshot_path(&self) -> Option<&PathBuf> {
-        self.snapshot_path.as_ref()
     }
 
     /// The attached write-ahead log, if any.
@@ -382,34 +378,35 @@ impl RequestCore {
     /// Persists the ledger to the snapshot path, then deletes the WAL
     /// segments the verified snapshot covers.
     fn snapshot(&self) -> Response {
-        let Some(path) = &self.snapshot_path else {
+        let Some(snapshots) = &self.snapshots else {
             return Response::Error {
                 code: ErrorCode::Internal,
                 message: "server started without a snapshot path".to_owned(),
             };
         };
-        // GC boundary *before* the save: every record in a segment below
-        // the committer's active index was committed — hence applied,
-        // since applies precede commits — before the snapshot read the
-        // ledger, so a snapshot taken now dominates those segments.
-        let boundary = self.wal.as_ref().map(|w| w.active_segment());
-        match snapshot::save(path, &self.ledger) {
-            Ok(streams) => {
-                if let (Some(wal), Some(boundary)) = (&self.wal, boundary) {
-                    // Trust the bytes, not the Ok: only a snapshot that
-                    // re-reads and re-seals is license to delete its WAL
-                    // coverage.
-                    if snapshot::verify(path) {
-                        let _ = wal.gc_below(boundary);
-                    }
-                }
-                Response::Snapshot { streams: streams as u64 }
-            }
+        match snapshots.checkpoint(&self.ledger, self.wal.as_deref()) {
+            Ok(streams) => Response::Snapshot { streams: streams as u64 },
             Err(e) => Response::Error {
                 code: ErrorCode::Internal,
                 message: format!("snapshot failed: {e}"),
             },
         }
+    }
+
+    /// The shutdown tail both transports run once their connections are
+    /// gone. Closing the WAL commits every queued record and seals the
+    /// active segment, so every ACKed batch is recoverable from the log
+    /// alone, snapshot path or not; the final snapshot that follows then
+    /// covers every segment, and they are deleted. A crashed WAL is an
+    /// error here, and the segments on disk stay the source of truth.
+    pub(crate) fn close(&self) -> io::Result<()> {
+        if let Some(wal) = &self.wal {
+            wal.close()?;
+        }
+        if let Some(snapshots) = &self.snapshots {
+            snapshots.checkpoint(&self.ledger, self.wal.as_deref())?;
+        }
+        Ok(())
     }
 
     /// The cluster-wide sum reply: delegated to the cluster when one is
@@ -471,9 +468,11 @@ fn unknown_stream(stream: &str) -> Response {
 mod tests {
     use super::*;
     use crate::proto::{add_binary_bytes, parse_client_frame, MAGIC_ADD_BIN, MAX_FRAME};
+    use crate::snapshot;
     use crate::wal::{FsyncPolicy, WalConfig};
     use crate::ServiceHp;
     use oisum_core::convert::encode_listing1;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     fn core() -> RequestCore {
@@ -734,5 +733,77 @@ mod tests {
         assert_eq!(wal.group_stats().0, 1);
         wal.close().unwrap();
         std::fs::remove_dir_all(wal.dir()).ok();
+    }
+
+    /// `Snapshot` requests racing each other and live tracked Adds must
+    /// leave a snapshot plus log that still holds every ACKed batch.
+    /// Unserialized, two checkpoints shared a temp file, and one could
+    /// verify the other's older snapshot and then delete segments only
+    /// its own covered. Each round crashes after the Adds: the log is
+    /// sealed without a final snapshot, and the snapshot on disk plus
+    /// WAL replay must rebuild the live sum.
+    #[test]
+    fn concurrent_snapshots_keep_every_acked_batch() {
+        const ROUNDS: usize = 60;
+        const ADDS: u64 = 3_000;
+        let (mut lost, mut refused) = (0, 0);
+        for round in 0..ROUNDS {
+            let dir = std::env::temp_dir()
+                .join(format!("oisum-dispatch-unit-{}-checkpoints-{round}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let snap = dir.join("ledger.snap");
+            let config = WalConfig {
+                segment_bytes: 2048,
+                fsync: FsyncPolicy::Never,
+                ..WalConfig::new(dir.join("wal"))
+            };
+            let wal = Arc::new(Wal::open(config).unwrap());
+            let ledger = Arc::new(ShardedLedger::new(2));
+            let core = RequestCore::new(Arc::clone(&ledger))
+                .with_snapshot_path(Some(snap.clone()))
+                .with_wal(Arc::clone(&wal));
+            let adding = AtomicBool::new(true);
+            let failed = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..3 {
+                    scope.spawn(|| {
+                        // ORDERING: Relaxed — a stop flag; the scope's
+                        // join orders everything the test reads after.
+                        while adding.load(Ordering::Relaxed) {
+                            let (reply, _) = run(&core, Request::Snapshot);
+                            if !matches!(reply, Response::Snapshot { .. }) {
+                                // ORDERING: Relaxed — a tally read after the join.
+                                failed.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                }
+                let mut cursor = 0usize;
+                for seq in 1..=ADDS {
+                    let frame = add_binary_bytes("s", 7, seq, &[seq as f64]).unwrap();
+                    let view = parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap();
+                    let (reply, _) = core.handle_frame(view, &mut cursor);
+                    assert_eq!(reply, Response::Added { count: 1, deduped: false });
+                }
+                // ORDERING: Relaxed — see the loads above.
+                adding.store(false, Ordering::Relaxed);
+            });
+            refused += failed.into_inner();
+            wal.close().unwrap();
+            let recovered = ShardedLedger::new(2);
+            if snap.exists() {
+                snapshot::load(&snap, &recovered).unwrap();
+            }
+            crate::recover(wal.dir(), &recovered).unwrap();
+            if recovered.sum("s") != ledger.sum("s") {
+                lost += 1;
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert_eq!(
+            (lost, refused),
+            (0, 0),
+            "rounds that lost ACKed batches, and refused Snapshot requests, of {ROUNDS} rounds"
+        );
     }
 }

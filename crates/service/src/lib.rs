@@ -29,10 +29,10 @@
 //!   tree-reduced `ClusterSum`.
 //! * [`server`] — acceptor + crossbeam worker pool, graceful shutdown,
 //!   snapshot on exit.
-//! * [`snapshot`] — atomic JSON persistence of exact per-stream sums,
-//!   sealed by a checksummed footer so truncated or bit-flipped files
-//!   are refused with a typed [`snapshot::SnapshotError`] instead of
-//!   reviving a wrong ledger.
+//! * [`snapshot`] — atomic persistence of exact per-stream state in the
+//!   WAL's record/seal framing under its own magic, so truncated,
+//!   bit-flipped or foreign files are refused with a typed
+//!   [`snapshot::SnapshotError`] instead of reviving a wrong ledger.
 //! * [`client`] — a blocking client with typed calls, configurable
 //!   socket timeouts, and reconnect-and-retry with exponential backoff.
 //!

@@ -38,7 +38,8 @@ pub const MAGIC_ADD_BIN: [u8; 4] = *b"OIS\x02";
 /// cluster nodes on the dedicated peer port — the client-facing port
 /// rejects them by magic. Replies to peer requests reuse the ordinary
 /// JSON [`Response`] frames (preformatted through [`frame_into`]),
-/// except the snapshot transfer, whose sealed body crosses as raw bytes.
+/// except the snapshot transfer, whose sealed snapshot crosses as raw
+/// bytes.
 pub const MAGIC_PEER: [u8; 4] = *b"OIS\x03";
 
 /// Hard cap on payload size (16 MiB) so a corrupt or hostile length
@@ -737,28 +738,25 @@ impl<'a> BinaryAddView<'a> {
     }
 }
 
+/// Splits a stream name, u16 length-prefixed and UTF-8, off the front of
+/// `bytes`: the one name encoding of binary Add and peer frames, WAL
+/// records and snapshot records. The error says what is missing or bad.
+pub(crate) fn split_name(bytes: &[u8]) -> Result<(&str, &[u8]), &'static str> {
+    let (len, rest) = bytes.split_first_chunk::<2>().ok_or("truncated name length")?;
+    let (name, rest) = rest
+        .split_at_checked(usize::from(u16::from_be_bytes(*len)))
+        .ok_or("truncated stream name")?;
+    Ok((core::str::from_utf8(name).map_err(|_| "stream name is not UTF-8")?, rest))
+}
+
 /// Parses the payload of a binary Add frame without copying: the name
 /// and value bytes of the returned view borrow `payload`.
 fn parse_add_binary_view(payload: &[u8]) -> io::Result<BinaryAddView<'_>> {
-    if payload.len() < 2 {
-        return Err(bad_data("binary add: truncated name length"));
-    }
-    let name_len = u16::from_be_bytes([payload[0], payload[1]]) as usize;
-    let rest = &payload[2..];
-    if rest.len() < name_len {
-        return Err(bad_data("binary add: truncated stream name"));
-    }
-    let (name, rest) = rest.split_at(name_len);
-    let stream = core::str::from_utf8(name)
-        .map_err(|_| bad_data("binary add: stream name is not UTF-8"))?;
-    if rest.len() < 16 {
-        return Err(bad_data("binary add: truncated retry identity"));
-    }
-    let (ident, body) = rest.split_at(16);
-    // lint:allow(service-unwrap) -- infallible: ident is exactly 16 bytes (checked above)
-    let client_id = u64::from_be_bytes(ident[..8].try_into().unwrap());
-    // lint:allow(service-unwrap) -- infallible: ident is exactly 16 bytes (checked above)
-    let seq = u64::from_be_bytes(ident[8..].try_into().unwrap());
+    let (stream, rest) = split_name(payload).map_err(|e| bad_data(format!("binary add: {e}")))?;
+    let truncated = || bad_data("binary add: truncated retry identity");
+    let (client_id, rest) = rest.split_first_chunk::<8>().ok_or_else(truncated)?;
+    let (seq, body) = rest.split_first_chunk::<8>().ok_or_else(truncated)?;
+    let (client_id, seq) = (u64::from_be_bytes(*client_id), u64::from_be_bytes(*seq));
     if body.len() % 8 != 0 {
         return Err(bad_data(format!(
             "binary add: value bytes not a multiple of 8 (got {})",
@@ -775,10 +773,10 @@ fn parse_add_binary_view(payload: &[u8]) -> io::Result<BinaryAddView<'_>> {
 // (big-endian integers, like the binary Add identity fields). Requests
 // flow node→node on the dedicated peer port; replies reuse the JSON
 // `Response` frames — preformatted through `frame_into`, exactly like
-// client replies — except `SnapshotPull`, whose sealed snapshot body
-// crosses as a raw `SnapshotData` peer frame (the v2 footer makes the
-// transfer self-validating: a connection cut mid-body is detected by the
-// receiver's unseal, never silently restored).
+// client replies — except `SnapshotPull`, whose sealed snapshot crosses
+// as a raw `SnapshotData` peer frame (its record checksums and seal make
+// the transfer self-validating: a connection cut mid-transfer is refused
+// by the receiver's parse, never silently restored).
 // ---------------------------------------------------------------------
 
 /// Peer opcode: connection handshake (`node_id`, config fingerprint).
@@ -875,10 +873,10 @@ pub enum PeerRequestView<'a> {
 pub enum PeerReplyView<'a> {
     /// A JSON response frame.
     Json(Response),
-    /// Sealed snapshot contents (body + checksummed v2 footer), borrowed
-    /// from the read buffer. Validation is the receiver's job: `unseal`
-    /// refuses truncated or corrupted transfers.
-    SnapshotData(&'a str),
+    /// A sealed snapshot file's bytes, borrowed from the read buffer.
+    /// Validation is the receiver's job: the snapshot parse refuses
+    /// truncated or corrupted transfers.
+    SnapshotData(&'a [u8]),
 }
 
 /// Starts a peer frame in `buf` (cleared first): magic, a length
@@ -967,11 +965,11 @@ pub fn peer_snapshot_pull_into(
 }
 
 /// Serializes a peer `SnapshotData` reply into `buf` (cleared first);
-/// `sealed` is a complete sealed snapshot (body + footer) as produced by
-/// the snapshot module's seal.
-pub fn peer_snapshot_data_into(buf: &mut Vec<u8>, sealed: &str) -> io::Result<()> {
+/// `sealed` is a complete sealed snapshot as the snapshot module frames
+/// it.
+pub fn peer_snapshot_data_into(buf: &mut Vec<u8>, sealed: &[u8]) -> io::Result<()> {
     peer_frame_start(buf, PEER_OP_SNAPSHOT_DATA);
-    buf.extend_from_slice(sealed.as_bytes());
+    buf.extend_from_slice(sealed);
     peer_frame_finish(buf)
 }
 
@@ -1026,15 +1024,8 @@ pub fn read_peer_request_into<'a, R: Read>(
         PEER_OP_TREE_SUM => {
             let root = read_u32(body, 0, "tree root")?;
             let limit = read_u32(body, 4, "tree limit")?;
-            let name_len = body
-                .get(8..10)
-                .map(|s| u16::from_be_bytes([s[0], s[1]]) as usize)
-                .ok_or_else(|| bad_data("peer frame: truncated stream name length"))?;
-            let name = body
-                .get(10..10 + name_len)
-                .ok_or_else(|| bad_data("peer frame: truncated stream name"))?;
-            let stream = core::str::from_utf8(name)
-                .map_err(|_| bad_data("peer frame: stream name is not UTF-8"))?;
+            let (stream, _) = split_name(body.get(8..).unwrap_or_default())
+                .map_err(|e| bad_data(format!("peer frame: {e}")))?;
             PeerRequestView::TreeSum { root, limit, stream }
         }
         PEER_OP_SNAPSHOT_PULL => {
@@ -1076,9 +1067,7 @@ pub fn read_peer_reply_into<'a, R: Read>(
                     "peer reply: unexpected opcode {op:#04x} (request op on the reply path?)"
                 )));
             }
-            let sealed = core::str::from_utf8(body)
-                .map_err(|_| bad_data("peer reply: snapshot bytes are not UTF-8"))?;
-            Ok(Some(PeerReplyView::SnapshotData(sealed)))
+            Ok(Some(PeerReplyView::SnapshotData(body)))
         }
         m => Err(bad_data(format!(
             "bad frame magic {m:02x?} (speaking a different protocol or version?)"
@@ -1388,7 +1377,7 @@ mod tests {
         )
         .unwrap();
         let mut frame = Vec::new();
-        peer_snapshot_data_into(&mut frame, "sealed-body\nfooter").unwrap();
+        peer_snapshot_data_into(&mut frame, b"OISSNPv1\xFF not UTF-8").unwrap();
         wire.extend_from_slice(&frame);
 
         let mut r = wire.as_slice();
@@ -1404,7 +1393,7 @@ mod tests {
         else {
             panic!("expected snapshot data")
         };
-        assert_eq!(sealed, "sealed-body\nfooter");
+        assert_eq!(sealed, b"OISSNPv1\xFF not UTF-8");
         assert!(read_peer_reply_into(&mut r, &mut buf).unwrap().is_none());
     }
 

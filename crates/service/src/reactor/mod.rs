@@ -31,8 +31,8 @@
 //! flag; the reactor stops accepting and reading, drains pending
 //! replies and parked tickets (bounded by [`DRAIN_DEADLINE`]), closes
 //! every connection, and runs the same exit tail as the threaded
-//! acceptor: WAL close (drain + seal), final snapshot, and GC of the
-//! segments a verified snapshot covers.
+//! acceptor, `RequestCore::close`: WAL close (drain + seal), final
+//! snapshot, and GC of the segments a verified snapshot covers.
 
 // The second carve-out from `deny(unsafe_code)` (after `segmap`): the
 // raw epoll/eventfd/prlimit syscalls, each with a SAFETY argument at
@@ -44,7 +44,6 @@ mod conn;
 
 use crate::dispatch::{FrameOutcome, RequestCore, WalMode};
 use crate::proto::{frame_into, parse_client_frame, ErrorCode, Response};
-use crate::snapshot;
 use conn::{BufPool, Conn, Fill, HIGH_WATER, LOW_WATER};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -167,21 +166,8 @@ pub(crate) fn run(
     }
     result?;
 
-    // The same exit tail as the threaded acceptor: drain + seal the
-    // commit group, then persist, then GC what the snapshot dominates.
-    let core = &reactor.core;
-    if let Some(wal) = core.wal() {
-        wal.close().map_err(io::Error::from)?;
-    }
-    if let Some(path) = core.snapshot_path() {
-        snapshot::save(path, core.ledger())?;
-        if let Some(wal) = core.wal() {
-            if snapshot::verify(path) {
-                let _ = wal.gc_below(wal.active_segment() + 1);
-            }
-        }
-    }
-    Ok(())
+    // The same exit tail as the threaded acceptor.
+    reactor.core.close()
 }
 
 struct Reactor {

@@ -35,12 +35,17 @@
 //! Recovery is strictly read-only on the segment files: it never
 //! truncates or deletes, so a recovery interrupted by another crash
 //! restarts from the same bytes.
+//!
+//! The same walk checks snapshots, which share the segment framing under
+//! their own magic ([`crate::snapshot`]). One rule differs there: a
+//! snapshot is written whole, so it must end in a valid seal, and a
+//! torn tail is refused rather than truncated.
 
 use crate::ledger::ShardedLedger;
-use crate::proto::UNTRACKED_CLIENT;
+use crate::proto::{split_name, UNTRACKED_CLIENT};
 use crate::wal::{
-    fnv4, fnv_wide, fnv_wide_update, list_segments, WalError, MAX_RECORD_PAYLOAD, RECORD_FIXED,
-    SEAL_LEN, SEAL_MARKER, SEGMENT_HEADER_LEN, WAL_MAGIC,
+    fnv4, fnv_wide, fnv_wide_update, list_segments, WalError, MAX_RECORD_PAYLOAD, SEAL_LEN,
+    SEAL_MARKER, SEGMENT_HEADER_LEN, WAL_MAGIC,
 };
 use std::fs;
 use std::path::Path;
@@ -85,9 +90,15 @@ struct ParsedRecord {
     values: Vec<u8>,
 }
 
-struct ParsedSegment {
-    records: Vec<ParsedRecord>,
-    torn: Option<TornTail>,
+/// One framed file after [`walk`]: the decoded payload of every verified
+/// record, in file order, and how the file ends.
+pub(crate) struct Walk<T> {
+    /// Decoded payloads, in file order.
+    pub(crate) records: Vec<T>,
+    /// The file ends in a seal that covers every record.
+    pub(crate) sealed: bool,
+    /// The unverifiable suffix of an unsealed file, if any.
+    pub(crate) torn: Option<TornTail>,
 }
 
 /// Replays every WAL segment in `dir` into `ledger`, oldest first. A
@@ -109,7 +120,9 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
     let mut parsed = Vec::with_capacity(segments.len());
     for (index, path) in &segments {
         let bytes = fs::read(path)?;
-        parsed.push(parse_segment(*index, &bytes)?);
+        parsed.push(walk(WAL_MAGIC, *index, &bytes, |offset, payload| {
+            parse_payload(*index, offset, payload)
+        })?);
     }
     // Pass 2: apply in order through the dedup watermarks.
     let mut report = RecoveryReport { segments: segments.len() as u64, ..Default::default() };
@@ -138,16 +151,25 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
     Ok(report)
 }
 
-/// Parses one segment. Torn tails (unverifiable suffix of an unsealed
-/// segment) truncate; everything else that fails to verify is a hard
-/// error.
-fn parse_segment(index: u64, bytes: &[u8]) -> Result<ParsedSegment, WalError> {
+/// Walks one framed file — a WAL segment, or a snapshot under its own
+/// magic — checking the header against `magic` and `index`, then every
+/// record's framing and checksum, then the seal. `decode` turns each
+/// verified payload, given its record's offset, into a record; its `Err`
+/// is a hard error. Torn tails (the unverifiable suffix of an unsealed
+/// file) truncate; everything else that fails to verify is a hard error.
+pub(crate) fn walk<T>(
+    magic: [u8; 8],
+    index: u64,
+    bytes: &[u8],
+    mut decode: impl FnMut(usize, &[u8]) -> Result<T, WalError>,
+) -> Result<Walk<T>, WalError> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         // A header-length torn write can only happen to the very first
-        // bytes of a brand-new segment, before any record committed.
-        if bytes.len() < 8 || WAL_MAGIC.starts_with(&bytes[..8.min(bytes.len())]) {
-            return Ok(ParsedSegment {
+        // bytes of a brand-new file, before any record committed.
+        if bytes.len() < 8 || magic.starts_with(&bytes[..8.min(bytes.len())]) {
+            return Ok(Walk {
                 records: Vec::new(),
+                sealed: false,
                 torn: Some(TornTail {
                     segment: index,
                     offset: 0,
@@ -160,7 +182,7 @@ fn parse_segment(index: u64, bytes: &[u8]) -> Result<ParsedSegment, WalError> {
             detail: format!("{} bytes is shorter than the header", bytes.len()),
         });
     }
-    if bytes[..8] != WAL_MAGIC {
+    if bytes[..8] != magic {
         return Err(WalError::BadHeader { segment: index, detail: "bad magic".to_owned() });
     }
     let embedded = u64::from_be_bytes(
@@ -186,7 +208,7 @@ fn parse_segment(index: u64, bytes: &[u8]) -> Result<ParsedSegment, WalError> {
         let remaining = bytes.len() - offset;
         if remaining == 0 {
             // Clean unsealed end (the committer was between groups).
-            return Ok(ParsedSegment { records, torn: None });
+            return Ok(Walk { records, sealed: false, torn: None });
         }
         if remaining < 4 {
             return torn(index, records, offset, bytes);
@@ -206,7 +228,7 @@ fn parse_segment(index: u64, bytes: &[u8]) -> Result<ParsedSegment, WalError> {
             // unwritable (every payload has an 18-byte fixed head),
             // and nothing but zeros follows, so this is the clean
             // unsealed end of a pre-sized file — not a torn tail.
-            return Ok(ParsedSegment { records, torn: None });
+            return Ok(Walk { records, sealed: false, torn: None });
         }
         let payload_len = len_field as usize;
         if payload_len > MAX_RECORD_PAYLOAD {
@@ -237,17 +259,17 @@ fn parse_segment(index: u64, bytes: &[u8]) -> Result<ParsedSegment, WalError> {
             seal_fnv,
             &bytes[offset + 4 + payload_len..offset + 4 + payload_len + 8],
         );
-        records.push(parse_payload(index, offset, payload)?);
+        records.push(decode(offset, payload)?);
         offset += 4 + payload_len + 8;
     }
 }
 
-fn torn(
+fn torn<T>(
     index: u64,
-    records: Vec<ParsedRecord>,
+    records: Vec<T>,
     offset: usize,
     bytes: &[u8],
-) -> Result<ParsedSegment, WalError> {
+) -> Result<Walk<T>, WalError> {
     // Tearing only ever eats the *end* of a file. If the file still ends
     // with a seal marker, the segment was sealed and this unverifiable
     // record is mid-file damage — truncating would silently drop
@@ -258,12 +280,13 @@ fn torn(
         return Err(WalError::Corrupt {
             segment: index,
             offset: offset as u64,
-            detail: "unverifiable record inside a sealed segment".to_owned(),
+            detail: "unverifiable record inside a sealed file".to_owned(),
         });
     }
     let remaining = bytes.len() - offset;
-    Ok(ParsedSegment {
+    Ok(Walk {
         records,
+        sealed: false,
         torn: Some(TornTail {
             segment: index,
             offset: offset as u64,
@@ -279,13 +302,13 @@ fn torn(
 /// marker that fails the record-length parse and truncates as a torn
 /// tail instead — the footer is only *interpreted* once all 20 bytes
 /// are present.)
-fn parse_seal(
+fn parse_seal<T>(
     index: u64,
     bytes: &[u8],
-    records: Vec<ParsedRecord>,
+    records: Vec<T>,
     offset: usize,
     seal_fnv: u64,
-) -> Result<ParsedSegment, WalError> {
+) -> Result<Walk<T>, WalError> {
     let remaining = bytes.len() - offset;
     if remaining < SEAL_LEN {
         // Truncated mid-footer: the seal never finished, so the segment
@@ -328,10 +351,10 @@ fn parse_seal(
         return Err(WalError::Corrupt {
             segment: index,
             offset: offset as u64,
-            detail: "seal checksum does not cover the segment's records".to_owned(),
+            detail: "seal checksum does not cover the file's records".to_owned(),
         });
     }
-    Ok(ParsedSegment { records, torn: None })
+    Ok(Walk { records, sealed: true, torn: None })
 }
 
 /// Decodes a checksum-verified payload. Failures here are hard errors:
@@ -340,27 +363,15 @@ fn parse_seal(
 /// broken, and applying a guess would corrupt an exact sum.
 fn parse_payload(index: u64, offset: usize, payload: &[u8]) -> Result<ParsedRecord, WalError> {
     let corrupt = |detail: String| WalError::Corrupt { segment: index, offset: offset as u64, detail };
-    if payload.len() < RECORD_FIXED {
-        return Err(corrupt(format!("payload of {} bytes is shorter than the fixed fields", payload.len())));
-    }
-    let client_id = u64::from_be_bytes(
-        payload[..8].try_into().map_err(|_| corrupt("unreadable client id".to_owned()))?,
-    );
-    let seq = u64::from_be_bytes(
-        payload[8..16].try_into().map_err(|_| corrupt("unreadable seq".to_owned()))?,
-    );
-    let name_len = u16::from_be_bytes([payload[16], payload[17]]) as usize;
-    if payload.len() < RECORD_FIXED + name_len {
-        return Err(corrupt(format!("name length {name_len} overruns the payload")));
-    }
-    let stream = core::str::from_utf8(&payload[RECORD_FIXED..RECORD_FIXED + name_len])
-        .map_err(|_| corrupt("stream name is not UTF-8".to_owned()))?
-        .to_owned();
-    let values = &payload[RECORD_FIXED + name_len..];
+    let short = || corrupt(format!("payload of {} bytes is shorter than the fixed fields", payload.len()));
+    let (client_id, rest) = payload.split_first_chunk::<8>().ok_or_else(short)?;
+    let (seq, rest) = rest.split_first_chunk::<8>().ok_or_else(short)?;
+    let (client_id, seq) = (u64::from_be_bytes(*client_id), u64::from_be_bytes(*seq));
+    let (stream, values) = split_name(rest).map_err(|e| corrupt(e.to_owned()))?;
     if !values.len().is_multiple_of(8) {
         return Err(corrupt(format!("value payload of {} bytes is not a multiple of 8", values.len())));
     }
-    Ok(ParsedRecord { client_id, seq, stream, values: values.to_vec() })
+    Ok(ParsedRecord { client_id, seq, stream: stream.to_owned(), values: values.to_vec() })
 }
 
 #[cfg(test)]

@@ -247,28 +247,9 @@ pub fn serve_with_core(config: &ServerConfig, core: Arc<RequestCore>) -> io::Res
             for w in pool {
                 w.join().map_err(|_| io::Error::other("worker panicked"))?;
             }
-            // Drain the commit group before exit: with no workers left,
-            // close() commits every queued record and seals the active
-            // segment, so a shutdown *without* a snapshot path still
-            // leaves every ACKed batch recoverable from the log alone
-            // (they used to die here when only snapshots persisted).
-            // A poisoned WAL surfaces as an error from join() — the
-            // segments on disk remain the source of truth.
-            if let Some(wal) = core.wal() {
-                wal.close().map_err(io::Error::from)?;
-            }
-            if let Some(path) = core.snapshot_path() {
-                snapshot::save(path, core.ledger())?;
-                if let Some(wal) = core.wal() {
-                    // The committer is closed and sealed, so a verified
-                    // snapshot now dominates *every* segment, the active
-                    // one included.
-                    if snapshot::verify(path) {
-                        let _ = wal.gc_below(wal.active_segment() + 1);
-                    }
-                }
-            }
-            Ok(())
+            // With no workers left: seal the WAL, write the final
+            // snapshot. A poisoned WAL surfaces as an error from join().
+            core.close()
         })
     };
 

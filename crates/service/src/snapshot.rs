@@ -1,105 +1,123 @@
-//! Ledger persistence: a JSON snapshot file of exact per-stream sums,
-//! sealed by a checksummed footer.
+//! Ledger persistence: a snapshot of exact per-stream state, framed like
+//! a WAL segment.
 //!
-//! The on-disk format is a JSON body
-//!
-//! ```json
-//! {"version":2,"entries":[{"stream":"s","overflows":0,"dedup":[[7,4]],"batches":3,"values":90,"sum":[l0,l1,l2,l3,l4,l5]}]}
-//! ```
-//!
-//! followed by one newline and a footer line
+//! A snapshot file is
 //!
 //! ```text
-//! OISUM-SNAPSHOT v2 fnv1a64=<16 hex digits> len=<body bytes>
+//! [ 8B magic "OISSNPv1" ][ 8B BE 0 ]                  <- header
+//! [ 4B BE payload len ][ payload ][ 8B BE fnv4 ]      <- record, one or more per stream
+//! [ 4B BE 0xFFFFFFFF ][ 8B BE records ][ 8B BE fnv ]  <- seal
 //! ```
 //!
-//! `sum` is the `oisum-core` serde representation of the service
-//! accumulator — its raw limbs, most significant first — so a restore is
-//! bitwise, never routed through `f64`. `dedup` is the stream's
-//! exactly-once window (`[client_id, last applied seq]` pairs): a server
-//! restored from a snapshot still recognizes a pre-snapshot batch's
-//! retry as a replay. Shard structure is not persisted: the shard split
-//! is a contention artifact with no effect on the value (HP addition is
-//! exactly associative), so a snapshot taken under `--shards 16`
-//! restores identically into a server running `--shards 2`.
+//! and a record payload is one stream's state as raw big-endian words:
 //!
-//! The footer turns silent corruption into a *typed* refusal: [`load`]
-//! verifies the body length and FNV-1a 64 checksum before parsing a
-//! single byte of JSON, so a truncated, bit-flipped, or
-//! concatenated-over file yields [`SnapshotError::Truncated`] /
-//! [`SnapshotError::ChecksumMismatch`] / [`SnapshotError::MissingFooter`]
-//! instead of reviving a wrong ledger — and the server refuses to start
-//! on it. Writes additionally go through a sibling temp file + rename so
-//! a crash mid-write cannot leave a torn snapshot where a good one
-//! stood; the footer catches the corruption modes rename cannot (media
-//! errors, manual edits, a crash that beat the rename on a filesystem
-//! without atomic semantics).
+//! ```text
+//! [ 2B name len ][ name ][ 8B overflows ][ 8B batches ][ 8B values ]
+//! [ 6 × 8B limbs, most significant first ][ (8B client_id, 8B seq) × k ]
+//! ```
+//!
+//! The limbs are the accumulator's own, so a restore is bitwise, never
+//! routed through `f64`. The `(client_id, seq)` pairs are the stream's
+//! exactly-once window: a server restored from a snapshot still
+//! recognizes a pre-snapshot batch's retry as a replay. The window is
+//! never pruned, so it can outgrow one record (about a million clients):
+//! it then continues in the records that follow, each repeating the
+//! name, counters and limbs, and a load joins consecutive records of one
+//! stream back into one state. Shard structure
+//! is not persisted: the shard split is a contention artifact with no
+//! effect on the value (HP addition is exactly associative), so a
+//! snapshot taken under `--shards 16` restores identically into a server
+//! running `--shards 2`.
+//!
+//! This module knows only that payload. The header, records and seal are
+//! written by the [`wal`](crate::wal) framing code and checked by the
+//! walk [`recovery`](crate::recovery) runs over segments, with one rule
+//! changed: a snapshot is written whole, so it must end in a valid seal,
+//! and a torn tail is refused, never truncated. Its magic differs from a
+//! segment's, so neither kind of file loads as the other, and a JSON
+//! snapshot of an older release is refused by its first bytes. Every
+//! refusal is a typed [`SnapshotError`] returned before the ledger is
+//! touched, and the server refuses to start on one. A cluster node ships
+//! the same bytes to a rejoining peer (`SnapshotData`), so a transfer cut
+//! mid-way is refused like a truncated file.
+//!
+//! [`save`] writes a sibling temp file, fsyncs it, renames it over the
+//! snapshot and fsyncs the directory, so a crash mid-write cannot leave a
+//! torn snapshot where a good one stood; the checksums catch what the
+//! rename cannot (media errors, manual edits). A `Checkpointer` runs one
+//! checkpoint at a time: save, re-read, and delete the WAL segments the
+//! file covers.
 
-use crate::ledger::{ShardedLedger, StreamState};
+use crate::ledger::{ShardedLedger, StreamState, SERVICE_LIMBS};
+use crate::proto::split_name;
+use crate::recovery::walk;
+use crate::wal::{SealedFile, Wal, WalError, MAX_RECORD_PAYLOAD};
 use crate::ServiceHp;
-use oisum_faults::fnv1a64;
-use serde::de::{Error as DeError, MapAccess, Visitor};
-use serde::ser::SerializeStruct;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::fs::{self, File};
 use std::io::{self, Write};
-use std::path::Path;
+use std::iter;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
-/// Snapshot format version written by [`save`].
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// First 8 bytes of every snapshot file (a WAL segment's are `OISWALv1`).
+const SNAPSHOT_MAGIC: [u8; 8] = *b"OISSNPv1";
 
-/// Footer line prefix; the version is part of the literal so a footer
-/// from a future incompatible layout never validates.
-const FOOTER_PREFIX: &str = "OISUM-SNAPSHOT v2 fnv1a64=";
+/// Big-endian words after a record's name: overflows, batches, values
+/// and the limbs.
+const STATE_WORDS: usize = 3 + SERVICE_LIMBS;
 
-/// Why a snapshot failed to load. Every variant is a refusal to restore:
-/// the ledger is left untouched.
+/// Why a snapshot could not be saved or loaded. Every variant is a
+/// refusal: a failed load leaves the ledger untouched, and a failed save
+/// leaves the previous snapshot in place.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The file could not be read.
+    /// The file could not be read or written.
     Io(io::Error),
-    /// No (or malformed) checksum footer — not a sealed snapshot, or one
-    /// truncated into the footer itself.
-    MissingFooter,
-    /// The body is shorter or longer than the footer promises (classic
-    /// crash-truncation).
-    Truncated {
-        /// Body length recorded in the footer.
-        expected: usize,
-        /// Body length actually present.
-        actual: usize,
+    /// The file does not start with a snapshot header: a JSON snapshot of
+    /// an older release, a WAL segment, or any other file.
+    NotASnapshot(String),
+    /// The header's index is damaged, a record or the seal fails to
+    /// verify, a verified record is not a stream state (or repeats its
+    /// stream's name with other counters), or bytes follow the seal.
+    Corrupt {
+        /// Byte offset of the record or seal the damage sits in.
+        offset: u64,
+        /// What was wrong.
+        detail: String,
     },
-    /// The body checksum does not match the footer (bit rot, manual
-    /// edits, torn writes).
-    ChecksumMismatch {
-        /// Checksum recorded in the footer.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
+    /// The file ends without its seal: a truncated snapshot, or a
+    /// transfer cut mid-way.
+    Unsealed {
+        /// Byte offset where the verified records end.
+        offset: u64,
     },
-    /// The body is not valid snapshot JSON.
-    Parse(String),
-    /// The body parsed, but its format version is not supported.
-    UnsupportedVersion(u64),
+    /// A stream's name is too long for a record's u16 length prefix;
+    /// [`save`] refuses it before it writes anything. No request can
+    /// create such a stream: the wire and the WAL carry the same prefix.
+    TooLarge {
+        /// The stream.
+        stream: String,
+        /// The record bound it exceeds.
+        source: WalError,
+    },
 }
 
 impl core::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
-            SnapshotError::MissingFooter => {
-                write!(f, "snapshot has no valid checksum footer (truncated or not a snapshot)")
+            SnapshotError::NotASnapshot(detail) => write!(
+                f,
+                "not a snapshot file ({detail}); JSON snapshots of older releases are not read"
+            ),
+            SnapshotError::Corrupt { offset, detail } => {
+                write!(f, "snapshot corrupt at byte {offset}: {detail}")
             }
-            SnapshotError::Truncated { expected, actual } => write!(
-                f,
-                "snapshot truncated: footer promises {expected} body bytes, found {actual}"
-            ),
-            SnapshotError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "snapshot corrupt: body checksum {actual:016x} != recorded {expected:016x}"
-            ),
-            SnapshotError::Parse(msg) => write!(f, "snapshot body is not valid JSON: {msg}"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v}")
+            SnapshotError::Unsealed { offset } => {
+                write!(f, "snapshot truncated: no seal after byte {offset}")
+            }
+            SnapshotError::TooLarge { stream, source } => {
+                write!(f, "snapshot refused: stream `{stream}` does not fit a record: {source}")
             }
         }
     }
@@ -109,6 +127,7 @@ impl std::error::Error for SnapshotError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SnapshotError::Io(e) => Some(e),
+            SnapshotError::TooLarge { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -129,190 +148,30 @@ impl From<SnapshotError> for io::Error {
     }
 }
 
-/// One stream's persisted state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotEntry {
-    /// Stream name.
-    pub stream: String,
-    /// Exact accumulated sum.
-    pub sum: ServiceHp,
-    /// Detected top-limb overflows at snapshot time.
-    pub overflows: u64,
-    /// Exactly-once window: `[client_id, last applied seq]` pairs.
-    pub dedup: Vec<(u64, u64)>,
-    /// Batches applied at snapshot time. Optional on read (absent in
-    /// pre-cluster snapshots, which default to 0) so existing v2 files
-    /// keep loading.
-    pub batches: u64,
-    /// Values applied at snapshot time; optional on read like `batches`.
-    pub values: u64,
+/// The temp file [`save`] writes before renaming it over `path`: the full
+/// file name with `.tmp` appended. Replacing the extension instead would
+/// make a snapshot named `x.tmp` its own temp file, and the save would
+/// truncate the live snapshot in place.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
-impl Serialize for SnapshotEntry {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("SnapshotEntry", 6)?;
-        s.serialize_field("stream", &self.stream)?;
-        s.serialize_field("overflows", &self.overflows)?;
-        s.serialize_field("dedup", &self.dedup)?;
-        s.serialize_field("batches", &self.batches)?;
-        s.serialize_field("values", &self.values)?;
-        s.serialize_field("sum", &self.sum)?;
-        s.end()
-    }
-}
-
-struct EntryVisitor;
-
-impl<'de> Visitor<'de> for EntryVisitor {
-    type Value = SnapshotEntry;
-
-    fn expecting(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("a snapshot entry")
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
-        let (mut stream, mut sum, mut overflows, mut dedup) = (None, None, None, None);
-        let (mut batches, mut values) = (None, None);
-        while let Some(key) = map.next_key::<String>()? {
-            match key.as_str() {
-                "stream" => stream = Some(map.next_value()?),
-                "sum" => sum = Some(map.next_value()?),
-                "overflows" => overflows = Some(map.next_value()?),
-                "dedup" => dedup = Some(map.next_value()?),
-                "batches" => batches = Some(map.next_value()?),
-                "values" => values = Some(map.next_value()?),
-                other => return Err(A::Error::custom(format!("unknown field `{other}`"))),
-            }
-        }
-        Ok(SnapshotEntry {
-            stream: stream.ok_or_else(|| A::Error::custom("missing `stream`"))?,
-            sum: sum.ok_or_else(|| A::Error::custom("missing `sum`"))?,
-            overflows: overflows.ok_or_else(|| A::Error::custom("missing `overflows`"))?,
-            dedup: dedup.ok_or_else(|| A::Error::custom("missing `dedup`"))?,
-            // Absent in pre-cluster v2 snapshots: no counters recorded.
-            batches: batches.unwrap_or(0),
-            values: values.unwrap_or(0),
-        })
-    }
-}
-
-impl<'de> Deserialize<'de> for SnapshotEntry {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_struct(
-            "SnapshotEntry",
-            &["stream", "sum", "overflows", "dedup", "batches", "values"],
-            EntryVisitor,
-        )
-    }
-}
-
-/// The whole snapshot body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotFile {
-    /// Format version; [`load`] rejects versions it does not know.
-    pub version: u64,
-    /// Per-stream entries, sorted by stream name.
-    pub entries: Vec<SnapshotEntry>,
-}
-
-impl Serialize for SnapshotFile {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("SnapshotFile", 2)?;
-        s.serialize_field("version", &self.version)?;
-        s.serialize_field("entries", &self.entries)?;
-        s.end()
-    }
-}
-
-struct FileVisitor;
-
-impl<'de> Visitor<'de> for FileVisitor {
-    type Value = SnapshotFile;
-
-    fn expecting(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("a snapshot file object")
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
-        let (mut version, mut entries) = (None, None);
-        while let Some(key) = map.next_key::<String>()? {
-            match key.as_str() {
-                "version" => version = Some(map.next_value()?),
-                "entries" => entries = Some(map.next_value()?),
-                other => return Err(A::Error::custom(format!("unknown field `{other}`"))),
-            }
-        }
-        Ok(SnapshotFile {
-            version: version.ok_or_else(|| A::Error::custom("missing `version`"))?,
-            entries: entries.ok_or_else(|| A::Error::custom("missing `entries`"))?,
-        })
-    }
-}
-
-impl<'de> Deserialize<'de> for SnapshotFile {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_struct("SnapshotFile", &["version", "entries"], FileVisitor)
-    }
-}
-
-/// Seals a JSON body with the checksummed footer: `body \n footer`.
-pub fn seal(body: &str) -> String {
-    format!(
-        "{body}\n{FOOTER_PREFIX}{:016x} len={}",
-        fnv1a64(body.as_bytes()),
-        body.len()
-    )
-}
-
-/// Splits a sealed file back into its body, verifying the footer.
-fn unseal(contents: &str) -> Result<&str, SnapshotError> {
-    let Some(cut) = contents.rfind('\n') else {
-        return Err(SnapshotError::MissingFooter);
-    };
-    let (body, footer) = (&contents[..cut], &contents[cut + 1..]);
-    let Some(rest) = footer.strip_prefix(FOOTER_PREFIX) else {
-        return Err(SnapshotError::MissingFooter);
-    };
-    let Some((hex, len)) = rest.split_once(" len=") else {
-        return Err(SnapshotError::MissingFooter);
-    };
-    // Strictly canonical encodings — exactly 16 lowercase hex digits,
-    // plain ASCII decimal — so no bit flip inside the footer can survive
-    // as an alternate spelling of the same values.
-    if hex.len() != 16
-        || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
-        || len.is_empty()
-        || !len.bytes().all(|b| b.is_ascii_digit())
-    {
-        return Err(SnapshotError::MissingFooter);
-    }
-    let (Ok(expected_sum), Ok(expected_len)) =
-        (u64::from_str_radix(hex, 16), len.parse::<usize>())
-    else {
-        return Err(SnapshotError::MissingFooter);
-    };
-    if body.len() != expected_len {
-        return Err(SnapshotError::Truncated { expected: expected_len, actual: body.len() });
-    }
-    let actual = fnv1a64(body.as_bytes());
-    if actual != expected_sum {
-        return Err(SnapshotError::ChecksumMismatch { expected: expected_sum, actual });
-    }
-    Ok(body)
-}
-
-/// Persists the ledger to `path` atomically (temp file + rename), sealed
-/// with the checksum footer. Returns the number of streams written.
+/// Persists the ledger to `path` atomically and returns the number of
+/// streams written: the bytes go to a sibling temp file, which is
+/// fsynced and renamed over `path`, and then the directory is fsynced,
+/// since the rename is durable only once its entry is. A stream name too
+/// long for a record is refused before any file is touched.
 ///
 /// Failpoint `snapshot.save.corrupt` (feature `failpoints`) mangles the
 /// sealed bytes *before* they reach disk — `Truncate` cuts the tail as a
 /// crash would, `BitFlip` flips one bit as silent media corruption would
 /// — so the corruption-handling path can be driven through the real
 /// writer.
-pub fn save(path: &Path, ledger: &ShardedLedger) -> io::Result<usize> {
+pub fn save(path: &Path, ledger: &ShardedLedger) -> Result<usize, SnapshotError> {
     let states = ledger.snapshot();
-    let count = states.len();
-    let mut bytes = states_to_sealed(states)?.into_bytes();
+    let mut bytes = states_to_sealed(&states)?;
     match oisum_faults::check("snapshot.save.corrupt") {
         Some(oisum_faults::FaultAction::Truncate { keep }) => bytes.truncate(keep),
         Some(oisum_faults::FaultAction::BitFlip { offset, bit }) if !bytes.is_empty() => {
@@ -321,113 +180,211 @@ pub fn save(path: &Path, ledger: &ShardedLedger) -> io::Result<usize> {
         }
         _ => {}
     }
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_path(path);
     {
-        let mut f = std::fs::File::create(&tmp)?;
+        let mut f = File::create(&tmp)?;
         f.write_all(&bytes)?;
         f.sync_all()?;
     }
-    std::fs::rename(&tmp, path)?;
-    Ok(count)
+    fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(states.len())
 }
 
-/// Serializes stream states into a complete sealed snapshot — JSON body
-/// plus checksummed footer — ready to land on disk *or* cross the wire
-/// as a peer `SnapshotData` reply. The cluster rejoin path transfers
-/// exactly these bytes, so a mid-transfer connection cut is caught by
-/// [`parse_sealed`] on the receiving side the same way a crash-truncated
-/// file is caught by [`load`].
-pub fn states_to_sealed(states: Vec<StreamState>) -> io::Result<String> {
-    let file = SnapshotFile {
-        version: SNAPSHOT_VERSION,
-        entries: states
-            .into_iter()
-            .map(|s| SnapshotEntry {
-                stream: s.name,
-                sum: s.sum,
-                overflows: s.overflows,
-                dedup: s.dedup,
-                batches: s.batches,
-                values: s.values,
+/// Frames stream states as a complete sealed snapshot, ready to land on
+/// disk *or* cross the wire as a peer `SnapshotData` reply; the cluster
+/// rejoin path transfers exactly these bytes, and [`parse_sealed`] reads
+/// either back.
+pub fn states_to_sealed(states: &[StreamState]) -> Result<Vec<u8>, SnapshotError> {
+    let mut file = SealedFile::new(SNAPSHOT_MAGIC, 0);
+    for state in states {
+        let too_large = |source| SnapshotError::TooLarge { stream: state.name.clone(), source };
+        let name_len = u16::try_from(state.name.len())
+            .map_err(|_| too_large(WalError::StreamNameTooLong { len: state.name.len() }))?;
+        // A window too large for one record continues in the next ones.
+        let pairs_per_record = (MAX_RECORD_PAYLOAD - 2 - state.name.len() - 8 * STATE_WORDS) / 16;
+        let mut windows = state.dedup.chunks(pairs_per_record);
+        for window in iter::once(windows.next().unwrap_or_default()).chain(windows) {
+            file.record(|out| {
+                out.extend_from_slice(&name_len.to_be_bytes());
+                out.extend_from_slice(state.name.as_bytes());
+                let counters = [state.overflows, state.batches, state.values];
+                for word in counters.iter().chain(state.sum.as_limbs()) {
+                    out.extend_from_slice(&word.to_be_bytes());
+                }
+                for (client_id, seq) in window {
+                    out.extend_from_slice(&client_id.to_be_bytes());
+                    out.extend_from_slice(&seq.to_be_bytes());
+                }
             })
-            .collect(),
-    };
-    let body = serde_json::to_string(&file)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok(seal(&body))
+            .map_err(too_large)?;
+        }
+    }
+    Ok(file.seal())
 }
 
-/// Validates a complete sealed snapshot (footer, checksum, JSON,
-/// version — in that order, before anything is trusted) and returns the
-/// stream states it carries.
-pub fn parse_sealed(contents: &str) -> Result<Vec<StreamState>, SnapshotError> {
-    let body = unseal(contents)?;
-    let file: SnapshotFile =
-        serde_json::from_str(body).map_err(|e| SnapshotError::Parse(e.to_string()))?;
-    if file.version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(file.version));
+/// Checks a complete sealed snapshot — header, every record, then the
+/// seal, before anything is trusted — and returns the stream states it
+/// carries.
+pub fn parse_sealed(bytes: &[u8]) -> Result<Vec<StreamState>, SnapshotError> {
+    let mut states = Vec::new();
+    let file = walk(SNAPSHOT_MAGIC, 0, bytes, |offset, payload| {
+        decode_state(&mut states, offset, payload)
+    })
+    .map_err(|e| match e {
+        // Only a foreign magic makes the file something else; a bad index
+        // under the snapshot magic is a damaged snapshot.
+        WalError::BadHeader { detail, .. } if !bytes.starts_with(&SNAPSHOT_MAGIC) => {
+            SnapshotError::NotASnapshot(detail)
+        }
+        WalError::BadHeader { detail, .. } => SnapshotError::Corrupt { offset: 8, detail },
+        WalError::Corrupt { offset, detail, .. } => SnapshotError::Corrupt { offset, detail },
+        // The walk refuses only headers and framing; nothing else arises.
+        other => SnapshotError::Corrupt { offset: 0, detail: other.to_string() },
+    })?;
+    if !file.sealed {
+        let offset = file.torn.map_or(bytes.len() as u64, |torn| torn.offset);
+        return Err(SnapshotError::Unsealed { offset });
     }
-    Ok(file
-        .entries
-        .into_iter()
-        .map(|e| StreamState {
-            name: e.stream,
-            sum: e.sum,
-            overflows: e.overflows,
-            dedup: e.dedup,
-            batches: e.batches,
-            values: e.values,
-        })
-        .collect())
+    Ok(states)
+}
+
+/// Decodes one checksum-verified record payload into `states`: a new
+/// stream's state, or more of the window of the stream before it, whose
+/// counters and limbs it must repeat. A payload that verifies but breaks
+/// these rules was written broken, so it is corruption.
+fn decode_state(
+    states: &mut Vec<StreamState>,
+    offset: usize,
+    payload: &[u8],
+) -> Result<(), WalError> {
+    let corrupt = |detail: &str| WalError::Corrupt {
+        segment: 0,
+        offset: offset as u64,
+        detail: format!("stream record: {detail}"),
+    };
+    let (name, rest) = split_name(payload).map_err(corrupt)?;
+    let (words, tail) = rest.as_chunks::<8>();
+    let words: Vec<u64> = words.iter().map(|w| u64::from_be_bytes(*w)).collect();
+    if !tail.is_empty()
+        || words.len() < STATE_WORDS
+        || !(words.len() - STATE_WORDS).is_multiple_of(2)
+    {
+        return Err(corrupt("not counters, limbs and (client, seq) pairs after the name"));
+    }
+    let state = StreamState {
+        name: name.to_owned(),
+        overflows: words[0],
+        batches: words[1],
+        values: words[2],
+        sum: ServiceHp::from_limbs(core::array::from_fn(|i| words[3 + i])),
+        dedup: words[STATE_WORDS..].chunks_exact(2).map(|p| (p[0], p[1])).collect(),
+    };
+    let counters = |s: &StreamState| (s.overflows, s.batches, s.values, s.sum);
+    match states.last_mut() {
+        Some(last) if last.name == state.name => {
+            if counters(last) != counters(&state) {
+                return Err(corrupt("repeats the stream before it with other counters"));
+            }
+            last.dedup.extend(state.dedup);
+        }
+        _ => states.push(state),
+    }
+    Ok(())
 }
 
 /// Re-reads the snapshot at `path` and checks it seals and parses.
 ///
-/// The WAL GC calls this before deleting segments a snapshot claims to
+/// A checkpoint calls this before deleting segments a snapshot claims to
 /// cover: `save` returning `Ok` is not proof the *bytes on disk* are a
 /// loadable snapshot (the `snapshot.save.corrupt` seam models exactly
 /// that lie), and dropping the log on a bad snapshot's word would turn
 /// one corrupt file into real data loss.
 pub fn verify(path: &Path) -> bool {
-    std::fs::read_to_string(path)
-        .map_err(SnapshotError::from)
-        .and_then(|contents| parse_sealed(&contents))
-        .is_ok()
+    fs::read(path).is_ok_and(|bytes| parse_sealed(&bytes).is_ok())
 }
 
 /// Replaces the ledger's contents with the snapshot at `path`.
 ///
-/// Validation is strictly before mutation: the footer, checksum, JSON
-/// body, and version are all verified while the ledger is untouched, so
-/// a corrupt file can never leave a half-restored (or silently zero)
-/// ledger behind.
+/// Validation is strictly before mutation: the header, every record and
+/// the seal are verified while the ledger is untouched, so a damaged file
+/// can never leave a half-restored (or silently zero) ledger behind.
 pub fn load(path: &Path, ledger: &ShardedLedger) -> Result<usize, SnapshotError> {
-    let contents = std::fs::read_to_string(path)?;
-    let entries = parse_sealed(&contents)?;
-    let count = entries.len();
-    ledger.restore(&entries);
-    Ok(count)
+    let states = parse_sealed(&fs::read(path)?)?;
+    ledger.restore(&states);
+    Ok(states.len())
+}
+
+/// A server's snapshot file, and the lock that runs its checkpoints one
+/// at a time.
+///
+/// A checkpoint reads the WAL's GC boundary, saves, re-reads the file and
+/// deletes the segments below the boundary. Two running at once could
+/// share the temp file, or one could verify the other's older snapshot
+/// and then delete segments that only its own covers, losing ACKed
+/// batches.
+#[derive(Debug)]
+pub(crate) struct Checkpointer {
+    path: PathBuf,
+    serial: Mutex<()>,
+}
+
+impl Checkpointer {
+    /// Checkpoints to the snapshot at `path`.
+    pub(crate) fn new(path: PathBuf) -> Self {
+        Checkpointer { path, serial: Mutex::new(()) }
+    }
+
+    /// Persists `ledger` to the snapshot path, then deletes the WAL
+    /// segments the verified file covers: those below the active segment
+    /// while `wal` is open, every segment once it is closed. Returns the
+    /// number of streams written. This serves the `Snapshot` request and
+    /// the final snapshot of a shutdown.
+    pub(crate) fn checkpoint(
+        &self,
+        ledger: &ShardedLedger,
+        wal: Option<&Wal>,
+    ) -> Result<usize, SnapshotError> {
+        // The lock guards no data, so a poisoned one is as good as new.
+        let _serial = self.serial.lock().unwrap_or_else(PoisonError::into_inner);
+        // Boundary *before* the save: every record in a segment below it
+        // was committed — hence applied, since applies precede commits —
+        // before the save reads the ledger, so the snapshot dominates
+        // those segments.
+        let boundary = wal.map(Wal::gc_boundary);
+        let streams = save(&self.path, ledger)?;
+        if let (Some(wal), Some(boundary)) = (wal, boundary) {
+            // Trust the bytes, not the Ok: only a snapshot that re-reads
+            // and re-seals is license to delete its WAL coverage.
+            if verify(&self.path) {
+                let _ = wal.gc_below(boundary);
+            }
+        }
+        Ok(streams)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::{le_bytes, UNTRACKED_CLIENT};
+    use crate::wal::{SEAL_LEN, SEGMENT_HEADER_LEN};
 
     /// An untracked deposit on shard 0.
     fn add(ledger: &ShardedLedger, name: &str, xs: &[f64]) {
         ledger.add_batch_le_bytes_dedup(name, 0, UNTRACKED_CLIENT, 0, &le_bytes(xs));
     }
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
+    fn scratch(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("oisum-snapshot-test-{}-{name}.json", std::process::id()));
+        p.push(format!("oisum-snapshot-test-{}-{name}.snap", std::process::id()));
         p
     }
 
     #[test]
     fn save_load_roundtrip_is_bitwise() {
-        let path = temp_path("roundtrip");
+        let path = scratch("roundtrip");
         let ledger = ShardedLedger::new(8);
         let xs: Vec<f64> = (0..1000).map(|i| (i as f64 - 500.0) * 1.7e-8).collect();
         for chunk in xs.chunks(93) {
@@ -436,6 +393,7 @@ mod tests {
         add(&ledger, "b", &[f64::MIN_POSITIVE, -0.0, 1e12]);
         ledger.add_batch_le_bytes_dedup("b", 0, 42, 6, &le_bytes(&[0.5]));
         assert_eq!(save(&path, &ledger).unwrap(), 2);
+        assert!(!temp_path(&path).exists(), "the temp file was renamed away");
 
         let restored = ShardedLedger::new(2);
         assert_eq!(load(&path, &restored).unwrap(), 2);
@@ -451,68 +409,172 @@ mod tests {
         let ledger = ShardedLedger::new(4);
         add(&ledger, "s", &[1.5, -0.25, 1e9]);
         ledger.add_batch_le_bytes_dedup("s", 0, 7, 3, &le_bytes(&[2.0]));
-        let sealed = states_to_sealed(ledger.snapshot()).unwrap();
+        let sealed = states_to_sealed(&ledger.snapshot()).unwrap();
         // The full transfer parses back bitwise, counters included.
         let states = parse_sealed(&sealed).unwrap();
-        assert_eq!(states.len(), 1);
-        assert_eq!(states[0].sum, ledger.sum("s").unwrap());
+        assert_eq!(states, ledger.snapshot());
         assert_eq!((states[0].batches, states[0].values), (2, 4));
         assert_eq!(states[0].dedup, vec![(7, 3)]);
-        // A transfer cut mid-body (what a dropped peer connection
-        // produces) is refused, never partially adopted.
-        for cut in [sealed.len() / 2, sealed.len() - 1] {
-            assert!(parse_sealed(&sealed[..cut]).is_err());
+        // A transfer cut mid-record or mid-seal (what a dropped peer
+        // connection produces) is refused, never partially adopted; the
+        // error names where the verified records end.
+        let seal_at = sealed.len() - SEAL_LEN;
+        for (cut, verified) in [(sealed.len() / 2, SEGMENT_HEADER_LEN), (seal_at + 19, seal_at)] {
+            assert!(matches!(
+                parse_sealed(&sealed[..cut]),
+                Err(SnapshotError::Unsealed { offset }) if offset == verified as u64
+            ));
         }
     }
 
     #[test]
-    fn pre_counter_snapshots_still_load() {
-        // A v2 body written before the batches/values fields existed.
-        let body = r#"{"version":2,"entries":[{"stream":"s","overflows":0,"dedup":[[7,4]],"sum":[0,0,0,0,0,0]}]}"#;
-        let states = parse_sealed(&seal(body)).unwrap();
-        assert_eq!((states[0].batches, states[0].values), (0, 0));
-        assert_eq!(states[0].dedup, vec![(7, 4)]);
-    }
-
-    #[test]
-    fn unknown_version_rejected() {
-        let path = temp_path("version");
-        // A properly sealed body with a version from the future.
-        std::fs::write(&path, seal(r#"{"version":99,"entries":[]}"#)).unwrap();
+    fn unknown_magic_rejected() {
+        let path = scratch("magic");
         let ledger = ShardedLedger::new(1);
-        match load(&path, &ledger) {
-            Err(SnapshotError::UnsupportedVersion(99)) => {}
-            other => panic!("expected UnsupportedVersion(99), got {other:?}"),
+        add(&ledger, "s", &[1.0]);
+        // A sealed file from a future format version: intact framing,
+        // unknown magic.
+        let mut bytes = states_to_sealed(&ledger.snapshot()).unwrap();
+        bytes[7] = b'2';
+        std::fs::write(&path, &bytes).unwrap();
+        let fresh = ShardedLedger::new(1);
+        match load(&path, &fresh) {
+            Err(SnapshotError::NotASnapshot(_)) => {}
+            other => panic!("expected NotASnapshot, got {other:?}"),
         }
+        assert!(fresh.sum("s").is_none());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn unsealed_file_rejected_as_missing_footer() {
-        let path = temp_path("unsealed");
-        // A valid v1-era body with no footer: refused, not restored.
-        std::fs::write(&path, r#"{"version":1,"entries":[]}"#).unwrap();
+    fn unsealed_file_rejected() {
+        let path = scratch("unsealed");
         let ledger = ShardedLedger::new(1);
-        assert!(matches!(load(&path, &ledger), Err(SnapshotError::MissingFooter)));
+        add(&ledger, "s", &[1.0]);
+        // Every record intact, the seal missing: a WAL segment would
+        // replay this, a snapshot is refused.
+        let sealed = states_to_sealed(&ledger.snapshot()).unwrap();
+        let records_end = sealed.len() - SEAL_LEN;
+        std::fs::write(&path, &sealed[..records_end]).unwrap();
+        let fresh = ShardedLedger::new(1);
+        assert!(matches!(
+            load(&path, &fresh),
+            Err(SnapshotError::Unsealed { offset }) if offset == records_end as u64
+        ));
+        assert!(fresh.sum("s").is_none());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn corrupt_body_rejected_by_checksum_before_parse() {
-        let path = temp_path("corrupt");
+    fn corrupt_record_rejected_by_checksum_before_parse() {
+        let path = scratch("corrupt");
         let ledger = ShardedLedger::new(1);
         add(&ledger, "s", &[1.0]);
         save(&path, &ledger).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[10] ^= 0x04; // one flipped bit in the body
+        bytes[SEGMENT_HEADER_LEN + 10] ^= 0x04; // one flipped bit in the record
         std::fs::write(&path, &bytes).unwrap();
         let fresh = ShardedLedger::new(1);
         assert!(matches!(
             load(&path, &fresh),
-            Err(SnapshotError::ChecksumMismatch { .. })
+            Err(SnapshotError::Corrupt { offset, .. }) if offset == SEGMENT_HEADER_LEN as u64
         ));
         // The refusal left the target ledger untouched.
         assert!(fresh.sum("s").is_none());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn temp_path_appends_to_the_full_name() {
+        for (path, tmp) in [
+            ("ledger.snap", "ledger.snap.tmp"),
+            ("dir/ledger", "dir/ledger.tmp"),
+            ("/d/ledger.tmp", "/d/ledger.tmp.tmp"),
+            ("ledger.tmp.tmp", "ledger.tmp.tmp.tmp"),
+        ] {
+            let path = Path::new(path);
+            assert_eq!(temp_path(path), Path::new(tmp));
+            assert_ne!(temp_path(path), path);
+        }
+    }
+
+    /// A stream whose window of `clients` tracked clients each sit at seq
+    /// `client * 3`.
+    fn tracked(name: String, clients: u64) -> StreamState {
+        StreamState {
+            name,
+            sum: ServiceHp::from_limbs([0, 0, 1, 2, 3, u64::MAX]),
+            overflows: 1,
+            dedup: (1..=clients).map(|client| (client, client * 3)).collect(),
+            batches: clients,
+            values: clients,
+        }
+    }
+
+    #[test]
+    fn a_window_larger_than_a_record_round_trips_bitwise() {
+        let path = scratch("window");
+        // 1,048,571 pairs fill one record under a one-byte name.
+        let state = tracked("s".to_owned(), 1_100_000);
+        let ledger = ShardedLedger::new(1);
+        ledger.install(&state);
+        assert_eq!(save(&path, &ledger).unwrap(), 1);
+        drop(ledger);
+        let bytes = std::fs::read(&path).unwrap();
+        let records = u64::from_be_bytes(bytes[bytes.len() - 16..][..8].try_into().unwrap());
+        assert_eq!(records, 2, "the window continues in a second record");
+        drop(bytes);
+
+        let restored = ShardedLedger::new(2);
+        assert_eq!(load(&path, &restored).unwrap(), 1);
+        assert_eq!(restored.snapshot(), vec![state]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_continuation_record_must_repeat_its_streams_counters() {
+        let first = tracked("s".to_owned(), 2);
+        let mut next = StreamState { dedup: vec![(10, 1)], ..first.clone() };
+        // The same name and counters continue the stream's window.
+        let joined = parse_sealed(&states_to_sealed(&[first.clone(), next.clone()]).unwrap());
+        let mut whole = first.clone();
+        whole.dedup.push((10, 1));
+        assert_eq!(joined.unwrap(), vec![whole]);
+        // The same name under other counters is corruption, refused at the
+        // second record.
+        next.batches += 1;
+        let next_at = states_to_sealed(core::slice::from_ref(&first)).unwrap().len() - SEAL_LEN;
+        assert!(matches!(
+            parse_sealed(&states_to_sealed(&[first, next]).unwrap()),
+            Err(SnapshotError::Corrupt { offset, .. }) if offset == next_at as u64
+        ));
+    }
+
+    #[test]
+    fn a_damaged_index_is_corrupt_not_foreign() {
+        let ledger = ShardedLedger::new(1);
+        add(&ledger, "s", &[1.0]);
+        let mut bytes = states_to_sealed(&ledger.snapshot()).unwrap();
+        bytes[15] ^= 1;
+        let err = parse_sealed(&bytes).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt { offset: 8, .. }), "{err:?}");
+        assert!(!err.to_string().contains("JSON"), "{err}");
+    }
+
+    #[test]
+    fn overlong_stream_names_are_refused_before_writing() {
+        let path = scratch("overlong");
+        // A name the u16 length prefix cannot carry.
+        let state = tracked("n".repeat(usize::from(u16::MAX) + 1), 1);
+        let ledger = ShardedLedger::new(1);
+        ledger.install(&state);
+        match save(&path, &ledger) {
+            Err(SnapshotError::TooLarge {
+                stream,
+                source: WalError::StreamNameTooLong { len },
+            }) => assert_eq!((stream, len), (state.name.clone(), state.name.len())),
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert!(!path.exists() && !temp_path(&path).exists(), "a file was written");
     }
 }

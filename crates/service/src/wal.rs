@@ -30,14 +30,16 @@
 //! [ 8B BE client_id ][ 8B BE seq ][ 2B BE name len ][ name ][ raw LE f64 bytes ]
 //! ```
 //!
-//! This is the snapshot-v2 sealing discipline translated to binary:
-//! every record carries its own length + checksum, and a finished
-//! segment is sealed by a footer checksum. The record checksum is
+//! Every record carries its own length + checksum, and a finished
+//! segment is sealed by a footer checksum. Snapshots use the same
+//! framing under their own magic ([`crate::snapshot`]): the header,
+//! record and seal bytes come from the functions here, and
+//! [`recovery`](crate::recovery)'s walk checks both kinds of file. The
+//! record checksum is
 //! [`fnv4`] — FNV-1a 64 striped over four interleaved word-wide lanes.
 //! The record path hashes every payload on its way to an ACK, and the
-//! serial xor-multiply chain (first byte-at-a-time as in the snapshot
-//! footer's [`fnv1a64`](oisum_faults::fnv1a64), then word-wide) was the
-//! single largest term in append latency; four independent lanes let
+//! serial xor-multiply chain (first byte-at-a-time, then word-wide) was
+//! the single largest term in append latency; four independent lanes let
 //! the multiplies overlap, keeping the prime/offset discipline at a
 //! quarter of the chain depth of the word-wide fold. The
 //! seal checksum folds the 16-byte header and each record's *stored
@@ -324,6 +326,43 @@ pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
+/// The 16-byte header of a framed file: `magic`, then `index` big-endian.
+fn file_header(magic: [u8; 8], index: u64) -> [u8; SEGMENT_HEADER_LEN] {
+    let mut header = [0u8; SEGMENT_HEADER_LEN];
+    header[..8].copy_from_slice(&magic);
+    header[8..].copy_from_slice(&index.to_be_bytes());
+    header
+}
+
+/// The seal footer: marker, record count, and the fold of the header and
+/// every record's stored checksum.
+fn seal_footer(records: u64, fnv: u64) -> [u8; SEAL_LEN] {
+    let mut footer = [0u8; SEAL_LEN];
+    footer[..4].copy_from_slice(&SEAL_MARKER.to_be_bytes());
+    footer[4..12].copy_from_slice(&records.to_be_bytes());
+    footer[12..].copy_from_slice(&fnv.to_be_bytes());
+    footer
+}
+
+/// Frames one record, `len | payload | fnv4(payload)`, at the end of
+/// `buf` around the payload `write` appends, and returns the stored
+/// checksum. A payload over [`MAX_RECORD_PAYLOAD`] is refused and cut
+/// back off `buf`.
+fn frame_record(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> Result<u64, WalError> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 4]);
+    write(buf);
+    let payload_len = buf.len() - start - 4;
+    if payload_len > MAX_RECORD_PAYLOAD {
+        buf.truncate(start);
+        return Err(WalError::RecordTooLarge { len: payload_len });
+    }
+    buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_be_bytes());
+    let sum = fnv4(&buf[start + 4..]);
+    buf.extend_from_slice(&sum.to_be_bytes());
+    Ok(sum)
+}
+
 /// Encodes one framed record: `len | payload | fnv4(payload)`.
 pub fn encode_record(
     stream: &str,
@@ -339,15 +378,50 @@ pub fn encode_record(
         return Err(WalError::RecordTooLarge { len: payload_len });
     }
     let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload_len);
-    rec.extend_from_slice(&(payload_len as u32).to_be_bytes());
-    rec.extend_from_slice(&client_id.to_be_bytes());
-    rec.extend_from_slice(&seq.to_be_bytes());
-    rec.extend_from_slice(&(stream.len() as u16).to_be_bytes());
-    rec.extend_from_slice(stream.as_bytes());
-    rec.extend_from_slice(value_bytes);
-    let sum = fnv4(&rec[4..]);
-    rec.extend_from_slice(&sum.to_be_bytes());
+    frame_record(&mut rec, |payload| {
+        payload.extend_from_slice(&client_id.to_be_bytes());
+        payload.extend_from_slice(&seq.to_be_bytes());
+        payload.extend_from_slice(&(stream.len() as u16).to_be_bytes());
+        payload.extend_from_slice(stream.as_bytes());
+        payload.extend_from_slice(value_bytes);
+    })?;
     Ok(rec)
+}
+
+/// A framed file assembled in memory and written whole, rather than
+/// appended to like a segment: the same header, records and seal, under
+/// the caller's magic. A snapshot is one of these.
+pub(crate) struct SealedFile {
+    bytes: Vec<u8>,
+    /// Records framed so far.
+    records: u64,
+    /// Running fold of the header and each stored record checksum, as
+    /// `ActiveSegment` keeps it.
+    fnv: u64,
+}
+
+impl SealedFile {
+    /// A file holding only its header.
+    pub(crate) fn new(magic: [u8; 8], index: u64) -> SealedFile {
+        let header = file_header(magic, index);
+        SealedFile { bytes: header.to_vec(), records: 0, fnv: fnv_wide(&header) }
+    }
+
+    /// Frames one record around the payload `write` appends to the buffer
+    /// it is handed. A payload over [`MAX_RECORD_PAYLOAD`] is refused and
+    /// leaves the file as it was.
+    pub(crate) fn record(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Result<(), WalError> {
+        let sum = frame_record(&mut self.bytes, write)?;
+        self.fnv = fnv_wide_update(self.fnv, &sum.to_be_bytes());
+        self.records += 1;
+        Ok(())
+    }
+
+    /// Appends the seal and returns the finished file.
+    pub(crate) fn seal(mut self) -> Vec<u8> {
+        self.bytes.extend_from_slice(&seal_footer(self.records, self.fnv));
+        self.bytes
+    }
 }
 
 /// Record-payload checksum: four interleaved word-wide FNV-1a 64 lanes.
@@ -1003,11 +1077,15 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         self.lock().crashed.clone()
     }
 
-    /// The sink index currently being appended to (the GC boundary).
-    pub fn active_index(&self) -> u64 {
+    /// The first sink index a snapshot of the ledger taken now does not
+    /// cover: the index being appended to while appends may still land
+    /// in it, one past it once the close path has sealed and dropped
+    /// the sink.
+    pub(crate) fn gc_boundary(&self) -> u64 {
+        let sealed = S::lock(&self.segment).is_none();
         // ORDERING: Relaxed — a monotonic boundary read; observing a
         // stale (smaller) index only makes GC more conservative.
-        self.active.load(Ordering::Relaxed)
+        self.active.load(Ordering::Relaxed) + u64::from(sealed)
     }
 
     /// Scenario probe: `(submitted, committed)` under the state lock.
@@ -1288,18 +1366,19 @@ impl Wal {
         self.shared.group_stats()
     }
 
-    /// The segment index currently being appended to. Segments below
-    /// this index are immutable and fully committed, which is what makes
-    /// them safe to GC once a snapshot covers them.
-    pub fn active_segment(&self) -> u64 {
-        self.shared.active_index()
+    /// The first segment index a snapshot of the ledger taken now does
+    /// not cover: the segment being appended to while the log is open —
+    /// segments below it are immutable and fully committed — and one
+    /// past it once [`close`](Wal::close) has sealed it.
+    pub fn gc_boundary(&self) -> u64 {
+        self.shared.gc_boundary()
     }
 
     /// Deletes every segment with index `< boundary`. Call only after a
-    /// *verified* snapshot taken while `boundary <= active_segment()`
-    /// held: such segments were fully committed — hence fully applied,
-    /// since applies precede commits — before the snapshot read the
-    /// ledger, so the snapshot dominates them.
+    /// *verified* snapshot taken after [`gc_boundary`](Wal::gc_boundary)
+    /// returned `boundary`: such segments were fully committed — hence
+    /// fully applied, since applies precede commits — before the
+    /// snapshot read the ledger, so the snapshot dominates them.
     pub fn gc_below(&self, boundary: u64) -> io::Result<usize> {
         let mut removed = 0;
         for (index, path) in list_segments(&self.dir)? {
@@ -1399,9 +1478,7 @@ impl ActiveSegment {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        let mut header = [0u8; SEGMENT_HEADER_LEN];
-        header[..8].copy_from_slice(&WAL_MAGIC);
-        header[8..].copy_from_slice(&index.to_be_bytes());
+        let header = file_header(WAL_MAGIC, index);
         let want = (target as usize)
             .saturating_add(SEGMENT_HEADER_LEN + SEAL_LEN + MAP_SLACK)
             .max(min_map);
@@ -1580,10 +1657,7 @@ impl ActiveSegment {
     /// any two steps leaves an ordinary unsealed segment whose records
     /// all replay.
     fn seal(&mut self) -> Result<(), WalError> {
-        let mut footer = [0u8; SEAL_LEN];
-        footer[..4].copy_from_slice(&SEAL_MARKER.to_be_bytes());
-        footer[4..12].copy_from_slice(&self.records.to_be_bytes());
-        footer[12..].copy_from_slice(&self.fnv.to_be_bytes());
+        let footer = seal_footer(self.records, self.fnv);
         if self.map.take().is_some() {
             self.file.set_len(self.bytes)?;
         }
@@ -1865,10 +1939,14 @@ mod tests {
         wal.append("s", 1, 1, &le_bytes(&[1.0])).unwrap();
         wal.close().unwrap();
         let wal = Wal::open(WalConfig::new(&dir)).unwrap();
-        assert_eq!(wal.active_segment(), 1);
         wal.append("s", 1, 2, &le_bytes(&[2.0])).unwrap();
-        assert_eq!(wal.gc_below(wal.active_segment()).unwrap(), 1);
+        // Open, the fresh segment 1 is still landing records: a snapshot
+        // taken now covers only the ones below it.
+        assert_eq!(wal.gc_boundary(), 1);
+        assert_eq!(wal.gc_below(wal.gc_boundary()).unwrap(), 1);
         wal.close().unwrap();
+        // Closed, the last segment is sealed and covered too.
+        assert_eq!(wal.gc_boundary(), 2);
         let segments = list_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1);
         assert_eq!(segments[0].0, 1);

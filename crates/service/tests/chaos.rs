@@ -48,7 +48,7 @@ impl Drop for ChaosGuard {
 
 fn temp_path(name: &str, seed: u64) -> PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("oisum-chaos-{}-{name}-{seed}.json", std::process::id()));
+    p.push(format!("oisum-chaos-{}-{name}-{seed}.snap", std::process::id()));
     p
 }
 

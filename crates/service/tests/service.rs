@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("oisum-service-test-{}-{name}.json", std::process::id()));
+    p.push(format!("oisum-service-test-{}-{name}.snap", std::process::id()));
     p
 }
 

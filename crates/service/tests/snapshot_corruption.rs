@@ -10,12 +10,13 @@
 
 use oisum_service::proto::{le_bytes, UNTRACKED_CLIENT};
 use oisum_service::snapshot::{load, save, SnapshotError};
-use oisum_service::{serve, ServerConfig, ShardedLedger};
+use oisum_service::wal::{list_segments, SEAL_MARKER, SEGMENT_HEADER_LEN};
+use oisum_service::{recover, serve, ServerConfig, ShardedLedger, Wal, WalConfig, WalError};
 use std::path::{Path, PathBuf};
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("oisum-corrupt-test-{}-{name}.json", std::process::id()));
+    p.push(format!("oisum-corrupt-test-{}-{name}.snap", std::process::id()));
     p
 }
 
@@ -30,15 +31,41 @@ fn write_reference_snapshot(path: &Path) -> ShardedLedger {
     ledger
 }
 
+/// The same ledger as [`write_reference_snapshot`], byte for byte as the
+/// JSON v2 snapshot format (a JSON body behind an fnv1a64 footer) wrote
+/// it before snapshots moved onto the WAL framing.
+const JSON_V2_SNAPSHOT: &str = concat!(
+    r#"{"version":2,"entries":[{"stream":"alpha","overflows":0,"dedup":[[9,4]],"#,
+    r#""batches":2,"values":5,"sum":[0,0,999999999999,6917529027641081856,0,0]},"#,
+    r#"{"stream":"beta","overflows":0,"dedup":[],"batches":1,"values":1,"sum":"#,
+    r#"[18446744073709551615,18446744073709551615,18446744073709551615,"#,
+    r#"9223372036854775808,0,0]}]}"#,
+    "\nOISUM-SNAPSHOT v2 fnv1a64=efb6d78d69bac42c len=307",
+);
+
+/// Byte offsets of each record in a sealed file, then of its seal.
+fn record_starts(bytes: &[u8]) -> Vec<usize> {
+    let mut starts = vec![SEGMENT_HEADER_LEN];
+    loop {
+        let at = *starts.last().unwrap();
+        let len = u32::from_be_bytes(bytes[at..at + 4].try_into().unwrap());
+        if len == SEAL_MARKER {
+            return starts;
+        }
+        starts.push(at + 4 + len as usize + 8);
+    }
+}
+
 /// Asserts a failed load left `ledger` exactly as constructed: empty.
 fn assert_untouched(ledger: &ShardedLedger) {
     assert!(ledger.sum("alpha").is_none(), "failed load must not create streams");
     assert!(ledger.sum("beta").is_none(), "failed load must not create streams");
 }
 
-/// Every single-bit flip anywhere in the file — body, separator, footer
-/// — is caught. This is the exhaustive version of "checksums work": no
-/// bit position exists whose flip restores silently.
+/// Every single-bit flip anywhere in the file — header, record lengths,
+/// payloads, checksums, seal — is caught. This is the exhaustive version
+/// of "checksums work": no bit position exists whose flip restores
+/// silently.
 #[test]
 fn every_single_bit_flip_is_rejected() {
     let path = temp_path("bitflip");
@@ -52,9 +79,13 @@ fn every_single_bit_flip_is_rejected() {
             std::fs::write(&path, &mangled).unwrap();
             let fresh = ShardedLedger::new(2);
             match load(&path, &fresh) {
-                Err(_) => assert_untouched(&fresh),
-                Ok(_) => panic!(
-                    "flip of bit {bit} in byte {byte} (of {}) restored successfully",
+                Err(
+                    SnapshotError::NotASnapshot(_)
+                    | SnapshotError::Corrupt { .. }
+                    | SnapshotError::Unsealed { .. },
+                ) => assert_untouched(&fresh),
+                other => panic!(
+                    "flip of bit {bit} in byte {byte} (of {}) gave {other:?}",
                     pristine.len()
                 ),
             }
@@ -64,8 +95,8 @@ fn every_single_bit_flip_is_rejected() {
 }
 
 /// Every truncation point — from the empty file up to one byte short of
-/// complete — is rejected with a typed error, and the error is the
-/// *right* type at the boundaries we can name.
+/// complete — is rejected as a snapshot missing its seal, or as damage
+/// before a seal-shaped tail, and never restored.
 #[test]
 fn every_truncation_point_is_rejected() {
     let path = temp_path("truncate");
@@ -78,12 +109,7 @@ fn every_truncation_point_is_rejected() {
         let err = load(&path, &fresh)
             .expect_err(&format!("truncation to {keep}/{} bytes restored", pristine.len()));
         assert!(
-            matches!(
-                err,
-                SnapshotError::MissingFooter
-                    | SnapshotError::Truncated { .. }
-                    | SnapshotError::ChecksumMismatch { .. }
-            ),
+            matches!(err, SnapshotError::Unsealed { .. } | SnapshotError::Corrupt { .. }),
             "truncation to {keep} bytes produced the wrong error class: {err}"
         );
         assert_untouched(&fresh);
@@ -92,83 +118,145 @@ fn every_truncation_point_is_rejected() {
 }
 
 /// Bytes appended after a valid file (log-style concatenation, editor
-/// droppings) break the footer position and are rejected.
+/// droppings) are refused as data after the seal.
 #[test]
 fn trailing_garbage_is_rejected() {
     let path = temp_path("trailing");
     write_reference_snapshot(&path);
     let mut bytes = std::fs::read(&path).unwrap();
+    let sealed_len = bytes.len() as u64;
     bytes.extend_from_slice(b"\n{\"oops\":1}");
     std::fs::write(&path, &bytes).unwrap();
     let fresh = ShardedLedger::new(2);
-    assert!(load(&path, &fresh).is_err(), "trailing garbage restored successfully");
+    match load(&path, &fresh) {
+        Err(SnapshotError::Corrupt { offset, .. }) => assert_eq!(offset, sealed_len),
+        other => panic!("trailing garbage gave {other:?}"),
+    }
     assert_untouched(&fresh);
     std::fs::remove_file(&path).ok();
 }
 
-/// A file that was never a snapshot (empty, plain text, old v1 JSON
-/// without a footer) is refused as `MissingFooter`.
+/// A file that was never a snapshot in this format is refused by its
+/// header: empty, plain text, JSON of either old version (sealed exactly
+/// as the JSON format wrote it, or not), and a sealed WAL segment copied
+/// to the snapshot path. A server refuses to start on the JSON-era file,
+/// naming the snapshot.
 #[test]
 fn non_snapshot_files_are_refused() {
     let path = temp_path("notasnapshot");
+    let wal_dir = std::env::temp_dir()
+        .join(format!("oisum-corrupt-test-{}-segment", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let wal = Wal::open(WalConfig::new(&wal_dir)).unwrap();
+    wal.append("alpha", 9, 4, &le_bytes(&[0.125])).unwrap();
+    wal.close().unwrap();
+    let segment = std::fs::read(&list_segments(&wal_dir).unwrap()[0].1).unwrap();
+    std::fs::remove_dir_all(&wal_dir).ok();
+
     for contents in [
-        "",
-        "hello world",
-        r#"{"version":1,"entries":[]}"#,
-        r#"{"version":2,"entries":[]}"#, // valid body, but unsealed
+        &b""[..],
+        b"hello world",
+        br#"{"version":1,"entries":[]}"#,
+        br#"{"version":2,"entries":[]}"#, // valid body, but unsealed
+        JSON_V2_SNAPSHOT.as_bytes(),
+        &segment,
     ] {
         std::fs::write(&path, contents).unwrap();
         let fresh = ShardedLedger::new(1);
         match load(&path, &fresh) {
-            Err(SnapshotError::MissingFooter) => {}
-            other => panic!("unsealed file {contents:?} gave {other:?}"),
+            Err(SnapshotError::NotASnapshot(_)) => {}
+            // Shorter than a header's magic: indistinguishable from a
+            // snapshot torn before its first byte landed.
+            Err(SnapshotError::Unsealed { offset: 0 }) if contents.len() < 8 => {}
+            other => panic!("non-snapshot file {contents:?} gave {other:?}"),
         }
         assert_untouched(&fresh);
+    }
+
+    std::fs::write(&path, JSON_V2_SNAPSHOT).unwrap();
+    match serve(ServerConfig { snapshot_path: Some(path.clone()), ..ServerConfig::default() }) {
+        Err(e) => assert!(
+            e.to_string().contains("snapshot"),
+            "refusal must be attributable: {e}"
+        ),
+        Ok(handle) => {
+            handle.shutdown();
+            handle.join().ok();
+            panic!("server started from a JSON-era snapshot");
+        }
     }
     std::fs::remove_file(&path).ok();
 }
 
-/// The error carries the evidence: a truncated body reports expected vs
-/// actual lengths, a flipped body reports both checksums.
+/// The converse: a snapshot copied into a WAL directory under a segment
+/// name is refused by recovery's header check, not replayed.
+#[test]
+fn a_snapshot_is_refused_as_a_segment() {
+    let dir = std::env::temp_dir()
+        .join(format!("oisum-corrupt-test-{}-snapshot-as-segment", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    write_reference_snapshot(&dir.join("wal-0000000000000000.log"));
+    let fresh = ShardedLedger::new(1);
+    assert!(matches!(recover(&dir, &fresh), Err(WalError::BadHeader { segment: 0, .. })));
+    assert_untouched(&fresh);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The error carries the evidence: the byte offset of the record the
+/// damage sits in, or of where the verified records end.
 #[test]
 fn errors_carry_forensics() {
     let path = temp_path("forensics");
     write_reference_snapshot(&path);
     let pristine = std::fs::read(&path).unwrap();
-    let body_len = {
-        let text = String::from_utf8(pristine.clone()).unwrap();
-        text[..text.rfind('\n').unwrap()].len()
+    // alpha's record, beta's record, the seal.
+    let [alpha, beta, seal] = record_starts(&pristine)[..] else {
+        panic!("expected two records and a seal")
+    };
+    let refusal = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        load(&path, &ShardedLedger::new(1)).unwrap_err()
     };
 
-    // Cut ten bytes out of the middle of the body (footer intact).
-    let mut cut = pristine.clone();
-    cut.drain(5..15);
-    std::fs::write(&path, &cut).unwrap();
-    match load(&path, &ShardedLedger::new(1)) {
-        Err(SnapshotError::Truncated { expected, actual }) => {
-            assert_eq!(expected, body_len);
-            assert_eq!(actual, body_len - 10);
-        }
-        other => panic!("expected Truncated, got {other:?}"),
+    // Flip a byte of beta's payload: its record checksum fails inside a
+    // sealed file.
+    let mut flipped = pristine.clone();
+    flipped[beta + 8] ^= 0x10;
+    match refusal(&flipped) {
+        SnapshotError::Corrupt { offset, .. } => assert_eq!(offset, beta as u64),
+        other => panic!("expected Corrupt at {beta}, got {other:?}"),
     }
 
-    // Flip a body byte (length preserved): checksum mismatch with both
-    // values reported.
-    let mut flipped = pristine.clone();
-    flipped[8] ^= 0x10;
-    std::fs::write(&path, &flipped).unwrap();
-    match load(&path, &ShardedLedger::new(1)) {
-        Err(SnapshotError::ChecksumMismatch { expected, actual }) => {
-            assert_ne!(expected, actual);
-        }
-        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    // Cut ten bytes out of alpha's payload (seal intact): the damage is
+    // placed at alpha's record.
+    let mut cut = pristine.clone();
+    cut.drain(alpha + 10..alpha + 20);
+    match refusal(&cut) {
+        SnapshotError::Corrupt { offset, .. } => assert_eq!(offset, alpha as u64),
+        other => panic!("expected Corrupt at {alpha}, got {other:?}"),
+    }
+
+    // Truncate inside beta's record: alpha verified, then no seal.
+    match refusal(&pristine[..beta + 8]) {
+        SnapshotError::Unsealed { offset } => assert_eq!(offset, beta as u64),
+        other => panic!("expected Unsealed at {beta}, got {other:?}"),
+    }
+
+    // Flip a bit of the seal's record count: the seal does not cover
+    // the records.
+    let mut miscounted = pristine.clone();
+    miscounted[seal + 11] ^= 0x01;
+    match refusal(&miscounted) {
+        SnapshotError::Corrupt { offset, .. } => assert_eq!(offset, seal as u64),
+        other => panic!("expected Corrupt at {seal}, got {other:?}"),
     }
     std::fs::remove_file(&path).ok();
 }
 
 /// The server-level guarantee: `serve()` pointed at a corrupt snapshot
 /// returns an error mentioning the snapshot instead of starting with a
-/// zero ledger (the failure mode this PR exists to prevent).
+/// zero ledger.
 #[test]
 fn server_refuses_to_start_on_corrupt_snapshot() {
     let path = temp_path("refuse");

@@ -360,7 +360,7 @@ fn snapshot_mid_load_then_crash_recovers_the_union() {
     for seed in [20u64, 21, 22] {
         registry().reset(seed);
         let dir = temp_dir("snap-crash", seed);
-        let snap = dir.join("ledger.snapshot.json");
+        let snap = dir.join("ledger.snap");
         let wal_dir = dir.join("wal");
         let config = ServerConfig {
             shards: 4,

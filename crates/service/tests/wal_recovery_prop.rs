@@ -49,7 +49,7 @@ struct Model {
 impl Model {
     fn open(seed: u64, fsync: FsyncPolicy) -> Model {
         let dir = temp_dir(seed);
-        let snap = dir.join("ledger.snapshot.json");
+        let snap = dir.join("ledger.snap");
         let wal_dir = dir.join("wal");
         let ledger = Arc::new(ShardedLedger::new(4));
         let wal = Wal::open(WalConfig {
@@ -134,7 +134,7 @@ impl Model {
     /// Snapshot + GC, exactly the dispatch ordering: boundary first,
     /// save, verify, GC sealed segments below the boundary.
     fn snapshot(&mut self) {
-        let boundary = self.wal().active_segment();
+        let boundary = self.wal().gc_boundary();
         snapshot::save(&self.snap, &self.ledger).unwrap();
         assert!(snapshot::verify(&self.snap), "a clean save must verify");
         self.wal().gc_below(boundary).unwrap();

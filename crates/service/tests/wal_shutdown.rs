@@ -95,7 +95,7 @@ fn acked_batches_survive_shutdown_on_the_log_alone() {
 #[test]
 fn snapshot_requests_gc_covered_segments() {
     let dir = temp_dir("gc");
-    let snap = dir.join("ledger.snapshot.json");
+    let snap = dir.join("ledger.snap");
     let data = dataset(4_000, 42);
     let expected = Hp6x3::sum_f64_slice(&data).as_limbs().to_vec();
 
