@@ -663,7 +663,7 @@ fn run_wal(args: &Args, data: &[f64], expected: &ServiceHp) -> WalReport {
     // bare fan. Two reasons. Honesty of the ratio: a bare fan pass on
     // this box swings 17-46 Mvalues/s run to run (the reactor alone is
     // latency-coupled to machine weather), while a logged fan is paced
-    // by the committer and repeats within a few percent — pairing
+    // by the WAL pump and repeats within a few percent — pairing
     // stable-vs-noisy yields a ratio that is mostly baseline noise.
     // And specificity: WAL-on vs WAL-off is already gated above over
     // the threaded transport; what the group gate must police is the

@@ -62,7 +62,7 @@ use oisum_service::dispatch::{local_contribution, ClusterOps, ClusterSumOut};
 use oisum_service::ledger::{ShardedLedger, StreamState};
 use oisum_service::proto::{
     frame_into, peer_snapshot_data_into, read_peer_request_into, ErrorCode, PeerRequestView,
-    Response, SnapshotScope,
+    Response, SnapshotScope, MAX_FRAME,
 };
 use oisum_service::snapshot::{self, SnapshotError};
 use oisum_service::wal::{Wal, WalConfig};
@@ -573,14 +573,26 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
             PeerRequestView::SnapshotPull { origin, scope } => {
                 let states = state.snapshot_for(origin, scope);
                 let sealed = snapshot::states_to_sealed(&states)?;
-                peer_snapshot_data_into(&mut reply_buf, &sealed)?;
-                if let Some(FaultAction::PartialWrite { keep }) = check(SEAM_SNAPSHOT_PARTIAL) {
-                    let keep = keep.min(reply_buf.len());
-                    conn.write_all(&reply_buf[..keep])?;
-                    return Ok(());
+                // A snapshot too large for one frame can never be
+                // shipped: refuse it with a typed error (which the puller
+                // treats as final) and keep serving this connection.
+                if peer_snapshot_data_into(&mut reply_buf, &sealed).is_err() {
+                    Response::Error {
+                        code: ErrorCode::Internal,
+                        message: format!(
+                            "sealed snapshot of {} bytes exceeds the {MAX_FRAME}-byte peer frame cap",
+                            sealed.len()
+                        ),
+                    }
+                } else {
+                    if let Some(FaultAction::PartialWrite { keep }) = check(SEAM_SNAPSHOT_PARTIAL) {
+                        let keep = keep.min(reply_buf.len());
+                        conn.write_all(&reply_buf[..keep])?;
+                        return Ok(());
+                    }
+                    conn.write_all(&reply_buf)?;
+                    continue;
                 }
-                conn.write_all(&reply_buf)?;
-                continue;
             }
         };
         frame_into(&reply, &mut scratch, &mut reply_buf)?;

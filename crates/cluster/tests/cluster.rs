@@ -405,3 +405,77 @@ fn wal_replay_restores_watermarks_before_rejoin() {
     shutdown_all(nodes);
     std::fs::remove_dir_all(&wal_dir).ok();
 }
+
+/// A snapshot pull whose sealed states outgrow one peer frame gets a
+/// typed refusal naming the sealed size and the frame cap. The puller
+/// takes a typed refusal as final — one attempt, no transport retries —
+/// and the peer keeps serving: on the same connection, and to the next
+/// caller.
+#[test]
+fn oversized_snapshot_pull_is_refused_and_the_peer_keeps_serving() {
+    use oisum_service::ledger::StreamState;
+    use oisum_service::proto::{
+        peer_hello_into, peer_snapshot_pull_into, peer_tree_sum_into, read_peer_reply_into,
+        ErrorCode, PeerReplyView, Response, SnapshotScope, MAX_FRAME,
+    };
+    use std::io::Write;
+
+    let (membership, nodes) = start_local_cluster(2, 2, |_| {}).expect("start cluster");
+    // A dedup window of 1,100,000 clients in node 1's mirror of node 0:
+    // 16 bytes a pair seal to more than one 16 MiB peer frame.
+    let state = StreamState {
+        name: mirror_stream_name(0, "wide"),
+        sum: ServiceHp::ZERO,
+        overflows: 0,
+        dedup: (1..=1_100_000u64).map(|id| (id, 1)).collect(),
+        batches: 1_100_000,
+        values: 1_100_000,
+    };
+    nodes[1].mirrors().install(&state);
+    let shipped = StreamState { name: "wide".to_owned(), ..state };
+    let sealed = oisum_service::snapshot::states_to_sealed(&[shipped]).unwrap().len();
+    assert!(sealed > MAX_FRAME as usize, "the window must outgrow a frame ({sealed} bytes)");
+
+    // Sealing 17 MB takes a debug build on a busy host longer than the
+    // default 2-s read timeout, which would turn the refusal into a
+    // transport retry.
+    let pool = oisum_cluster::PeerPool::new(
+        0,
+        Arc::clone(&membership),
+        oisum_cluster::PeerCallConfig {
+            read_timeout: std::time::Duration::from_secs(60),
+            ..Default::default()
+        },
+    );
+    let err = pool
+        .snapshot_pull(1, 0, SnapshotScope::MirrorOfOrigin)
+        .expect_err("an unshippable snapshot must be refused");
+    assert!(err.starts_with("peer refused (Internal)"), "not a typed refusal: {err}");
+    assert!(err.contains(&format!("{sealed} bytes")), "{err}");
+    assert!(err.contains(&format!("{MAX_FRAME}-byte")), "{err}");
+    let out = pool.tree_sum(1, 1, 1, "s").expect("node 1 still answers peers");
+    assert_eq!(out.holders, 0);
+
+    // One connection: hello, the oversized pull, then a tree sum.
+    let mut conn = std::net::TcpStream::connect(nodes[1].peer_addr()).expect("dial node 1");
+    let mut frames = Vec::new();
+    let mut frame = Vec::new();
+    peer_hello_into(&mut frame, 0, membership.fingerprint()).unwrap();
+    frames.extend_from_slice(&frame);
+    peer_snapshot_pull_into(&mut frame, 0, SnapshotScope::MirrorOfOrigin).unwrap();
+    frames.extend_from_slice(&frame);
+    peer_tree_sum_into(&mut frame, 1, 1, "s").unwrap();
+    frames.extend_from_slice(&frame);
+    conn.write_all(&frames).unwrap();
+    let mut buf = Vec::new();
+    let mut reply = || match read_peer_reply_into(&mut &conn, &mut buf).unwrap() {
+        Some(PeerReplyView::Json(reply)) => reply,
+        other => panic!("expected a JSON reply, got {other:?}"),
+    };
+    assert!(matches!(reply(), Response::PeerHello { node_id: 1 }));
+    assert!(matches!(reply(), Response::Error { code: ErrorCode::Internal, .. }));
+    assert!(matches!(reply(), Response::ClusterSum { holders: 0, .. }));
+    drop(conn);
+
+    shutdown_all(nodes);
+}

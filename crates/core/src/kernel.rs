@@ -19,7 +19,7 @@
 //! * **One fast/slow branch per group, not per value.** The group's
 //!   lane-wise maximum raw exponent is compared against the format
 //!   threshold once; only a group containing a non-finite or
-//!   out-of-range member takes the [`#[cold]` mixed path](mixed_group),
+//!   out-of-range member takes the `#[cold]` mixed path (`mixed_group`),
 //!   which re-screens per value and routes offenders through the scalar
 //!   Listing-1 reference encode.
 //! * **Sharded scatter banks.** Each lane deposits into its own
@@ -56,7 +56,7 @@
 //!
 //! Every deposit into a scatter bank is an exact `i128` integer
 //! addition, and the chunk fold sums the lanes' banks slot-wise before
-//! handing the per-limb partials to [`BatchAcc::absorb_partials`].
+//! handing the per-limb partials to `BatchAcc::absorb_partials`.
 //! Re-distributing values across lanes (or changing [`LANES`] itself)
 //! only reassociates those integer additions — no rounding, no
 //! truncation, no wrap below the `2^73` partial bound — so the folded
@@ -74,12 +74,12 @@
 //! Listing 1 (`mantissa · 2^(exp + 64·K)` with sub-resolution bits
 //! shifted out toward zero). Everything else — non-finite values and
 //! magnitudes at or beyond the format range, recognized by a *single*
-//! compare of the raw exponent field against [`a threshold`](Tables) —
-//! falls back to the scalar [`encode_listing1`] for that value, so even
-//! the debug assertions and the release-mode saturation garbage are
-//! identical to the per-value path. The `encode_fast_path_matches_reference`
-//! proptest, the every-length tail suite, and the golden-vector suite
-//! pin this bit for bit.
+//! compare of the raw exponent field against a threshold
+//! (`Tables::THRESH`) — falls back to the scalar [`encode_listing1`] for
+//! that value, so even the debug assertions and the release-mode
+//! saturation garbage are identical to the per-value path. The
+//! `encode_fast_path_matches_reference` proptest, the every-length tail
+//! suite, and the golden-vector suite pin this bit for bit.
 
 use crate::batch::BatchAcc;
 use crate::convert::encode_listing1;
@@ -262,7 +262,7 @@ pub fn encode_f64_batch<const N: usize, const K: usize>(acc: &mut BatchAcc<N, K>
 /// the lane kernel without an intermediate per-value iterator. The
 /// byte→`f64` chunk copy below compiles to a straight `memcpy` on
 /// little-endian targets (and a byte-swapping vector loop elsewhere);
-/// everything after it is [`encode_chunk`], so the result is bitwise
+/// everything after it is `encode_chunk`, so the result is bitwise
 /// identical to decoding the values first and calling
 /// [`encode_f64_batch`].
 ///
@@ -282,6 +282,34 @@ pub fn encode_f64_le_batch<const N: usize, const K: usize>(acc: &mut BatchAcc<N,
         }
         encode_chunk(acc, &mut banks, &buf[..n]);
     }
+}
+
+/// The index of the first little-endian `f64` in `bytes` that an
+/// `HP(N, K)` accumulator cannot hold: a NaN, an infinity, or a
+/// magnitude at or beyond the format range `2^(64·(N−K)−1)`. These are
+/// exactly the values the kernel's own threshold routes to the scalar
+/// Listing-1 encode, which debug-asserts on them and saturates in
+/// release, so a caller that must refuse rather than deposit garbage
+/// screens its input here first. `None` means every value is finite
+/// and in range. Trailing bytes beyond the last whole `f64` are
+/// ignored, as [`encode_f64_le_batch`] ignores them.
+pub fn first_out_of_range_le<const N: usize, const K: usize>(bytes: &[u8]) -> Option<usize> {
+    // With the sign shifted out, a value's bits order as its raw
+    // exponent field first, so one unsigned compare against the
+    // threshold exponent's bits screens it; the max pass has no early
+    // exit and vectorizes, and only a batch holding an offender pays
+    // for the search.
+    let limit = u64::from(Tables::<N, K>::THRESH) << 53;
+    let key = |le: &[u8]| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(le);
+        u64::from_le_bytes(word) << 1
+    };
+    let max = bytes.chunks_exact(8).map(key).max()?;
+    if max < limit {
+        return None;
+    }
+    bytes.chunks_exact(8).position(|le| key(le) >= limit)
 }
 
 /// One chunk (≤ [`ENCODE_CHUNK`] values): scatter two's-complement
@@ -480,6 +508,32 @@ mod tests {
         assert_eq!(Tables::<16, 0>::THRESH, 2046);
         // All-fraction format: |x| < 0.5.
         assert_eq!(Tables::<1, 1>::THRESH, 1022);
+    }
+
+    #[test]
+    fn out_of_range_screen_is_the_kernel_threshold() {
+        let le = |xs: &[f64]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        // Every raw exponent, both signs: refused exactly when the
+        // kernel would route the value to the scalar fallback.
+        for raw in 0u64..2048 {
+            for sign in [0u64, 1 << 63] {
+                let x = f64::from_bits(sign | raw << 52 | 0x8_0000_0000_0001);
+                let refused = first_out_of_range_le::<6, 3>(&le(&[0.5, x])).is_some();
+                assert_eq!(refused, raw >= u64::from(Tables::<6, 3>::THRESH), "raw {raw}");
+            }
+        }
+        let edge = f64::from_bits(2f64.powi(191).to_bits() - 1);
+        let fine = [1.0, edge, -edge, 5e-324, -0.0, 0.0];
+        assert_eq!(first_out_of_range_le::<6, 3>(&le(&fine)), None);
+        for bad in [2f64.powi(191), -2f64.powi(191), 1e300, -1e300, f64::NAN, f64::INFINITY] {
+            let mut xs = fine.to_vec();
+            xs.insert(3, bad);
+            xs.push(-f64::INFINITY);
+            assert_eq!(first_out_of_range_le::<6, 3>(&le(&xs)), Some(3), "{bad}");
+        }
+        // Nothing to screen, and a sub-value tail, are both in range.
+        assert_eq!(first_out_of_range_le::<6, 3>(&[]), None);
+        assert_eq!(first_out_of_range_le::<6, 3>(&[0xff; 7]), None);
     }
 
     #[test]

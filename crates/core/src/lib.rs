@@ -45,13 +45,13 @@
 //! |--------|--------------|----------|
 //! | [`fixed`] | §III.A, Listings 1–2 | [`HpFixed<N, K>`](fixed::HpFixed) value type and arithmetic |
 //! | [`convert`] | Listing 1 | the float-path conversion loop and its inverse |
-//! | [`batch`] | throughput extension | [`BatchAcc`](batch::BatchAcc), carry-deferred batch accumulation |
-//! | [`kernel`] | throughput extension | [`encode_f64_batch`](kernel::encode_f64_batch), the branchless chunk encode kernel |
-//! | [`atomic`] | §III.B.2 | [`AtomicHp`](atomic::AtomicHp), CAS/fetch-add accumulators |
-//! | [`sync_shim`] | — | [`SyncShimLike`](sync_shim::SyncShimLike), the Mutex/Condvar abstraction the model checker instantiates |
-//! | [`format`] | Table 1 | runtime format descriptors, range/resolution math |
+//! | [`batch`] | throughput extension | [`BatchAcc`], carry-deferred batch accumulation |
+//! | [`kernel`] | throughput extension | [`encode_f64_batch`], the branchless chunk encode kernel |
+//! | [`atomic`] | §III.B.2 | [`AtomicHp`], CAS/fetch-add accumulators |
+//! | [`sync_shim`] | — | [`SyncShimLike`], the Mutex/Condvar abstraction the model checker instantiates |
+//! | [`format`](mod@format) | Table 1 | runtime format descriptors, range/resolution math |
 //! | [`dyn_hp`] | — | runtime-format values backing the adaptive extension |
-//! | [`adaptive`] | §V (future work) | [`AdaptiveHp`](adaptive::AdaptiveHp), runtime precision growth |
+//! | [`adaptive`] | §V (future work) | [`AdaptiveHp`], runtime precision growth |
 //! | [`ops`] | extension | exact integer scaling, abs/signum, weighted sums |
 //! | [`dot`] | extension | exact order-invariant dot products (EFT + HP) |
 //! | [`trace`] | Fig. 3 | step-by-step conversion/addition transcripts |

@@ -12,7 +12,7 @@
 //! [`oisum_core::AtomicU64Like`] abstracts the accumulator's atomic
 //! cells. Production uses `std::sync::atomic::AtomicU64`; here,
 //! [`ModelAtomicU64`] routes every atomic operation through a
-//! cooperative scheduler ([`sched`]) that parks the calling thread until
+//! cooperative scheduler (`sched`) that parks the calling thread until
 //! the controller grants it one step. Execution is therefore fully
 //! serialized and every context switch is a *choice point*. The
 //! explorer ([`Model::check`]) runs the scenario repeatedly, depth-first

@@ -67,13 +67,12 @@ fn condvar_rendezvous_clean() {
     assert_eq!(*report.sole_outcome(), 42);
 }
 
-/// Seeded bug #1 — the WAL's `done_waiters` skip-guard with the
-/// waiter-side increment removed. The notifier updates the predicate,
-/// loads a waiter count that is still zero, and skips the notify; in
-/// the schedule where the waiter parks first, nothing ever wakes it.
-/// This is exactly the stranding class the real `append_contended` park
-/// path guards against by handing its record to the committer, and the
-/// checker must call it a lost wakeup, not hang.
+/// Seeded bug #1 — a notify skip-guard (wake only when a waiter count
+/// is nonzero) with the waiter-side increment removed. The notifier
+/// updates the predicate, loads a waiter count that is still zero, and
+/// skips the notify; in the schedule where the waiter parks first,
+/// nothing ever wakes it. The checker must call it a lost wakeup, not
+/// hang.
 struct SkipGuard {
     state: ModelMutex<u64>, // committed watermark
     done: ModelCondvar,
@@ -119,8 +118,7 @@ fn seeded_skip_guard_without_count_is_lost_wakeup() {
     );
 }
 
-/// The counted-waiter protocol (the shape `Shared::wait_done` /
-/// `notify_done` actually use) survives every schedule: either the
+/// The counted-waiter protocol survives every schedule: either the
 /// waiter sees the updated predicate and never parks, or the notifier
 /// sees the increment and notifies.
 #[test]

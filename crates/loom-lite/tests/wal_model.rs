@@ -1,46 +1,47 @@
-//! The *real* WAL group-commit protocol under exhaustive/bounded
-//! schedule exploration.
+//! The *real* WAL group-commit protocol under bounded schedule
+//! exploration.
 //!
 //! `oisum_service::wal::Shared` is generic over
 //! [`oisum_core::SyncShimLike`] and a storage sink, so the exact
-//! production code paths — `append`'s inline fast path, the contended
-//! spin/park path, `submit` and the `wait_mark_beyond` pump the epoll
-//! reactor parks on, `run_committer`'s drain loop, the `done_waiters`
-//! notify skip-guard — run here against model primitives, with every
-//! lock, wait, notify, and atomic a scheduling point. Each scenario
-//! asserts, in every explored schedule:
+//! production code paths — `append`'s inline fast path, its contended
+//! path (queue the record, block on the segment lock, then commit the
+//! queue unless the mark already covers the ticket), `submit` and the
+//! `commit_next` pump the epoll reactor runs, and `close` — run here
+//! against model primitives, with every lock, wait, notify, and atomic
+//! a scheduling point. Each scenario asserts, in every explored
+//! schedule:
 //!
 //! * **no verdicts** — no deadlock, no lost wakeup, no lock-order
 //!   inversion (the `segment < state` order is declared to the
 //!   checker);
 //! * **dense watermark** — `committed` never exceeds `submitted`, and
-//!   both equal the appended count at the end;
-//! * **ACKed implies durable** — at every probe point the sink's synced
-//!   watermark covers everything `committed` claims (with fsync on), so
-//!   an `Ok` append was durable when ACKed;
+//!   both equal the accepted count at the end;
+//! * **ACKed implies durable** — when `append` returns `Ok`, the
+//!   appender's own record is already among the sink's durable records
+//!   (synced under `group`, written under `never`), and every mark the
+//!   pump returns covers only synced records;
 //! * **clean close** — the sink is sealed exactly once, after all
 //!   records (the sink double below refuses a second seal and any
-//!   record after one).
+//!   record after one);
+//! * **refusals leave nothing** — an append that lost the race to
+//!   `close` is refused, and the sink holds exactly the accepted
+//!   records.
 //!
-//! The contended park path once had a genuine stranding window here: an
-//! appender that lost the segment-lock race to a direct committer whose
-//! group did not cover its ticket could park on `done` just as that
-//! committer's skip-guarded notify saw zero waiters — leaving the
-//! record queued with nobody left to commit it until the next append,
-//! flush, or close. These scenarios fail with a lost-wakeup verdict if
-//! that hand-to-committer fix regresses.
+//! Two seeded bugs must fail here: a contended appender that returns
+//! once it holds the segment lock without committing (an ACK that is
+//! not durable), and a `submit` that never wakes the pump (a lost
+//! wakeup).
 
-use oisum_loom_lite::{declare_lock_order, Model, ModelSyncShim, ThreadBody};
+use oisum_loom_lite::{declare_lock_order, Model, ModelSyncShim, Report, ThreadBody};
 use oisum_service::wal::{FsyncPolicy, MemSink, SegmentSink, Shared, WalError, LOCK_ORDER};
-use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex as StdMutex};
 
 /// [`MemSink`] behind an `Arc` so the scenario can still observe it
-/// after the committer's close path takes it out of the protocol
-/// (`*seg = None`, exactly as production drops the sealed file). The
-/// inner `std` mutex is never contended — the protocol only touches the
-/// sink under the model-checked `segment` lock — so it adds no blocking
-/// the scheduler can't see.
+/// after `close` takes it out of the protocol and drops it, exactly as
+/// production drops the sealed file. The inner `std` mutex is never
+/// contended — the protocol only touches the sink under the
+/// model-checked `segment` lock, and no scenario holds it across a
+/// scheduling point — so it adds no blocking the scheduler can't see.
 struct SharedSink(Arc<StdMutex<MemSink>>);
 
 impl SharedSink {
@@ -86,61 +87,63 @@ impl SegmentSink for SharedSink {
 struct WalScenario {
     shared: Shared<ModelSyncShim, SharedSink>,
     sink: Arc<StdMutex<MemSink>>,
+    /// Client ids whose append or submit was accepted, in ACK order.
+    /// A plain mutex for the same reason as the sink's.
+    accepted: StdMutex<Vec<u64>>,
 }
 
 fn mk_scenario(fsync: FsyncPolicy) -> WalScenario {
     let sink = Arc::new(StdMutex::new(MemSink::default()));
     WalScenario {
-        // spin_budget 0: a spin only re-checks the same state, so in
-        // the model it would just multiply identical schedules.
-        shared: Shared::new(fsync, SharedSink(Arc::clone(&sink)), 0, 0),
+        shared: Shared::new(fsync, SharedSink(Arc::clone(&sink)), 0),
         sink,
+        accepted: StdMutex::new(Vec::new()),
     }
 }
 
-/// An appender thread: appends one record and, on ACK, probes the
-/// ACKed-implies-durable and dense-watermark invariants at that very
-/// point in the schedule (not just at the end).
+/// The client ids of the framed records in `bytes`, in file order. A
+/// record is `len | client_id seq name_len name values | checksum`.
+fn record_ids(bytes: &[u8]) -> Vec<u64> {
+    let mut ids = Vec::new();
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        ids.push(u64::from_be_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()));
+        pos += 4 + len + 8;
+    }
+    ids
+}
+
+/// An appender thread: appends one record. On ACK it checks, at that
+/// very point in the schedule, that its record is durable — synced
+/// under `group`, written under `never`. A `Closed` refusal is the
+/// outcome of losing the race to `close`; anything else fails.
 fn appender(id: u64, fsyncs: bool) -> ThreadBody<WalScenario> {
     Box::new(move |s: &WalScenario| {
-        s.shared
-            .append("model", id, 1, &id.to_le_bytes())
-            .expect("append must be ACKed");
-        s.shared.probe(|sink, submitted, committed| {
-            assert!(committed <= submitted, "watermark must stay dense");
-            if fsyncs {
-                if let Some(sink) = sink {
-                    let m = sink.mem();
-                    assert!(
-                        m.synced_records >= committed,
-                        "ACKed-implies-durable: committed {} > synced {}",
-                        committed,
-                        m.synced_records
-                    );
-                }
+        match s.shared.append("model", id, 1, &id.to_le_bytes()) {
+            Ok(()) => {
+                let m = s.sink.lock().unwrap();
+                let durable = if fsyncs { m.synced_records } else { m.records };
+                let ids = record_ids(&m.bytes);
+                drop(m);
+                assert!(
+                    ids[..durable as usize].contains(&id),
+                    "ACKed append {id} is not durable at its ACK (durable records {ids:?}[..{durable}])"
+                );
+                s.accepted.lock().unwrap().push(id);
             }
-        });
+            Err(WalError::Closed) => {}
+            Err(e) => panic!("append {id} failed: {e}"),
+        }
+        let (submitted, committed) = s.shared.queue_snapshot();
+        assert!(committed <= submitted, "watermark must stay dense");
     })
 }
 
-fn committer() -> ThreadBody<WalScenario> {
-    Box::new(|s: &WalScenario| s.shared.run_committer())
-}
-
-/// An appender that doubles as the closer: appends, then waits
-/// (blocking, counted — never polling) for all `n` tickets to commit
-/// and stops the committer so it drains and seals. Folding the roles
-/// keeps the thread count at three, which is what keeps the
-/// preemption-bounded tree enumerable in seconds rather than minutes —
-/// and the stranding window needs only two appenders plus the
-/// committer anyway.
-fn appender_then_closer(id: u64, fsyncs: bool, n: u64) -> ThreadBody<WalScenario> {
-    let append = appender(id, fsyncs);
-    Box::new(move |s: &WalScenario| {
-        append(s);
-        s.shared.wait_committed(n);
-        s.shared.request_stop();
-    })
+/// Closes the log: commits whatever is queued, seals, and refuses
+/// every later append.
+fn closer() -> ThreadBody<WalScenario> {
+    Box::new(|s: &WalScenario| s.shared.close().expect("close of an uncrashed log"))
 }
 
 /// A reactor-side submitter: enqueues one record without waiting for
@@ -149,51 +152,65 @@ fn submitter(id: u64, n: u64) -> ThreadBody<WalScenario> {
     Box::new(move |s: &WalScenario| {
         let ticket = s.shared.submit("model", id, 1, &id.to_le_bytes()).expect("submit accepted");
         assert!((1..=n).contains(&ticket), "tickets are issued densely");
+        s.accepted.lock().unwrap().push(id);
     })
 }
 
-/// The reactor's WAL pump, doubling as the closer: parks in
-/// `wait_mark_beyond` until the mark moves, checks at every wake that
-/// the lock-free mark the reactor releases replies on covers only
-/// synced records, and once all `n` tickets are durable stops the
-/// committer so it drains and seals. The sink is read through its
-/// plain mutex, which is never held across a scheduling point, so the
-/// checks add one choice point per wake rather than two lock handoffs.
+/// The reactor's WAL pump: loops on `commit_next`, checking after every
+/// group that the mark it returns — the one the reactor releases
+/// replies on — is dense and covers only synced records, and closes
+/// the log once the mark reaches `n`.
 fn pump_then_closer(n: u64) -> ThreadBody<WalScenario> {
     Box::new(move |s: &WalScenario| {
-        let cancel = AtomicBool::new(false);
         let mut seen = 0;
         while seen < n {
-            let committed = s.shared.wait_mark_beyond(seen, &cancel);
-            assert!(seen < committed && committed <= n, "watermark must stay dense");
-            let mark = s.shared.commit_mark();
-            assert!(mark >= committed, "the lock-free mark lags the watermark");
+            let mark = s.shared.commit_next().expect("an open, uncrashed log has a next group");
+            assert!(seen < mark && mark <= n, "watermark must stay dense");
             let synced = s.sink.lock().unwrap().synced_records;
             assert!(synced >= mark, "mark {mark} covers unsynced records (synced {synced})");
-            seen = committed;
+            seen = mark;
         }
-        s.shared.request_stop();
+        s.shared.close().expect("close of an uncrashed log");
+        assert_eq!(s.shared.commit_next(), None, "a closed log has no next group");
     })
 }
 
-/// Waits (blocking, counted — never polling) for all `n` tickets to
-/// commit, then stops the committer so it drains and seals.
-fn closer(n: u64) -> ThreadBody<WalScenario> {
-    Box::new(move |s: &WalScenario| {
-        s.shared.wait_committed(n);
-        s.shared.request_stop();
-    })
+/// The end state every schedule must satisfy: the log is sealed, the
+/// watermark covers exactly the accepted tickets, and the sink holds
+/// exactly the accepted records. Returns `(accepted, records, synced)`.
+fn observe(s: &WalScenario) -> (u64, u64, u64) {
+    let (submitted, committed) = s.shared.queue_snapshot();
+    let m = s.sink.lock().unwrap();
+    let mut accepted = s.accepted.lock().unwrap().clone();
+    let n = accepted.len() as u64;
+    assert!(m.sealed, "close sealed the sink");
+    assert_eq!((submitted, committed), (n, n), "dense watermark covers every accepted ticket");
+    let mut ids = record_ids(&m.bytes);
+    assert_eq!(m.records, ids.len() as u64);
+    ids.sort_unstable();
+    accepted.sort_unstable();
+    assert_eq!(ids, accepted, "the sink holds exactly the accepted records");
+    (n, m.records, m.synced_records)
 }
 
-/// The end-state every schedule must agree on.
-fn observe(n: u64) -> impl Fn(&WalScenario) -> (u64, u64, u64, u64, bool) {
-    move |s: &WalScenario| {
-        let (submitted, committed) = s.shared.queue_snapshot();
-        let m = s.sink.lock().unwrap();
-        assert_eq!(submitted, n, "every append got a ticket");
-        assert_eq!(committed, n, "dense watermark covers every ticket");
-        (submitted, committed, m.records, m.synced_records, m.sealed)
-    }
+/// Explores `bodies` at preemption bound 2 — the CHESS result: almost
+/// every concurrency bug manifests within two preemptions, and the
+/// tree stays enumerable — with the WAL's lock order declared.
+fn explore(fsync: FsyncPolicy, bodies: Vec<ThreadBody<WalScenario>>) -> Report<(u64, u64, u64)> {
+    declare_lock_order(&LOCK_ORDER);
+    let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
+        || mk_scenario(fsync),
+        bodies,
+        observe,
+    );
+    declare_lock_order(&[]);
+    assert!(
+        report.failure.is_none(),
+        "exploration failed after {} executions: {:?}",
+        report.executions,
+        report.failure
+    );
+    report
 }
 
 /// The ordering witness: the constant the production annotation
@@ -203,66 +220,57 @@ fn declared_order_matches_wal_annotation() {
     assert_eq!(LOCK_ORDER, ["segment", "state"]);
 }
 
-/// One appender + committer + closer, `group` policy. Bound 2 — the
-/// CHESS result: almost every concurrency bug manifests within two
-/// preemptions, and the tree stays enumerable.
+/// One appender racing `close` under `group`: the append either lands
+/// before the seal, synced at its ACK, or is refused and leaves no
+/// record. Both must happen in some schedule.
 #[test]
-fn wal_group_single_appender() {
-    declare_lock_order(&LOCK_ORDER);
-    let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario(FsyncPolicy::Group),
-        vec![appender(1, true), committer(), closer(1)],
-        observe(1),
-    );
-    declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (1, 1, 1, 1, true));
-    assert!(report.executions > 10, "blocking points must branch the tree");
+fn wal_group_single_appender_races_close() {
+    let report = explore(FsyncPolicy::Group, vec![appender(1, true), closer()]);
+    let outcomes: Vec<_> = report.outcomes.keys().copied().collect();
+    assert_eq!(outcomes, [(0, 0, 0), (1, 1, 1)]);
 }
 
-/// Two racing appenders + committer under `group`: the contended path
-/// (try_lock race, spin-exhausted park, committer handoff) is exercised
-/// across schedules. Preemption-bounded (CHESS, bound 2) to keep the
-/// tree tractable; the stranding regression above needs exactly two
-/// preemptions, so the bound covers it.
+/// Two appenders racing `close` under `group`: the loser of the
+/// segment `try_lock` takes the contended path — queue, block on the
+/// segment lock, commit the queue unless the winner's group carried
+/// its record — while `close` may win at any point.
 #[test]
-fn wal_group_two_appenders_bounded() {
-    declare_lock_order(&LOCK_ORDER);
-    let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario(FsyncPolicy::Group),
-        vec![appender_then_closer(1, true, 2), appender(2, true), committer()],
-        observe(2),
+fn wal_group_two_appenders_race_close() {
+    let report = explore(
+        FsyncPolicy::Group,
+        vec![appender(1, true), appender(2, true), closer()],
     );
-    declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (2, 2, 2, 2, true));
+    for &(accepted, records, synced) in report.outcomes.keys() {
+        assert_eq!((records, synced), (accepted, accepted));
+    }
+    assert!(report.outcomes.contains_key(&(2, 2, 2)), "some schedule accepts both appends");
 }
 
-/// The reactor's path under `group`: two non-blocking submitters, the
-/// committer, and a pump parked in `wait_mark_beyond`. Only the
-/// committer drains here, woken by the empty→1 submit alone — a lost
-/// wake strands a record and the pump with it, which the checker
+/// The same race under `never`: no fsync anywhere — `synced_records`
+/// stays 0 — but liveness, the dense watermark, and "written at its
+/// ACK" are policy-free.
+#[test]
+fn wal_never_two_appenders_race_close() {
+    let report = explore(
+        FsyncPolicy::Never,
+        vec![appender(1, false), appender(2, false), closer()],
+    );
+    for &(accepted, records, synced) in report.outcomes.keys() {
+        assert_eq!((records, synced), (accepted, 0));
+    }
+    assert!(report.outcomes.contains_key(&(2, 2, 0)), "some schedule accepts both appends");
+}
+
+/// The reactor's path under `group`: two non-blocking submitters and a
+/// pump looping on `commit_next`, which closes once its mark reaches 2.
+/// Only the pump commits here, woken by the empty→1 submit alone — a
+/// lost wake strands a record and the pump with it, which the checker
 /// reports as a lost wakeup.
 #[test]
-fn wal_group_submit_pump_bounded() {
-    declare_lock_order(&LOCK_ORDER);
-    let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario(FsyncPolicy::Group),
-        vec![submitter(1, 2), submitter(2, 2), committer(), pump_then_closer(2)],
-        observe(2),
+fn wal_group_submit_pump() {
+    let report = explore(
+        FsyncPolicy::Group,
+        vec![submitter(1, 2), submitter(2, 2), pump_then_closer(2)],
     );
-    declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (2, 2, 2, 2, true));
-}
-
-/// `never` policy: no fsync anywhere — `synced_records` stays 0, but
-/// the protocol's liveness and the dense watermark are policy-free.
-#[test]
-fn wal_never_two_appenders_bounded() {
-    declare_lock_order(&LOCK_ORDER);
-    let report = Model { preemption_bound: Some(2), ..Model::default() }.check(
-        || mk_scenario(FsyncPolicy::Never),
-        vec![appender_then_closer(1, false, 2), appender(2, false), committer()],
-        observe(2),
-    );
-    declare_lock_order(&[]);
-    assert_eq!(*report.sole_outcome(), (2, 2, 2, 0, true));
+    assert_eq!(*report.sole_outcome(), (2, 2, 2));
 }

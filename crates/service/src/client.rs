@@ -94,7 +94,7 @@ pub struct ClientConfig {
     /// Backoff ceiling.
     pub backoff_cap: Duration,
     /// Retry identity for deposits. `None` picks a fresh process-unique
-    /// id; [`UNTRACKED_CLIENT`] opts out of dedup (deposits become
+    /// id; [`UNTRACKED_CLIENT`](crate::proto::UNTRACKED_CLIENT) opts out of dedup (deposits become
     /// at-least-once under retries, as in PR 2).
     pub client_id: Option<u64>,
     /// Seed for backoff jitter, so tests can fix the retry schedule.

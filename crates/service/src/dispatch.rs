@@ -12,9 +12,10 @@
 //! Within the core, too, an `Add` has one definition. A JSON `Add` is
 //! checked against what a binary Add frame could carry and its values
 //! are converted once to little-endian bytes; from there both frame
-//! kinds run the same routine: replicate a tracked batch, deposit it
-//! through [`ShardedLedger::add_batch_le_bytes_dedup`], then make it
-//! durable before the ACK.
+//! kinds run the same routine: refuse a batch holding a value the sum
+//! format cannot hold, replicate a tracked batch, deposit it through
+//! [`ShardedLedger::add_batch_le_bytes_dedup`], then make it durable
+//! before the ACK.
 //!
 //! The cluster attaches through the [`ClusterOps`] trait rather than a
 //! concrete type so this crate stays free of any cluster dependency
@@ -24,13 +25,14 @@
 //! is exactly what makes N=1 vs N=3 comparisons meaningful: both run
 //! the same code path.
 
-use crate::ledger::ShardedLedger;
+use crate::ledger::{ShardedLedger, SERVICE_LIMBS};
 use crate::proto::{
     binary_add_lengths, le_bytes, ClientFrameView, ErrorCode, Request, Response, StreamStatsRepr,
     UNTRACKED_CLIENT,
 };
 use crate::snapshot::Checkpointer;
 use crate::wal::Wal;
+use oisum_core::kernel::first_out_of_range_le;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -269,6 +271,13 @@ impl RequestCore {
     /// replicated first, then deposited through the ledger's one deposit
     /// call, then made durable before its ACK. `value_bytes` are raw
     /// little-endian `f64`s; the shard cursor advances once.
+    ///
+    /// A batch holding a value the sum format cannot hold (a NaN, an
+    /// infinity, or a magnitude of 2^191 or more) is refused as a bad
+    /// request before any of that: the encoder's Listing-1 fallback
+    /// would deposit saturated garbage limbs for it, and the overflow
+    /// counter, which only sees carries out of the top limb, would not
+    /// flag the stream.
     fn add(
         &self,
         stream: &str,
@@ -278,6 +287,13 @@ impl RequestCore {
         shard_cursor: &mut usize,
         mode: WalMode,
     ) -> FrameOutcome {
+        if let Some(i) = first_out_of_range_le::<SERVICE_LIMBS, 3>(value_bytes) {
+            let message = format!(
+                "add value {i} is not finite or not below 2^191 in magnitude, \
+                 outside the sum format's range"
+            );
+            return FrameOutcome::Done(Response::Error { code: ErrorCode::BadRequest, message }, false);
+        }
         let hint = *shard_cursor;
         *shard_cursor = shard_cursor.wrapping_add(1);
         let tracked = client_id != UNTRACKED_CLIENT;
@@ -731,6 +747,88 @@ mod tests {
         assert_eq!(ledger.sum("s").unwrap().to_f64(), most as f64);
         assert_eq!(cluster.calls.lock().unwrap().len(), 1);
         assert_eq!(wal.group_stats().0, 1);
+        wal.close().unwrap();
+        std::fs::remove_dir_all(wal.dir()).ok();
+    }
+
+    /// A value the sum format cannot hold — a NaN, an infinity, or a
+    /// magnitude of 2^191 or more — is refused as a bad request naming
+    /// its index, from either frame kind, tracked or not, before
+    /// replication, deposit or logging. Just inside the range,
+    /// ±(2^191 − ulp) deposit their Listing-1 encodings bit for bit.
+    #[test]
+    fn out_of_range_values_are_refused_before_apply() {
+        let wal = scratch_wal("range");
+        let cluster = Arc::new(RecordingCluster::default());
+        let ledger = Arc::new(ShardedLedger::new(2));
+        let core = RequestCore::new(Arc::clone(&ledger))
+            .with_cluster(Arc::clone(&cluster) as Arc<dyn ClusterOps>)
+            .with_wal(Arc::clone(&wal));
+        let mut cursor = 0usize;
+        let mut seq = 0u64;
+        let mut send = |binary: bool, stream: &str, tracked: bool, values: &[f64]| {
+            seq += 1;
+            let id = if tracked { 7 } else { UNTRACKED_CLIENT };
+            let wire = add_binary_bytes(stream, id, seq, values).unwrap();
+            let frame = if binary {
+                parse_client_frame(MAGIC_ADD_BIN, &wire[8..]).unwrap()
+            } else {
+                ClientFrameView::Json(Request::Add {
+                    stream: stream.to_owned(),
+                    values: values.to_vec(),
+                    client_id: tracked.then_some(id),
+                    seq: tracked.then_some(seq),
+                })
+            };
+            core.handle_frame(frame, &mut cursor).0
+        };
+        let listing1 = |xs: &[f64]| {
+            xs.iter().fold(ServiceHp::ZERO, |acc, &x| {
+                acc.wrapping_add(&ServiceHp::from_limbs(encode_listing1::<6, 3>(x)))
+            })
+        };
+
+        // "held" has a sum the refusals must leave alone; "fresh" must
+        // never come into existence.
+        assert_eq!(send(true, "held", true, &[1.5]), Response::Added { count: 1, deduped: false });
+        let held = ledger.sum("held").unwrap();
+        let two191 = 2f64.powi(191);
+        let bad = [1e300, -1e300, two191, -two191, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for x in bad {
+            // JSON cannot spell a NaN or an infinity.
+            let kinds: &[bool] = if x.is_finite() { &[true, false] } else { &[true] };
+            for &binary in kinds {
+                for stream in ["held", "fresh"] {
+                    for tracked in [true, false] {
+                        let logged = wal.group_stats().0;
+                        let reply = send(binary, stream, tracked, &[0.25, x, -3.0]);
+                        let what = format!("{x:?} binary={binary} {stream} tracked={tracked}");
+                        let Response::Error { code, message } = reply else {
+                            panic!("{what} was accepted: {reply:?}")
+                        };
+                        assert_eq!(code, ErrorCode::BadRequest, "{what}: {message}");
+                        assert!(message.contains("value 1 "), "{what}: {message}");
+                        assert_eq!(ledger.sum("held").unwrap(), held, "{what}");
+                        assert!(ledger.sum("fresh").is_none(), "{what}");
+                        assert_eq!(wal.group_stats().0, logged, "{what}: logged a record");
+                    }
+                }
+            }
+        }
+        assert_eq!(cluster.calls.lock().unwrap().len(), 1, "a refused Add was replicated");
+
+        let edge = f64::from_bits(two191.to_bits() - 1);
+        let mut deposited = Vec::new();
+        for binary in [true, false] {
+            for tracked in [true, false] {
+                for xs in [[edge, 0.5], [-edge, -0.5]] {
+                    let reply = send(binary, "edge", tracked, &xs);
+                    assert_eq!(reply, Response::Added { count: 2, deduped: false });
+                    deposited.extend_from_slice(&xs);
+                    assert_eq!(ledger.sum("edge").unwrap(), listing1(&deposited));
+                }
+            }
+        }
         wal.close().unwrap();
         std::fs::remove_dir_all(wal.dir()).ok();
     }

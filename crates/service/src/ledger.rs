@@ -251,7 +251,7 @@ impl ShardedLedger {
     /// statistic — reflect one application. Returns
     /// `(values accounted for, applied)`; `applied` is `false` for a
     /// recognized replay. A `client_id` of
-    /// [`UNTRACKED_CLIENT`](crate::proto::UNTRACKED_CLIENT) bypasses the
+    /// [`UNTRACKED_CLIENT`] bypasses the
     /// window entirely.
     ///
     /// The caller owns the cursor behind `shard_hint` (one per

@@ -6,7 +6,7 @@
 //! producers can stream summands at a shared accumulator and every
 //! reader sees the same exact answer:
 //!
-//! * [`ledger`] — [`ShardedLedger`](ledger::ShardedLedger): named
+//! * [`ledger`] — [`ShardedLedger`]: named
 //!   streams of cache-padded atomic HP shards (two-level locking: an
 //!   `RwLock` directory over lock-free shard deposits). Every batch —
 //!   binary or JSON Add, peer mirror, WAL replay — lands as raw
@@ -22,9 +22,9 @@
 //!   `f64`s) accepted on the same port; sums travel as raw limbs,
 //!   never `f64`.
 //! * [`dispatch`] — the transport-agnostic request core
-//!   ([`RequestCore`](dispatch::RequestCore)): frame in → ledger op →
+//!   ([`RequestCore`]): frame in → ledger op →
 //!   reply out, shared by the client-facing server and the cluster's
-//!   peer protocol, with a [`ClusterOps`](dispatch::ClusterOps) hook
+//!   peer protocol, with a [`ClusterOps`] hook
 //!   through which `oisum-cluster` attaches replication and the
 //!   tree-reduced `ClusterSum`.
 //! * [`server`] — acceptor + crossbeam worker pool, graceful shutdown,

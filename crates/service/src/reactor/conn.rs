@@ -70,7 +70,7 @@ pub(crate) struct Conn {
     /// joins `out` only when the WAL commit mark covers its ticket.
     /// Bounded by [`PARKED_LIMIT`](super::PARKED_LIMIT) — a small
     /// window, so the reactor keeps reading a pipelining client's next
-    /// frames (and the committer keeps receiving submits) while earlier
+    /// frames (and the WAL pump keeps receiving submits) while earlier
     /// tickets await their group's fsync, instead of idling the whole
     /// pipeline one reply per connection per commit wave.
     pub parked: std::collections::VecDeque<(u64, Vec<u8>)>,

@@ -3,36 +3,38 @@
 //!
 //! The threaded server burns a worker thread per in-flight connection;
 //! this reactor holds tens of thousands on a single thread. Frames are
-//! decoded incrementally by [`conn::Conn`]'s exact-read coroutine,
+//! decoded incrementally by `conn::Conn`'s exact-read coroutine,
 //! parsed with the same zero-copy views as the blocking path, and
-//! executed through the identical transport-agnostic
-//! [`RequestCore`](crate::dispatch::RequestCore) — so sums are bitwise
-//! identical across transports *by construction*: there is no second
-//! protocol or apply path to diverge.
+//! executed through the identical transport-agnostic [`RequestCore`] —
+//! so sums are bitwise identical across transports *by construction*:
+//! there is no second protocol or apply path to diverge.
 //!
 //! ## WAL parking
 //!
 //! A tracked `Add` under the reactor uses
-//! [`WalMode::Submit`](crate::dispatch::WalMode): the record is
-//! enqueued on the group committer and the connection *parks* holding
-//! its already-formatted reply — no thread waits. One pump thread
-//! sleeps on the WAL's commit mark on behalf of every parked
-//! connection and relays each advance through an eventfd
-//! ([`sys::EventFd`]); the reactor then releases, in ticket order,
-//! every reply the new mark licenses. The fsync amortizes over
-//! everything a readiness burst submitted — which is exactly the
-//! group-commit design point the thread-per-connection transport
-//! cannot reach (its groups are capped by thread count).
+//! [`WalMode::Submit`](crate::dispatch::WalMode): the record is queued
+//! on the WAL and the connection *parks* holding its already-formatted
+//! reply — no thread waits for it. One pump thread commits the queue
+//! on behalf of every parked connection, looping on
+//! [`Wal::commit_next`](crate::wal::Wal::commit_next), and signals an
+//! eventfd after each group; the reactor then releases, in ticket
+//! order, every reply the WAL's commit mark licenses. The fsync
+//! amortizes over everything a readiness burst submitted — which is
+//! exactly the group-commit design point the thread-per-connection
+//! transport cannot reach (its groups are capped by thread count).
 //!
 //! ## Shutdown
 //!
-//! A `Shutdown` frame (or [`ServerHandle::shutdown`]
-//! (crate::server::ServerHandle::shutdown)) flips the shared stopping
-//! flag; the reactor stops accepting and reading, drains pending
-//! replies and parked tickets (bounded by [`DRAIN_DEADLINE`]), closes
-//! every connection, and runs the same exit tail as the threaded
-//! acceptor, `RequestCore::close`: WAL close (drain + seal), final
-//! snapshot, and GC of the segments a verified snapshot covers.
+//! A `Shutdown` frame (or
+//! [`ServerHandle::shutdown`](crate::server::ServerHandle::shutdown))
+//! flips the shared stopping flag; the reactor stops accepting and
+//! reading, drains pending replies and parked tickets (bounded by
+//! `DRAIN_DEADLINE`), closes every connection, and runs the same exit
+//! tail as the threaded acceptor, `RequestCore::close`: WAL close
+//! (commit + seal), final snapshot, and GC of the segments a verified
+//! snapshot covers. Closing the WAL is also what ends the pump, so the
+//! reactor closes it before joining the pump on every exit, errors
+//! included.
 
 // The second carve-out from `deny(unsafe_code)` (after `segmap`): the
 // raw epoll/eventfd/prlimit syscalls, each with a SAFETY argument at
@@ -49,7 +51,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -76,9 +78,9 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 /// Parked replies one connection may hold before the reactor stops
 /// reading its frames. A window (rather than one) keeps a pipelining
 /// client's submits flowing into the WAL while earlier tickets await
-/// their group's fsync — the committer sees a continuous stream and
-/// commits whatever queued during the last fsync as one group instead
-/// of draining one wave per commit. Small, because each parked reply
+/// their group's fsync — the pump sees a continuous stream and commits
+/// whatever queued during the last fsync as one group instead of
+/// draining one wave per commit. Small, because each parked reply
 /// pins a pooled buffer and an unACKed client request.
 pub(crate) const PARKED_LIMIT: usize = 8;
 
@@ -101,7 +103,6 @@ pub(crate) fn run(
         free: Vec::new(),
         pool: BufPool::new(),
         parked: BinaryHeap::new(),
-        pump_mark: Arc::new(AtomicU64::new(0)),
         scratch_json: String::new(),
         scratch_frame: Vec::with_capacity(256),
         events: Vec::with_capacity(EVENTS_PER_WAIT),
@@ -110,64 +111,43 @@ pub(crate) fn run(
     reactor.epoll.add(&reactor.listener, TOKEN_LISTENER)?;
     reactor.waker.register(&reactor.epoll, TOKEN_WAKER)?;
 
-    // The WAL pump: one thread parks on the commit mark for every
-    // parked connection and relays advances through the waker. It owns
-    // the only blocking wait on this transport.
-    let pump_cancel = Arc::new(AtomicBool::new(false));
-    let pump = reactor.core.wal().map(|wal| {
-        let wal = Arc::clone(wal);
-        let waker = Arc::clone(&reactor.waker);
-        let mark_out = Arc::clone(&reactor.pump_mark);
-        let cancel = Arc::clone(&pump_cancel);
-        std::thread::Builder::new()
-            .name("oisum-reactor-wal-pump".to_owned())
-            .spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    // lint:allow(blocking-in-hot-path) -- the pump thread exists to block; the reactor thread never runs this.
-                    let mark = wal.wait_mark_beyond(seen, &cancel);
-                    // ORDERING: SeqCst — pairs with the store below;
-                    // the cancel store happens before wake_waiters, so
-                    // a woken pump always observes it.
-                    if cancel.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let crashed = wal.is_crashed();
-                    if mark > seen || crashed {
-                        // ORDERING: Release/The reactor reads with
-                        // Acquire after the eventfd wake; the mark is
-                        // monotonic so staleness only delays a release.
-                        mark_out.store(mark, Ordering::Release);
+    // The WAL pump: one thread commits every submitted group and relays
+    // each one, and the close or crash that ends it, through the waker.
+    // It owns the only blocking wait on this transport.
+    let pump = reactor
+        .core
+        .wal()
+        .map(|wal| {
+            let wal = Arc::clone(wal);
+            let waker = Arc::clone(&reactor.waker);
+            std::thread::Builder::new().name("oisum-reactor-wal-pump".to_owned()).spawn(
+                move || {
+                    while wal.commit_next().is_some() {
                         let _ = waker.signal();
                     }
-                    if crashed || mark == seen {
-                        // Poisoned (no mark will ever advance) or the
-                        // WAL is stopping: nothing left to pump.
-                        return;
-                    }
-                    seen = mark;
-                }
-            })
-    });
+                    let _ = waker.signal();
+                },
+            )
+        })
+        .transpose()?;
 
     let result = reactor.event_loop();
 
-    // Stop the pump before closing the WAL: cancellation is level-
-    // triggered (flag, then wake).
-    // ORDERING: SeqCst — must be visible before the wake_waiters call
-    // below lands, or the pump re-blocks forever.
-    pump_cancel.store(true, Ordering::SeqCst);
-    if let Some(wal) = reactor.core.wal() {
-        wal.wake_waiters();
-    }
-    if let Some(Ok(handle)) = pump {
-        // lint:allow(blocking-in-hot-path) -- shutdown tail; the event loop has already exited.
+    // The same exit tail as the threaded acceptor; on an error exit the
+    // WAL is still closed, because the pump only returns once it is.
+    let closed = match result {
+        Ok(()) => reactor.core.close(),
+        Err(e) => {
+            if let Some(wal) = reactor.core.wal() {
+                let _ = wal.close();
+            }
+            Err(e)
+        }
+    };
+    if let Some(handle) = pump {
         let _ = handle.join();
     }
-    result?;
-
-    // The same exit tail as the threaded acceptor.
-    reactor.core.close()
+    closed
 }
 
 struct Reactor {
@@ -186,8 +166,6 @@ struct Reactor {
     /// so a popped ticket that doesn't match the queue front is stale
     /// (the slot was recycled — tickets are never reused).
     parked: BinaryHeap<(Reverse<u64>, usize)>,
-    /// The pump's latest observed commit mark (reactor reads on wake).
-    pump_mark: Arc<AtomicU64>,
     /// Reply formatting scratch, shared across every connection — the
     /// reactor is single-threaded, so one pair serves 10k sockets.
     scratch_json: String,
@@ -427,16 +405,15 @@ impl Reactor {
         conn.out.extend_from_slice(&self.scratch_frame);
     }
 
-    /// Releases every parked reply whose ticket the pump's latest
-    /// commit mark covers; on a WAL crash, fails the uncommitted ones
-    /// with a typed error instead (the log will never advance again).
+    /// Releases every parked reply whose ticket the WAL's commit mark
+    /// covers; on a WAL crash, fails the uncommitted ones with a typed
+    /// error instead (the log will never advance again).
     /// The heap pops tickets in ascending order and each connection's
     /// queue is ascending, so replies rejoin `out` in request order —
     /// error replies included.
     fn release_parked(&mut self) {
-        // ORDERING: Acquire — pairs with the pump's Release store.
-        let mark = self.pump_mark.load(Ordering::Acquire);
-        let crashed = self.core.wal().is_some_and(|w| w.is_crashed());
+        let Some(wal) = self.core.wal() else { return };
+        let (mark, crashed) = (wal.commit_mark(), wal.is_crashed());
         while let Some(&(Reverse(ticket), idx)) = self.parked.peek() {
             if ticket > mark && !crashed {
                 break;

@@ -207,7 +207,7 @@ pub(crate) fn walk<T>(
     loop {
         let remaining = bytes.len() - offset;
         if remaining == 0 {
-            // Clean unsealed end (the committer was between groups).
+            // Clean unsealed end (the log was between groups).
             return Ok(Walk { records, sealed: false, torn: None });
         }
         if remaining < 4 {

@@ -36,7 +36,7 @@
 //! record and seal bytes come from the functions here, and
 //! [`recovery`](crate::recovery)'s walk checks both kinds of file. The
 //! record checksum is
-//! [`fnv4`] — FNV-1a 64 striped over four interleaved word-wide lanes.
+//! `fnv4` — FNV-1a 64 striped over four interleaved word-wide lanes.
 //! The record path hashes every payload on its way to an ACK, and the
 //! serial xor-multiply chain (first byte-at-a-time, then word-wide) was
 //! the single largest term in append latency; four independent lanes let
@@ -53,25 +53,29 @@
 //! ## Group commit
 //!
 //! [`Wal::append`] returns only once the group containing its record is
-//! written (and synced, per [`FsyncPolicy`]). Commits run on the
-//! appenders' own threads, leader/follower style: the appender that
-//! wins the segment lock commits, and when it also finds the queue
-//! empty (the common case at any sane load) its record is a complete
-//! group of one, framed *directly into the segment* — no `Vec`, no
-//! queue round-trip, no wakeups. Appenders that arrive while that
-//! commit and its fsync are in flight queue up, and the next lock
-//! winner commits the whole queue as one group under one fsync, so
-//! group size tracks the fsync's cost with no timer and no hand-off.
-//! The committer thread drains what [`Wal::submit`] (the epoll
-//! reactor's non-blocking path) and parked appenders hand it, serves
-//! `flush`, and seals on close. The server sends an `Added` ACK only
-//! after `append` returns, which is the whole contract.
+//! written (and synced, per [`FsyncPolicy`]). No thread exists to do
+//! that on an appender's behalf: every group commits on the thread that
+//! needs it, leader/follower style. The appender that wins the segment
+//! lock commits, and when it also finds the queue empty (the common
+//! case at any sane load) its record is a complete group of one, framed
+//! *directly into the segment* — no `Vec`, no queue round-trip, no
+//! wakeups. An appender that loses the lock queues its framed record
+//! and blocks on the segment lock. Once it holds the lock, either the
+//! commit it waited out already carried its record, or it commits the
+//! whole queue itself as one group under one fsync. Whoever holds the
+//! segment lock drains everything queued, so group size tracks the
+//! fsync's cost with no timer, no condvar and no hand-off.
+//! [`Wal::flush`] and [`Wal::close`] commit on the caller's thread too.
+//! [`Wal::submit`], the epoll reactor's non-blocking path, only queues:
+//! the reactor's pump thread commits those records in
+//! [`Wal::commit_next`]. The server sends an `Added` ACK only once the
+//! record's group has committed, which is the whole contract.
 //!
 //! ## Mapped segments
 //!
 //! On linux/x86_64, a new segment is pre-sized with real block
 //! reservation and mapped `MAP_SHARED` with every page faulted in at
-//! creation time ([`crate::segmap`]). An append is then a ~300 ns
+//! creation time (`crate::segmap`). An append is then a ~300 ns
 //! `memcpy` into the kernel's own page cache — the bytes already have
 //! process-crash durability when the store retires, which is exactly
 //! the `never` policy's contract — and `fsync` on the descriptor still
@@ -90,7 +94,7 @@
 //!
 //! ## Crash discipline
 //!
-//! Any committer failure — a real I/O error or an injected fault —
+//! Any commit failure — a real I/O error or an injected fault —
 //! *poisons* the log: every pending and future `append` returns
 //! [`WalError::Crashed`], so no ACK can ever ride on a write whose
 //! durability is in doubt. The fault seams (`wal.append.torn`,
@@ -107,8 +111,6 @@ use std::fs::{self, File};
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 /// First 8 bytes of every segment file.
 pub const WAL_MAGIC: [u8; 8] = *b"OISWALv1";
@@ -203,7 +205,7 @@ impl WalConfig {
 pub enum WalError {
     /// Underlying file I/O failed.
     Io(io::Error),
-    /// The committer is poisoned (I/O death, injected fault, or a crash
+    /// The log is poisoned (I/O death, injected fault, or a crash
     /// drill): this append's durability cannot be vouched for, so it
     /// must not be ACKed.
     Crashed(String),
@@ -494,7 +496,7 @@ pub(crate) fn fnv_wide(bytes: &[u8]) -> u64 {
 /// The FNV-1a 64 offset basis (an empty input's checksum).
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
-/// Appender/committer shared state. The queue holds fully framed
+/// The commit queue every thread shares. The queue holds fully framed
 /// records; tickets are dense, so `committed >= ticket` is exactly "my
 /// group's fsync finished".
 struct CommitQueue {
@@ -503,7 +505,7 @@ struct CommitQueue {
     submitted: u64,
     /// Tickets durably committed, in issue order.
     committed: u64,
-    /// `close` was requested; the committer drains, seals, and exits.
+    /// `close` was requested: appends and submits are refused.
     stopping: bool,
     /// Poison detail; `Some` refuses every pending and future append.
     crashed: Option<String>,
@@ -514,7 +516,7 @@ struct CommitQueue {
 ///
 /// Production uses the private `ActiveSegment` (mapped or buffered
 /// segment files, rotation, sealing); the model checker's WAL scenarios
-/// use [`MemSink`], so the *protocol* — locks, condvars, tickets,
+/// use [`MemSink`], so the *protocol* — locks, the condvar, tickets,
 /// watermarks — explores every schedule without dragging the
 /// filesystem into the model. The protocol calls every method while
 /// holding the `segment` lock, so implementations need no internal
@@ -629,49 +631,35 @@ pub const LOCK_ORDER: [&str; 2] = ["segment", "state"];
 pub struct Shared<S: SyncShimLike, G: SegmentSink> {
     fsync: FsyncPolicy,
     state: S::Mutex<CommitQueue>,
-    /// Signaled when the queue gains work, stop is requested, or the
-    /// log crashes (wakes the committer).
+    /// Signaled when a [`submit`](Self::submit) turns the queue
+    /// non-empty, and when the log closes or crashes. Only
+    /// [`commit_next`](Self::commit_next) waits on it.
     work: S::Condvar,
-    /// Signaled when `committed` advances or the log crashes (wakes
-    /// appenders).
-    done: S::Condvar,
     /// Index of the segment currently being appended to — the GC
     /// boundary readers snapshot before persisting the ledger.
     active: S::Atomic,
-    /// The sink being appended to, shared so appenders can commit on
-    /// their own threads — two condvar handoffs per batch otherwise.
-    /// Locked BEFORE `state` whenever both are held ([`LOCK_ORDER`]);
-    /// the queue is only drained while this is held, which keeps file
-    /// order equal to enqueue order no matter which thread commits.
-    /// `None` once sealed on close.
+    /// The sink being appended to. Every commit runs on the thread that
+    /// holds this lock, and the queue is only drained while it is held,
+    /// which keeps file order equal to enqueue order no matter which
+    /// thread commits. Locked BEFORE `state` whenever both are held
+    /// ([`LOCK_ORDER`]). `None` once sealed on close.
     segment: S::Mutex<Option<G>>,
-    /// Mirror of `CommitQueue::committed`, so the inline-commit fast
-    /// path can watch for its ticket without taking the state lock.
-    /// Only ever written while the state lock is held, so it is
+    /// Mirror of `CommitQueue::committed`, so a contended appender and
+    /// the reactor can read the durable watermark without the state
+    /// lock. Only ever written while both locks are held, so it is
     /// monotonic and never ahead of the real watermark.
     commit_mark: S::Atomic,
-    /// Threads parked on `done`, so the uncontended inline commit can
-    /// skip the futex wake entirely (~160 ns per batch with nobody
-    /// listening). See [`Shared::notify_done`] for why no wakeup is
-    /// lost.
-    done_waiters: S::Atomic,
     /// Non-empty groups written (and, per policy, fsynced) so far.
     /// `committed / groups` is the realized amortization — the number
     /// every group-commit knob exists to raise — so benches read it
     /// rather than guess from throughput deltas.
     groups: S::Atomic,
-    /// How many times the contended inline path spins on the segment
-    /// lock before parking. 200 in production; the model scenarios use
-    /// 0 — a spin is invisible to correctness (it re-checks the same
-    /// two conditions) and only multiplies the schedule tree.
-    spin_budget: u32,
 }
 
 impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// A fresh protocol instance over `sink`. `active_index` seeds the
-    /// GC-boundary gauge; `spin_budget` tunes the contended inline
-    /// path (see the field).
-    pub fn new(fsync: FsyncPolicy, sink: G, active_index: u64, spin_budget: u32) -> Self {
+    /// GC-boundary gauge.
+    pub fn new(fsync: FsyncPolicy, sink: G, active_index: u64) -> Self {
         // Ordering witness: the labels handed to the shim must match
         // the declared order the lint and the model checker enforce.
         debug_assert_eq!(LOCK_ORDER, ["segment", "state"]);
@@ -688,13 +676,10 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
                 },
             ),
             work: S::condvar("work"),
-            done: S::condvar("done"),
             active: S::Atomic::new(active_index),
             segment: S::mutex("segment", Some(sink)),
             commit_mark: S::Atomic::new(0),
-            done_waiters: S::Atomic::new(0),
             groups: S::Atomic::new(0),
-            spin_budget,
         }
     }
 
@@ -707,7 +692,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     }
 
     /// Poisons the log: every pending and future append fails, nothing
-    /// more is written.
+    /// more is written, and a [`commit_next`](Self::commit_next) caller
+    /// wakes to return `None`.
     pub fn poison(&self, detail: String) {
         let mut s = self.lock();
         if s.crashed.is_none() {
@@ -715,46 +701,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
         drop(s);
         S::notify_all(&self.work);
-        // Unconditional: a crash is rare and must wake everything.
-        S::notify_all(&self.done);
-    }
-
-    /// Parks on `done`, counted. Every wait on `done` must go through
-    /// here or [`Shared::notify_done`] may skip the wake.
-    fn wait_done<'a>(&'a self, s: S::Guard<'a, CommitQueue>) -> S::Guard<'a, CommitQueue> {
-        // ORDERING: SeqCst — sequenced before `wait` releases the state
-        // lock, so any notifier that later acquires that lock (every
-        // notifier mutates the predicate under it first) observes the
-        // increment; see notify_done.
-        self.done_waiters.fetch_add(1, Ordering::SeqCst);
-        // lint:allow(condvar-predicate) -- counted single wait: the predicate loop lives at every caller, around this helper.
-        let s = S::wait(&self.done, s);
-        // ORDERING: SeqCst — symmetric bookkeeping; a late decrement
-        // only causes a spurious (harmless) notify.
-        self.done_waiters.fetch_sub(1, Ordering::SeqCst);
-        s
-    }
-
-    /// Wakes `done` waiters — unless there are none, which on the
-    /// inline-commit fast path is nearly always. No wakeup is lost *for
-    /// a waiter whose predicate this notifier's update satisfies*: the
-    /// waiter increments the count before atomically releasing the
-    /// state lock inside `wait`, and a notifier updates the waited-on
-    /// predicate (`committed`/`crashed`) while *holding* that lock
-    /// before loading the count here. So either the waiter saw the
-    /// updated predicate and never parked, or the notifier's load —
-    /// after its predicate write's lock release — sees the increment
-    /// and notifies. A waiter whose ticket this commit does *not* cover
-    /// may miss the skip-guarded wake entirely; that is why the
-    /// contended path hands its record to the committer before parking
-    /// (see `append_contended`).
-    fn notify_done(&self) {
-        // ORDERING: SeqCst — pairs with the fetch_add in wait_done; the
-        // state-lock critical sections give the visibility argument
-        // above.
-        if self.done_waiters.load(Ordering::SeqCst) > 0 {
-            S::notify_all(&self.done);
-        }
     }
 
     /// Appends one tracked batch and blocks until its group commits
@@ -763,10 +709,10 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     ///
     /// An appender that wins the segment lock outright is the leader:
     /// it commits on its own thread — framed straight into the mapped
-    /// segment, with no queue round-trip and no condvar handoff.
-    /// Losing the lock means another commit is in flight; the record
-    /// joins the queue, and the next lock winner commits it together
-    /// with everything else queued behind that commit, under one fsync.
+    /// segment, with no queue round-trip. Losing the lock means another
+    /// commit is in flight; the record joins the queue, and the next
+    /// holder of the lock commits it together with everything else
+    /// queued behind that commit, under one fsync.
     pub fn append(
         &self,
         stream: &str,
@@ -775,12 +721,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         value_bytes: &[u8],
     ) -> Result<(), WalError> {
         if let Some(mut seg) = S::try_lock(&self.segment) {
-            let out = self.append_won(&mut seg, stream, client_id, seq, value_bytes);
-            // Release before notifying (see commit_pending): a woken
-            // waiter must find the lock winnable.
-            drop(seg);
-            self.notify_done();
-            return out;
+            return self.append_won(&mut seg, stream, client_id, seq, value_bytes);
         }
         self.append_contended(stream, client_id, seq, value_bytes)
     }
@@ -844,7 +785,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
                 self.groups.fetch_add(1, Ordering::Relaxed);
                 // ORDERING: Release — publishes the durable watermark
                 // to the contended path's Acquire load; written only
-                // under the state lock, so it stays monotonic.
+                // under both locks, so it stays monotonic.
                 self.commit_mark.store(s.committed, Ordering::Release);
                 Ok(())
             }
@@ -856,12 +797,12 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
     }
 
-    /// Append while another commit holds the segment lock: enqueue,
-    /// then alternate between watching the commit mark (the in-flight
-    /// group usually carries our record out), retrying the lock to
-    /// commit the queue ourselves, and — only when the lock stays
-    /// contended — handing the queue to the committer and sleeping on
-    /// the condvar.
+    /// Append while another commit holds the segment lock: queue the
+    /// record, then block on the segment lock. The queue is only
+    /// drained under that lock, so once we hold it either the commit we
+    /// waited out carried our record (the mark covers our ticket) or
+    /// the record is still queued and we commit the whole queue
+    /// ourselves.
     fn append_contended(
         &self,
         stream: &str,
@@ -869,7 +810,23 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         seq: u64,
         value_bytes: &[u8],
     ) -> Result<(), WalError> {
-        let rec = encode_record(stream, client_id, seq, value_bytes)?;
+        let (ticket, _) = self.enqueue(encode_record(stream, client_id, seq, value_bytes)?)?;
+        let mut seg = S::lock(&self.segment);
+        // ORDERING: Acquire — pairs with the Release publishes, which
+        // run under the segment lock we now hold: a mark covering our
+        // ticket means its group's write (and policy fsync) finished.
+        if self.commit_mark.load(Ordering::Acquire) >= ticket {
+            return Ok(());
+        }
+        self.commit_locked(&mut seg);
+        drop(seg);
+        verdict::<S>(self.lock(), ticket)
+    }
+
+    /// Queues one framed record under the next dense ticket, unless the
+    /// log is closed or crashed. Returns the ticket and whether the
+    /// queue was empty before.
+    fn enqueue(&self, rec: Vec<u8>) -> Result<(u64, bool), WalError> {
         let mut s = self.lock();
         if let Some(detail) = &s.crashed {
             return Err(WalError::Crashed(detail.clone()));
@@ -879,105 +836,38 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
         s.queue.push_back(rec);
         s.submitted += 1;
-        let ticket = s.submitted;
-        drop(s);
-        let mut spins = 0u32;
-        let s = loop {
-            // ORDERING: Acquire — pairs with the Release publish in
-            // commit_locked and the direct path; a mark covering our
-            // ticket means the group's write (and policy fsync)
-            // finished.
-            if self.commit_mark.load(Ordering::Acquire) >= ticket {
-                return Ok(());
-            }
-            if let Some(mut seg) = S::try_lock(&self.segment) {
-                let alive = self.commit_locked(&mut seg);
-                // Release before notifying (see commit_pending): a
-                // woken waiter must find the lock winnable.
-                drop(seg);
-                self.notify_done();
-                if !alive {
-                    // Poisoned: the mark will never cover our ticket;
-                    // spinning would livelock. Fall through to the
-                    // verdict with the crash detail.
-                    break self.lock();
-                }
-                spins = 0;
-                continue;
-            }
-            if spins < self.spin_budget {
-                spins += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            spins = 0;
-            let mut s = self.lock();
-            if s.crashed.is_some() {
-                break s;
-            }
-            if s.committed < ticket {
-                // Hand the record to the committer before parking. The
-                // in-flight commit we lost the segment lock to may have
-                // drained the queue *before* we enqueued: its watermark
-                // then never covers our ticket, and its skip-guarded
-                // notify may race our park and miss us — after which
-                // nothing would drain the queue until the next append,
-                // flush, or close (the model checker catches exactly
-                // this stranding as a lost wakeup). The committer's
-                // predicate loop re-checks the queue under the state
-                // lock, so this wake cannot be lost, whatever the
-                // interleaving.
-                S::notify_one(&self.work);
-                s = self.wait_done(s);
-            }
-            if s.committed >= ticket || s.crashed.is_some() {
-                break s;
-            }
-            drop(s);
-        };
-        verdict::<S>(s, ticket)
+        Ok((s.submitted, s.queue.len() == 1))
     }
 
-    /// Blocks until everything submitted so far has committed (or the
-    /// log crashed). Does not seal or stop anything.
+    /// Commits everything submitted so far on the calling thread (or
+    /// finds it committed, or the log crashed). Does not seal or stop
+    /// anything.
     pub fn flush(&self) -> Result<(), WalError> {
-        let mut s = self.lock();
-        let target = s.submitted;
-        S::notify_one(&self.work);
-        while s.committed < target && s.crashed.is_none() {
-            s = self.wait_done(s);
-        }
-        match (&s.crashed, s.committed >= target) {
-            (_, true) => Ok(()),
-            (Some(detail), false) => Err(WalError::Crashed(detail.clone())),
-            (None, false) => Ok(()),
-        }
+        let target = self.lock().submitted;
+        self.commit_pending();
+        verdict::<S>(self.lock(), target)
     }
 
-    /// Blocks until the committed watermark reaches `target` or the log
-    /// crashes — a counted wait on `done`, like the append paths. The
-    /// model scenarios' closer thread uses this to stop the committer
-    /// only after every appender's ticket is durable (polling would
-    /// give the explorer an unbounded schedule tree).
-    pub fn wait_committed(&self, target: u64) {
-        let mut s = self.lock();
-        while s.committed < target && s.crashed.is_none() {
-            s = self.wait_done(s);
-        }
-    }
-
-    /// Enqueues one tracked batch for the committer *without waiting*
-    /// for its group to commit, returning the batch's dense ticket. The
-    /// caller parks elsewhere (an epoll reactor parks the connection,
-    /// not a thread) and learns of completion by watching
-    /// [`commit_mark`](Self::commit_mark): once the mark reaches the
-    /// ticket, the group's write — and, per policy, its fsync — has
-    /// finished, and the ACK is licensed exactly as if a blocking
-    /// [`append`](Self::append) had returned `Ok`.
+    /// Enqueues one tracked batch *without committing it*, returning
+    /// the batch's dense ticket. The caller parks elsewhere (an epoll
+    /// reactor parks the connection, not a thread) and learns of
+    /// completion by watching [`commit_mark`](Self::commit_mark): once
+    /// the mark reaches the ticket, the group's write — and, per
+    /// policy, its fsync — has finished, and the ACK is licensed
+    /// exactly as if a blocking [`append`](Self::append) had returned
+    /// `Ok`.
     ///
-    /// The committer commits whatever a reactor's readiness burst
-    /// enqueued as one group the moment it wakes, so fsync cost
-    /// amortizes over the burst with no timed accumulation window.
+    /// A submitted record commits when a [`commit_next`](Self::commit_next)
+    /// caller (or [`flush`](Self::flush), or [`close`](Self::close))
+    /// drains the queue. Submit wakes a `commit_next` caller only when
+    /// the queue goes empty→1, because a non-empty queue already has its
+    /// drain on the way and every drain takes the whole queue. A
+    /// blocking append wakes nobody, so a log should be driven by
+    /// blocking appends or by submits, never both: a submit queued
+    /// behind an appender's record would be committed by that appender,
+    /// and the `commit_next` caller would not learn of it until the
+    /// next empty→1 submit. The servers keep to this — the threaded
+    /// transport only appends, the reactor only submits.
     pub fn submit(
         &self,
         stream: &str,
@@ -985,31 +875,56 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         seq: u64,
         value_bytes: &[u8],
     ) -> Result<u64, WalError> {
-        let rec = encode_record(stream, client_id, seq, value_bytes)?;
-        let mut s = self.lock();
-        if let Some(detail) = &s.crashed {
-            return Err(WalError::Crashed(detail.clone()));
-        }
-        if s.stopping {
-            return Err(WalError::Closed);
-        }
-        s.queue.push_back(rec);
-        s.submitted += 1;
-        let ticket = s.submitted;
-        let first = s.queue.len() == 1;
-        drop(s);
-        // Wake the committer only when the queue goes empty→1. A
-        // non-empty queue already has a drainer on its way — the
-        // committer woken by its first record (whose predicate loop
-        // re-checks the queue under the state lock before sleeping), or
-        // the appender that queued it — and every drain takes the whole
-        // queue. Waking per record would cost a busy reactor a futex
-        // wake plus two context switches each, more than the group
-        // commit itself.
+        let (ticket, first) = self.enqueue(encode_record(stream, client_id, seq, value_bytes)?)?;
         if first {
             S::notify_one(&self.work);
         }
         Ok(ticket)
+    }
+
+    /// Waits until records are queued or the log closes or crashes,
+    /// then commits everything queued as one group on the calling
+    /// thread and returns the durable watermark. Returns `None` once
+    /// the log is crashed, or closed with nothing left to commit. This
+    /// is the epoll reactor's pump: one thread loops here on behalf of
+    /// every connection parked on a [`submit`](Self::submit) ticket and
+    /// relays each returned mark. Whatever is submitted during one
+    /// commit and its fsync forms the next group, so fsync cost
+    /// amortizes over a readiness burst with no accumulation window.
+    pub fn commit_next(&self) -> Option<u64> {
+        let mut s = self.lock();
+        while s.queue.is_empty() && !s.stopping && s.crashed.is_none() {
+            s = S::wait(&self.work, s);
+        }
+        if s.crashed.is_some() || s.queue.is_empty() {
+            return None;
+        }
+        drop(s);
+        self.commit_pending().then(|| self.commit_mark())
+    }
+
+    /// Closes the log on the calling thread: refuses every later append
+    /// and submit, commits everything queued, seals the sink and drops
+    /// it, then wakes a [`commit_next`](Self::commit_next) caller so it
+    /// returns `None`. Idempotent. A crashed log is left unsealed — its
+    /// last group may be torn — and `Err` carries the crash detail;
+    /// recovery from the segments on disk is then the source of truth.
+    pub fn close(&self) -> Result<(), WalError> {
+        self.lock().stopping = true;
+        let mut seg = S::lock(&self.segment);
+        if self.commit_locked(&mut seg) {
+            if let Some(mut sink) = seg.take() {
+                if let Err(e) = sink.seal() {
+                    self.poison(format!("seal on close failed: {e}"));
+                }
+            }
+        }
+        drop(seg);
+        S::notify_all(&self.work);
+        match self.crash_detail() {
+            Some(detail) => Err(WalError::Crashed(detail)),
+            None => Ok(()),
+        }
     }
 
     /// The durable-watermark mirror: every ticket `<= commit_mark()` has
@@ -1022,49 +937,6 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // that group's write (and policy fsync) happened-before this
         // load.
         self.commit_mark.load(Ordering::Acquire)
-    }
-
-    /// Parks (counted, on `done`) until the committed watermark moves
-    /// past `seen`, the log crashes, or `cancel` is raised; returns the
-    /// watermark at wakeup. This is the reactor's WAL pump: one thread
-    /// sleeps here on behalf of every connection parked on a
-    /// [`submit`](Self::submit) ticket, and relays each advance through
-    /// an eventfd. Cancellation is level-triggered — raise the flag,
-    /// then call [`wake_waiters`](Self::wake_waiters).
-    pub fn wait_mark_beyond(&self, seen: u64, cancel: &std::sync::atomic::AtomicBool) -> u64 {
-        let mut s = self.lock();
-        // ORDERING: SeqCst — pairs with the canceller's store; taking
-        // the state lock in wake_waiters orders that store before our
-        // re-check (see wake_waiters).
-        while s.committed <= seen
-            && s.crashed.is_none()
-            && !s.stopping
-            && !cancel.load(Ordering::SeqCst)
-        {
-            s = self.wait_done(s);
-        }
-        s.committed
-    }
-
-    /// Unconditionally wakes every `done` waiter. The state lock is
-    /// taken (and released) first so a waiter mid-predicate-check cannot
-    /// park after the notify: either it still holds the lock — then this
-    /// call blocks until the waiter has atomically parked and the
-    /// notify lands after — or it re-checks its predicate after our
-    /// cancellation store is visible. Used to cancel a
-    /// [`wait_mark_beyond`](Self::wait_mark_beyond) pump.
-    pub fn wake_waiters(&self) {
-        drop(self.lock());
-        S::notify_all(&self.done);
-    }
-
-    /// Requests shutdown: the committer drains every queued record,
-    /// commits it, seals, and exits its loop.
-    pub fn request_stop(&self) {
-        let mut s = self.lock();
-        s.stopping = true;
-        drop(s);
-        S::notify_all(&self.work);
     }
 
     /// True once the log is poisoned.
@@ -1112,33 +984,22 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         f(seg.as_ref(), s.submitted, s.committed)
     }
 
-    /// Drains and commits whatever is queued right now. Takes the
-    /// segment lock first — the queue is only drained while it is held,
-    /// so groups reach the file in enqueue order no matter which thread
-    /// commits — then writes the group, publishes the new commit
-    /// watermark, and rotates when the segment is full. Safe to call
-    /// with an empty queue (a no-op), from the committer thread and
-    /// from inline appenders concurrently: the loser of the segment
-    /// lock finds its records already drained and committed by the
-    /// winner.
-    fn commit_pending(&self) {
+    /// Takes the segment lock and commits whatever is queued right now
+    /// (a no-op on an empty queue). Returns false once the log is
+    /// poisoned.
+    fn commit_pending(&self) -> bool {
         let mut seg = S::lock(&self.segment);
-        self.commit_locked(&mut seg);
-        drop(seg);
-        self.notify_done();
+        self.commit_locked(&mut seg)
     }
 
-    /// [`commit_pending`](Self::commit_pending) body, for callers that
-    /// already hold (or `try_lock`ed) the segment lock. Does NOT notify
-    /// `done` — the caller must, *after* releasing the segment lock, so
-    /// that a woken appender whose record missed this group finds the
-    /// lock winnable instead of re-sleeping against a holder that is
-    /// about to exit (which would strand the record: nobody else may
-    /// ever commit or notify again).
+    /// Drains the queue and commits it as one group, for a caller that
+    /// holds the segment lock — the queue is only drained while it is
+    /// held, so groups reach the file in enqueue order no matter which
+    /// thread commits. Writes the group, publishes the new commit
+    /// watermark, and rotates when the segment is full.
     ///
-    /// Returns false once the log is poisoned — the spinning fast path
-    /// must stop retrying then, or a crash would livelock it (the mark
-    /// can never cover its ticket).
+    /// Returns false once the log is poisoned, in which case the mark
+    /// will never cover a queued ticket.
     // lint:holds(segment)
     fn commit_locked(&self, seg: &mut Option<G>) -> bool {
         let Some(segment) = seg.as_mut() else {
@@ -1158,8 +1019,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // fresh group-sized Vec crosses glibc's mmap threshold, so every
         // commit would pay an mmap/munmap plus one page fault per
         // written page — on a small box that costs more than the
-        // group's actual write. Inline appenders that win a contended
-        // commit get their own (rarely-grown) scratch.
+        // group's actual write. Each committing thread keeps its own
+        // (rarely-grown) scratch.
         thread_local! {
             static GROUP_SCRATCH: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
@@ -1181,83 +1042,39 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         // fit pre-check can also rotate); readers seeing it late only
         // under-collect.
         self.active.store(segment.index(), Ordering::Relaxed);
-        let mut s = self.lock();
         match result {
             Ok(()) => {
+                let mut s = self.lock();
                 s.committed += count;
                 // ORDERING: Relaxed — a statistics gauge; readers only
                 // ever divide by it.
                 self.groups.fetch_add(1, Ordering::Relaxed);
                 // ORDERING: Release — publishes the durable watermark
-                // to the appender fast path's Acquire load; written
-                // only under the state lock, so it stays monotonic.
+                // to the Acquire loads in append_contended and
+                // commit_mark; written only under both locks, so it
+                // stays monotonic.
                 self.commit_mark.store(s.committed, Ordering::Release);
                 true
             }
             Err(e) => {
-                if s.crashed.is_none() {
-                    s.crashed = Some(e.to_string());
-                }
+                self.poison(e.to_string());
                 false
-            }
-        }
-    }
-
-    /// The committer loop: wait for work, commit whatever is queued as
-    /// one group, and on stop drain everything and seal. Blocking
-    /// appenders commit on their own threads, so this loop wakes for
-    /// [`submit`](Self::submit) streams, a parked appender handing over
-    /// the queue, a `flush` kick, or close; it owns sealing either way.
-    /// No accumulation window: whatever arrives during one commit and
-    /// its fsync forms the next group, so group size tracks the fsync's
-    /// cost by construction. [`Wal::open`] runs this on a dedicated
-    /// thread; model scenarios run it as a model thread.
-    pub fn run_committer(&self) {
-        loop {
-            let mut s = self.lock();
-            while s.queue.is_empty() && !s.stopping && s.crashed.is_none() {
-                s = S::wait(&self.work, s);
-            }
-            if s.crashed.is_some() {
-                return;
-            }
-            if s.queue.is_empty() && s.stopping {
-                drop(s);
-                let mut seg = S::lock(&self.segment);
-                if let Some(segment) = seg.as_mut() {
-                    if let Err(e) = segment.seal() {
-                        self.poison(format!("seal on close failed: {e}"));
-                    }
-                }
-                *seg = None;
-                return;
-            }
-            drop(s);
-            self.commit_pending();
-            if self.lock().crashed.is_some() {
-                return;
             }
         }
     }
 }
 
-/// The production spin budget of the contended inline path: cheap
-/// enough to usually outlast an in-flight small group, far below a
-/// syscall's worth of wasted work when it doesn't.
-const PROD_SPIN_BUDGET: u32 = 200;
-
 /// The segmented group-commit write-ahead log. See the module docs.
 ///
 /// `Wal` is `Sync`: many worker threads call [`append`](Wal::append)
-/// concurrently and commit on their own threads, while one committer
-/// thread drains submits and parked appenders and seals on close. The protocol
-/// itself lives in [`Shared`], generic over its blocking primitives so
-/// the model checker explores the same code; `Wal` binds it to
-/// [`StdSyncShim`] + segment files and owns the committer thread.
+/// concurrently and every group commits on one of their threads; it
+/// starts no thread of its own. The protocol itself lives in
+/// [`Shared`], generic over its blocking primitives so the model
+/// checker explores the same code; `Wal` binds it to [`StdSyncShim`] +
+/// segment files.
 pub struct Wal {
     dir: PathBuf,
-    shared: std::sync::Arc<Shared<StdSyncShim, ActiveSegment>>,
-    committer: Mutex<Option<JoinHandle<()>>>,
+    shared: Shared<StdSyncShim, ActiveSegment>,
 }
 
 impl Wal {
@@ -1272,20 +1089,8 @@ impl Wal {
             .last()
             .map_or(0, |(index, _)| index + 1);
         let segment = ActiveSegment::create(&config.dir, next_index, config.segment_bytes)?;
-        let shared = std::sync::Arc::new(Shared::<StdSyncShim, ActiveSegment>::new(
-            config.fsync,
-            segment,
-            next_index,
-            PROD_SPIN_BUDGET,
-        ));
-        let committer = {
-            let shared = std::sync::Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("oisum-wal-committer".to_owned())
-                .spawn(move || shared.run_committer())
-                .map_err(WalError::Io)?
-        };
-        Ok(Wal { dir: config.dir, shared, committer: Mutex::new(Some(committer)) })
+        let shared = Shared::new(config.fsync, segment, next_index);
+        Ok(Wal { dir: config.dir, shared })
     }
 
     /// Appends one tracked batch and blocks until its group commits
@@ -1301,11 +1106,12 @@ impl Wal {
         self.shared.append(stream, client_id, seq, value_bytes)
     }
 
-    /// Enqueues one tracked batch for the committer without blocking,
-    /// returning its dense ticket; the ACK is licensed once
+    /// Enqueues one tracked batch without committing it, returning its
+    /// dense ticket; the ACK is licensed once
     /// [`commit_mark`](Wal::commit_mark) reaches the ticket. See
     /// [`Shared::submit`] — this is the epoll reactor's append path,
-    /// where a connection (not a thread) parks on the ticket.
+    /// where a connection (not a thread) parks on the ticket, and a log
+    /// takes either submits or blocking appends, not both.
     pub fn submit(
         &self,
         stream: &str,
@@ -1322,29 +1128,25 @@ impl Wal {
         self.shared.commit_mark()
     }
 
-    /// Parks until the durable watermark moves past `seen`, the log
-    /// crashes/closes, or `cancel` is raised; returns the watermark at
-    /// wakeup. See [`Shared::wait_mark_beyond`].
-    pub fn wait_mark_beyond(&self, seen: u64, cancel: &std::sync::atomic::AtomicBool) -> u64 {
-        self.shared.wait_mark_beyond(seen, cancel)
+    /// Waits for submitted records, commits them as one group on the
+    /// calling thread and returns the new durable watermark; `None`
+    /// once the log is crashed, or closed with nothing left. See
+    /// [`Shared::commit_next`].
+    pub fn commit_next(&self) -> Option<u64> {
+        self.shared.commit_next()
     }
 
-    /// Wakes every watermark waiter (pairs with a raised `cancel` flag
-    /// to stop a [`wait_mark_beyond`](Wal::wait_mark_beyond) pump).
-    pub fn wake_waiters(&self) {
-        self.shared.wake_waiters()
-    }
-
-    /// Blocks until everything submitted so far has committed (or the
-    /// log crashed). Does not seal or stop anything.
+    /// Commits everything submitted so far on the calling thread (or
+    /// reports the crash that stops it). Does not seal or stop
+    /// anything.
     pub fn flush(&self) -> Result<(), WalError> {
         self.shared.flush()
     }
 
-    /// Poisons the log as a crash would: the committer stops, every
-    /// pending and future [`append`](Wal::append) fails, nothing more is
-    /// written. This is the crash-drill entry point the chaos and
-    /// recovery suites use; production code never calls it.
+    /// Poisons the log as a crash would: every pending and future
+    /// [`append`](Wal::append) fails and nothing more is written. This
+    /// is the crash-drill entry point the chaos and recovery suites
+    /// use; production code never calls it.
     pub fn crash(&self) {
         self.shared.poison("crash drill".to_owned());
     }
@@ -1390,23 +1192,12 @@ impl Wal {
         Ok(removed)
     }
 
-    /// Stops the committer: drains every queued record, commits it,
-    /// seals the active segment, and joins the thread. Idempotent. An
-    /// `Err` means the drain could not be completed (the log crashed) —
-    /// recovery from the segments on disk is then the source of truth.
+    /// Commits every queued record, seals the active segment and
+    /// refuses later appends, all on the calling thread. Idempotent. An
+    /// `Err` means the log crashed — recovery from the segments on disk
+    /// is then the source of truth. See [`Shared::close`].
     pub fn close(&self) -> Result<(), WalError> {
-        self.shared.request_stop();
-        let handle = {
-            let mut h = self.committer.lock().unwrap_or_else(|e| e.into_inner());
-            h.take()
-        };
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        match self.shared.crash_detail() {
-            Some(detail) => Err(WalError::Crashed(detail)),
-            None => Ok(()),
-        }
+        self.shared.close()
     }
 
     /// The directory the segments live in.
@@ -1417,9 +1208,9 @@ impl Wal {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        // Never leak the committer thread; a drop without close() still
-        // drains and seals (errors have nowhere to go here — the
-        // segments on disk remain authoritative either way).
+        // A drop without close() still commits and seals (errors have
+        // nowhere to go here — the segments on disk remain
+        // authoritative either way).
         let _ = self.close();
     }
 }
@@ -1433,7 +1224,7 @@ const MAP_SLACK: usize = 16 << 10;
 /// turning into multi-gigabyte `fallocate`s.
 const MAX_MAP_LEN: usize = 1 << 31;
 
-/// The committer's private view of the file being appended to.
+/// The file being appended to, owned by the protocol's `segment` lock.
 struct ActiveSegment {
     dir: PathBuf,
     file: File,
@@ -1713,14 +1504,14 @@ impl SegmentSink for ActiveSegment {
     }
 }
 
-/// Resolves an append wait: the loops above only exit once `committed`
+/// Resolves an append after its commit attempt: by then `committed`
 /// covers the ticket or the log is poisoned, so anything else here is a
 /// logic bug surfaced as a crash verdict.
 fn verdict<S: SyncShimLike>(s: S::Guard<'_, CommitQueue>, ticket: u64) -> Result<(), WalError> {
     if s.committed >= ticket {
         Ok(())
     } else {
-        // lint:allow(service-unwrap) -- the wait loops guarantee crashed is Some here.
+        // lint:allow(service-unwrap) -- a failed commit attempt leaves crashed Some here.
         Err(WalError::Crashed(s.crashed.clone().unwrap_or_default()))
     }
 }
@@ -1901,35 +1692,46 @@ mod tests {
 
     #[test]
     fn blocking_appends_commit_without_a_committer_thread() {
-        // No committer runs here, so an append that handed its record
-        // to one would block forever: the appends run on a spawned
-        // thread and the test waits for them with a timeout.
+        // Nothing but the appenders runs here, so an append that waited
+        // for some other thread to commit its record would block
+        // forever: four racing appenders run on spawned threads, and the
+        // test waits for their verdicts with a timeout.
+        const THREADS: u64 = 4;
+        const APPENDS: u64 = 50;
+        let shared = std::sync::Arc::new(Shared::<StdSyncShim, MemSink>::new(
+            FsyncPolicy::default(),
+            MemSink::default(),
+            0,
+        ));
         let (tx, rx) = std::sync::mpsc::channel();
-        let appender = std::thread::spawn(move || {
-            let shared = Shared::<StdSyncShim, MemSink>::new(
-                FsyncPolicy::default(),
-                MemSink::default(),
-                0,
-                PROD_SPIN_BUDGET,
-            );
-            let acks: Vec<Result<(), WalError>> = (1..=3u64)
-                .map(|seq| shared.append("s", 1, seq, &le_bytes(&[seq as f64])))
-                .collect();
-            let synced = shared.probe(|sink, _, _| sink.map(|m| m.synced_records));
-            let _ = tx.send((acks, shared.group_stats(), synced));
-        });
-        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
-        assert!(
-            !matches!(got, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
-            "a blocking append waited on a committer thread"
-        );
-        appender.join().expect("appender thread panicked");
-        let (acks, stats, synced) = got.expect("the appender sent its verdict");
-        for ack in acks {
-            ack.unwrap();
+        let appenders: Vec<_> = (1..=THREADS)
+            .map(|client| {
+                let shared = std::sync::Arc::clone(&shared);
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for seq in 1..=APPENDS {
+                        let ack = shared.append("s", client, seq, &le_bytes(&[seq as f64]));
+                        let _ = tx.send((client, seq, ack));
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        for _ in 0..THREADS * APPENDS {
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok((client, seq, ack)) => {
+                    ack.unwrap_or_else(|e| panic!("client {client} seq {seq} refused: {e}"))
+                }
+                Err(e) => panic!("a blocking append waited on a thread that never came: {e}"),
+            }
         }
-        assert_eq!(stats, (3, 3));
-        assert_eq!(synced, Some(3), "every ACK rode on an fsync");
+        for appender in appenders {
+            appender.join().expect("appender thread panicked");
+        }
+        let (records, synced) =
+            shared.probe(|sink, _, _| sink.map(|m| (m.records, m.synced_records))).unwrap();
+        assert_eq!(shared.group_stats().0, THREADS * APPENDS);
+        assert_eq!((records, synced), (200, 200), "every ACK rode on an fsync");
     }
 
     #[test]

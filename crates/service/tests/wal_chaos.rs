@@ -1,5 +1,8 @@
 //! WAL crash-point matrix: every durability seam × {before, after}
-//! group commit × multiple seeds, with concurrent retrying clients.
+//! group commit × multiple seeds × both transports, with concurrent
+//! retrying clients. The threaded transport commits on its workers'
+//! blocking appends; the epoll reactor submits and its WAL pump
+//! commits, so each seam fires on both commit paths.
 //!
 //! Each scenario kills the log mid-load at an injected crash point
 //! (torn group write, dropped fsync, bit-flipped group, or a process
@@ -23,6 +26,7 @@ use oisum_faults::{registry, FaultAction, FireRule};
 use oisum_service::wal::{FsyncPolicy, WalConfig};
 use oisum_service::{
     recovery, serve, Client, ClientConfig, ClientError, ServerConfig, ServiceHp, ShardedLedger,
+    Transport,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -82,13 +86,17 @@ fn chaos_client(addr: std::net::SocketAddr, id: u64, seed: u64) -> Client {
     .unwrap()
 }
 
+/// Every seam test runs once per transport.
+const TRANSPORTS: [Transport; 2] = [Transport::Threads, Transport::Epoll];
+
 const CLIENTS: u64 = 3;
 const BATCHES_PER_CLIENT: usize = 40;
 const BATCH: usize = 25;
 
-/// Drives `CLIENTS` tracked clients against a WAL-backed server while
-/// the armed seams fire, then recovers from the segments and checks the
-/// two invariants. Returns the total fire count across `watch`.
+/// Drives `CLIENTS` tracked clients against a WAL-backed server on
+/// `transport` while the armed seams fire, then recovers from the
+/// segments and checks the two invariants. Returns the total fire count
+/// across `watch` and the number of batches ACKed.
 ///
 /// Clients stop at the first typed server error (the crash refusal is
 /// never retried) or transport failure; every `Ok` batch is recorded as
@@ -96,12 +104,20 @@ const BATCH: usize = 25;
 /// the poisoned WAL as a join error, which the harness tolerates: after
 /// a crash the segments on disk are the source of truth, and that is
 /// exactly what recovery reads.
-fn run_crash_matrix(name: &str, seed: u64, fsync: FsyncPolicy, watch: &[&str]) -> u64 {
+fn run_crash_matrix(
+    name: &str,
+    seed: u64,
+    fsync: FsyncPolicy,
+    transport: Transport,
+    watch: &[&str],
+) -> (u64, u64) {
+    let name = &format!("{name}-{transport:?}");
     let dir = temp_dir(name, seed);
     let server = serve(ServerConfig {
         shards: 4,
         workers: 4,
         wal: Some(WalConfig { segment_bytes: 8 * 1024, fsync, ..WalConfig::new(&dir) }),
+        transport,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -200,20 +216,28 @@ fn run_crash_matrix(name: &str, seed: u64, fsync: FsyncPolicy, watch: &[&str]) -
         );
     }
     std::fs::remove_dir_all(&dir).ok();
-    fired
+    (fired, acked.iter().sum())
 }
 
-/// A torn group write: the committer writes only a prefix of the group
+/// A torn group write: the commit writes only a prefix of the group
 /// and the log poisons. The batches in that group were never ACKed;
 /// recovery truncates the torn tail and keeps every ACKed batch.
 #[test]
 fn torn_group_write_loses_no_acked_batch() {
     let _g = chaos_guard();
-    for (seed, keep, nth) in [(1u64, 0usize, 20u64), (2, 7, 15), (3, 40, 8)] {
-        registry().reset(seed);
-        registry().arm("wal.append.torn", FireRule::Nth(nth), FaultAction::Truncate { keep });
-        let fired = run_crash_matrix("torn", seed, FsyncPolicy::default(), &["wal.append.torn"]);
-        assert!(fired > 0, "seed {seed}: the torn-append seam never fired");
+    for transport in TRANSPORTS {
+        for (seed, keep, nth) in [(1u64, 0usize, 20u64), (2, 7, 15), (3, 40, 8)] {
+            registry().reset(seed);
+            registry().arm("wal.append.torn", FireRule::Nth(nth), FaultAction::Truncate { keep });
+            let (fired, _) = run_crash_matrix(
+                "torn",
+                seed,
+                FsyncPolicy::default(),
+                transport,
+                &["wal.append.torn"],
+            );
+            assert!(fired > 0, "{transport:?} seed {seed}: the torn-append seam never fired");
+        }
     }
 }
 
@@ -223,12 +247,19 @@ fn torn_group_write_loses_no_acked_batch() {
 #[test]
 fn dropped_fsync_refuses_the_group() {
     let _g = chaos_guard();
-    for (seed, nth) in [(4u64, 5), (5, 12), (6, 25)] {
-        registry().reset(seed);
-        registry().arm("wal.fsync.drop", FireRule::Nth(nth), FaultAction::Disconnect);
-        let fired =
-            run_crash_matrix("fsync-drop", seed, FsyncPolicy::Group, &["wal.fsync.drop"]);
-        assert!(fired > 0, "seed {seed}: the fsync-drop seam never fired");
+    for transport in TRANSPORTS {
+        for (seed, nth) in [(4u64, 5), (5, 12), (6, 25)] {
+            registry().reset(seed);
+            registry().arm("wal.fsync.drop", FireRule::Nth(nth), FaultAction::Disconnect);
+            let (fired, _) = run_crash_matrix(
+                "fsync-drop",
+                seed,
+                FsyncPolicy::Group,
+                transport,
+                &["wal.fsync.drop"],
+            );
+            assert!(fired > 0, "{transport:?} seed {seed}: the fsync-drop seam never fired");
+        }
     }
 }
 
@@ -238,20 +269,25 @@ fn dropped_fsync_refuses_the_group() {
 #[test]
 fn corrupted_group_truncates_at_the_bad_record() {
     let _g = chaos_guard();
-    for (seed, offset, bit, nth) in [(7u64, 3usize, 1u8, 5u64), (8, 129, 6, 12), (9, 77, 3, 20)] {
-        registry().reset(seed);
-        registry().arm(
-            "wal.segment.corrupt",
-            FireRule::Nth(nth),
-            FaultAction::BitFlip { offset, bit },
-        );
-        let fired = run_crash_matrix(
-            "bitflip",
-            seed,
-            FsyncPolicy::default(),
-            &["wal.segment.corrupt"],
-        );
-        assert!(fired > 0, "seed {seed}: the segment-corrupt seam never fired");
+    for transport in TRANSPORTS {
+        for (seed, offset, bit, nth) in
+            [(7u64, 3usize, 1u8, 5u64), (8, 129, 6, 12), (9, 77, 3, 20)]
+        {
+            registry().reset(seed);
+            registry().arm(
+                "wal.segment.corrupt",
+                FireRule::Nth(nth),
+                FaultAction::BitFlip { offset, bit },
+            );
+            let (fired, _) = run_crash_matrix(
+                "bitflip",
+                seed,
+                FsyncPolicy::default(),
+                transport,
+                &["wal.segment.corrupt"],
+            );
+            assert!(fired > 0, "{transport:?} seed {seed}: the segment-corrupt seam never fired");
+        }
     }
 }
 
@@ -262,16 +298,23 @@ fn corrupted_group_truncates_at_the_bad_record() {
 #[test]
 fn crash_before_commit_drops_only_unacked_batches() {
     let _g = chaos_guard();
-    for (seed, nth) in [(10u64, 10), (11, 45), (12, 90)] {
-        registry().reset(seed);
-        registry().arm("server.crash.before_commit", FireRule::Nth(nth), FaultAction::Disconnect);
-        let fired = run_crash_matrix(
-            "before-commit",
-            seed,
-            FsyncPolicy::default(),
-            &["server.crash.before_commit"],
-        );
-        assert!(fired > 0, "seed {seed}: the before-commit seam never fired");
+    for transport in TRANSPORTS {
+        for (seed, nth) in [(10u64, 10), (11, 45), (12, 90)] {
+            registry().reset(seed);
+            registry().arm(
+                "server.crash.before_commit",
+                FireRule::Nth(nth),
+                FaultAction::Disconnect,
+            );
+            let (fired, _) = run_crash_matrix(
+                "before-commit",
+                seed,
+                FsyncPolicy::default(),
+                transport,
+                &["server.crash.before_commit"],
+            );
+            assert!(fired > 0, "{transport:?} seed {seed}: the before-commit seam never fired");
+        }
     }
 }
 
@@ -279,19 +322,28 @@ fn crash_before_commit_drops_only_unacked_batches() {
 /// durable but the client never saw the ACK. Recovery replays it —
 /// recovered coverage exceeds the ACKed set, which the invariant
 /// explicitly permits (durable-but-unACKed, never ACKed-but-lost).
+/// Under the reactor the seam fires after the submit, before the pump
+/// has committed the record, so the crash may also catch it queued.
 #[test]
 fn crash_after_commit_keeps_the_durable_batch() {
     let _g = chaos_guard();
-    for (seed, nth) in [(13u64, 12), (14, 50), (15, 100)] {
-        registry().reset(seed);
-        registry().arm("server.crash.after_commit", FireRule::Nth(nth), FaultAction::Disconnect);
-        let fired = run_crash_matrix(
-            "after-commit",
-            seed,
-            FsyncPolicy::default(),
-            &["server.crash.after_commit"],
-        );
-        assert!(fired > 0, "seed {seed}: the after-commit seam never fired");
+    for transport in TRANSPORTS {
+        for (seed, nth) in [(13u64, 12), (14, 50), (15, 100)] {
+            registry().reset(seed);
+            registry().arm(
+                "server.crash.after_commit",
+                FireRule::Nth(nth),
+                FaultAction::Disconnect,
+            );
+            let (fired, _) = run_crash_matrix(
+                "after-commit",
+                seed,
+                FsyncPolicy::default(),
+                transport,
+                &["server.crash.after_commit"],
+            );
+            assert!(fired > 0, "{transport:?} seed {seed}: the after-commit seam never fired");
+        }
     }
 }
 
@@ -301,40 +353,46 @@ fn crash_after_commit_keeps_the_durable_batch() {
 #[test]
 fn crash_storm_across_all_seams() {
     let _g = chaos_guard();
-    for seed in [16u64, 17, 18] {
-        registry().reset(seed);
-        registry().arm(
-            "wal.append.torn",
-            FireRule::Probability(0.04),
-            FaultAction::Truncate { keep: 13 },
-        );
-        registry().arm(
-            "wal.segment.corrupt",
-            FireRule::Probability(0.04),
-            FaultAction::BitFlip { offset: 31, bit: 2 },
-        );
-        registry().arm(
-            "server.crash.before_commit",
-            FireRule::Probability(0.02),
-            FaultAction::Disconnect,
-        );
-        registry().arm(
-            "server.crash.after_commit",
-            FireRule::Probability(0.02),
-            FaultAction::Disconnect,
-        );
-        let fired = run_crash_matrix(
-            "storm",
-            seed,
-            FsyncPolicy::Never,
-            &[
+    for transport in TRANSPORTS {
+        for seed in [16u64, 17, 18] {
+            registry().reset(seed);
+            registry().arm(
                 "wal.append.torn",
+                FireRule::Probability(0.04),
+                FaultAction::Truncate { keep: 13 },
+            );
+            registry().arm(
                 "wal.segment.corrupt",
+                FireRule::Probability(0.04),
+                FaultAction::BitFlip { offset: 31, bit: 2 },
+            );
+            registry().arm(
                 "server.crash.before_commit",
+                FireRule::Probability(0.02),
+                FaultAction::Disconnect,
+            );
+            registry().arm(
                 "server.crash.after_commit",
-            ],
-        );
-        assert!(fired > 0, "seed {seed}: no crash seam fired — the storm proves nothing");
+                FireRule::Probability(0.02),
+                FaultAction::Disconnect,
+            );
+            let (fired, _) = run_crash_matrix(
+                "storm",
+                seed,
+                FsyncPolicy::Never,
+                transport,
+                &[
+                    "wal.append.torn",
+                    "wal.segment.corrupt",
+                    "server.crash.before_commit",
+                    "server.crash.after_commit",
+                ],
+            );
+            assert!(
+                fired > 0,
+                "{transport:?} seed {seed}: no crash seam fired — the storm proves nothing"
+            );
+        }
     }
 }
 
@@ -344,10 +402,17 @@ fn crash_storm_across_all_seams() {
 #[test]
 fn uncrashed_control_recovers_everything() {
     let _g = chaos_guard();
-    let seed = 19u64;
-    registry().reset(seed);
-    let fired = run_crash_matrix("control", seed, FsyncPolicy::default(), &[]);
-    assert_eq!(fired, 0);
+    for transport in TRANSPORTS {
+        let seed = 19u64;
+        registry().reset(seed);
+        let (fired, acked) =
+            run_crash_matrix("control", seed, FsyncPolicy::default(), transport, &[]);
+        assert_eq!(
+            (fired, acked),
+            (0, CLIENTS * BATCHES_PER_CLIENT as u64),
+            "{transport:?}: an uncrashed run ACKs every batch"
+        );
+    }
 }
 
 /// Snapshot interplay under crash: a snapshot (with its WAL GC) lands

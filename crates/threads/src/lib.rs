@@ -4,7 +4,7 @@
 //! reduce a contiguous slice of the input, then a master PE folds the `p`
 //! partial sums. Three pieces:
 //!
-//! * [`method`] — the [`SumMethod`](method::SumMethod) trait making
+//! * [`method`] — the [`SumMethod`] trait making
 //!   double/HP/Hallberg/Kahan/Neumaier/superaccumulator interchangeable in
 //!   every substrate.
 //! * [`reduce`] — real executions: serial, `p` OS threads with

@@ -14,6 +14,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline --workspace
 
+echo "==> rustdoc -D warnings (intra-doc links resolve and name only public items)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> benchmark build (perfbench/ must keep compiling against the program's API)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
