@@ -24,7 +24,7 @@ use oisum_cluster::{ClusterNode, ClusterNodeConfig, Membership, NodeSpec};
 fn usage() -> ! {
     eprintln!(
         "usage: oisum-cluster-node --id N --node CLIENT,PEER [--node CLIENT,PEER ...]\n\
-         \x20      [--replication R] [--shards S] [--workers W] [--snapshot PATH]"
+         \x20      [--replication R] [--shards S] [--snapshot PATH]"
     );
     std::process::exit(2);
 }
@@ -34,7 +34,6 @@ fn main() -> ExitCode {
     let mut specs: Vec<NodeSpec> = Vec::new();
     let mut replication = 1usize;
     let mut shards = 8usize;
-    let mut workers = 4usize;
     let mut snapshot = None;
 
     let mut args = std::env::args().skip(1);
@@ -59,7 +58,6 @@ fn main() -> ExitCode {
             }
             "--replication" => replication = value("count").parse().unwrap_or_else(|_| usage()),
             "--shards" => shards = value("count").parse().unwrap_or_else(|_| usage()),
-            "--workers" => workers = value("count").parse().unwrap_or_else(|_| usage()),
             "--snapshot" => snapshot = Some(value("path").into()),
             "--help" | "-h" => usage(),
             other => {
@@ -84,7 +82,6 @@ fn main() -> ExitCode {
 
     let mut config = ClusterNodeConfig::new(id);
     config.shards = shards;
-    config.workers = workers;
     config.snapshot_path = snapshot;
 
     let node = match ClusterNode::start(Arc::clone(&membership), config) {

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! loadgen [--threads N] [--values N] [--batch N] [--shards N] [--seed N]
-//!         [--json | --binary] [--chaos] [--out PATH]
+//!         [--chaos] [--out PATH]
 //! loadgen --cluster [--nodes 1,2,3] [--replication R] [--cluster-out PATH]
 //! ```
 //!
@@ -29,18 +29,12 @@
 //! Generates one dataset of `--values` summands with magnitudes spread
 //! over ~30 orders of magnitude, splits it into batches, deals the
 //! batches to `--threads` clients *in shuffled order*, and streams them
-//! at an in-process server. By default it runs the workload twice —
-//! once over the JSON protocol (`OIS\x01`) and once over the binary Add
-//! fast path (`OIS\x02`) — against a fresh server each, so the two
-//! protocol costs are directly comparable; `--json` / `--binary`
-//! restrict to one pass. After every pass it asserts the server's `Sum`
-//! limbs are bitwise identical to the sequential
-//! `ServiceHp::sum_f64_slice` of the un-shuffled dataset, then reports
-//! throughput (`ops_per_sec` and `values_per_sec`) and per-request
-//! latency percentiles to stdout and (as JSON) to `--out` (default
-//! `BENCH_service.json`). The top-level numbers mirror the binary pass
-//! when it runs (the service's hot path), with both passes nested under
-//! `"json_mode"` / `"binary_mode"`.
+//! as binary Add frames (`OIS\x02`) at a fresh in-process server. After
+//! the pass it asserts the server's `Sum` limbs are bitwise identical to
+//! the sequential `ServiceHp::sum_f64_slice` of the un-shuffled dataset,
+//! then reports throughput (`ops_per_sec` and `values_per_sec`) and
+//! per-request latency percentiles to stdout and (as JSON) to `--out`
+//! (default `BENCH_service.json`).
 
 use oisum_cluster::start_local_cluster;
 use oisum_core::{encode_f64_batch, encode_f64_le_batch, lane_evidence, BatchAcc};
@@ -65,27 +59,11 @@ use std::time::{Duration, Instant};
 /// should use the ratios, not the absolute numbers.
 const PR2_BINARY_VALUES_PER_SEC: f64 = 17_812_875.0;
 const PR2_BINARY_P50_US: f64 = 104.11;
-const PR2_JSON_P99_US: f64 = 1563.04;
 
 /// PR 5's recorded kernel microbench (its `BENCH_kernels.json`), the
 /// before side of this PR's multi-lane rework. Same caveat: reference
 /// machine numbers, compare ratios across machines.
 const PR5_KERNEL_ENCODE_VALUES_PER_SEC: f64 = 137_342_222.0;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Json,
-    Binary,
-}
-
-impl Mode {
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Json => "json",
-            Mode::Binary => "binary",
-        }
-    }
-}
 
 #[derive(Clone)]
 struct Args {
@@ -94,7 +72,6 @@ struct Args {
     batch: usize,
     shards: usize,
     seed: u64,
-    modes: Vec<Mode>,
     chaos: bool,
     out: String,
     /// Batch sizes for the `--values-per-batch` kernel sweep; empty
@@ -147,7 +124,6 @@ impl Default for Args {
             batch: 500,
             shards: 8,
             seed: 0x5EED,
-            modes: vec![Mode::Json, Mode::Binary],
             chaos: false,
             out: "BENCH_service.json".to_owned(),
             sweep: Vec::new(),
@@ -170,7 +146,7 @@ impl Default for Args {
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--threads N] [--values N] [--batch N] [--shards N] [--seed N] \
-         [--json | --binary] [--chaos] [--gate] [--wal] [--out PATH] \
+         [--chaos] [--gate] [--wal] [--out PATH] \
          [--transport threads|epoll] [--connections N] [--idle-heavy] \
          [--connect ADDR] [--shutdown] \
          [--values-per-batch N,N,...] [--kernels-out PATH] \
@@ -190,8 +166,6 @@ fn parse_args() -> Args {
             "--batch" => a.batch = value().parse().unwrap_or_else(|_| usage()),
             "--shards" => a.shards = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => a.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--json" => a.modes = vec![Mode::Json],
-            "--binary" => a.modes = vec![Mode::Binary],
             "--chaos" => a.chaos = true,
             "--gate" => a.gate = true,
             "--wal" => a.wal = true,
@@ -306,9 +280,8 @@ fn percentile_us(sorted: &[u128], p: f64) -> f64 {
     sorted[idx] as f64 / 1000.0
 }
 
-/// One protocol pass's results.
+/// One pass's results.
 struct PassReport {
-    mode: Mode,
     ops_per_sec: f64,
     values_per_sec: f64,
     p50_us: f64,
@@ -317,28 +290,11 @@ struct PassReport {
     faults_fired: u64,
 }
 
-impl PassReport {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"ops_per_sec\":{:.2},\"values_per_sec\":{:.0},\"p50_us\":{:.2},\"p99_us\":{:.2},\"faults_fired\":{},\"bitwise_identical\":true}}",
-            self.ops_per_sec, self.values_per_sec, self.p50_us, self.p99_us, self.faults_fired
-        )
-    }
-}
-
-/// Runs the full workload against a fresh in-process server over one
-/// protocol, asserting the bitwise-identical-sum invariant before
-/// reporting.
-fn run_pass(
-    args: &Args,
-    data: &[f64],
-    expected: &ServiceHp,
-    mode: Mode,
-    wal: Option<WalConfig>,
-) -> PassReport {
+/// Runs the full workload against a fresh in-process server, asserting
+/// the bitwise-identical-sum invariant before reporting.
+fn run_pass(args: &Args, data: &[f64], expected: &ServiceHp, wal: Option<WalConfig>) -> PassReport {
     let server = serve(ServerConfig {
         shards: args.shards,
-        workers: args.threads,
         wal,
         transport: args.transport,
         ..ServerConfig::default()
@@ -380,12 +336,7 @@ fn run_pass(
                     let mut lat = Vec::with_capacity(hand.len());
                     for &i in hand {
                         let t0 = Instant::now();
-                        let n = match mode {
-                            Mode::Json => client.add("loadgen", batches[i]).expect("add"),
-                            Mode::Binary => {
-                                client.add_binary("loadgen", batches[i]).expect("add_binary")
-                            }
-                        };
+                        let n = client.add_binary("loadgen", batches[i]).expect("add_binary");
                         lat.push(t0.elapsed().as_nanos());
                         assert_eq!(n as usize, batches[i].len());
                     }
@@ -414,8 +365,7 @@ fn run_pass(
     assert_eq!(
         reply.limbs,
         expected.as_limbs().to_vec(),
-        "{} pass: server sum diverged from sequential HP sum",
-        mode.name()
+        "server sum diverged from sequential HP sum"
     );
     assert!(!reply.poisoned, "accumulator poisoned under loadgen range");
     if args.chaos {
@@ -425,8 +375,7 @@ fn run_pass(
         let stream = streams.iter().find(|s| s.name == "loadgen").expect("stream stats");
         assert_eq!(
             stream.values as usize, args.values,
-            "{} chaos pass: retries were not applied exactly once",
-            mode.name()
+            "chaos pass: retries were not applied exactly once"
         );
     }
     client.shutdown().expect("shutdown");
@@ -437,7 +386,6 @@ fn run_pass(
     let ops = sorted.len() as f64;
     let ops_per_sec = ops / elapsed.as_secs_f64();
     PassReport {
-        mode,
         ops_per_sec,
         values_per_sec: args.values as f64 / elapsed.as_secs_f64(),
         p50_us: percentile_us(&sorted, 0.50),
@@ -515,7 +463,7 @@ fn run_wal_pass(
     let _ = std::fs::remove_dir_all(&dir);
     let config = WalConfig { fsync, ..WalConfig::new(&dir) };
     let fsync_policy = config.fsync.to_string();
-    let logged = run_pass(args, data, expected, Mode::Binary, Some(config));
+    let logged = run_pass(args, data, expected, Some(config));
 
     // run_pass joined the server, so the commit group is drained and
     // every segment sealed: the log alone must rebuild the exact bits.
@@ -575,7 +523,6 @@ fn run_wal_fan_pass(
     let server = serve_with_core(
         &ServerConfig {
             shards: args.shards,
-            workers: args.threads,
             transport: Transport::Epoll,
             ..ServerConfig::default()
         },
@@ -650,7 +597,7 @@ fn run_wal(args: &Args, data: &[f64], expected: &ServiceHp) -> WalReport {
     // steadies the minimum.
     let mut never: Option<WalPass> = None;
     for _ in 0..4 {
-        let bare = run_pass(&pass_args, data, expected, Mode::Binary, None).values_per_sec;
+        let bare = run_pass(&pass_args, data, expected, None).values_per_sec;
         let logged = run_wal_pass(&pass_args, data, expected, bare, FsyncPolicy::Never);
         if never.as_ref().is_none_or(|b| logged.overhead_pct < b.overhead_pct) {
             never = Some(logged);
@@ -881,7 +828,6 @@ fn run_reactor_scale(args: &Args, data: &[f64], expected: &ServiceHp) -> Reactor
         None => {
             let server = serve(ServerConfig {
                 shards: args.shards,
-                workers: args.threads,
                 transport: Transport::Epoll,
                 ..ServerConfig::default()
             })
@@ -998,7 +944,6 @@ struct ClusterPass {
 fn run_cluster_pass(args: &Args, data: &[f64], expected: &ServiceHp, n: usize) -> ClusterPass {
     let (_membership, nodes) = start_local_cluster(n, args.replication, |c| {
         c.shards = args.shards;
-        c.workers = args.threads.max(2);
     })
     .expect("start cluster");
     let addrs: Vec<_> = nodes.iter().map(|node| node.client_addr()).collect();
@@ -1198,7 +1143,7 @@ fn microbench(seed: u64) -> KernelBench {
     KernelBench { scalar_encode_vps, kernel_encode_vps, bytes_encode_vps, deposit_vps, deposit_chunk_vps }
 }
 
-/// Runs the kernel microbench plus a binary-mode end-to-end pass per
+/// Runs the kernel microbench plus an end-to-end pass per
 /// requested batch size, and writes `BENCH_kernels.json`.
 fn run_sweep(args: &Args, data: &[f64], expected: &ServiceHp) {
     let kb = microbench(args.seed);
@@ -1264,7 +1209,7 @@ fn run_sweep(args: &Args, data: &[f64], expected: &ServiceHp) {
     let sweep_p99_ceiling = env_floor("OISUM_GATE_SWEEP_P99_US", 250.0);
     for (i, &batch) in args.sweep.iter().enumerate() {
         let pass_args = Args { batch, chaos: false, ..args.clone() };
-        let r = run_pass(&pass_args, data, expected, Mode::Binary, None);
+        let r = run_pass(&pass_args, data, expected, None);
         println!(
             "  [sweep {batch:>5}/batch] {:.0} values/s, p50 {:.1} us, p99 {:.1} us",
             r.values_per_sec, r.p50_us, r.p99_us
@@ -1334,32 +1279,19 @@ fn main() {
         return;
     }
 
-    let reports: Vec<PassReport> = args
-        .modes
-        .iter()
-        .map(|&mode| {
-            let r = run_pass(&args, &data, &expected, mode, None);
-            if args.chaos {
-                println!(
-                    "  [{}] chaos: {} faults fired; sum bitwise-identical and values applied exactly once: OK",
-                    mode.name(),
-                    r.faults_fired
-                );
-            } else {
-                println!("  [{}] sum bitwise-identical to sequential HP sum: OK", mode.name());
-            }
-            println!(
-                "  [{}] {:.0} add-ops/s ({:.0} values/s), p50 {:.1} us, p99 {:.1} us, wall {:?}",
-                mode.name(),
-                r.ops_per_sec,
-                r.values_per_sec,
-                r.p50_us,
-                r.p99_us,
-                r.wall
-            );
-            r
-        })
-        .collect();
+    let pass = run_pass(&args, &data, &expected, None);
+    if args.chaos {
+        println!(
+            "  chaos: {} faults fired; sum bitwise-identical and values applied exactly once: OK",
+            pass.faults_fired
+        );
+    } else {
+        println!("  sum bitwise-identical to sequential HP sum: OK");
+    }
+    println!(
+        "  {:.0} add-ops/s ({:.0} values/s), p50 {:.1} us, p99 {:.1} us, wall {:?}",
+        pass.ops_per_sec, pass.values_per_sec, pass.p50_us, pass.p99_us, pass.wall
+    );
 
     let wal_report = if args.wal {
         let w = run_wal(&args, &data, &expected);
@@ -1396,33 +1328,25 @@ fn main() {
         None
     };
 
-    // Headline numbers follow the binary pass when present (the hot
-    // path); per-mode blocks carry the full comparison.
-    let headline = reports
-        .iter()
-        .find(|r| r.mode == Mode::Binary)
-        .unwrap_or(&reports[0]);
     let mut json = format!(
-        "{{\"ops_per_sec\":{:.2},\"values_per_sec\":{:.0},\"p50_us\":{:.2},\"p99_us\":{:.2},\"threads\":{},\"values\":{},\"batch\":{},\"shards\":{},\"chaos\":{},\"bitwise_identical\":true",
-        headline.ops_per_sec,
-        headline.values_per_sec,
-        headline.p50_us,
-        headline.p99_us,
+        "{{\"ops_per_sec\":{:.2},\"values_per_sec\":{:.0},\"p50_us\":{:.2},\"p99_us\":{:.2},\"threads\":{},\"values\":{},\"batch\":{},\"shards\":{},\"chaos\":{},\"faults_fired\":{},\"bitwise_identical\":true",
+        pass.ops_per_sec,
+        pass.values_per_sec,
+        pass.p50_us,
+        pass.p99_us,
         args.threads,
         args.values,
         args.batch,
         args.shards,
-        args.chaos
+        args.chaos,
+        pass.faults_fired
     );
     // The previous release's numbers ride along in every report so a
     // reader (or a gate script) has before/after in one file.
     json.push_str(&format!(
-        ",\"pr2_baseline\":{{\"binary_values_per_sec\":{:.0},\"binary_p50_us\":{:.2},\"json_p99_us\":{:.2}}}",
-        PR2_BINARY_VALUES_PER_SEC, PR2_BINARY_P50_US, PR2_JSON_P99_US
+        ",\"pr2_baseline\":{{\"binary_values_per_sec\":{:.0},\"binary_p50_us\":{:.2}}}",
+        PR2_BINARY_VALUES_PER_SEC, PR2_BINARY_P50_US
     ));
-    for r in &reports {
-        json.push_str(&format!(",\"{}_mode\":{}", r.mode.name(), r.to_json()));
-    }
     if let Some(w) = &wal_report {
         json.push_str(&format!(
             ",\"wal\":{{\"baseline_values_per_sec\":{:.0},\"group_connections\":{}",
@@ -1457,31 +1381,27 @@ fn main() {
     }
 
     if args.gate {
-        // Regression gates over the binary pass (floors overridable per
+        // Regression gates over the pass (floors overridable per
         // machine through the environment; see scripts/verify.sh).
-        let binary = reports
-            .iter()
-            .find(|r| r.mode == Mode::Binary)
-            .expect("--gate needs a binary pass");
         let p50_floor = env_floor("OISUM_GATE_P50_US", 200.0);
         assert!(
-            binary.p50_us <= p50_floor,
+            pass.p50_us <= p50_floor,
             "gate: binary p50 {:.2} us regressed past the {:.2} us ceiling",
-            binary.p50_us,
+            pass.p50_us,
             p50_floor
         );
         let vps_floor = env_floor("OISUM_GATE_VALUES_PER_SEC", 10_000_000.0);
         assert!(
-            binary.values_per_sec >= vps_floor,
+            pass.values_per_sec >= vps_floor,
             "gate: binary throughput {:.0} values/s fell below the {:.0} floor",
-            binary.values_per_sec,
+            pass.values_per_sec,
             vps_floor
         );
         println!(
             "  gate: p50 {:.1} us <= {:.1} us, {:.2}M values/s >= {:.2}M values/s floor: OK",
-            binary.p50_us,
+            pass.p50_us,
             p50_floor,
-            binary.values_per_sec / 1e6,
+            pass.values_per_sec / 1e6,
             vps_floor / 1e6
         );
         if let Some(w) = &wal_report {

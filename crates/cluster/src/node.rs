@@ -92,8 +92,6 @@ pub struct ClusterNodeConfig {
     pub node_id: u32,
     /// Ledger shards for both the primary and the mirror store.
     pub shards: usize,
-    /// Client-server worker threads.
-    pub workers: usize,
     /// Where this node persists (and restores) its ledgers; `None`
     /// disables persistence.
     pub snapshot_path: Option<PathBuf>,
@@ -112,7 +110,6 @@ impl ClusterNodeConfig {
         ClusterNodeConfig {
             node_id,
             shards: 8,
-            workers: 4,
             snapshot_path: None,
             wal: None,
             peer: PeerCallConfig::default(),
@@ -389,7 +386,6 @@ impl ClusterNode {
             &ServerConfig {
                 addr: membership.client_addr(me),
                 shards: config.shards,
-                workers: config.workers,
                 snapshot_path: None,
                 wal: None,
                 transport: Transport::default(),

@@ -27,8 +27,8 @@ fn main() {
     };
     let mut a = Client::connect(server.addr()).expect("connect a");
     let mut b = Client::connect(server.addr()).expect("connect b");
-    a.add("demo", &evens).expect("add evens");
-    b.add("demo", &odds).expect("add odds");
+    a.add_binary("demo", &evens).expect("add evens");
+    b.add_binary("demo", &odds).expect("add odds");
 
     let reply = a.sum("demo").expect("sum");
     let expected = ServiceHp::sum_f64_slice(&xs);
@@ -37,8 +37,8 @@ fn main() {
     assert_eq!(reply.limbs, expected.as_limbs().to_vec());
     println!("bitwise identical ✓ (value ≈ {})", expected.to_f64());
 
-    // Workers drain live connections before the server stops, so close
-    // the idle client first.
+    // Live connections drain before the server stops, so close the idle
+    // client first.
     drop(a);
     b.shutdown().expect("shutdown");
     server.join().expect("join");

@@ -1,7 +1,7 @@
 //! Standalone summation server.
 //!
 //! ```text
-//! oisum-server [--addr HOST:PORT] [--shards N] [--workers N] [--snapshot PATH]
+//! oisum-server [--addr HOST:PORT] [--shards N] [--snapshot PATH]
 //!              [--wal DIR] [--fsync group|never]
 //!              [--transport threads|epoll] [--max-conns N]
 //! ```
@@ -14,17 +14,17 @@
 //! startup — ACKed batches then survive a non-graceful death.
 //!
 //! `--transport epoll` serves connections from a single edge-triggered
-//! reactor instead of the worker pool — same protocol, same bitwise
-//! sums, tens of thousands of concurrent connections. `--max-conns`
-//! raises `RLIMIT_NOFILE` toward N+64 before binding (best effort,
-//! clamped to the hard cap).
+//! reactor instead of a thread per connection — same protocol, same
+//! bitwise sums, tens of thousands of concurrent connections.
+//! `--max-conns` raises `RLIMIT_NOFILE` toward N+64 before binding (best
+//! effort, clamped to the hard cap).
 
 use oisum_service::{raise_nofile_limit, serve, FsyncPolicy, ServerConfig, WalConfig};
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: oisum-server [--addr HOST:PORT] [--shards N] [--workers N] [--snapshot PATH] \
+        "usage: oisum-server [--addr HOST:PORT] [--shards N] [--snapshot PATH] \
          [--wal DIR] [--fsync group|never] \
          [--transport threads|epoll] [--max-conns N]"
     );
@@ -41,7 +41,6 @@ fn main() -> ExitCode {
         match flag.as_str() {
             "--addr" => config.addr = value(),
             "--shards" => config.shards = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => config.workers = value().parse().unwrap_or_else(|_| usage()),
             "--snapshot" => config.snapshot_path = Some(value().into()),
             "--wal" => config.wal = Some(WalConfig::new(value())),
             "--fsync" => {

@@ -1,17 +1,19 @@
 //! A blocking client for the summation service, with fault-tolerant
-//! retries that are safe to use: every tracked `Add` carries a
+//! retries that are safe to use: every tracked deposit
+//! ([`Client::add_binary`], a binary Add frame) carries a
 //! `(client_id, seq)` retry identity, so resending a batch whose ACK was
 //! lost deposits nothing the second time — the server's per-stream dedup
 //! window recognizes the replay. Retrying is therefore *exactly-once*
 //! for deposits, not at-least-once.
 //!
-//! One request/one reply over a persistent connection. Typed helpers
-//! unwrap the reply kind; a mismatched or `Error` reply surfaces as
-//! [`ClientError::Server`] with the server's code and message. Transport
-//! failures (`ClientError::Io`) trigger reconnect + resend up to
-//! [`ClientConfig::retries`] times with exponential backoff and seeded
-//! jitter; typed server errors are never retried — the server heard us
-//! and said no.
+//! One request/one reply over a persistent connection: a binary Add
+//! frame for a deposit, a JSON frame for every other call, a JSON reply
+//! to each. Typed helpers unwrap the reply kind; a mismatched or `Error`
+//! reply surfaces as [`ClientError::Server`] with the server's code and
+//! message. Transport failures (`ClientError::Io`) trigger reconnect +
+//! resend up to [`ClientConfig::retries`] times with exponential backoff
+//! and seeded jitter; typed server errors are never retried — the server
+//! heard us and said no.
 
 use crate::proto::{
     add_binary_into, read_frame, write_frame, ErrorCode, Request, Response, StreamStatsRepr,
@@ -240,29 +242,12 @@ impl Client {
         seq
     }
 
-    /// Deposits a batch exactly once; returns the number of values the
-    /// batch accounts for. Under retries, at most one attempt's deposit
-    /// lands — replays are ACKed without double-counting.
-    pub fn add(&mut self, stream: &str, values: &[f64]) -> Result<u64, ClientError> {
-        let seq = self.claim_seq();
-        let client_id = self.client_id;
-        let req = Request::Add {
-            stream: stream.to_owned(),
-            values: values.to_vec(),
-            client_id: Some(client_id),
-            seq: Some(seq),
-        };
-        self.with_retries(move |c| match c.call_once(&req)? {
-            Response::Added { count, .. } => Ok(count),
-            _ => Err(ClientError::UnexpectedReply("added")),
-        })
-    }
-
-    /// Deposits a batch over the binary `OIS\x02` fast path: raw
-    /// little-endian `f64` bytes instead of JSON text. Semantically
-    /// identical to [`Self::add`] — same ledger, same exactly-once
-    /// retry identity, every bit pattern crosses unchanged — but with no
-    /// number-formatting or parsing cost on either side.
+    /// Deposits a batch exactly once over a binary `OIS\x02` Add frame
+    /// (raw little-endian `f64` bytes, every bit pattern unchanged, no
+    /// number formatting or parsing on either side); returns the number
+    /// of values the batch accounts for. Under retries, at most one
+    /// attempt's deposit lands — replays are ACKed without
+    /// double-counting.
     pub fn add_binary(&mut self, stream: &str, values: &[f64]) -> Result<u64, ClientError> {
         let seq = self.claim_seq();
         let client_id = self.client_id;

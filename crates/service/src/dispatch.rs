@@ -9,13 +9,12 @@
 //! transport (framing, fault seams, buffer reuse), and the cluster node
 //! reuses the identical dispatch for operations that arrive via peers.
 //!
-//! Within the core, too, an `Add` has one definition. A JSON `Add` is
-//! checked against what a binary Add frame could carry and its values
-//! are converted once to little-endian bytes; from there both frame
-//! kinds run the same routine: refuse a batch holding a value the sum
-//! format cannot hold, replicate a tracked batch, deposit it through
+//! Within the core, too, an `Add` has one definition. A batch arrives
+//! only as a binary Add frame, whose little-endian value bytes run one
+//! routine: refuse a batch holding a value the sum format cannot hold,
+//! replicate a tracked batch, deposit it through
 //! [`ShardedLedger::add_batch_le_bytes_dedup`], then make it durable
-//! before the ACK.
+//! before the ACK. JSON frames carry the control ops alone.
 //!
 //! The cluster attaches through the [`ClusterOps`] trait rather than a
 //! concrete type so this crate stays free of any cluster dependency
@@ -27,8 +26,7 @@
 
 use crate::ledger::{ShardedLedger, SERVICE_LIMBS};
 use crate::proto::{
-    binary_add_lengths, le_bytes, ClientFrameView, ErrorCode, Request, Response, StreamStatsRepr,
-    UNTRACKED_CLIENT,
+    ClientFrameView, ErrorCode, Request, Response, StreamStatsRepr, UNTRACKED_CLIENT,
 };
 use crate::snapshot::Checkpointer;
 use crate::wal::Wal;
@@ -169,10 +167,10 @@ impl RequestCore {
         self.wal.as_ref()
     }
 
-    /// Executes one client frame (either protocol version). Returns the
-    /// reply and whether the transport should initiate shutdown after
-    /// sending it. `shard_cursor` is the connection's private cursor,
-    /// advanced once per `Add`.
+    /// Executes one client frame (a binary Add or a JSON control
+    /// request). Returns the reply and whether the transport should
+    /// initiate shutdown after sending it. `shard_cursor` is the
+    /// connection's private cursor, advanced once per `Add`.
     pub fn handle_frame(
         &self,
         frame: ClientFrameView<'_>,
@@ -212,27 +210,6 @@ impl RequestCore {
         };
         let ledger = &self.ledger;
         let reply = match req {
-            Request::Add { stream, values, client_id, seq } => {
-                // Accept only what a binary Add frame could carry: that
-                // bound is also the WAL record's, so no accepted Add can
-                // be refused by the log after it was applied.
-                if let Err(e) = binary_add_lengths(&stream, values.len()) {
-                    return FrameOutcome::Done(
-                        Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: format!("add does not fit a binary frame: {e}"),
-                        },
-                        false,
-                    );
-                }
-                // Tracked only with both halves of the identity; the
-                // sentinel id, or either half missing, is untracked.
-                let (client_id, seq) = match (client_id, seq) {
-                    (Some(id), Some(seq)) => (id, seq),
-                    _ => (UNTRACKED_CLIENT, 0),
-                };
-                return self.add(&stream, client_id, seq, &le_bytes(&values), shard_cursor, mode);
-            }
             Request::Sum { stream } => match ledger.sum(&stream) {
                 Some(sum) => Response::Sum {
                     limbs: sum.as_limbs().to_vec(),
@@ -267,10 +244,10 @@ impl RequestCore {
         FrameOutcome::Done(reply, false)
     }
 
-    /// Executes one Add, whichever frame carried it: a tracked batch is
-    /// replicated first, then deposited through the ledger's one deposit
-    /// call, then made durable before its ACK. `value_bytes` are raw
-    /// little-endian `f64`s; the shard cursor advances once.
+    /// Executes one binary Add: a tracked batch is replicated first,
+    /// then deposited through the ledger's one deposit call, then made
+    /// durable before its ACK. `value_bytes` are raw little-endian
+    /// `f64`s; the shard cursor advances once.
     ///
     /// A batch holding a value the sum format cannot hold (a NaN, an
     /// infinity, or a magnitude of 2^191 or more) is refused as a bad
@@ -483,7 +460,7 @@ fn unknown_stream(stream: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{add_binary_bytes, parse_client_frame, MAGIC_ADD_BIN, MAX_FRAME};
+    use crate::proto::{add_binary_bytes, le_bytes, parse_client_frame, MAGIC_ADD_BIN};
     use crate::snapshot;
     use crate::wal::{FsyncPolicy, WalConfig};
     use crate::ServiceHp;
@@ -498,6 +475,22 @@ mod tests {
     fn run(core: &RequestCore, req: Request) -> (Response, bool) {
         let mut cursor = 0usize;
         core.handle_frame(ClientFrameView::Json(req), &mut cursor)
+    }
+
+    /// Executes one binary Add frame through `cursor`.
+    fn add(
+        core: &RequestCore,
+        cursor: &mut usize,
+        stream: &str,
+        client_id: u64,
+        seq: u64,
+        values: &[f64],
+    ) -> Response {
+        let frame = add_binary_bytes(stream, client_id, seq, values).unwrap();
+        let (reply, stop) =
+            core.handle_frame(parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap(), cursor);
+        assert!(!stop);
+        reply
     }
 
     /// A fresh WAL (no fsync: these tests check what is logged, not
@@ -575,34 +568,19 @@ mod tests {
             .with_cluster(Arc::clone(&cluster) as Arc<dyn ClusterOps>);
         let mut cursor = 0usize;
 
-        // Tracked JSON add: replicated (as raw LE bytes), then applied.
-        let (reply, _) = run(
-            &core,
-            Request::Add {
-                stream: "s".into(),
-                values: vec![1.5, 2.5],
-                client_id: Some(7),
-                seq: Some(1),
-            },
-        );
+        // Tracked adds: value bytes forwarded verbatim, then applied.
+        let reply = add(&core, &mut cursor, "s", 7, 1, &[1.5, 2.5]);
         assert_eq!(reply, Response::Added { count: 2, deduped: false });
         assert_eq!(
             cluster.calls.lock().unwrap().as_slice(),
             &[("s".to_owned(), 7, 1, 16)]
         );
-
-        // Tracked binary add: value bytes forwarded verbatim.
-        let frame = add_binary_bytes("s", 7, 2, &[4.0]).unwrap();
-        let view = parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap();
-        let (reply, _) = core.handle_frame(view, &mut cursor);
+        let reply = add(&core, &mut cursor, "s", 7, 2, &[4.0]);
         assert_eq!(reply, Response::Added { count: 1, deduped: false });
         assert_eq!(cluster.calls.lock().unwrap().len(), 2);
 
         // Untracked adds are not replicated.
-        let (reply, _) = run(
-            &core,
-            Request::Add { stream: "s".into(), values: vec![9.0], client_id: None, seq: None },
-        );
+        let reply = add(&core, &mut cursor, "s", UNTRACKED_CLIENT, 0, &[9.0]);
         assert_eq!(reply, Response::Added { count: 1, deduped: false });
         assert_eq!(cluster.calls.lock().unwrap().len(), 2);
 
@@ -610,23 +588,14 @@ mod tests {
         // apply — the ACK invariant "acked ⇒ replicated" holds.
         let before = ledger.sum("s").unwrap();
         *cluster.partitioned.lock().unwrap() = true;
-        let (reply, _) = run(
-            &core,
-            Request::Add {
-                stream: "s".into(),
-                values: vec![100.0],
-                client_id: Some(7),
-                seq: Some(3),
-            },
-        );
+        let reply = add(&core, &mut cursor, "s", 7, 3, &[100.0]);
         assert!(matches!(reply, Response::Error { code: ErrorCode::Internal, .. }));
         assert_eq!(ledger.sum("s").unwrap(), before);
     }
 
-    /// A JSON Add is one more spelling of a binary Add. Every identity
-    /// shape, from either frame kind, must deposit bitwise the Listing-1
-    /// sum, count one batch per applied Add, dedup a tracked replay, and
-    /// write a WAL record only when tracked.
+    /// Both identity shapes of a binary Add must deposit bitwise the
+    /// Listing-1 sum, count one batch per applied Add, dedup a tracked
+    /// replay, and write a WAL record only when tracked.
     #[test]
     fn every_add_shape_deposits_the_listing1_sum_once() {
         let xs = [0.1, -2.5e-30, 1e15, -0.0, 5e-324, 3.75, -7.0e-200];
@@ -636,38 +605,17 @@ mod tests {
                 acc.wrapping_add(&ServiceHp::from_limbs(encode_listing1::<6, 3>(x)))
             })
         };
-        // (stream, binary frame?, client_id, seq, tracked)
-        let shapes = [
-            ("binary-tracked", true, Some(7), Some(1), true),
-            ("binary-untracked", true, Some(UNTRACKED_CLIENT), Some(1), false),
-            ("json-tracked", false, Some(7), Some(1), true),
-            ("json-no-identity", false, None, None, false),
-            ("json-client-id-only", false, Some(7), None, false),
-            ("json-seq-only", false, None, Some(1), false),
-            ("json-client-id-0", false, Some(UNTRACKED_CLIENT), Some(1), false),
-        ];
+        // (stream, client_id, tracked)
+        let shapes = [("tracked", 7, true), ("untracked", UNTRACKED_CLIENT, false)];
         let wal = scratch_wal("shapes");
         let ledger = Arc::new(ShardedLedger::new(3));
         let core = RequestCore::new(Arc::clone(&ledger)).with_wal(Arc::clone(&wal));
         let mut cursor = 0usize;
-        for (stream, binary, client_id, seq, tracked) in shapes {
-            let wire = add_binary_bytes(stream, client_id.unwrap_or(0), seq.unwrap_or(0), &xs)
-                .unwrap();
+        for (stream, client_id, tracked) in shapes {
             // The second send is a replay of the first.
             for send in 1..=2u64 {
-                let frame = if binary {
-                    parse_client_frame(MAGIC_ADD_BIN, &wire[8..]).unwrap()
-                } else {
-                    ClientFrameView::Json(Request::Add {
-                        stream: stream.to_owned(),
-                        values: xs.to_vec(),
-                        client_id,
-                        seq,
-                    })
-                };
                 let logged = wal.group_stats().0;
-                let (reply, stop) = core.handle_frame(frame, &mut cursor);
-                assert!(!stop);
+                let reply = add(&core, &mut cursor, stream, client_id, 1, &xs);
                 let applies = if tracked { 1 } else { send };
                 let deduped = tracked && send == 2;
                 assert_eq!(reply, Response::Added { count: n, deduped }, "{stream} send {send}");
@@ -682,80 +630,21 @@ mod tests {
                 assert_eq!(wal.group_stats().0 - logged, u64::from(tracked), "{stream} send {send}");
             }
         }
-        // The log holds the tracked shapes alone, and replays to their sums.
+        // The log holds the tracked shape alone, and replays to its sum.
         wal.close().unwrap();
         let recovered = ShardedLedger::new(2);
         let report = crate::recover(wal.dir(), &recovered).unwrap();
-        assert_eq!((report.records, report.applied, report.deduped), (4, 2, 2));
-        assert_eq!(recovered.stream_names(), vec!["binary-tracked", "json-tracked"]);
-        for name in recovered.stream_names() {
-            assert_eq!(recovered.sum(&name).unwrap(), listing1(1));
-        }
-        std::fs::remove_dir_all(wal.dir()).ok();
-    }
-
-    /// A JSON Add that no binary Add frame could carry (a name over
-    /// 65,535 bytes, or more values than a 16 MiB payload holds) would
-    /// fail its WAL append after the deposit. It is refused as a bad
-    /// request before replication or apply, tracked or not.
-    #[test]
-    fn json_adds_no_binary_frame_could_carry_are_refused_before_apply() {
-        let wal = scratch_wal("refuse");
-        let cluster = Arc::new(RecordingCluster::default());
-        let ledger = Arc::new(ShardedLedger::new(2));
-        let core = RequestCore::new(Arc::clone(&ledger))
-            .with_cluster(Arc::clone(&cluster) as Arc<dyn ClusterOps>)
-            .with_wal(Arc::clone(&wal));
-        let long_name = "n".repeat(65_536);
-        // The most values a binary Add into a 1-byte name carries.
-        let most = (MAX_FRAME as usize - 18 - 1) / 8;
-        let mut seq = 0;
-        for (stream, count) in [(long_name.as_str(), 1), ("s", most + 1)] {
-            for tracked in [true, false] {
-                seq += 1;
-                let (reply, _) = run(
-                    &core,
-                    Request::Add {
-                        stream: stream.to_owned(),
-                        values: vec![1.0; count],
-                        client_id: tracked.then_some(7),
-                        seq: tracked.then_some(seq),
-                    },
-                );
-                let Response::Error { code, message } = reply else {
-                    panic!("{count} values into a {}-byte name were accepted", stream.len())
-                };
-                assert_eq!(code, ErrorCode::BadRequest, "{message}");
-            }
-        }
-        assert!(ledger.stats().streams.is_empty());
-        assert!(cluster.calls.lock().unwrap().is_empty());
-        assert_eq!(wal.group_stats().0, 0);
-
-        // The largest batch a binary frame carries is still accepted,
-        // logged and replicated.
-        let (reply, _) = run(
-            &core,
-            Request::Add {
-                stream: "s".into(),
-                values: vec![1.0; most],
-                client_id: Some(7),
-                seq: Some(100),
-            },
-        );
-        assert_eq!(reply, Response::Added { count: most as u64, deduped: false });
-        assert_eq!(ledger.sum("s").unwrap().to_f64(), most as f64);
-        assert_eq!(cluster.calls.lock().unwrap().len(), 1);
-        assert_eq!(wal.group_stats().0, 1);
-        wal.close().unwrap();
+        assert_eq!((report.records, report.applied, report.deduped), (2, 1, 1));
+        assert_eq!(recovered.stream_names(), vec!["tracked"]);
+        assert_eq!(recovered.sum("tracked").unwrap(), listing1(1));
         std::fs::remove_dir_all(wal.dir()).ok();
     }
 
     /// A value the sum format cannot hold — a NaN, an infinity, or a
     /// magnitude of 2^191 or more — is refused as a bad request naming
-    /// its index, from either frame kind, tracked or not, before
-    /// replication, deposit or logging. Just inside the range,
-    /// ±(2^191 − ulp) deposit their Listing-1 encodings bit for bit.
+    /// its index, tracked or not, before replication, deposit or
+    /// logging. Just inside the range, ±(2^191 − ulp) deposit their
+    /// Listing-1 encodings bit for bit.
     #[test]
     fn out_of_range_values_are_refused_before_apply() {
         let wal = scratch_wal("range");
@@ -766,21 +655,10 @@ mod tests {
             .with_wal(Arc::clone(&wal));
         let mut cursor = 0usize;
         let mut seq = 0u64;
-        let mut send = |binary: bool, stream: &str, tracked: bool, values: &[f64]| {
+        let mut send = |stream: &str, tracked: bool, values: &[f64]| {
             seq += 1;
             let id = if tracked { 7 } else { UNTRACKED_CLIENT };
-            let wire = add_binary_bytes(stream, id, seq, values).unwrap();
-            let frame = if binary {
-                parse_client_frame(MAGIC_ADD_BIN, &wire[8..]).unwrap()
-            } else {
-                ClientFrameView::Json(Request::Add {
-                    stream: stream.to_owned(),
-                    values: values.to_vec(),
-                    client_id: tracked.then_some(id),
-                    seq: tracked.then_some(seq),
-                })
-            };
-            core.handle_frame(frame, &mut cursor).0
+            add(&core, &mut cursor, stream, id, seq, values)
         };
         let listing1 = |xs: &[f64]| {
             xs.iter().fold(ServiceHp::ZERO, |acc, &x| {
@@ -790,28 +668,24 @@ mod tests {
 
         // "held" has a sum the refusals must leave alone; "fresh" must
         // never come into existence.
-        assert_eq!(send(true, "held", true, &[1.5]), Response::Added { count: 1, deduped: false });
+        assert_eq!(send("held", true, &[1.5]), Response::Added { count: 1, deduped: false });
         let held = ledger.sum("held").unwrap();
         let two191 = 2f64.powi(191);
         let bad = [1e300, -1e300, two191, -two191, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         for x in bad {
-            // JSON cannot spell a NaN or an infinity.
-            let kinds: &[bool] = if x.is_finite() { &[true, false] } else { &[true] };
-            for &binary in kinds {
-                for stream in ["held", "fresh"] {
-                    for tracked in [true, false] {
-                        let logged = wal.group_stats().0;
-                        let reply = send(binary, stream, tracked, &[0.25, x, -3.0]);
-                        let what = format!("{x:?} binary={binary} {stream} tracked={tracked}");
-                        let Response::Error { code, message } = reply else {
-                            panic!("{what} was accepted: {reply:?}")
-                        };
-                        assert_eq!(code, ErrorCode::BadRequest, "{what}: {message}");
-                        assert!(message.contains("value 1 "), "{what}: {message}");
-                        assert_eq!(ledger.sum("held").unwrap(), held, "{what}");
-                        assert!(ledger.sum("fresh").is_none(), "{what}");
-                        assert_eq!(wal.group_stats().0, logged, "{what}: logged a record");
-                    }
+            for stream in ["held", "fresh"] {
+                for tracked in [true, false] {
+                    let logged = wal.group_stats().0;
+                    let reply = send(stream, tracked, &[0.25, x, -3.0]);
+                    let what = format!("{x:?} {stream} tracked={tracked}");
+                    let Response::Error { code, message } = reply else {
+                        panic!("{what} was accepted: {reply:?}")
+                    };
+                    assert_eq!(code, ErrorCode::BadRequest, "{what}: {message}");
+                    assert!(message.contains("value 1 "), "{what}: {message}");
+                    assert_eq!(ledger.sum("held").unwrap(), held, "{what}");
+                    assert!(ledger.sum("fresh").is_none(), "{what}");
+                    assert_eq!(wal.group_stats().0, logged, "{what}: logged a record");
                 }
             }
         }
@@ -819,14 +693,12 @@ mod tests {
 
         let edge = f64::from_bits(two191.to_bits() - 1);
         let mut deposited = Vec::new();
-        for binary in [true, false] {
-            for tracked in [true, false] {
-                for xs in [[edge, 0.5], [-edge, -0.5]] {
-                    let reply = send(binary, "edge", tracked, &xs);
-                    assert_eq!(reply, Response::Added { count: 2, deduped: false });
-                    deposited.extend_from_slice(&xs);
-                    assert_eq!(ledger.sum("edge").unwrap(), listing1(&deposited));
-                }
+        for tracked in [true, false] {
+            for xs in [[edge, 0.5], [-edge, -0.5]] {
+                let reply = send("edge", tracked, &xs);
+                assert_eq!(reply, Response::Added { count: 2, deduped: false });
+                deposited.extend_from_slice(&xs);
+                assert_eq!(ledger.sum("edge").unwrap(), listing1(&deposited));
             }
         }
         wal.close().unwrap();
@@ -878,9 +750,7 @@ mod tests {
                 }
                 let mut cursor = 0usize;
                 for seq in 1..=ADDS {
-                    let frame = add_binary_bytes("s", 7, seq, &[seq as f64]).unwrap();
-                    let view = parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap();
-                    let (reply, _) = core.handle_frame(view, &mut cursor);
+                    let reply = add(&core, &mut cursor, "s", 7, seq, &[seq as f64]);
                     assert_eq!(reply, Response::Added { count: 1, deduped: false });
                 }
                 // ORDERING: Relaxed — see the loads above.

@@ -19,9 +19,8 @@
 //! Any assignment is valid; only contention changes.
 //!
 //! That call is the ledger's only deposit. Every batch arrives as raw
-//! little-endian `f64` bytes, whether a binary Add frame, a JSON Add
-//! converted once, a peer `MirrorAdd` or a replayed WAL record carried
-//! it. It folds into a carry-deferred [`BatchAcc`](oisum_core::BatchAcc)
+//! little-endian `f64` bytes, whether a binary Add frame, a peer
+//! `MirrorAdd` or a replayed WAL record carried it. It folds into a carry-deferred [`BatchAcc`](oisum_core::BatchAcc)
 //! and lands with [`AtomicHp::add_batch_le_bytes`]: exactly `N` atomic
 //! RMWs per batch instead of `N` per value.
 //!

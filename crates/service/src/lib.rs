@@ -9,26 +9,26 @@
 //! * [`ledger`] — [`ShardedLedger`]: named
 //!   streams of cache-padded atomic HP shards (two-level locking: an
 //!   `RwLock` directory over lock-free shard deposits). Every batch —
-//!   binary or JSON Add, peer mirror, WAL replay — lands as raw
-//!   little-endian `f64` bytes through one call,
+//!   client Add, peer mirror, WAL replay — lands as raw little-endian
+//!   `f64` bytes through one call,
 //!   `ShardedLedger::add_batch_le_bytes_dedup`: one local
 //!   [`BatchAcc`](oisum_core::BatchAcc) fold, then exactly `N` atomic
 //!   RMWs per batch (`AtomicHp::add_batch_le_bytes`), with shard
 //!   selection on each depositor's own cursor instead of one shared
 //!   round-robin cache line.
-//! * [`proto`] — the wire protocol: `b"OIS\x01"`-tagged,
-//!   length-prefixed JSON frames, plus the `b"OIS\x02"` **binary Add
-//!   fast path** (length-prefixed stream name + raw little-endian
-//!   `f64`s) accepted on the same port; sums travel as raw limbs,
-//!   never `f64`.
+//! * [`proto`] — the wire protocol: a batch travels only as a
+//!   `b"OIS\x02"` **binary Add** frame (length-prefixed stream name,
+//!   retry identity, raw little-endian `f64`s); `b"OIS\x01"`-tagged,
+//!   length-prefixed JSON frames carry the control ops and every reply,
+//!   on the same port; sums travel as raw limbs, never `f64`.
 //! * [`dispatch`] — the transport-agnostic request core
 //!   ([`RequestCore`]): frame in → ledger op →
 //!   reply out, shared by the client-facing server and the cluster's
 //!   peer protocol, with a [`ClusterOps`] hook
 //!   through which `oisum-cluster` attaches replication and the
 //!   tree-reduced `ClusterSum`.
-//! * [`server`] — acceptor + crossbeam worker pool, graceful shutdown,
-//!   snapshot on exit.
+//! * [`server`] — acceptor + one thread per live connection, graceful
+//!   shutdown, snapshot on exit.
 //! * [`snapshot`] — atomic persistence of exact per-stream state in the
 //!   WAL's record/seal framing under its own magic, so truncated,
 //!   bit-flipped or foreign files are refused with a typed
@@ -39,11 +39,11 @@
 //! # Exactly-once deposits
 //!
 //! Retrying a deposit whose ACK was lost is only safe if replays cannot
-//! double-count. Every tracked `Add` — JSON or binary — carries a
-//! `(client_id, seq)` retry identity; each stream keeps a per-client
-//! window of the highest applied `seq` (persisted across snapshots), so
-//! a replayed frame is acknowledged without depositing. The sum's limbs
-//! are bitwise identical no matter how many times any frame is retried.
+//! double-count. Every tracked `Add` carries a `(client_id, seq)` retry
+//! identity; each stream keeps a per-client window of the highest
+//! applied `seq` (persisted across snapshots), so a replayed frame is
+//! acknowledged without depositing. The sum's limbs are bitwise
+//! identical no matter how many times any frame is retried.
 //! `client_id` [`proto::UNTRACKED_CLIENT`] (0) opts out.
 //!
 //! # Fault injection

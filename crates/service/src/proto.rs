@@ -1,17 +1,18 @@
 //! Wire protocol: length-prefixed frames with a versioned header.
 //!
 //! Every frame is `b"OIS" <version byte> <u32 big-endian payload length>
-//! <payload>`. Version `0x01` payloads are JSON-encoded [`Request`]s and
-//! [`Response`]s; version `0x02` is the **binary Add fast path** — a
-//! length-prefixed stream name followed by raw little-endian `f64`
-//! summands, no JSON anywhere (see [`write_add_binary`]). The
-//! magic-plus-version prefix lets either side reject a non-protocol peer
-//! (or an incompatible revision) before parsing anything, and the
-//! explicit length keeps framing independent of the payload encoding.
-//! Both versions are accepted on the same port; servers reply to a
-//! binary Add with the ordinary JSON `Added` frame (replies are tiny —
-//! the serialization cost worth eliminating is the 500-float request
-//! payload, not the acknowledgement).
+//! <payload>`. A batch of summands travels one way only: the version
+//! `0x02` **binary Add** frame — a length-prefixed stream name, the
+//! retry identity, then raw little-endian `f64` summands, no JSON
+//! anywhere (see [`write_add_binary`]). Version `0x01` payloads are
+//! JSON-encoded [`Request`]s — every control op (sum, cluster sum,
+//! snapshot, reset, stats, shutdown), never an Add — and every
+//! [`Response`], the binary Add's `Added` ACK included (replies are tiny;
+//! the serialization cost worth eliminating is the request's values, not
+//! the acknowledgement). The magic-plus-version prefix lets either side
+//! reject a non-protocol peer (or an incompatible revision) before
+//! parsing anything, and the explicit length keeps framing independent
+//! of the payload encoding. Both versions are accepted on the same port.
 //!
 //! HP sums cross the wire as their raw limb sequences (most significant
 //! first) — exactly the `oisum-core` serde representation — so clients
@@ -22,7 +23,8 @@ use serde::ser::SerializeStruct;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::io::{self, Read, Write};
 
-/// JSON frame magic; the final byte is the protocol version.
+/// JSON frame magic (control requests and every reply); the final byte
+/// is the protocol version.
 pub const MAGIC: [u8; 4] = *b"OIS\x01";
 
 /// Binary Add frame magic (protocol version 2). Payload:
@@ -92,23 +94,11 @@ impl ErrorCode {
 /// ledger's dedup window and is applied unconditionally.
 pub const UNTRACKED_CLIENT: u64 = 0;
 
-/// A client-to-server command.
+/// A client-to-server control command, JSON-framed. Summands never
+/// travel as JSON: a batch is deposited with a binary Add frame
+/// ([`add_binary_into`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Deposit `values` into the named stream.
-    Add {
-        /// Target stream (created on first use).
-        stream: String,
-        /// Batch of summands.
-        values: Vec<f64>,
-        /// Retry identity: a client-chosen id, stable across reconnects.
-        /// `None` (or [`UNTRACKED_CLIENT`]) opts out of deduplication.
-        client_id: Option<u64>,
-        /// Retry identity: strictly increasing per `client_id`. A replay
-        /// of an already-applied `(client_id, seq)` is ACKed without
-        /// depositing again, so retried batches land exactly once.
-        seq: Option<u64>,
-    },
     /// Read the exact HP sum of the named stream.
     Sum {
         /// Stream to read.
@@ -134,9 +124,11 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every op a JSON request may name, as [`Request::op`] spells it.
+    const OPS: [&'static str; 6] = ["sum", "cluster_sum", "snapshot", "reset", "stats", "shutdown"];
+
     fn op(&self) -> &'static str {
         match self {
-            Request::Add { .. } => "add",
             Request::Sum { .. } => "sum",
             Request::ClusterSum { .. } => "cluster_sum",
             Request::Snapshot => "snapshot",
@@ -149,21 +141,9 @@ impl Request {
 
 impl Serialize for Request {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Request", 3)?;
+        let mut s = serializer.serialize_struct("Request", 2)?;
         s.serialize_field("op", &self.op())?;
         match self {
-            Request::Add { stream, values, client_id, seq } => {
-                s.serialize_field("stream", stream)?;
-                s.serialize_field("values", values)?;
-                // Identity fields are omitted (not null) when absent so
-                // untracked frames keep the pre-dedup shape.
-                if let Some(id) = client_id {
-                    s.serialize_field("client_id", id)?;
-                }
-                if let Some(seq) = seq {
-                    s.serialize_field("seq", seq)?;
-                }
-            }
             Request::Sum { stream } | Request::ClusterSum { stream } => {
                 s.serialize_field("stream", stream)?
             }
@@ -183,15 +163,21 @@ impl<'de> Visitor<'de> for RequestVisitor {
     }
 
     fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Request, A::Error> {
-        let (mut op, mut stream, mut values) = (None::<String>, None::<String>, None::<Vec<f64>>);
-        let (mut client_id, mut seq) = (None::<u64>, None::<u64>);
+        let unknown_op = |op: &str| A::Error::custom(format!("unknown op `{op}`"));
+        let (mut op, mut stream) = (None::<String>, None::<String>);
         while let Some(key) = map.next_key::<String>()? {
             match key.as_str() {
-                "op" => op = Some(map.next_value()?),
+                // An unknown op is refused before any field it brought
+                // along: a JSON `add` is named as the op, not as a stray
+                // `values` field.
+                "op" => {
+                    let name: String = map.next_value()?;
+                    if !Request::OPS.contains(&name.as_str()) {
+                        return Err(unknown_op(&name));
+                    }
+                    op = Some(name);
+                }
                 "stream" => stream = Some(map.next_value()?),
-                "values" => values = Some(map.next_value()?),
-                "client_id" => client_id = Some(map.next_value()?),
-                "seq" => seq = Some(map.next_value()?),
                 other => return Err(A::Error::custom(format!("unknown field `{other}`"))),
             }
         }
@@ -200,30 +186,20 @@ impl<'de> Visitor<'de> for RequestVisitor {
             stream.ok_or_else(|| A::Error::custom(format!("`{op}` requires `stream`")))
         };
         Ok(match op.as_str() {
-            "add" => Request::Add {
-                stream: need_stream(stream)?,
-                values: values.ok_or_else(|| A::Error::custom("`add` requires `values`"))?,
-                client_id,
-                seq,
-            },
             "sum" => Request::Sum { stream: need_stream(stream)? },
             "cluster_sum" => Request::ClusterSum { stream: need_stream(stream)? },
             "snapshot" => Request::Snapshot,
             "reset" => Request::Reset,
             "stats" => Request::Stats,
             "shutdown" => Request::Shutdown,
-            other => return Err(A::Error::custom(format!("unknown op `{other}`"))),
+            other => return Err(unknown_op(other)),
         })
     }
 }
 
 impl<'de> Deserialize<'de> for Request {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_struct(
-            "Request",
-            &["op", "stream", "values", "client_id", "seq"],
-            RequestVisitor,
-        )
+        deserializer.deserialize_struct("Request", &["op", "stream"], RequestVisitor)
     }
 }
 
@@ -626,9 +602,8 @@ pub fn read_frame<R: Read, T: for<'de> Deserialize<'de>>(r: &mut R) -> io::Resul
 
 /// Serializes one binary Add frame (`OIS\x02`) into a byte buffer:
 /// length-prefixed stream name, the `(client_id, seq)` retry identity,
-/// then the summands as raw little-endian `f64` bytes. Carries exactly
-/// the same information as a tracked JSON `Add` — every finite bit
-/// pattern (signed zeros, subnormals) crosses unchanged — at 8 bytes per
+/// then the summands as raw little-endian `f64` bytes — every bit
+/// pattern (signed zeros, subnormals) crosses unchanged, at 8 bytes per
 /// value and zero number-formatting cost.
 pub fn add_binary_bytes(
     stream: &str,
@@ -642,7 +617,10 @@ pub fn add_binary_bytes(
 }
 
 /// [`add_binary_bytes`] into a caller-owned buffer (cleared first), so a
-/// client's send loop reuses one allocation across batches.
+/// client's send loop reuses one allocation across batches. Refuses a
+/// batch no frame can carry: a stream name over 65,535 bytes, or a
+/// payload (`18 + name + 8·n` bytes) over [`MAX_FRAME`]. A WAL record
+/// has the same payload bound, so every Add a server parses fits one.
 pub fn add_binary_into(
     buf: &mut Vec<u8>,
     stream: &str,
@@ -650,7 +628,11 @@ pub fn add_binary_into(
     seq: u64,
     values: &[f64],
 ) -> io::Result<()> {
-    let (name_len, len) = binary_add_lengths(stream, values.len())?;
+    let name_len = u16::try_from(stream.len()).map_err(|_| bad_data("stream name too long"))?;
+    let len = u32::try_from(2 + stream.len() + 16 + size_of_val(values))
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or_else(|| bad_data("frame too large"))?;
     buf.clear();
     buf.reserve(8 + len as usize);
     buf.extend_from_slice(&MAGIC_ADD_BIN);
@@ -665,26 +647,9 @@ pub fn add_binary_into(
     Ok(())
 }
 
-/// The `(name length, payload length)` header fields of a binary Add
-/// frame carrying `n` values into `stream`, or the reason no frame can
-/// carry that batch: a name over 65,535 bytes, or a payload
-/// (`18 + name + 8·n` bytes) over [`MAX_FRAME`]. A WAL record has the
-/// same payload bound, so every batch that passes fits one too; the
-/// server refuses a JSON `Add` that fails this check.
-pub fn binary_add_lengths(stream: &str, n: usize) -> io::Result<(u16, u32)> {
-    let name_len = u16::try_from(stream.len()).map_err(|_| bad_data("stream name too long"))?;
-    let payload_len = n
-        .checked_mul(8)
-        .and_then(|v| v.checked_add(2 + stream.len() + 16))
-        .and_then(|len| u32::try_from(len).ok())
-        .filter(|&len| len <= MAX_FRAME)
-        .ok_or_else(|| bad_data("frame too large"))?;
-    Ok((name_len, payload_len))
-}
-
 /// The little-endian bytes of `values`: the service's one deposit
 /// format, as a binary Add frame, a WAL record and a peer `MirrorAdd`
-/// carry it. A JSON `Add` is converted through this once on arrival.
+/// carry it.
 pub fn le_bytes(values: &[f64]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
@@ -1076,11 +1041,12 @@ pub fn read_peer_reply_into<'a, R: Read>(
 }
 
 /// A client frame parsed out of a caller-owned read buffer. The JSON
-/// arm is owned (requests are small and heterogeneous); the binary Add
-/// arm borrows the buffer — see [`BinaryAddView`].
+/// arm is an owned control request (small and heterogeneous); the
+/// binary Add arm, the only way a batch arrives, borrows the buffer —
+/// see [`BinaryAddView`].
 #[derive(Debug)]
 pub enum ClientFrameView<'a> {
-    /// A JSON-framed request.
+    /// A JSON-framed control request.
     Json(Request),
     /// A binary Add, viewed in place over the read buffer.
     BinaryAdd(BinaryAddView<'a>),
@@ -1134,18 +1100,6 @@ mod tests {
 
     #[test]
     fn request_frames_roundtrip() {
-        roundtrip_request(Request::Add {
-            stream: "s".into(),
-            values: vec![0.1, -2.5e-30, 1e15, -0.0],
-            client_id: None,
-            seq: None,
-        });
-        roundtrip_request(Request::Add {
-            stream: "s".into(),
-            values: vec![4.5],
-            client_id: Some(u64::MAX),
-            seq: Some(3),
-        });
         roundtrip_request(Request::Sum { stream: "s".into() });
         roundtrip_request(Request::ClusterSum { stream: "s".into() });
         roundtrip_request(Request::Snapshot);
@@ -1276,14 +1230,39 @@ mod tests {
     }
 
     #[test]
-    fn binary_add_lengths_bound_name_and_payload() {
+    fn add_binary_into_bounds_name_and_payload() {
+        let mut frame = Vec::new();
         // 18 fixed bytes + a 1-byte name leave room for this many values.
         let most = (MAX_FRAME as usize - 19) / 8;
-        assert_eq!(binary_add_lengths("s", most).unwrap(), (1, 19 + 8 * most as u32));
-        assert!(binary_add_lengths("s", most + 1).is_err());
-        assert!(binary_add_lengths("s", usize::MAX).is_err());
-        assert!(binary_add_lengths(&"n".repeat(65_535), 0).is_ok());
-        assert!(binary_add_lengths(&"n".repeat(65_536), 0).is_err());
+        add_binary_into(&mut frame, "s", 7, 1, &vec![0.5; most]).unwrap();
+        assert_eq!(frame[4..8], (19 + 8 * most as u32).to_be_bytes());
+        let mut buf = Vec::new();
+        let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut frame.as_slice(), &mut buf).unwrap()
+        else {
+            panic!("the largest frame failed to parse")
+        };
+        assert_eq!(view.len(), most);
+        assert!(add_binary_into(&mut frame, "s", 7, 1, &vec![0.5; most + 1]).is_err());
+        assert!(add_binary_into(&mut frame, &"n".repeat(65_535), 7, 1, &[]).is_ok());
+        assert!(add_binary_into(&mut frame, &"n".repeat(65_536), 7, 1, &[]).is_err());
+    }
+
+    /// A batch travels only as a binary Add: the JSON reader refuses an
+    /// `add` op by name, whatever fields it carries.
+    #[test]
+    fn json_add_is_an_unknown_op() {
+        for payload in [
+            &br#"{"op":"add","stream":"s","values":[1.5],"client_id":7,"seq":1}"#[..],
+            br#"{"op":"add","stream":"s"}"#,
+        ] {
+            let mut wire = MAGIC.to_vec();
+            wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            wire.extend_from_slice(payload);
+            let mut buf = Vec::new();
+            let err = read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("unknown op `add`"), "{err}");
+        }
     }
 
     #[test]
@@ -1423,30 +1402,5 @@ mod tests {
         let mut frame = Vec::new();
         peer_tree_sum_into(&mut frame, 0, 1, "s").unwrap();
         assert!(read_peer_reply_into(&mut frame.as_slice(), &mut buf).is_err());
-    }
-
-    #[test]
-    fn values_cross_the_wire_bit_exactly() {
-        // The summands that motivate the whole service: values whose
-        // low-order bits vanish under naive f64 round-tripping schemes.
-        let values = vec![f64::MIN_POSITIVE, 2f64.powi(-1074), 1e308, -0.0, 0.1 + 0.2];
-        let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &Request::Add {
-                stream: "s".into(),
-                values: values.clone(),
-                client_id: Some(1),
-                seq: Some(1),
-            },
-        )
-        .unwrap();
-        let Some(Request::Add { values: back, .. }) = read_frame(&mut buf.as_slice()).unwrap()
-        else {
-            panic!("wrong frame")
-        };
-        let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
-        let back_bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bits, back_bits);
     }
 }

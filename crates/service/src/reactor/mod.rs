@@ -1,7 +1,7 @@
 //! The event-driven transport: one thread, one `epoll`, every
 //! connection a readiness-driven state machine.
 //!
-//! The threaded server burns a worker thread per in-flight connection;
+//! The threaded server burns a thread per live connection;
 //! this reactor holds tens of thousands on a single thread. Frames are
 //! decoded incrementally by `conn::Conn`'s exact-read coroutine,
 //! parsed with the same zero-copy views as the blocking path, and

@@ -44,8 +44,8 @@
 use crate::ledger::ShardedLedger;
 use crate::proto::{split_name, UNTRACKED_CLIENT};
 use crate::wal::{
-    fnv4, fnv_wide, fnv_wide_update, list_segments, WalError, MAX_RECORD_PAYLOAD, SEAL_LEN,
-    SEAL_MARKER, SEGMENT_HEADER_LEN, WAL_MAGIC,
+    fnv4, fnv_wide, fnv_wide_update, list_segments, WalError, MAX_RECORD_PAYLOAD, RECORD_OVERHEAD,
+    SEAL_LEN, SEAL_MARKER, SEGMENT_HEADER_LEN, WAL_MAGIC,
 };
 use std::fs;
 use std::path::Path;
@@ -81,13 +81,14 @@ pub struct TornTail {
     pub dropped_bytes: u64,
 }
 
-/// One parsed, checksum-verified record.
-struct ParsedRecord {
+/// One parsed, checksum-verified record, borrowing its name and values
+/// from the segment bytes it was read from.
+struct ParsedRecord<'a> {
     client_id: u64,
     seq: u64,
-    stream: String,
+    stream: &'a str,
     /// Raw little-endian f64 payload, length a multiple of 8.
-    values: Vec<u8>,
+    values: &'a [u8],
 }
 
 /// One framed file after [`walk`]: the decoded payload of every verified
@@ -116,11 +117,30 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
         }
     }
     // Pass 1: parse + verify everything. Hard errors abort here, before
-    // the ledger sees a single value.
-    let mut parsed = Vec::with_capacity(segments.len());
+    // the ledger sees a single value. The segment bytes stay read for
+    // pass 2, which applies the records straight out of them.
+    let mut bytes = Vec::with_capacity(segments.len());
     for (index, path) in &segments {
-        let bytes = fs::read(path)?;
-        parsed.push(walk(WAL_MAGIC, *index, &bytes, |offset, payload| {
+        let mut buf = fs::read(path)?;
+        // A pre-sized segment a crash left unsealed ends in its zero
+        // tail. Keep only the verified records, so pass 2 holds what the
+        // log wrote and not a whole segment per crash; the zeros walk as
+        // a clean end, so the walk below reads the same records.
+        if buf.ends_with(&[0; 8]) {
+            let mut end = SEGMENT_HEADER_LEN;
+            let walked = walk(WAL_MAGIC, *index, &buf, |offset, payload| {
+                end = offset + RECORD_OVERHEAD + payload.len();
+                Ok(())
+            })?;
+            if !walked.sealed && walked.torn.is_none() && end < buf.len() {
+                buf = buf[..end].to_vec();
+            }
+        }
+        bytes.push(buf);
+    }
+    let mut parsed = Vec::with_capacity(segments.len());
+    for ((index, _), bytes) in segments.iter().zip(&bytes) {
+        parsed.push(walk(WAL_MAGIC, *index, bytes, |offset, payload| {
             parse_payload(*index, offset, payload)
         })?);
     }
@@ -135,7 +155,7 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
                 continue;
             }
             let (count, applied) =
-                ledger.add_batch_le_bytes_dedup(&rec.stream, hint, rec.client_id, rec.seq, &rec.values);
+                ledger.add_batch_le_bytes_dedup(rec.stream, hint, rec.client_id, rec.seq, rec.values);
             hint = hint.wrapping_add(1);
             if applied {
                 report.applied += 1;
@@ -154,14 +174,15 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
 /// Walks one framed file — a WAL segment, or a snapshot under its own
 /// magic — checking the header against `magic` and `index`, then every
 /// record's framing and checksum, then the seal. `decode` turns each
-/// verified payload, given its record's offset, into a record; its `Err`
-/// is a hard error. Torn tails (the unverifiable suffix of an unsealed
-/// file) truncate; everything else that fails to verify is a hard error.
-pub(crate) fn walk<T>(
+/// verified payload, given its record's offset, into a record that may
+/// borrow from `bytes`; its `Err` is a hard error. Torn tails (the
+/// unverifiable suffix of an unsealed file) truncate; everything else
+/// that fails to verify is a hard error.
+pub(crate) fn walk<'a, T>(
     magic: [u8; 8],
     index: u64,
-    bytes: &[u8],
-    mut decode: impl FnMut(usize, &[u8]) -> Result<T, WalError>,
+    bytes: &'a [u8],
+    mut decode: impl FnMut(usize, &'a [u8]) -> Result<T, WalError>,
 ) -> Result<Walk<T>, WalError> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         // A header-length torn write can only happen to the very first
@@ -361,7 +382,7 @@ fn parse_seal<T>(
 /// the checksum passed, so the bytes are what was written — if they are
 /// structurally impossible, the writer (or an editor of the file) was
 /// broken, and applying a guess would corrupt an exact sum.
-fn parse_payload(index: u64, offset: usize, payload: &[u8]) -> Result<ParsedRecord, WalError> {
+fn parse_payload(index: u64, offset: usize, payload: &[u8]) -> Result<ParsedRecord<'_>, WalError> {
     let corrupt = |detail: String| WalError::Corrupt { segment: index, offset: offset as u64, detail };
     let short = || corrupt(format!("payload of {} bytes is shorter than the fixed fields", payload.len()));
     let (client_id, rest) = payload.split_first_chunk::<8>().ok_or_else(short)?;
@@ -371,7 +392,7 @@ fn parse_payload(index: u64, offset: usize, payload: &[u8]) -> Result<ParsedReco
     if !values.len().is_multiple_of(8) {
         return Err(corrupt(format!("value payload of {} bytes is not a multiple of 8", values.len())));
     }
-    Ok(ParsedRecord { client_id, seq, stream: stream.to_owned(), values: values.to_vec() })
+    Ok(ParsedRecord { client_id, seq, stream, values })
 }
 
 #[cfg(test)]

@@ -1,20 +1,21 @@
-//! The TCP summation server: acceptor + crossbeam-fed worker pool over a
-//! shared [`ShardedLedger`].
+//! The TCP summation server: an acceptor and one thread per live
+//! connection over a shared [`ShardedLedger`].
 //!
-//! One acceptor thread hands incoming connections to a fixed pool of
-//! workers through an unbounded crossbeam channel; each worker owns a
-//! connection for its whole lifetime (length-prefixed frames in,
-//! replies out). Shutdown is graceful by construction: the `Shutdown`
-//! frame is acknowledged, the listener stops accepting, the channel
-//! disconnects, and every worker finishes draining its live connections
-//! before the final snapshot is written. Because a batch is only ACKed
-//! *after* its deposits land in the ledger, "every ACKed batch is in
-//! the final snapshot" holds without any extra bookkeeping.
+//! The acceptor spawns a scoped thread for each connection it accepts;
+//! that thread owns the connection for its whole lifetime
+//! (length-prefixed frames in, replies out), so every client is served
+//! as soon as it connects, however many others hold connections open.
+//! Shutdown is graceful by construction: the `Shutdown` frame is
+//! acknowledged, the listener stops accepting, and the acceptor's scope
+//! waits for every live connection to drain before the final snapshot
+//! is written. Because a batch is only ACKed *after* its deposits land
+//! in the ledger, "every ACKed batch is in the final snapshot" holds
+//! without any extra bookkeeping.
 
 use crate::dispatch::RequestCore;
 use crate::ledger::ShardedLedger;
 use crate::proto::{
-    frame_into, read_client_frame_into, ClientFrameView, ErrorCode, Request, Response,
+    frame_into, read_client_frame_into, ClientFrameView, ErrorCode, Response,
     INITIAL_FRAME_CAPACITY,
 };
 use crate::snapshot;
@@ -40,9 +41,9 @@ pub(crate) static CONN_SEQ: AtomicUsize = AtomicUsize::new(0);
 /// sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
-    /// Acceptor + crossbeam worker pool: one thread owns each live
-    /// connection. Highest single-connection throughput; concurrency
-    /// capped by thread count.
+    /// Acceptor + one thread per live connection. Highest
+    /// single-connection throughput, for a few hot sockets; every
+    /// connection costs a thread.
     #[default]
     Threads,
     /// Single-threaded edge-triggered epoll reactor: tens of thousands
@@ -80,8 +81,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Shards per ledger stream.
     pub shards: usize,
-    /// Worker threads serving connections (threaded transport only).
-    pub workers: usize,
     /// If set, `Snapshot` requests and graceful shutdown persist the
     /// ledger here (and the server restores from it at startup if the
     /// file exists).
@@ -101,7 +100,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards: 8,
-            workers: 4,
             snapshot_path: None,
             wal: None,
             transport: Transport::Threads,
@@ -135,12 +133,12 @@ impl ServerHandle {
         signal_shutdown(&self.stopping, self.addr);
     }
 
-    /// Waits until the acceptor and every worker have finished and the
-    /// final snapshot (if configured) is on disk.
+    /// Waits until the acceptor and every connection thread have
+    /// finished and the final snapshot (if configured) is on disk.
     ///
-    /// Workers drain their live connections to EOF before exiting, so a
-    /// client held open past the shutdown request delays this join until
-    /// that client disconnects.
+    /// Live connections are drained to EOF first, so a client held open
+    /// past the shutdown request delays this join until that client
+    /// disconnects.
     pub fn join(self) -> io::Result<()> {
         self.acceptor
             .join()
@@ -206,49 +204,37 @@ pub fn serve_with_core(config: &ServerConfig, core: Arc<RequestCore>) -> io::Res
 
     let acceptor = {
         let stopping = Arc::clone(&stopping);
-        let workers = config.workers.max(1);
         std::thread::spawn(move || -> io::Result<()> {
-            let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
-            let pool: Vec<_> = (0..workers)
-                .map(|_| {
-                    let rx = rx.clone();
-                    let core = Arc::clone(&core);
-                    let stopping = Arc::clone(&stopping);
-                    std::thread::spawn(move || {
-                        while let Ok(conn) = rx.recv() {
-                            // Connection-level errors (peer vanished,
-                            // malformed frame) only poison that one
-                            // connection.
-                            let _ = serve_connection(conn, &core, &stopping);
-                        }
-                    })
-                })
-                .collect();
-            drop(rx);
-
-            for conn in listener.incoming() {
-                // ORDERING: SeqCst — pairs with signal_shutdown's SeqCst
-                // store; the total order guarantees the load after the
-                // poke connection's accept observes the flag.
-                if stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                match conn {
-                    Ok(stream) => {
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
+            std::thread::scope(|scope| {
+                for conn in listener.incoming() {
+                    // ORDERING: SeqCst — pairs with signal_shutdown's SeqCst
+                    // store; the total order guarantees the load after the
+                    // poke connection's accept observes the flag.
+                    if stopping.load(Ordering::SeqCst) {
+                        break;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-                    Err(e) => return Err(e),
+                    match conn {
+                        Ok(stream) => {
+                            // A failed spawn drops the closure and with it
+                            // `stream`: that one connection closes, and
+                            // the acceptor keeps serving the rest.
+                            let (core, stopping) = (&core, &stopping);
+                            let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+                                // Connection-level errors (peer vanished,
+                                // malformed frame) only end that one
+                                // connection.
+                                let _ = serve_connection(stream, core, stopping);
+                            });
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+                        Err(e) => return Err(e),
+                    }
                 }
-            }
-            drop(tx); // disconnect: workers drain and exit
-            for w in pool {
-                w.join().map_err(|_| io::Error::other("worker panicked"))?;
-            }
-            // With no workers left: seal the WAL, write the final
-            // snapshot. A poisoned WAL surfaces as an error from join().
+                Ok(())
+            })?;
+            // The scope has joined every connection thread: seal the WAL,
+            // write the final snapshot. A poisoned WAL surfaces as an
+            // error from join().
             core.close()
         })
     };
@@ -261,8 +247,9 @@ pub fn serve_with_core(config: &ServerConfig, core: Arc<RequestCore>) -> io::Res
 /// Each connection owns a private shard cursor (seeded from a global
 /// counter once at accept time, advanced locally per `Add`), so deposit
 /// traffic from unrelated connections never contends on shard
-/// selection. Both protocol versions — JSON `OIS\x01` and the binary
-/// Add `OIS\x02` — are accepted interleaved on the same connection.
+/// selection. Both protocol versions — JSON `OIS\x01` control requests
+/// and binary `OIS\x02` Adds — are accepted interleaved on the same
+/// connection.
 ///
 /// All per-frame buffers live for the whole connection: frames are read
 /// into one reusable payload buffer and parsed in place (a binary Add
@@ -309,10 +296,7 @@ fn serve_connection(conn: TcpStream, core: &RequestCore, stopping: &AtomicBool) 
         // the client's retry must deposit it. Dropping *after* apply
         // models a crash that loses only the ACK; the retry must be
         // recognized as a replay and deposit nothing.
-        let is_add = matches!(
-            &frame,
-            ClientFrameView::BinaryAdd(_) | ClientFrameView::Json(Request::Add { .. })
-        );
+        let is_add = matches!(&frame, ClientFrameView::BinaryAdd(_));
         if is_add && matches!(oisum_faults::check("server.add.drop_before_apply"), Some(FaultAction::Disconnect)) {
             return Ok(());
         }

@@ -1066,7 +1066,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
 
 /// The segmented group-commit write-ahead log. See the module docs.
 ///
-/// `Wal` is `Sync`: many worker threads call [`append`](Wal::append)
+/// `Wal` is `Sync`: many connection threads call [`append`](Wal::append)
 /// concurrently and every group commits on one of their threads; it
 /// starts no thread of its own. The protocol itself lives in
 /// [`Shared`], generic over its blocking primitives so the model

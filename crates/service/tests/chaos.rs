@@ -88,12 +88,7 @@ fn run_under_chaos(
     seed: u64,
     watch: &[&str],
 ) -> (Vec<u64>, u64, u64) {
-    let server = serve(ServerConfig {
-        shards: 4,
-        workers: clients.max(2),
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = serve(ServerConfig { shards: 4, ..ServerConfig::default() }).unwrap();
     let addr = server.addr();
 
     let batches: Vec<&[f64]> = data.chunks(batch).collect();
@@ -105,13 +100,7 @@ fn run_under_chaos(
                     Client::connect_with(addr, chaos_client(seed ^ (t as u64) << 8)).unwrap();
                 for (i, chunk) in batches.iter().enumerate() {
                     if i % clients == t {
-                        // Alternate protocols so both Add paths face the
-                        // same weather.
-                        let n = if i % 2 == 0 {
-                            client.add_binary("s", chunk).unwrap()
-                        } else {
-                            client.add("s", chunk).unwrap()
-                        };
+                        let n = client.add_binary("s", chunk).unwrap();
                         assert_eq!(n as usize, chunk.len());
                     }
                 }
@@ -229,7 +218,7 @@ fn reply_delay_past_read_timeout_dedups() {
 }
 
 /// The storm: every network seam armed probabilistically at once, three
-/// clients, both protocols. Whatever fires, the final limbs match the
+/// clients. Whatever fires, the final limbs match the
 /// clean sequential sum bitwise and every value counts exactly once.
 #[test]
 fn probabilistic_storm_keeps_sums_bitwise_identical() {
@@ -293,7 +282,7 @@ fn corrupted_snapshot_refuses_restart() {
         })
         .unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
-        client.add("s", &dataset(500, seed)).unwrap();
+        client.add_binary("s", &dataset(500, seed)).unwrap();
         // Every save from here on is mangled — including the final one
         // the graceful shutdown writes.
         registry().arm("snapshot.save.corrupt", FireRule::Always, action);
@@ -346,7 +335,7 @@ fn dedup_window_survives_snapshot_restart() {
         )
         .unwrap();
         for chunk in data.chunks(100) {
-            client.add("s", chunk).unwrap();
+            client.add_binary("s", chunk).unwrap();
         }
         client.shutdown().unwrap();
         server.join().unwrap(); // final snapshot carries the dedup window
@@ -365,7 +354,7 @@ fn dedup_window_survives_snapshot_restart() {
         .unwrap();
         // Replay seqs 1..=9 wholesale — every one must dedup.
         for chunk in data.chunks(100) {
-            retry.add("s", chunk).unwrap();
+            retry.add_binary("s", chunk).unwrap();
         }
         let reply = retry.sum("s").unwrap();
         assert_eq!(

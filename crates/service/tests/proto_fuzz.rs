@@ -8,8 +8,8 @@
 //! the threaded server's [`read_client_frame_into`] over a blocking
 //! reader, and the epoll reactor's [`parse_frame_header`] +
 //! [`parse_client_frame`] over complete buffered frames. Both frame
-//! versions (`OIS\x01` JSON and `OIS\x02` binary Add) go through them,
-//! and the two must agree on every input.
+//! versions (`OIS\x01` JSON control requests and `OIS\x02` binary Adds)
+//! go through them, and the two must agree on every input.
 
 use oisum_service::proto::{
     add_binary_bytes, frame_bytes, le_bytes, parse_client_frame, parse_frame_header,
@@ -70,15 +70,18 @@ fn drain(bytes: &[u8]) -> (usize, bool) {
     threaded
 }
 
-/// A valid JSON `Add` frame with a tracked retry identity.
-fn json_add_frame(stream: &str, client_id: u64, seq: u64, values: &[f64]) -> Vec<u8> {
-    frame_bytes(&Request::Add {
-        stream: stream.to_owned(),
-        values: values.to_vec(),
-        client_id: Some(client_id),
-        seq: Some(seq),
-    })
-    .unwrap()
+/// A valid JSON frame for control op `op` (taken modulo the six).
+fn json_control_frame(op: usize, stream: &str) -> Vec<u8> {
+    let stream = stream.to_owned();
+    let req = match op % 6 {
+        0 => Request::Sum { stream },
+        1 => Request::ClusterSum { stream },
+        2 => Request::Snapshot,
+        3 => Request::Reset,
+        4 => Request::Stats,
+        _ => Request::Shutdown,
+    };
+    frame_bytes(&req).unwrap()
 }
 
 proptest! {
@@ -119,15 +122,14 @@ proptest! {
         drain(&frame);
     }
 
-    /// Same for the JSON frame version.
+    /// Same for the JSON frame version, over every control op.
     #[test]
     fn mutated_json_frame_never_panics(
-        client_id in any::<u64>(),
-        seq in any::<u64>(),
+        op in any::<usize>(),
         pos in any::<usize>(),
         flip in 1u8..=255,
     ) {
-        let mut frame = json_add_frame("fuzz", client_id, seq, &[1.5, -0.25]);
+        let mut frame = json_control_frame(op, "fuzz");
         let at = pos % frame.len();
         frame[at] ^= flip;
         drain(&frame);
@@ -144,7 +146,7 @@ proptest! {
         let frame = if binary {
             add_binary_bytes("s", 7, 3, &[1.0, 2.0, 3.0]).unwrap()
         } else {
-            json_add_frame("s", 7, 3, &[1.0, 2.0, 3.0])
+            json_control_frame(0, "s")
         };
         let keep = cut % frame.len(); // strictly shorter than the frame
         let (parsed, clean_eof) = drain(&frame[..keep]);

@@ -11,7 +11,9 @@
 
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
-use oisum_service::proto::{add_binary_bytes, frame_bytes, read_frame, Request, Response};
+use oisum_service::proto::{
+    add_binary_bytes, frame_bytes, read_frame, Request, Response, StreamStatsRepr,
+};
 use oisum_service::wal::{FsyncPolicy, WalConfig};
 use oisum_service::{
     recovery, serve, Client, ServerConfig, ServiceHp, ShardedLedger, Transport,
@@ -49,13 +51,7 @@ fn epoll_server(config: ServerConfig) -> (oisum_service::ServerHandle, SocketAdd
 /// Deposits shuffled batch hands of `data` from `clients` concurrent
 /// connections over the given transport and returns the sum limbs.
 fn run_transport(data: &[f64], clients: usize, batch: usize, transport: Transport) -> Vec<u64> {
-    let server = serve(ServerConfig {
-        shards: 4,
-        workers: clients.max(1),
-        transport,
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = serve(ServerConfig { shards: 4, transport, ..ServerConfig::default() }).unwrap();
     let addr = server.addr();
 
     let batches: Vec<&[f64]> = data.chunks(batch).collect();
@@ -68,19 +64,12 @@ fn run_transport(data: &[f64], clients: usize, batch: usize, transport: Transpor
     }
 
     std::thread::scope(|s| {
-        for (t, hand) in hands.iter().enumerate() {
+        for hand in &hands {
             let batches = &batches;
             s.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 for &i in hand {
-                    // Alternate wire formats on one connection: the
-                    // reactor must accept them interleaved, like the
-                    // threaded server does.
-                    let n = if (i + t) % 2 == 0 {
-                        client.add_binary("s", batches[i]).unwrap()
-                    } else {
-                        client.add("s", batches[i]).unwrap()
-                    };
+                    let n = client.add_binary("s", batches[i]).unwrap();
                     assert_eq!(n as usize, batches[i].len());
                 }
             });
@@ -139,48 +128,39 @@ fn one_byte_trickled_frames_decode_exactly() {
     server.join().unwrap();
 }
 
-/// Many frames — JSON and binary interleaved — sent as one contiguous
-/// write must produce one reply per frame, in order. Pipelining is the
-/// reactor's bread and butter: a single readable edge carries them all.
+/// Many frames — binary Adds with JSON control frames between them —
+/// sent as one contiguous write must produce one reply per frame, in
+/// order, each control reply seeing exactly the Adds ahead of it.
+/// Pipelining is the reactor's bread and butter: a single readable edge
+/// carries them all.
 #[test]
 fn pipelined_mixed_frames_on_one_connection() {
     let (server, addr) = epoll_server(ServerConfig::default());
     let data = dataset(600, 21);
-    let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
 
     let mut wire = Vec::new();
-    let mut frames = 0u32;
+    let mut replies = Vec::new();
     for (i, chunk) in data.chunks(60).enumerate() {
-        if i % 2 == 0 {
-            wire.extend_from_slice(&add_binary_bytes("p", 0, 0, chunk).unwrap());
-        } else {
-            let req = Request::Add {
-                stream: "p".to_owned(),
-                values: chunk.to_vec(),
-                client_id: None,
-                seq: None,
-            };
-            wire.extend_from_slice(&frame_bytes(&req).unwrap());
+        wire.extend_from_slice(&add_binary_bytes("p", 0, 0, chunk).unwrap());
+        replies.push(Response::Added { count: chunk.len() as u64, deduped: false });
+        if i % 2 == 1 {
+            wire.extend_from_slice(&frame_bytes(&Request::Sum { stream: "p".to_owned() }).unwrap());
+            let prefix = ServiceHp::sum_f64_slice(&data[..60 * (i + 1)]);
+            replies.push(Response::Sum { limbs: prefix.as_limbs().to_vec(), poisoned: false });
         }
-        frames += 1;
     }
-    wire.extend_from_slice(&frame_bytes(&Request::Sum { stream: "p".to_owned() }).unwrap());
+    wire.extend_from_slice(&frame_bytes(&Request::Stats).unwrap());
+    replies.push(Response::Stats {
+        shard_count: 8,
+        streams: vec![StreamStatsRepr { name: "p".to_owned(), batches: 10, values: 600, overflows: 0 }],
+    });
 
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.write_all(&wire).unwrap();
     let mut reader = BufReader::new(stream);
-    for _ in 0..frames {
-        match read_frame::<_, Response>(&mut reader).unwrap().unwrap() {
-            Response::Added { .. } => {}
-            other => panic!("unexpected reply: {other:?}"),
-        }
-    }
-    match read_frame::<_, Response>(&mut reader).unwrap().unwrap() {
-        Response::Sum { limbs, poisoned } => {
-            assert!(!poisoned);
-            assert_eq!(limbs, expected);
-        }
-        other => panic!("unexpected reply: {other:?}"),
+    for (i, expected) in replies.iter().enumerate() {
+        let reply = read_frame::<_, Response>(&mut reader).unwrap().unwrap();
+        assert_eq!(&reply, expected, "reply {i}");
     }
 
     let mut client = Client::connect(addr).unwrap();
@@ -196,7 +176,7 @@ fn malformed_frame_is_refused_without_collateral() {
     let (server, addr) = epoll_server(ServerConfig::default());
 
     let mut healthy = Client::connect(addr).unwrap();
-    healthy.add("h", &[1.0, 2.0]).unwrap();
+    healthy.add_binary("h", &[1.0, 2.0]).unwrap();
 
     let mut bad = TcpStream::connect(addr).unwrap();
     bad.write_all(b"BOGUS!!!").unwrap();
@@ -296,7 +276,7 @@ fn external_shutdown_with_idle_connections() {
     let idle: Vec<TcpStream> =
         (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
     let mut client = Client::connect(addr).unwrap();
-    client.add("x", &[1.0]).unwrap();
+    client.add_binary("x", &[1.0]).unwrap();
     server.shutdown();
     server.join().unwrap();
     drop(idle);
@@ -365,7 +345,7 @@ mod storms {
         let data = dataset(400, 17);
         let mut client = Client::connect(addr).unwrap();
         for chunk in data.chunks(50) {
-            client.add("sw", chunk).unwrap();
+            client.add_binary("sw", chunk).unwrap();
         }
         let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
         assert_eq!(client.sum("sw").unwrap().limbs, expected);

@@ -1,9 +1,16 @@
 //! End-to-end service tests over real TCP connections.
 
-use oisum_service::{serve, Client, ClientError, ServerConfig, ServiceHp};
+use oisum_service::proto::{read_frame, ErrorCode, Response, MAGIC};
+use oisum_service::{
+    serve, serve_with_core, Client, ClientConfig, ClientError, ClusterOps, ClusterSumOut,
+    RequestCore, ServerConfig, ServiceHp, ShardedLedger, Transport, Wal, WalConfig,
+};
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::io::Write;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn temp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -23,29 +30,10 @@ fn dataset(n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Runs one full server lifecycle: `clients` threads deposit shuffled
-/// batch hands of `data` into stream `s` over the JSON protocol, then
-/// the sum limbs are read and the server is shut down.
+/// batch hands of `data` into stream `s`, then the sum limbs are read and
+/// the server is shut down.
 fn run_service(data: &[f64], clients: usize, batch: usize, shards: usize, seed: u64) -> Vec<u64> {
-    run_service_proto(data, clients, batch, shards, seed, false)
-}
-
-/// As [`run_service`], but with a protocol selector: `binary` makes
-/// every client deposit over the `OIS\x02` raw-f64 Add frame instead of
-/// JSON.
-fn run_service_proto(
-    data: &[f64],
-    clients: usize,
-    batch: usize,
-    shards: usize,
-    seed: u64,
-    binary: bool,
-) -> Vec<u64> {
-    let server = serve(ServerConfig {
-        shards,
-        workers: clients.max(1),
-        ..ServerConfig::default()
-    })
-    .unwrap();
+    let server = serve(ServerConfig { shards, ..ServerConfig::default() }).unwrap();
     let addr = server.addr();
 
     let batches: Vec<&[f64]> = data.chunks(batch).collect();
@@ -63,11 +51,7 @@ fn run_service_proto(
             s.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 for &i in hand {
-                    let n = if binary {
-                        client.add_binary("s", batches[i]).unwrap()
-                    } else {
-                        client.add("s", batches[i]).unwrap()
-                    };
+                    let n = client.add_binary("s", batches[i]).unwrap();
                     assert_eq!(n as usize, batches[i].len());
                 }
             });
@@ -86,29 +70,11 @@ fn run_service_proto(
 /// on nothing but the multiset of summands — different client counts,
 /// different batch sizes and orders, different shard counts — must
 /// return bitwise-identical serialized sums, equal to the sequential HP
-/// sum.
+/// sum, including for bit patterns (denormals, -0.0) a lossy encoding
+/// would mangle.
 #[test]
 fn bitwise_identical_across_configurations() {
-    let data = dataset(20_000, 42);
-    let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
-
-    let run_a = run_service(&data, 2, 700, 16, 1);
-    let run_b = run_service(&data, 5, 123, 3, 2);
-    assert_eq!(run_a, expected);
-    assert_eq!(run_b, expected);
-    assert_eq!(run_a, run_b);
-}
-
-/// The binary `OIS\x02` Add path must be a pure transport optimization:
-/// the same shuffled partitions of one dataset deposited as raw
-/// little-endian `f64`s and as JSON text must land bitwise-identical
-/// `Sum` limbs, equal to the sequential HP sum — including for values
-/// (denormals, -0.0, huge magnitudes) where a decimal round-trip is the
-/// classic way to lose bits.
-#[test]
-fn binary_and_json_adds_are_bitwise_identical() {
-    let mut data = dataset(20_000, 99);
-    // Bit-pattern hazards a lossy text round-trip would mangle.
+    let mut data = dataset(20_000, 42);
     data.extend_from_slice(&[
         -0.0,
         f64::MIN_POSITIVE,
@@ -119,26 +85,29 @@ fn binary_and_json_adds_are_bitwise_identical() {
     ]);
     let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
 
-    let json_run = run_service_proto(&data, 3, 250, 8, 11, false);
-    let binary_run = run_service_proto(&data, 3, 250, 8, 11, true);
-    assert_eq!(json_run, expected);
-    assert_eq!(binary_run, expected, "binary Add path diverged from the HP sum");
-    assert_eq!(json_run, binary_run);
+    let run_a = run_service(&data, 2, 700, 16, 1);
+    let run_b = run_service(&data, 5, 123, 3, 2);
+    assert_eq!(run_a, expected);
+    assert_eq!(run_b, expected);
+    assert_eq!(run_a, run_b);
 }
 
-/// Both frame versions interleave freely on a single connection.
+/// Both frame versions interleave freely on a single connection: binary
+/// Adds with JSON control requests between them.
 #[test]
 fn mixed_protocols_on_one_connection() {
     let data = dataset(4_000, 5);
     let server = serve(ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
+    let mut values = 0;
     for (i, chunk) in data.chunks(137).enumerate() {
-        let n = if i % 2 == 0 {
-            client.add_binary("mixed", chunk).unwrap()
-        } else {
-            client.add("mixed", chunk).unwrap()
-        };
-        assert_eq!(n as usize, chunk.len());
+        values += client.add_binary("mixed", chunk).unwrap();
+        let (_, streams) = client.stats().unwrap();
+        assert_eq!(
+            (streams[0].batches, streams[0].values),
+            (i as u64 + 1, values),
+            "stats after Add {i}"
+        );
     }
     assert_eq!(
         client.sum("mixed").unwrap().limbs,
@@ -156,7 +125,6 @@ fn graceful_shutdown_loses_no_acked_batches() {
 
     let server = serve(ServerConfig {
         shards: 4,
-        workers: 3,
         snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     })
@@ -173,7 +141,7 @@ fn graceful_shutdown_loses_no_acked_batches() {
                 let mut client = Client::connect(addr).unwrap();
                 for (i, chunk) in data.chunks(91).enumerate() {
                     if i % 3 == t {
-                        client.add("s", chunk).unwrap();
+                        client.add_binary("s", chunk).unwrap();
                     }
                 }
             });
@@ -189,7 +157,6 @@ fn graceful_shutdown_loses_no_acked_batches() {
     let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
     let restored = serve(ServerConfig {
         shards: 9, // different shard count: must not matter
-        workers: 1,
         snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     })
@@ -212,8 +179,8 @@ fn snapshot_request_persists_on_demand() {
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    client.add("x", &[1.5, -0.25]).unwrap();
-    client.add("y", &[2.0]).unwrap();
+    client.add_binary("x", &[1.5, -0.25]).unwrap();
+    client.add_binary("y", &[2.0]).unwrap();
     assert_eq!(client.snapshot().unwrap(), 2);
     assert!(path.exists());
     client.shutdown().unwrap();
@@ -239,9 +206,9 @@ fn unknown_stream_yields_typed_error() {
 fn stats_reflect_traffic_and_reset_clears() {
     let server = serve(ServerConfig { shards: 5, ..ServerConfig::default() }).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    client.add("a", &[1.0, 2.0, 3.0]).unwrap();
-    client.add("a", &[4.0]).unwrap();
-    client.add("b", &[5.0]).unwrap();
+    client.add_binary("a", &[1.0, 2.0, 3.0]).unwrap();
+    client.add_binary("a", &[4.0]).unwrap();
+    client.add_binary("b", &[5.0]).unwrap();
 
     let (shard_count, streams) = client.stats().unwrap();
     assert_eq!(shard_count, 5);
@@ -314,7 +281,7 @@ fn garbage_bytes_do_not_wedge_the_server() {
     drop(bogus);
     // ...while real clients keep working.
     let mut client = Client::connect(server.addr()).unwrap();
-    client.add("s", &[1.0]).unwrap();
+    client.add_binary("s", &[1.0]).unwrap();
     assert_eq!(
         client.sum("s").unwrap().limbs,
         ServiceHp::sum_f64_slice(&[1.0]).as_limbs().to_vec()
@@ -348,4 +315,114 @@ fn malformed_request_gets_typed_bad_request_reply() {
     let mut client = Client::connect(server.addr()).unwrap();
     client.shutdown().unwrap();
     server.join().unwrap();
+}
+
+/// Every accepted connection is served at once, however many others
+/// stay open. Four clients hold their connections; a fifth, which
+/// neither waits past 2 s nor retries, must still get its reply. (A
+/// fixed pool of four workers, each owning a connection until EOF, left
+/// the fifth unanswered until one of the four hung up.)
+#[test]
+fn fifth_open_client_is_served() {
+    let server = serve(ServerConfig::default()).unwrap();
+    let mut open: Vec<Client> = (0..4).map(|_| Client::connect(server.addr()).unwrap()).collect();
+    for client in &mut open {
+        client.stats().unwrap();
+    }
+    let mut fifth = Client::connect_with(
+        server.addr(),
+        ClientConfig { read_timeout: Some(Duration::from_secs(2)), retries: 0, ..ClientConfig::default() },
+    )
+    .unwrap();
+    let reply = fifth.stats();
+    assert!(reply.is_ok(), "the fifth open client got no reply: {reply:?}");
+    drop(open);
+    fifth.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// Records every replicate call.
+#[derive(Default)]
+struct RecordingCluster {
+    calls: Mutex<Vec<(String, u64, u64, usize)>>,
+}
+
+impl ClusterOps for RecordingCluster {
+    fn replicate(&self, stream: &str, client_id: u64, seq: u64, value_bytes: &[u8]) -> Result<(), String> {
+        self.calls.lock().unwrap().push((stream.to_owned(), client_id, seq, value_bytes.len()));
+        Ok(())
+    }
+
+    fn cluster_sum(&self, _stream: &str) -> Result<ClusterSumOut, String> {
+        Err("not under test".into())
+    }
+}
+
+/// A batch travels only as a binary Add. A JSON `add` frame, tracked or
+/// not, into a held or a new stream, is refused as `bad_request` naming
+/// the op and its connection closed, on both transports — before
+/// replication, deposit or WAL append: limbs, stats, the WAL's group
+/// counters and the cluster's replicate calls stay as they were.
+#[test]
+fn json_add_is_refused_before_apply() {
+    // The epoll reactor runs on linux/x86_64 only.
+    let transports: &[Transport] = if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+        &[Transport::Threads, Transport::Epoll]
+    } else {
+        &[Transport::Threads]
+    };
+    for &transport in transports {
+        let dir = std::env::temp_dir()
+            .join(format!("oisum-service-test-{}-json-add-{transport}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let wal = Arc::new(Wal::open(WalConfig::new(&dir)).unwrap());
+        let cluster = Arc::new(RecordingCluster::default());
+        let core = RequestCore::new(Arc::new(ShardedLedger::new(4)))
+            .with_wal(Arc::clone(&wal))
+            .with_cluster(Arc::clone(&cluster) as Arc<dyn ClusterOps>);
+        let server =
+            serve_with_core(&ServerConfig { transport, ..ServerConfig::default() }, Arc::new(core))
+                .unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        client.add_binary("held", &[1.5, -0.25]).unwrap();
+        let limbs = client.sum("held").unwrap().limbs;
+        let stats = client.stats().unwrap();
+        let logged = wal.group_stats();
+        let replicated = cluster.calls.lock().unwrap().clone();
+        assert_eq!(replicated.len(), 1, "{transport}: the binary Add was not replicated");
+
+        for payload in [
+            r#"{"op":"add","stream":"held","values":[1.0,2.0],"client_id":7,"seq":1}"#,
+            r#"{"op":"add","stream":"held","values":[1.0,2.0]}"#,
+            r#"{"op":"add","stream":"fresh","values":[3.0],"client_id":7,"seq":2}"#,
+        ] {
+            let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
+            sock.write_all(&MAGIC).unwrap();
+            sock.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+            sock.write_all(payload.as_bytes()).unwrap();
+            match read_frame::<_, Response>(&mut sock).unwrap().expect("typed reply before close") {
+                Response::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::BadRequest, "{transport}: {message}");
+                    assert!(message.contains("unknown op `add`"), "{transport}: {message}");
+                }
+                other => panic!("{transport}: a JSON add got {other:?}"),
+            }
+            assert!(
+                read_frame::<_, Response>(&mut sock).unwrap().is_none(),
+                "{transport}: the connection stayed open after the refusal"
+            );
+        }
+
+        assert_eq!(client.sum("held").unwrap().limbs, limbs, "{transport}");
+        assert_eq!(client.stats().unwrap(), stats, "{transport}");
+        assert!(
+            matches!(client.sum("fresh"), Err(ClientError::Server { code: ErrorCode::UnknownStream, .. })),
+            "{transport}: a refused Add created its stream"
+        );
+        assert_eq!(wal.group_stats(), logged, "{transport}: a refused Add was logged");
+        assert_eq!(*cluster.calls.lock().unwrap(), replicated, "{transport}: a refused Add was replicated");
+        client.shutdown().unwrap();
+        server.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

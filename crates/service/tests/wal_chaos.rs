@@ -1,8 +1,8 @@
 //! WAL crash-point matrix: every durability seam × {before, after}
 //! group commit × multiple seeds × both transports, with concurrent
-//! retrying clients. The threaded transport commits on its workers'
-//! blocking appends; the epoll reactor submits and its WAL pump
-//! commits, so each seam fires on both commit paths.
+//! retrying clients. The threaded transport commits on its connection
+//! threads' blocking appends; the epoll reactor submits and its WAL
+//! pump commits, so each seam fires on both commit paths.
 //!
 //! Each scenario kills the log mid-load at an injected crash point
 //! (torn group write, dropped fsync, bit-flipped group, or a process
@@ -115,7 +115,6 @@ fn run_crash_matrix(
     let dir = temp_dir(name, seed);
     let server = serve(ServerConfig {
         shards: 4,
-        workers: 4,
         wal: Some(WalConfig { segment_bytes: 8 * 1024, fsync, ..WalConfig::new(&dir) }),
         transport,
         ..ServerConfig::default()
@@ -137,14 +136,7 @@ fn run_crash_matrix(
                     let mut client = chaos_client(addr, c + 1, seed ^ c);
                     let mut acked = 0u64;
                     for (i, chunk) in data.chunks(BATCH).enumerate() {
-                        // Alternate protocols so both Add paths cross
-                        // the commit seams.
-                        let sent = if i % 2 == 0 {
-                            client.add_binary("s", chunk)
-                        } else {
-                            client.add("s", chunk)
-                        };
-                        match sent {
+                        match client.add_binary("s", chunk) {
                             Ok(_) => acked = (i + 1) as u64,
                             // A typed refusal or a dead transport: the
                             // server crashed; nothing later is ACKed.
@@ -429,7 +421,6 @@ fn snapshot_mid_load_then_crash_recovers_the_union() {
         let wal_dir = dir.join("wal");
         let config = ServerConfig {
             shards: 4,
-            workers: 2,
             snapshot_path: Some(snap.clone()),
             wal: Some(WalConfig { segment_bytes: 2 * 1024, ..WalConfig::new(&wal_dir) }),
             ..ServerConfig::default()
@@ -450,7 +441,7 @@ fn snapshot_mid_load_then_crash_recovers_the_union() {
         }
         assert!(registry().fired("server.crash.after_commit") > 0, "seed {seed}: never crashed");
         registry().clear();
-        drop(client); // workers drain open connections to EOF before join returns
+        drop(client); // open connections drain to EOF before join returns
         server.shutdown();
         let _ = server.join();
 

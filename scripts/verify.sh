@@ -32,6 +32,16 @@ bench_work=$(mktemp -d)
     || { echo "verify: traced benchmark smoke failed" >&2; rm -rf "$bench_work"; exit 1; }
 rm -rf "$bench_work"
 
+echo "==> benchmark smoke: one short traced bulk-sum run"
+# The paper's own workload: its traced kernel and batch layer passes
+# check every serial and parallel sum bitwise against the oracle, so
+# those exactness checks run here too, not only in benchmark runs.
+bench_work=$(mktemp -d)
+"${CARGO_TARGET_DIR:-perfbench/target}/release/oisum-perfbench" --workload bulk-sum \
+    --seed 1 --seconds 2 --trace 1 --work-dir "$bench_work" \
+    || { echo "verify: traced bulk-sum smoke failed" >&2; rm -rf "$bench_work"; exit 1; }
+rm -rf "$bench_work"
+
 echo "==> oisum-lint (invariant linter, hard gate)"
 cargo run --offline --release -q -p oisum-lint
 
@@ -91,7 +101,7 @@ smoke_kernels=$(mktemp)
 OISUM_GATE_VALUES_PER_SEC="${OISUM_GATE_VALUES_PER_SEC:-28000000}" \
 OISUM_GATE_P50_US="${OISUM_GATE_P50_US:-120}" \
     run_gated cargo run --offline --release -q -p oisum-cluster --bin loadgen -- \
-    --binary --threads 4 --batch 500 --gate --out "$smoke_out" \
+    --threads 4 --batch 500 --gate --out "$smoke_out" \
     --values-per-batch 500,2000 --kernels-out "$smoke_kernels"
 grep -q '"bitwise_identical":true' "$smoke_out" \
     || { echo "verify: loadgen smoke lost bitwise identity" >&2; rm -f "$smoke_out" "$smoke_kernels"; exit 1; }
@@ -105,7 +115,7 @@ single_out=$(mktemp)
 OISUM_GATE_VALUES_PER_SEC="${OISUM_GATE_SINGLE_VALUES_PER_SEC:-60000000}" \
 OISUM_GATE_P50_US="${OISUM_GATE_SINGLE_P50_US:-60}" \
     run_gated cargo run --offline --release -q -p oisum-cluster --bin loadgen -- \
-    --binary --threads 1 --batch 2000 --gate --out "$single_out"
+    --threads 1 --batch 2000 --gate --out "$single_out"
 grep -q '"bitwise_identical":true' "$single_out" \
     || { echo "verify: single-connection gate lost bitwise identity" >&2; rm -f "$single_out"; exit 1; }
 rm -f "$single_out"
@@ -146,7 +156,7 @@ OISUM_WAL_BENCH_DIR="${OISUM_WAL_BENCH_DIR:-$wal_bench_dir}" \
 OISUM_GATE_WAL_OVERHEAD_PCT="${OISUM_GATE_WAL_OVERHEAD_PCT:-15}" \
 OISUM_GATE_WAL_GROUP_OVERHEAD_PCT="${OISUM_GATE_WAL_GROUP_OVERHEAD_PCT:-10}" \
     run_gated cargo run --offline --release -q -p oisum-cluster --bin loadgen -- \
-    --binary --threads 4 --batch 500 --wal --gate --out "$wal_out"
+    --threads 4 --batch 500 --wal --gate --out "$wal_out"
 grep -q '"bitwise_identical":true' "$wal_out" \
     || { echo "verify: WAL replay lost bitwise identity" >&2; rm -f "$wal_out"; exit 1; }
 rm -f "$wal_out"
@@ -196,7 +206,7 @@ for attempt in 1 2 3; do
         exit 1
     fi
     if ./target/release/loadgen \
-        --binary --threads 4 --batch 500 --connections "$reactor_conns" --idle-heavy \
+        --threads 4 --batch 500 --connections "$reactor_conns" --idle-heavy \
         --connect "$reactor_addr" --shutdown --gate --out "$reactor_out"; then
         reactor_ok=1
         wait "$reactor_pid" \
@@ -237,7 +247,7 @@ else
 fi
 
 if [[ "${1:-}" == "--with-loadgen" ]]; then
-    echo "==> loadgen (service benchmark + bitwise check, JSON + binary + WAL + reactor)"
+    echo "==> loadgen (service benchmark + bitwise check, binary Adds + WAL + reactor)"
     # 9500 connections, not 10000: the in-process scaling pass pays two
     # fds per connection from one process's budget, and 2*9500+slack
     # fits under the common 20k hard cap without clamping.
@@ -250,7 +260,7 @@ if [[ "${1:-}" == "--with-loadgen" ]]; then
     # ceiling (the tentpole number), not the 4-thread aggregate.
     sweep_service_out=$(mktemp)
     cargo run --offline --release -q -p oisum-cluster --bin loadgen -- \
-        --binary --threads 1 --batch 2000 --out "$sweep_service_out" \
+        --threads 1 --batch 2000 --out "$sweep_service_out" \
         --values-per-batch 100,250,500,1000,2000 --kernels-out BENCH_kernels.json
     rm -f "$sweep_service_out"
     echo "==> loadgen --cluster (refresh BENCH_cluster.json)"
