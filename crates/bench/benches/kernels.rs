@@ -1,6 +1,6 @@
 //! The encode/deposit kernels versus the scalar paths they replace.
 //!
-//! Three comparisons, each isolating one tentpole optimization:
+//! Four comparisons, each isolating one tentpole optimization:
 //!
 //! * `encode/*` — the multi-lane chunk encode kernel
 //!   ([`encode_f64_batch`], PR 7's lane-struct + sharded-bank rework of
@@ -14,8 +14,12 @@
 //!   payload bytes, as the service's binary-Add path does.
 //! * `deposit/*` — the 8-wide unrolled [`BatchAcc::deposit_chunk`]
 //!   against one [`BatchAcc::deposit`] call per pre-encoded value.
+//! * `sum_1m/*` — the lane kernel against the routed
+//!   [`BatchAcc::extend_f64`] on a 1 Mi-value slice, far past
+//!   [`BINS_MIN_LEN`](oisum_core::BINS_MIN_LEN), where the route takes
+//!   the exponent-indexed bins.
 //!
-//! The loadgen's `--values-per-batch` mode runs the same pairs without
+//! The loadgen's `--values-per-batch` mode runs the encode pairs without
 //! criterion and writes the speedups to `BENCH_kernels.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -91,5 +95,32 @@ fn bench_deposit_chunk(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_encode_kernel, bench_deposit_chunk);
+fn bench_sum_1m(c: &mut Criterion) {
+    const LEN: usize = 1 << 20;
+    let xs = uniform_symmetric(LEN, 31);
+    let mut g = c.benchmark_group("sum_1m");
+    g.throughput(Throughput::Elements(LEN as u64));
+
+    // The lane kernel over the whole slice.
+    g.bench_function("encode_f64_batch", |b| {
+        b.iter(|| {
+            let mut acc = BatchAcc::<6, 3>::new();
+            encode_f64_batch(&mut acc, black_box(&xs[..]));
+            black_box(acc.finish())
+        })
+    });
+
+    // The routed entry behind `sum_f64_slice`: the bins at this length.
+    g.bench_function("extend_f64", |b| {
+        b.iter(|| {
+            let mut acc = BatchAcc::<6, 3>::new();
+            acc.extend_f64(black_box(&xs[..]));
+            black_box(acc.finish())
+        })
+    });
+
+    g.finish();
+}
+
+criterion_group!(benches, bench_encode_kernel, bench_deposit_chunk, bench_sum_1m);
 criterion_main!(benches);

@@ -27,6 +27,14 @@
 //! every `M = 2^16` deposits purely to keep the counters far from any
 //! bound (and the flush cost amortized to noise: one `O(N)` pass per
 //! 65 536 deposits). See `DESIGN.md` §10 for the full bound.
+//!
+//! # Where the values come from
+//!
+//! [`BatchAcc::extend_f64`] routes by length: slices of at least
+//! [`BINS_MIN_LEN`](crate::kernel::BINS_MIN_LEN) values go through the
+//! kernel's exponent-indexed bins, shorter ones through the lane kernel
+//! (`DESIGN.md` §15.6). Both hand the accumulator canonical per-limb
+//! partials through the same deposit, so the route changes no bit.
 
 use crate::fixed::HpFixed;
 
@@ -165,13 +173,19 @@ impl<const N: usize, const K: usize> BatchAcc<N, K> {
         self.deposit(&HpFixed::<N, K>::from_f64_unchecked(x));
     }
 
-    /// Encodes and deposits every element of `xs` through the branchless
-    /// chunk kernel ([`crate::kernel::encode_f64_batch`]); bitwise
-    /// identical to [`Self::encode_deposit`] per value, at a fraction of
-    /// the per-summand cost.
+    /// Encodes and deposits every element of `xs`; bitwise identical to
+    /// [`Self::encode_deposit`] per value, at a fraction of the
+    /// per-summand cost. Slices of at least
+    /// [`BINS_MIN_LEN`](crate::kernel::BINS_MIN_LEN) values take the
+    /// kernel's exponent-indexed bins, shorter ones the lane kernel
+    /// ([`crate::kernel::encode_f64_batch`]).
     #[inline]
     pub fn extend_f64(&mut self, xs: &[f64]) {
-        crate::kernel::encode_f64_batch(self, xs);
+        if xs.len() >= crate::kernel::BINS_MIN_LEN {
+            crate::kernel::encode_f64_bins(self, xs);
+        } else {
+            crate::kernel::encode_f64_batch(self, xs);
+        }
     }
 
     /// Folds the deferred-carry counters into the lanes, restoring the

@@ -451,10 +451,18 @@ mod tests {
             .map(|i| (i as f64 - 25_000.0) * 7.7e-8 * if i % 7 == 0 { -3.0 } else { 1.0 })
             .collect();
         assert_eq!(Hp6x3::par_sum_f64_slice(&xs), Hp6x3::sum_f64_slice(&xs));
-        // Different worker counts must not change a bit.
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let three = pool.install(|| Hp6x3::par_sum_f64_slice(&xs));
-        assert_eq!(three, Hp6x3::sum_f64_slice(&xs));
+        // Different worker counts must not change a bit, and every
+        // worker's chunk is long enough to take the kernel's bins: hold
+        // them to the per-value encode-and-add fold.
+        let mut want = Hp6x3::ZERO;
+        for &x in &xs {
+            want.add_assign(&Hp6x3::from_f64_unchecked(x));
+        }
+        for threads in 1..=3 {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let got = pool.install(|| Hp6x3::par_sum_f64_slice(&xs));
+            assert_eq!(got, want, "{threads} workers");
+        }
         // Tiny inputs take the sequential path.
         assert_eq!(Hp6x3::par_sum_f64_slice(&xs[..10]), Hp6x3::sum_f64_slice(&xs[..10]));
     }

@@ -1,13 +1,20 @@
-//! The multi-lane batch encode kernel: `f64` chunks → limb partials.
+//! The batch encode kernels: `f64` slices → limb partials.
 //!
-//! [`encode_f64_batch`] is the hot path behind every slice/iterator sum
-//! in this workspace ([`BatchAcc::extend_f64`], `Hp::sum_f64_slice`,
-//! `Hp::par_sum_f64_slice`, `AtomicHp::add_batch`), and
-//! [`encode_f64_le_batch`] is the same kernel fed raw little-endian
-//! wire bytes (the service's zero-copy binary ingest). Both replace the
-//! per-value Listing-1 float loop with integer bit manipulation over
-//! whole chunks, and — since PR 7 — retire [`LANES`] values per step
-//! instead of one:
+//! Two paths, both bitwise identical to per-value Listing-1 deposits:
+//!
+//! * the **lane kernel**, [`encode_f64_batch`], behind every slice
+//!   shorter than [`BINS_MIN_LEN`] ([`BatchAcc::extend_f64`] routes on
+//!   it) and behind [`encode_f64_le_batch`], the same kernel fed raw
+//!   little-endian wire bytes (the service's 256-value deposits and WAL
+//!   replay);
+//! * the **exponent-indexed bins** (Neal's large superaccumulator),
+//!   behind every longer slice through [`BatchAcc::extend_f64`]:
+//!   `Hp::sum_f64_slice`, each worker of `Hp::par_sum_f64_slice`, and
+//!   `AtomicHp::add_batch`. See the last section below.
+//!
+//! The lane kernel replaces the per-value Listing-1 float loop with
+//! integer bit manipulation over whole chunks, and retires [`LANES`]
+//! values per step instead of one:
 //!
 //! * **Lane-struct extraction.** Each group of [`LANES`] summands is
 //!   split into fixed-size lane arrays (`[u64; LANES]` bit patterns,
@@ -80,6 +87,26 @@
 //! saturation garbage are identical to the per-value path. The
 //! `encode_fast_path_matches_reference` proptest, the every-length tail
 //! suite, and the golden-vector suite pin this bit for bit.
+//!
+//! # Exponent-indexed bins for long slices
+//!
+//! The lane kernel shifts every value into place. The bins shift once
+//! per exponent instead: each value's mantissa, truncated by a
+//! per-exponent mask (`BIN_MASK`, the bits `dispatch_entry` keeps) but
+//! not shifted, is added into a `u64` bin picked by lane, sign and raw
+//! exponent mod 512. Every `BIN_FLUSH` adds per lane (no bin can wrap:
+//! `2048 · (2^53 − 1) < 2^64`), the touched bins are drained: per
+//! exponent, the lanes' positive bins summed in `u128` less the negative
+//! ones is shifted by the exponent's DISPATCH/MULT entry into the lane
+//! kernel's banks, which fold into the accumulator as before. Truncating
+//! each mantissa before the sum, then shifting the sum right by the same
+//! drop, is exact because the mask already cleared those bits; the rest
+//! is integer reassociation, as above. The bins take 32 KiB of stack
+//! (4 lanes × 2 signs × 512 × 8 B); a per-call clear and the final flush
+//! are why short slices stay on the lane kernel. The same `THRESH`
+//! screen sends non-finite and out-of-range groups to the `#[cold]`
+//! mixed path. Formats whose live window is wider than 512 exponents
+//! (`N > 8`) keep the lane kernel at every length.
 
 use crate::batch::BatchAcc;
 use crate::convert::encode_listing1;
@@ -110,6 +137,28 @@ pub const LANES: usize = 4;
 /// limb. 32 slots let every index be masked with `& 0x1f`, which the
 /// compiler proves in-bounds — no bounds-check branches, no `unsafe`.
 const SCATTER_SLOTS: usize = 32;
+
+/// Slices at least this long take the exponent-indexed bins
+/// ([`BatchAcc::extend_f64`] routes on it); shorter ones take the lane
+/// kernel. A bins call pays a fixed 32 KiB clear and a final flush that
+/// the lane kernel does not, so below this length it is the slower of
+/// the two (the measured crossover, DESIGN.md §15.6).
+pub const BINS_MIN_LEN: usize = 2048;
+
+/// Adds each lane makes into its bins between flushes. A truncated
+/// mantissa is below `2^53` and `2048 · (2^53 − 1) < 2^64`, so no `u64`
+/// bin can wrap, however the values fall.
+const BIN_FLUSH: usize = 2048;
+
+/// Bins per sign and lane. Raw exponents fold onto them mod 512, which
+/// keeps every live exponent of a window at most 512 wide in a bin of
+/// its own; exponents below the window fold onto live bins too, but
+/// their masked mantissa is 0.
+const BINS_PER_SIGN: usize = 512;
+
+/// Bins covered by one bit of the touched-group bitmap (64 bits over
+/// both signs' bins).
+const BIN_GROUP: usize = 2 * BINS_PER_SIGN / 64;
 
 /// Per-lane sharded scatter state: `bank[l]` receives only lane `l`'s
 /// deposits, so no two lanes ever contend on a slot (the
@@ -154,6 +203,23 @@ impl<const N: usize, const K: usize> Tables<N, K> {
     /// serialize on the shift-count register on baseline x86-64; a
     /// multiply does not). Fallback and `drop > 0` entries hold 1.
     const MULT: [u64; 2048] = mult_table(N, K);
+
+    /// `raw exponent → kept mantissa bits` for the bins: the implicit
+    /// bit (absent at raw 0) and every fraction bit at or above the
+    /// resolution. The bits [`dispatch_entry`] drops are cleared, so
+    /// `(bits | 2^52) & BIN_MASK[raw]` is the truncated mantissa still
+    /// in place, `(m >> drop) << drop`. Entries at or above
+    /// [`Self::THRESH`] are 0 and never read.
+    const BIN_MASK: [u64; 2048] = bin_mask_table(N, K);
+
+    /// The first raw exponent whose truncated mantissa can be nonzero:
+    /// the live window of the bins is `[BIN_LO, THRESH)`.
+    const BIN_LO: usize = bin_lo(N, K);
+
+    /// Whether the live window fits [`BINS_PER_SIGN`] bins, which holds
+    /// for every format with `N ≤ 8` (the window is `64·N − 1` wide at
+    /// most). Wider formats keep the lane kernel at every length.
+    const BINS_FIT: bool = Self::THRESH as usize - Self::BIN_LO <= BINS_PER_SIGN;
 }
 
 const fn slow_threshold(n: usize, k: usize) -> u32 {
@@ -218,6 +284,31 @@ const fn mult_table(n: usize, k: usize) -> [u64; 2048] {
     }
     let _ = n;
     table
+}
+
+const fn bin_mask_table(n: usize, k: usize) -> [u64; 2048] {
+    let thresh = slow_threshold(n, k);
+    let mut table = [0u64; 2048];
+    let mut raw = 0usize;
+    while raw < 2048 {
+        if (raw as u32) < thresh {
+            let (drop, _, _) = dispatch_entry(raw, k);
+            let mantissa = if raw == 0 { (1u64 << 52) - 1 } else { (1u64 << 53) - 1 };
+            // drop ≤ 63, and a drop ≥ 53 clears the whole mantissa.
+            table[raw] = (mantissa >> drop) << drop;
+        }
+        raw += 1;
+    }
+    table
+}
+
+const fn bin_lo(n: usize, k: usize) -> usize {
+    let mask = bin_mask_table(n, k);
+    let mut raw = 0usize;
+    while mask[raw] == 0 {
+        raw += 1;
+    }
+    raw
 }
 
 /// A one-line summary of the lane shape this build compiled to, for
@@ -454,7 +545,9 @@ fn slow_encode<const N: usize, const K: usize>(banks: &mut LaneBanks, lane: usiz
 /// `s mod 2^64` and pushes `⌊s / 2^64⌋` one limb up. The carry out of
 /// the top limb is a multiple of `2^(64·N)` and is discarded — exactly
 /// the accumulator's two's-complement wrap. Slot sums stay below
-/// `2 · ENCODE_CHUNK · 2^64 < 2^73`, far inside `i128`. Summing the
+/// `2 · ENCODE_CHUNK · 2^64 < 2^73` per lane-kernel chunk and below
+/// `2^78` per bins block (at most `BIN_FLUSH · LANES` mixed-path
+/// deposits plus one flush), far inside `i128`. Summing the
 /// shards slot-wise is pure integer reassociation — the same partials a
 /// single shared bank would have produced (the lane-order-invariance
 /// argument in the module docs).
@@ -484,6 +577,130 @@ fn fold_banks<const N: usize, const K: usize>(
     acc.absorb_partials(&partials, count);
 }
 
+/// Encodes `xs` into exponent-indexed bins (Neal's large
+/// superaccumulator) and deposits the result into `acc`, bitwise
+/// identically to [`encode_f64_batch`] — the long-slice path behind
+/// [`BatchAcc::extend_f64`]. Formats whose live exponent window does
+/// not fit the bins (`N > 8`) run the lane kernel instead.
+///
+/// Each value adds its truncated mantissa, still in place, into lane
+/// `l`'s `u64` bin for its sign and raw exponent: no shift, no
+/// multiply, no `i128` word pair per value. Every [`BIN_FLUSH`] adds per
+/// lane, [`flush_bins`] shifts each touched bin's net once into the
+/// banks and [`fold_banks`] hands the partials to the accumulator.
+/// Groups holding a non-finite or out-of-range value take the lane
+/// kernel's `#[cold]` mixed path into the same banks.
+pub(crate) fn encode_f64_bins<const N: usize, const K: usize>(
+    acc: &mut BatchAcc<N, K>,
+    xs: &[f64],
+) {
+    if !Tables::<N, K>::BINS_FIT {
+        encode_f64_batch(acc, xs);
+        return;
+    }
+    let mut bins = [[0u64; 2 * BINS_PER_SIGN]; LANES];
+    let mut banks = LaneBanks::new();
+    for block in xs.chunks(BIN_FLUSH * LANES) {
+        // Bit g set: some bin in 16g..16g+16 may be nonzero.
+        let mut touched = 0u64;
+        let mut groups = block.chunks_exact(LANES);
+        for g in groups.by_ref() {
+            let g: &[f64; LANES] =
+                g.try_into().expect("chunks_exact(LANES) yields LANES-length slices");
+            let mut bits = [0u64; LANES];
+            let mut raw = [0u32; LANES];
+            for l in 0..LANES {
+                bits[l] = g[l].to_bits();
+                raw[l] = ((bits[l] >> 52) & 0x7ff) as u32;
+            }
+            let mut max_raw = 0u32;
+            for &r in &raw {
+                max_raw = if r > max_raw { r } else { max_raw };
+            }
+            if max_raw >= Tables::<N, K>::THRESH {
+                mixed_group::<N, K>(&mut banks, g);
+                continue;
+            }
+            for l in 0..LANES {
+                let bin = bin_index(bits[l], raw[l]);
+                let mask = Tables::<N, K>::BIN_MASK[(raw[l] & 0x7ff) as usize];
+                bins[l][bin] += (bits[l] | (1 << 52)) & mask;
+                touched |= 1 << (bin / BIN_GROUP);
+            }
+        }
+        // The tail (only ever in the last block, which then holds at most
+        // 2047 groups) spreads over the lanes, so none passes BIN_FLUSH.
+        for (l, &x) in groups.remainder().iter().enumerate() {
+            let bits = x.to_bits();
+            let raw = ((bits >> 52) & 0x7ff) as u32;
+            if raw >= Tables::<N, K>::THRESH {
+                slow_encode::<N, K>(&mut banks, l, x);
+                continue;
+            }
+            let bin = bin_index(bits, raw);
+            let mask = Tables::<N, K>::BIN_MASK[(raw & 0x7ff) as usize];
+            bins[l][bin] += (bits | (1 << 52)) & mask;
+            touched |= 1 << (bin / BIN_GROUP);
+        }
+        flush_bins::<N, K>(&mut bins, touched, &mut banks);
+        fold_banks(acc, &mut banks, block.len() as u32);
+    }
+}
+
+/// A value's bin: the sign selects the half, the raw exponent mod
+/// [`BINS_PER_SIGN`] the bin within it. Always below `2 · BINS_PER_SIGN`.
+#[inline(always)]
+fn bin_index(bits: u64, raw: u32) -> usize {
+    (raw as usize & (BINS_PER_SIGN - 1)) | ((bits >> 63) as usize * BINS_PER_SIGN)
+}
+
+/// Drains the touched bins into bank 0. Per live raw exponent, the
+/// lanes' positive bins are summed in `u128` (each below `2^64`, so the
+/// sum is below `2^66`) and the negative ones subtracted; the net is
+/// shifted once by the exponent's DISPATCH/MULT entry into a
+/// two's-complement word pair, as the lane kernel positions one value.
+/// The right shift by `drop` is exact: the mask cleared those bits of
+/// every term. Leaves every bin zero.
+fn flush_bins<const N: usize, const K: usize>(
+    bins: &mut [[u64; 2 * BINS_PER_SIGN]; LANES],
+    touched: u64,
+    banks: &mut LaneBanks,
+) {
+    let base = Tables::<N, K>::BIN_LO;
+    // A group's positive and negative bins drain together.
+    let mut groups = (touched | (touched >> 32)) & 0xffff_ffff;
+    while groups != 0 {
+        let g = groups.trailing_zeros() as usize;
+        groups &= groups - 1;
+        for w in g * BIN_GROUP..(g + 1) * BIN_GROUP {
+            let (pos_w, neg_w) = (w & (BINS_PER_SIGN - 1), w | BINS_PER_SIGN);
+            let (mut pos, mut neg) = (0u128, 0u128);
+            for lane in bins.iter_mut() {
+                pos += core::mem::take(&mut lane[pos_w]) as u128;
+                neg += core::mem::take(&mut lane[neg_w & (2 * BINS_PER_SIGN - 1)]) as u128;
+            }
+            let net = pos as i128 - neg as i128;
+            // The one live raw exponent that folds onto bin w; a bin whose
+            // window slot lies past the threshold only ever received zeros.
+            let raw = base + (w.wrapping_sub(base) & (BINS_PER_SIGN - 1));
+            if net != 0 && raw < Tables::<N, K>::THRESH as usize {
+                let e = Tables::<N, K>::DISPATCH[raw & 0x7ff];
+                let m = Tables::<N, K>::MULT[raw & 0x7ff];
+                let v = net >> (e & 0x3f);
+                // v = hi · 2^64 + lo with lo unsigned, so v · 2^intra puts
+                // lo · 2^intra's two words at lo_slot and lo_slot − 1 and
+                // hi · 2^intra (|hi| ≤ 4) whole into lo_slot − 1.
+                let p = (v as u64 as u128) * (m as u128);
+                let hi = (v >> 64) as i64;
+                let lo_slot = ((e >> 8) & 0x1f) as usize;
+                let bank = &mut banks.bank[0];
+                bank[lo_slot & 0x1f] += (p as u64) as i128;
+                bank[lo_slot.wrapping_sub(1) & 0x1f] += (p >> 64) as i128 + hi as i128 * m as i128;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +715,45 @@ mod tests {
 
     fn scalar_one<const N: usize, const K: usize>(x: f64) -> [u64; N] {
         *HpFixed::<N, K>::from_f64_unchecked(x).as_limbs()
+    }
+
+    /// Bins encode of a single value, read back as canonical limbs.
+    fn bins_one<const N: usize, const K: usize>(x: f64) -> [u64; N] {
+        let mut acc = BatchAcc::<N, K>::new();
+        encode_f64_bins(&mut acc, &[x]);
+        *acc.finish().as_limbs()
+    }
+
+    /// The three paths over one slice: the bins, the lane kernel and
+    /// per-value Listing-1 deposits. All three must agree bit for bit;
+    /// returns the per-value sum.
+    fn assert_three_paths<const N: usize, const K: usize>(xs: &[f64], what: &str) -> HpFixed<N, K> {
+        let mut bins = BatchAcc::<N, K>::new();
+        encode_f64_bins(&mut bins, xs);
+        let mut lane = BatchAcc::<N, K>::new();
+        encode_f64_batch(&mut lane, xs);
+        let mut scalar = BatchAcc::<N, K>::new();
+        for &x in xs {
+            scalar.encode_deposit(x);
+        }
+        let want = scalar.finish();
+        assert_eq!(lane.finish(), want, "lane kernel, {what}");
+        assert_eq!(bins.finish(), want, "bins, {what}");
+        want
+    }
+
+    /// Every raw exponent below the threshold, both signs, with
+    /// mantissas 0, 1, a mixed pattern and all ones.
+    fn exponent_sweep<const N: usize, const K: usize>() -> Vec<f64> {
+        let mut xs = Vec::new();
+        for raw in 0..u64::from(Tables::<N, K>::THRESH) {
+            for frac in [0u64, 1, 0x000F_0F0F_0F0F_0F05, (1 << 52) - 1] {
+                for sign in [0u64, 1 << 63] {
+                    xs.push(f64::from_bits(sign | raw << 52 | frac));
+                }
+            }
+        }
+        xs
     }
 
     #[test]
@@ -560,24 +816,21 @@ mod tests {
             assert_eq!(kernel_one::<6, 3>(x), scalar_one::<6, 3>(x), "6,3 x={x:e}");
             assert_eq!(kernel_one::<3, 2>(x), scalar_one::<3, 2>(x), "3,2 x={x:e}");
             assert_eq!(kernel_one::<2, 1>(x), scalar_one::<2, 1>(x), "2,1 x={x:e}");
+            assert_eq!(bins_one::<6, 3>(x), scalar_one::<6, 3>(x), "bins 6,3 x={x:e}");
+            assert_eq!(bins_one::<3, 2>(x), scalar_one::<3, 2>(x), "bins 3,2 x={x:e}");
+            assert_eq!(bins_one::<2, 1>(x), scalar_one::<2, 1>(x), "bins 2,1 x={x:e}");
         }
     }
 
     #[test]
     fn matches_scalar_across_full_exponent_sweep() {
         // Every in-range binade of the 6×3 format, both signs, mantissa
-        // patterns that exercise the truncation and the intra-limb shift.
-        for raw in 0u32..Tables::<6, 3>::THRESH {
-            for frac in [0u64, 1, 0x000F_0F0F_0F0F_0F05, (1 << 52) - 1] {
-                let bits = ((raw as u64) << 52) | frac;
-                for x in [f64::from_bits(bits), f64::from_bits(bits | (1 << 63))] {
-                    assert_eq!(
-                        kernel_one::<6, 3>(x),
-                        scalar_one::<6, 3>(x),
-                        "x = {x:e} (raw {raw}, frac {frac:#x})"
-                    );
-                }
-            }
+        // patterns that exercise the truncation and the intra-limb shift
+        // (±0, the subnormals and ±(2^191 − ulp) among them).
+        for x in exponent_sweep::<6, 3>() {
+            let want = scalar_one::<6, 3>(x);
+            assert_eq!(kernel_one::<6, 3>(x), want, "lane x = {x:e} ({:#x})", x.to_bits());
+            assert_eq!(bins_one::<6, 3>(x), want, "bins x = {x:e} ({:#x})", x.to_bits());
         }
     }
 
@@ -588,10 +841,12 @@ mod tests {
         let below_191 = f64::from_bits((2f64.powi(191)).to_bits() - 1);
         for x in [below_191, -below_191, 2f64.powi(190), -2f64.powi(190)] {
             assert_eq!(kernel_one::<6, 3>(x), scalar_one::<6, 3>(x), "x={x:e}");
+            assert_eq!(bins_one::<6, 3>(x), scalar_one::<6, 3>(x), "bins x={x:e}");
         }
         let below_63 = f64::from_bits((2f64.powi(63)).to_bits() - 1);
         for x in [below_63, -below_63] {
             assert_eq!(kernel_one::<2, 1>(x), scalar_one::<2, 1>(x), "x={x:e}");
+            assert_eq!(bins_one::<2, 1>(x), scalar_one::<2, 1>(x), "bins x={x:e}");
         }
     }
 
@@ -651,6 +906,89 @@ mod tests {
     }
 
     #[test]
+    fn bin_tables_describe_the_live_window() {
+        // HP(6,3): mantissas live from raw 831 (2^-192 · 2^52 truncates
+        // to its top bit) to 1213, 383 exponents per sign.
+        assert_eq!(Tables::<6, 3>::BIN_LO, 831);
+        assert_eq!(Tables::<6, 3>::THRESH as usize - Tables::<6, 3>::BIN_LO, 383);
+        assert_eq!(Tables::<6, 3>::BIN_MASK[830], 0);
+        assert_eq!(Tables::<6, 3>::BIN_MASK[831], 1 << 52);
+        assert_eq!(Tables::<6, 3>::BIN_MASK[883], (1 << 53) - 1);
+        let fits = [
+            Tables::<6, 3>::BINS_FIT,
+            Tables::<8, 4>::BINS_FIT,
+            Tables::<8, 0>::BINS_FIT,
+            Tables::<9, 4>::BINS_FIT,
+            Tables::<16, 0>::BINS_FIT,
+        ];
+        assert_eq!(fits, [true, true, true, false, false]);
+    }
+
+    #[test]
+    fn bins_match_across_every_exponent_in_one_slice() {
+        fn sweep_slices<const N: usize, const K: usize>(what: &str) {
+            // Both signs at once put every live bin in play, but each
+            // value's negation cancels it; each sign alone, twice over,
+            // cannot cancel. All three slices cross a flush boundary.
+            let sweep = exponent_sweep::<N, K>();
+            assert_three_paths::<N, K>(&sweep, what);
+            for neg in [false, true] {
+                let half: Vec<f64> =
+                    sweep.iter().copied().filter(|x| x.is_sign_negative() == neg).collect();
+                assert_three_paths::<N, K>(&[&half[..], &half[..]].concat(), what);
+            }
+        }
+        sweep_slices::<6, 3>("6,3 sweep");
+        sweep_slices::<8, 4>("8,4 sweep");
+        sweep_slices::<3, 2>("3,2 sweep");
+        sweep_slices::<2, 1>("2,1 sweep");
+        // A format too wide for the bins falls back to the lane kernel.
+        sweep_slices::<10, 5>("10,5 sweep");
+    }
+
+    #[test]
+    fn bins_survive_largest_mantissa_runs_past_three_flushes() {
+        // Every add lands in one bin with the largest truncated mantissa
+        // (2^53 − 1, no bits dropped): one more add per lane between
+        // flushes would wrap the bin. The run ends one value past a
+        // flush boundary.
+        let run = 3 * BIN_FLUSH * LANES + 1;
+        for x in [2.0 - f64::EPSILON, 2f64.powi(-140) * (2.0 - f64::EPSILON)] {
+            for x in [x, -x] {
+                assert_three_paths::<6, 3>(&vec![x; run], &format!("run of {x:e}"));
+            }
+        }
+        // Both signs in one bin pair, interleaved.
+        let top = 2.0 - f64::EPSILON;
+        let mixed: Vec<f64> = (0..run).map(|i| if i % 3 == 0 { -top } else { top }).collect();
+        assert_three_paths::<6, 3>(&mixed, "interleaved signs");
+    }
+
+    #[test]
+    fn routed_lengths_around_the_crossover_and_flush_blocks() {
+        let pool: Vec<f64> = (0..(BIN_FLUSH * LANES + BINS_MIN_LEN + 2 * LANES))
+            .map(|i| {
+                let sign = if i % 3 == 0 { -1.0 } else { 1.0 };
+                sign * ((i * 37 + 1) as f64) * 2f64.powi((i % 97) as i32 - 60)
+            })
+            .collect();
+        let mut lens = vec![BINS_MIN_LEN - 1, BINS_MIN_LEN, BINS_MIN_LEN + 1];
+        for r in 0..LANES {
+            lens.push(BINS_MIN_LEN + LANES + r);
+            lens.push(BIN_FLUSH * LANES - LANES + r);
+            lens.push(BIN_FLUSH * LANES + r);
+            lens.push(BIN_FLUSH * LANES + BINS_MIN_LEN + r);
+        }
+        for len in lens {
+            let xs = &pool[..len];
+            let mut routed = BatchAcc::<6, 3>::new();
+            routed.extend_f64(xs);
+            let want = assert_three_paths::<6, 3>(xs, &format!("length {len}"));
+            assert_eq!(routed.finish(), want, "extend_f64, length {len}");
+        }
+    }
+
+    #[test]
     fn lane_evidence_reports_shape() {
         let ev = lane_evidence();
         assert!(ev.contains("lanes=4") && ev.contains("chunk=256"), "{ev}");
@@ -681,8 +1019,10 @@ mod tests {
     fn all_fallback_chunks_match_the_reference() {
         // A chunk in which *every* group routes through the mixed/slow
         // path, interleaved with a few fast values so both arms of the
-        // per-value re-screen run inside mixed groups.
-        let xs: Vec<f64> = (0..(ENCODE_CHUNK + 3))
+        // per-value re-screen run inside mixed groups; then, past the
+        // crossover, in-range runs with offenders in lane groups and in
+        // the tail, so the bins hand those groups to the mixed path too.
+        let mut xs: Vec<f64> = (0..(ENCODE_CHUNK + 3))
             .map(|i| match i % 4 {
                 0 => f64::INFINITY,
                 1 => -1e308,
@@ -690,12 +1030,16 @@ mod tests {
                 _ => f64::NEG_INFINITY,
             })
             .collect();
-        let mut fast = BatchAcc::<6, 3>::new();
-        encode_f64_batch(&mut fast, &xs);
-        let mut slow = BatchAcc::<6, 3>::new();
-        for &x in &xs {
-            slow.encode_deposit(x);
+        let bad = [f64::INFINITY, f64::NAN, 2f64.powi(191), -1e308, 1e300];
+        for i in 0..2 * BIN_FLUSH * LANES {
+            let x = (i as f64 - 700.0) * 2f64.powi((i % 41) as i32 - 20);
+            xs.push(if i % 1601 == 0 { bad[i % bad.len()] } else { x });
         }
-        assert_eq!(fast.finish(), slow.finish());
+        xs.extend_from_slice(&bad[..3]);
+        assert_three_paths::<6, 3>(&xs[..ENCODE_CHUNK + 3], "one all-fallback chunk");
+        let want = assert_three_paths::<6, 3>(&xs, "fallback groups");
+        let mut routed = BatchAcc::<6, 3>::new();
+        routed.extend_f64(&xs);
+        assert_eq!(routed.finish(), want);
     }
 }

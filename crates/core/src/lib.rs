@@ -46,7 +46,7 @@
 //! | [`fixed`] | §III.A, Listings 1–2 | [`HpFixed<N, K>`](fixed::HpFixed) value type and arithmetic |
 //! | [`convert`] | Listing 1 | the float-path conversion loop and its inverse |
 //! | [`batch`] | throughput extension | [`BatchAcc`], carry-deferred batch accumulation |
-//! | [`kernel`] | throughput extension | [`encode_f64_batch`], the branchless chunk encode kernel |
+//! | [`kernel`] | throughput extension | [`encode_f64_batch`], the lane kernel; exponent-indexed bins for long slices |
 //! | [`atomic`] | §III.B.2 | [`AtomicHp`], CAS/fetch-add accumulators |
 //! | [`sync_shim`] | — | [`SyncShimLike`], the Mutex/Condvar abstraction the model checker instantiates |
 //! | [`format`](mod@format) | Table 1 | runtime format descriptors, range/resolution math |
@@ -84,7 +84,9 @@ pub use atomic::{AtomicHp, AtomicHpImpl, AtomicU64Like};
 pub use sync_shim::{StdSyncShim, SyncShimLike};
 pub use dyn_hp::DynHp;
 pub use error::HpError;
-pub use kernel::{encode_f64_batch, encode_f64_le_batch, lane_evidence, ENCODE_CHUNK, LANES};
+pub use kernel::{
+    encode_f64_batch, encode_f64_le_batch, lane_evidence, BINS_MIN_LEN, ENCODE_CHUNK, LANES,
+};
 pub use sum::HpSumExt;
 pub use fixed::{Hp2x1, Hp3x2, Hp6x3, Hp8x4, HpFixed};
 pub use format::HpFormat;

@@ -7,8 +7,8 @@
 //! denormals, and sign-mixed cancellation.
 
 use oisum_core::{
-    encode_f64_batch, encode_f64_le_batch, AtomicHp, BatchAcc, Hp6x3, HpFixed, ENCODE_CHUNK,
-    LANES,
+    encode_f64_batch, encode_f64_le_batch, AtomicHp, BatchAcc, Hp6x3, HpFixed, BINS_MIN_LEN,
+    ENCODE_CHUNK, LANES,
 };
 use proptest::prelude::*;
 
@@ -181,6 +181,36 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Slices past the crossover take the exponent-indexed bins behind
+    /// every slice entry; all of them must stay bitwise equal to the
+    /// per-value reference and to the lane kernel, from just past the
+    /// crossover to past a bins flush.
+    #[test]
+    fn long_slices_through_the_bins_match_the_reference(
+        pool in proptest::collection::vec(
+            (any::<bool>(), summand(), full_exponent_range_summand())
+                .prop_map(|(pick, a, b)| if pick { a } else { b }),
+            BINS_MIN_LEN + 8200,
+        ),
+        extra in 0usize..8200,
+        threads in 1usize..4,
+    ) {
+        let xs = &pool[..BINS_MIN_LEN + extra];
+        let reference = per_value_sum(xs);
+
+        let mut lane = BatchAcc::<6, 3>::new();
+        encode_f64_batch(&mut lane, xs);
+        prop_assert_eq!(lane.finish(), reference);
+        prop_assert_eq!(Hp6x3::sum_f64_slice(xs), reference);
+        let workers = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        prop_assert_eq!(workers.install(|| Hp6x3::par_sum_f64_slice(xs)), reference);
+        let atomic = AtomicHp::<6, 3>::zero();
+        atomic.add_batch(xs);
+        prop_assert_eq!(atomic.load(), reference);
+    }
+}
+
 /// Out-of-range magnitudes take the `#[cold]` Listing-1 fallback; the
 /// encode of such values trips debug assertions inside the reference
 /// codec by design (the unchecked paths document the range contract),
@@ -224,6 +254,10 @@ mod release_only {
             let mut acc = BatchAcc::<6, 3>::new();
             encode_f64_batch(&mut acc, &xs);
             prop_assert_eq!(acc.finish(), reference);
+
+            // The same mix past the crossover, through the bins.
+            let long: Vec<f64> = xs.iter().cycle().take(BINS_MIN_LEN + stride).copied().collect();
+            prop_assert_eq!(Hp6x3::sum_f64_slice(&long), per_value_sum(&long));
         }
     }
 }

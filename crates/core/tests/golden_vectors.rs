@@ -7,7 +7,7 @@
 //! stay bit-identical on every vector case.
 
 use oisum_bignum::testvec;
-use oisum_core::{encode_f64_le_batch, BatchAcc, Hp6x3};
+use oisum_core::{encode_f64_le_batch, BatchAcc, Hp6x3, BINS_MIN_LEN};
 
 #[test]
 fn hp6x3_matches_golden_vectors() {
@@ -31,6 +31,20 @@ fn hp6x3_matches_golden_vectors() {
                 acc.finish().as_limbs().to_vec(),
                 expected,
                 "case `{name}`: lane kernel mismatch"
+            );
+
+            // Past the crossover `extend_f64` takes the exponent-indexed
+            // bins: the case padded with signed zeros must still land on
+            // the same limbs.
+            let mut padded: Vec<f64> =
+                (0..BINS_MIN_LEN).map(|i| if i % 2 == 0 { 0.0 } else { -0.0 }).collect();
+            padded[BINS_MIN_LEN / 2 + 1] = x;
+            let mut acc = BatchAcc::<6, 3>::new();
+            acc.extend_f64(&padded);
+            assert_eq!(
+                acc.finish().as_limbs().to_vec(),
+                expected,
+                "case `{name}`: bins mismatch"
             );
 
             let mut acc = BatchAcc::<6, 3>::new();

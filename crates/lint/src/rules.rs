@@ -349,6 +349,10 @@ fn applies_to_test_lines(rule: RuleId) -> bool {
     matches!(rule, RuleId::UnsafeSafety | RuleId::NondetFaults)
 }
 
+/// The kernel's per-exponent tables whose entries at or past `THRESH`
+/// are sentinels: the lane kernel's dispatch pair and the bins' mask.
+const SCREENED_TABLES: [&str; 3] = ["DISPATCH[", "MULT[", "BIN_MASK["];
+
 /// `// lint:allow(<rule>)` on the line or the line directly above.
 pub(crate) fn suppressed(lines: &[Line], idx: usize, rule: RuleId) -> bool {
     let needle = format!("lint:allow({})", rule.name());
@@ -746,7 +750,7 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
             {
                 cold_anchors_reference = true;
             }
-            if sq.contains("DISPATCH[") || sq.contains("MULT[") {
+            if SCREENED_TABLES.iter().any(|t| sq.contains(t)) {
                 if first_table_use.is_none() {
                     first_table_use = Some(idx);
                 }

@@ -446,6 +446,55 @@ fn slow_encode(x: f64) {
 }
 
 #[test]
+fn unscreened_bins_lookup_fires() {
+    // The bins' mask read with no screen: an out-of-range exponent's
+    // sentinel entry would be added as if it were a mantissa.
+    let src = "\
+fn encode_bins(bins: &mut [u64; 1024], xs: &[f64]) {
+    for &x in xs {
+        let bits = x.to_bits();
+        let raw = ((bits >> 52) & 0x7ff) as usize;
+        bins[raw & 511] += (bits | 1 << 52) & BIN_MASK[raw];
+    }
+}
+#[cold]
+fn slow_encode(x: f64) {
+    let _ = encode_listing1::<6, 3>(x);
+}
+";
+    assert_eq!(
+        fire_lines(RuleId::KernelFallback, "crates/core/src/kernel.rs", FileKind::Prod, src),
+        vec![5]
+    );
+}
+
+#[test]
+fn bins_screen_without_cold_route_fires() {
+    // The bins screen skips offenders instead of routing them to the
+    // #[cold] Listing-1 deposit.
+    let src = "\
+fn encode_bins(bins: &mut [u64; 1024], xs: &[f64]) {
+    for &x in xs {
+        let bits = x.to_bits();
+        let raw = ((bits >> 52) & 0x7ff) as u32;
+        if raw >= THRESH {
+            continue;
+        }
+        bins[raw as usize & 511] += (bits | 1 << 52) & BIN_MASK[raw as usize];
+    }
+}
+#[cold]
+fn slow_encode(x: f64) {
+    let _ = encode_listing1::<6, 3>(x);
+}
+";
+    assert_eq!(
+        fire_lines(RuleId::KernelFallback, "crates/core/src/kernel.rs", FileKind::Prod, src),
+        vec![5]
+    );
+}
+
+#[test]
 fn kernel_fallback_scope_is_the_core_kernel_only() {
     let src = "fn f(i: usize) -> u32 { DISPATCH[i] }\n";
     assert!(fire_lines(

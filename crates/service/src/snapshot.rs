@@ -158,6 +158,15 @@ fn temp_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
+/// Fsyncs the directory holding `path`. A name just created or renamed
+/// there is durable only once its directory is synced (POSIX); a bare
+/// file name's directory is `.`. Shared by [`save`]'s rename and the
+/// log's directory and segment creates.
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
 /// Persists the ledger to `path` atomically and returns the number of
 /// streams written: the bytes go to a sibling temp file, which is
 /// fsynced and renamed over `path`, and then the directory is fsynced,
@@ -187,8 +196,7 @@ pub fn save(path: &Path, ledger: &ShardedLedger) -> Result<usize, SnapshotError>
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    sync_parent_dir(path)?;
     Ok(states.len())
 }
 
@@ -482,6 +490,16 @@ mod tests {
         // The refusal left the target ledger untouched.
         assert!(fresh.sum("s").is_none());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sync_parent_dir_syncs_the_holding_directory() {
+        // A bare name's directory is `.`; a path's is its parent, which
+        // must exist. The file itself need not.
+        sync_parent_dir(Path::new("not-created.snap")).unwrap();
+        sync_parent_dir(&scratch("sync-parent")).unwrap();
+        let missing = scratch("no-such-dir").join("x.snap");
+        assert!(sync_parent_dir(&missing).is_err());
     }
 
     #[test]

@@ -104,6 +104,7 @@
 //! provable rather than probabilistic.
 
 use crate::segmap::SegmentMap;
+use crate::snapshot::sync_parent_dir;
 use oisum_core::{AtomicU64Like, StdSyncShim, SyncShimLike};
 use oisum_faults::FaultAction;
 use std::collections::VecDeque;
@@ -148,9 +149,10 @@ pub enum FsyncPolicy {
     /// commits as the next group (see the module docs).
     #[default]
     Group,
-    /// Write without ever calling `fsync` (the OS flushes at its
-    /// leisure). An ACK then survives a process kill but not a power
-    /// cut; the format still detects whatever made it to disk.
+    /// Commit groups without calling `fsync` (the OS flushes at its
+    /// leisure; only a rotation's seal and new segment sync). An ACK
+    /// then survives a process kill but not a power cut; the format
+    /// still detects whatever made it to disk.
     Never,
 }
 
@@ -1078,13 +1080,16 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens the log for appending: creates `config.dir` if needed and
+    /// Opens the log for appending: creates `config.dir` if needed,
+    /// fsyncs its parent so the directory's entry is durable, and
     /// starts a fresh segment after the highest existing one. Existing
     /// segments are never appended to (their tails may be torn from a
     /// previous life); replay them with
     /// [`recovery::recover`](crate::recovery::recover) *before* opening.
     pub fn open(config: WalConfig) -> Result<Wal, WalError> {
         fs::create_dir_all(&config.dir)?;
+        // The log directory's own entry, durable before any segment in it.
+        sync_parent_dir(&config.dir)?;
         let next_index = list_segments(&config.dir)?
             .last()
             .map_or(0, |(index, _)| index + 1);
@@ -1256,6 +1261,8 @@ impl ActiveSegment {
     /// file is sized and pre-faulted for its entire life up front; its
     /// un-appended tail reads as zeros, which recovery classifies as
     /// the torn tail it is, and which [`ActiveSegment::seal`] trims.
+    /// `dir` is fsynced after the create, so the segment's name is
+    /// durable before any record in it is ACKed.
     fn create_sized(
         dir: &Path,
         index: u64,
@@ -1269,6 +1276,9 @@ impl ActiveSegment {
             .create(true)
             .truncate(true)
             .open(&path)?;
+        // Without it, records ACKed into this segment could vanish with
+        // its directory entry on power loss.
+        sync_parent_dir(&path)?;
         let header = file_header(WAL_MAGIC, index);
         let want = (target as usize)
             .saturating_add(SEGMENT_HEADER_LEN + SEAL_LEN + MAP_SLACK)
@@ -1387,7 +1397,8 @@ impl ActiveSegment {
     /// Writes one concatenated group of `count` records and, when the
     /// policy says so, fsyncs it. This is the *only* place record bytes
     /// reach the file, and (with [`ActiveSegment::seal`]) the only place
-    /// fsync happens — the `wal-durability` lint pins that shape.
+    /// a segment's bytes are fsynced — the `wal-durability` lint pins
+    /// that shape. Directory entries are synced where they are created.
     ///
     /// The fault seams fire here: `wal.append.torn` truncates the group
     /// mid-write, `wal.segment.corrupt` flips a bit in it, and

@@ -79,6 +79,9 @@ cargo clippy --offline -q -p oisum-cluster --features failpoints --all-targets -
 echo "==> criterion smoke: batch pipeline (per-value vs batched vs parallel)"
 cargo bench --offline -q -p oisum-bench --bench batch
 
+echo "==> criterion smoke: kernels (encode, deposit, 1 Mi lane kernel vs routed bins)"
+cargo bench --offline -q -p oisum-bench --bench kernels
+
 echo "==> loadgen smoke: binary protocol, bitwise check + throughput gates"
 # PR-7 floors (each overridable through the environment for slower
 # machines): >= 28M values/s on the reference 4-thread / 500-per-batch
