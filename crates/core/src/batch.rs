@@ -234,6 +234,98 @@ impl<const N: usize, const K: usize> BatchAcc<N, K> {
     }
 }
 
+/// Values a [`StagedAcc`] buffers per flush: twice
+/// [`BINS_MIN_LEN`](crate::kernel::BINS_MIN_LEN), so every full flush
+/// takes the bins and their fixed per-call cost is spread over 4096
+/// values.
+pub(crate) const STAGE_LEN: usize = 2 * crate::kernel::BINS_MIN_LEN;
+
+/// A [`BatchAcc`] fed through a buffer of 4096 values, twice
+/// [`BINS_MIN_LEN`](crate::kernel::BINS_MIN_LEN), so values that
+/// arrive a few at a time still reach the kernel's exponent-indexed
+/// bins: one by one from an iterator
+/// ([`crate::sum::HpSumExt::hp_sum`]), or as many short little-endian
+/// records that together make one long run (the service's WAL replay).
+/// Staging only regroups the values, so the total is bitwise
+/// [`HpFixed::sum_f64_slice`] of everything fed, in any order.
+///
+/// ```
+/// use oisum_core::{Hp6x3, StagedAcc};
+///
+/// let xs: Vec<f64> = (0..5000).map(|i| (i as f64 - 2500.0) * 1e-3).collect();
+/// let mut acc = StagedAcc::<6, 3>::new();
+/// acc.extend(xs.iter().copied());
+/// assert_eq!(acc.finish(), Hp6x3::sum_f64_slice(&xs));
+/// ```
+#[derive(Debug)]
+pub struct StagedAcc<const N: usize, const K: usize> {
+    acc: BatchAcc<N, K>,
+    /// Staged values, never more than `STAGE_LEN`: a full buffer is
+    /// flushed at once.
+    buf: Vec<f64>,
+}
+
+impl<const N: usize, const K: usize> Default for StagedAcc<N, K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize, const K: usize> StagedAcc<N, K> {
+    /// An empty accumulator. The buffer is allocated, not cleared: a
+    /// short sum pays for the values it stages and nothing more.
+    pub fn new() -> Self {
+        StagedAcc {
+            acc: BatchAcc::new(),
+            buf: Vec::with_capacity(STAGE_LEN),
+        }
+    }
+
+    /// Stages raw little-endian `f64` bytes (the service's wire and log
+    /// payload), decoding them straight into the buffer. Trailing bytes
+    /// beyond the last whole `f64` are ignored, as
+    /// [`crate::kernel::encode_f64_le_batch`] ignores them.
+    pub fn extend_le_bytes(&mut self, bytes: &[u8]) {
+        let mut words = bytes.as_chunks::<8>().0;
+        while !words.is_empty() {
+            let (head, rest) = words.split_at(words.len().min(STAGE_LEN - self.buf.len()));
+            self.buf.extend(head.iter().map(|&w| f64::from_le_bytes(w)));
+            if self.buf.len() == STAGE_LEN {
+                self.flush();
+            }
+            words = rest;
+        }
+    }
+
+    fn flush(&mut self) {
+        self.acc.extend_f64(&self.buf);
+        self.buf.clear();
+    }
+
+    /// Flushes what is staged and returns the exact total.
+    pub fn finish(mut self) -> HpFixed<N, K> {
+        self.flush();
+        self.acc.finish()
+    }
+}
+
+/// Stages an iterator's values. Each fill is one `Vec::extend` of at
+/// most the buffer's free room, which measured faster than a push and a
+/// length check per value.
+impl<const N: usize, const K: usize> Extend<f64> for StagedAcc<N, K> {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
+        let mut values = values.into_iter();
+        loop {
+            let room = STAGE_LEN - self.buf.len();
+            self.buf.extend(values.by_ref().take(room));
+            if self.buf.len() < STAGE_LEN {
+                return;
+            }
+            self.flush();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,6 +463,38 @@ mod tests {
             scalar.deposit(v);
         }
         assert_eq!(chunked.finish(), scalar.finish());
+    }
+
+    #[test]
+    fn staged_values_match_the_slice_sum_however_they_are_split() {
+        // Pieces that straddle a flush, land on one exactly, and are
+        // longer than the buffer; odd trailing bytes are ignored.
+        let xs: Vec<f64> = (0..(3 * STAGE_LEN + 777))
+            .map(|i| (i as f64 - 6000.0) * 3.7e-5 * if i % 5 == 0 { -1e9 } else { 1.0 })
+            .collect();
+        let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
+        let want = per_value_sum::<6, 3>(&xs);
+        for piece in [1, 256, STAGE_LEN - 1, STAGE_LEN, 2 * STAGE_LEN + 3] {
+            let mut acc = StagedAcc::<6, 3>::new();
+            for chunk in bytes.chunks(piece * 8) {
+                acc.extend_le_bytes(chunk);
+            }
+            assert_eq!(acc.finish(), want, "pieces of {piece} values");
+        }
+        // Iterator pieces and byte pieces mix in one accumulator.
+        let mut acc = StagedAcc::<6, 3>::new();
+        for (i, piece) in xs.chunks(STAGE_LEN - 5).enumerate() {
+            if i % 2 == 0 {
+                acc.extend(piece.iter().copied());
+            } else {
+                acc.extend_le_bytes(&bytes[8 * i * (STAGE_LEN - 5)..][..8 * piece.len()]);
+            }
+        }
+        assert_eq!(acc.finish(), want);
+        let mut acc = StagedAcc::<6, 3>::new();
+        acc.extend_le_bytes(&bytes[..8 * 3 + 5]);
+        assert_eq!(acc.finish(), per_value_sum::<6, 3>(&xs[..3]));
+        assert!(StagedAcc::<6, 3>::new().finish().is_zero());
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! |--------|--------------|----------|
 //! | [`fixed`] | §III.A, Listings 1–2 | [`HpFixed<N, K>`](fixed::HpFixed) value type and arithmetic |
 //! | [`convert`] | Listing 1 | the float-path conversion loop and its inverse |
-//! | [`batch`] | throughput extension | [`BatchAcc`], carry-deferred batch accumulation |
+//! | [`batch`] | throughput extension | [`BatchAcc`], carry-deferred batch accumulation; [`StagedAcc`], its staging buffer for values that arrive a few at a time |
 //! | [`kernel`] | throughput extension | [`encode_f64_batch`], the lane kernel; exponent-indexed bins for long slices |
 //! | [`atomic`] | §III.B.2 | [`AtomicHp`], CAS/fetch-add accumulators |
 //! | [`sync_shim`] | — | [`SyncShimLike`], the Mutex/Condvar abstraction the model checker instantiates |
@@ -78,7 +78,7 @@ pub mod sync_shim;
 pub mod trace;
 
 pub use adaptive::AdaptiveHp;
-pub use batch::BatchAcc;
+pub use batch::{BatchAcc, StagedAcc};
 pub use dot::{hp_dot, hp_norm_sq, two_product};
 pub use atomic::{AtomicHp, AtomicHpImpl, AtomicU64Like};
 pub use sync_shim::{StdSyncShim, SyncShimLike};

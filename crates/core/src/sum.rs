@@ -12,7 +12,7 @@
 //! println!("{}", exact.to_f64());
 //! ```
 
-use crate::batch::BatchAcc;
+use crate::batch::StagedAcc;
 use crate::error::HpError;
 use crate::fixed::HpFixed;
 
@@ -22,21 +22,12 @@ pub trait HpSumExt: Iterator<Item = f64> + Sized {
     /// (Listing 1). The caller owns the range precondition, as with
     /// [`HpFixed::sum_f64_slice`].
     ///
-    /// Runs on the carry-deferred [`BatchAcc`] kernel; bitwise identical
-    /// to an encode-and-`+=` fold.
+    /// Runs on a [`StagedAcc`], so a long iterator reaches the
+    /// kernel's exponent-indexed bins as a slice sum does; bitwise
+    /// identical to an encode-and-`+=` fold.
     fn hp_sum<const N: usize, const K: usize>(self) -> HpFixed<N, K> {
-        let mut acc = BatchAcc::<N, K>::new();
-        let mut buf = [0.0f64; crate::kernel::ENCODE_CHUNK];
-        let mut filled = 0;
-        for x in self {
-            buf[filled] = x;
-            filled += 1;
-            if filled == buf.len() {
-                acc.extend_f64(&buf);
-                filled = 0;
-            }
-        }
-        acc.extend_f64(&buf[..filled]);
+        let mut acc = StagedAcc::<N, K>::new();
+        acc.extend(self);
         acc.finish()
     }
 
@@ -56,13 +47,42 @@ impl<I: Iterator<Item = f64>> HpSumExt for I {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::{Hp2x1, Hp3x2};
+    use crate::fixed::{Hp2x1, Hp3x2, Hp6x3};
 
     #[test]
     fn iterator_sum_matches_slice_sum() {
         let xs: Vec<f64> = (0..500).map(|i| (i as f64 - 250.0) * 0.001).collect();
         let via_iter: Hp3x2 = xs.iter().copied().hp_sum();
         assert_eq!(via_iter, Hp3x2::sum_f64_slice(&xs));
+    }
+
+    #[test]
+    fn iterator_sum_matches_slice_sum_across_the_staging_boundaries() {
+        // Mixed magnitudes and signs, so both kernels carry and borrow
+        // across limbs; every length that changes which kernel a flush
+        // takes, or how many flushes there are.
+        let xs: Vec<f64> = (0..(1usize << 20))
+            .map(|i| {
+                let m = ((i * 7919) % 1000) as f64 - 500.0;
+                m * 2f64.powi((i % 97) as i32 - 48)
+            })
+            .collect();
+        let bins = crate::kernel::BINS_MIN_LEN;
+        let stage = crate::batch::STAGE_LEN;
+        for n in [
+            0,
+            1,
+            bins - 1,
+            bins,
+            bins + 1,
+            stage - 1,
+            stage,
+            stage + 1,
+            1 << 20,
+        ] {
+            let via_iter: Hp6x3 = xs[..n].iter().copied().hp_sum();
+            assert_eq!(via_iter, Hp6x3::sum_f64_slice(&xs[..n]), "{n} values");
+        }
     }
 
     #[test]

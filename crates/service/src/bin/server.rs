@@ -11,7 +11,10 @@
 //! final snapshot on graceful shutdown. With `--wal`, every tracked
 //! batch is logged to DIR and made durable (per `--fsync`, default
 //! `group`) before its ACK, and existing segments are replayed at
-//! startup — ACKed batches then survive a non-graceful death.
+//! startup — ACKed batches then survive a non-graceful death. The
+//! replay's outcome is printed as one line before the listening
+//! address: `recovery segments=… records=… applied=… deduped=…
+//! values=… torn=…`, `torn` counting the torn tails it truncated.
 //!
 //! `--transport epoll` serves connections from a single edge-triggered
 //! reactor instead of a thread per connection — same protocol, same
@@ -85,6 +88,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(report) = handle.recovery() {
+        println!("recovery {report}");
+    }
     println!("oisum-server listening on {}", handle.addr());
     match handle.join() {
         Ok(()) => ExitCode::SUCCESS,

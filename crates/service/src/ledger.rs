@@ -150,8 +150,8 @@ impl Stream {
 
 /// A stream's complete persistent state, as captured by
 /// [`ShardedLedger::snapshot`] and re-installed by
-/// [`ShardedLedger::restore`].
-#[derive(Debug, Clone, PartialEq)]
+/// [`ShardedLedger::restore`]. The default is a stream never written.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamState {
     /// Stream name.
     pub name: String,

@@ -20,7 +20,7 @@ use crate::proto::{
 };
 use crate::snapshot;
 use crate::wal::{Wal, WalConfig};
-use crate::recovery;
+use crate::recovery::{self, RecoveryReport};
 use oisum_faults::FaultAction;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -115,6 +115,7 @@ pub struct ServerHandle {
     ledger: Arc<ShardedLedger>,
     acceptor: JoinHandle<io::Result<()>>,
     stopping: Arc<AtomicBool>,
+    recovery: Option<RecoveryReport>,
 }
 
 impl ServerHandle {
@@ -126,6 +127,14 @@ impl ServerHandle {
     /// The shared ledger (for in-process inspection in tests/loadgen).
     pub fn ledger(&self) -> Arc<ShardedLedger> {
         Arc::clone(&self.ledger)
+    }
+
+    /// What the startup WAL replay did — records applied and deduped,
+    /// torn tails truncated — or `None` when the server runs without a
+    /// WAL (or was built by [`serve_with_core`], whose caller owns
+    /// recovery).
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
     }
 
     /// Requests a stop as if a client had sent `Shutdown`.
@@ -169,15 +178,18 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         }
     }
     let mut core = RequestCore::new(ledger).with_snapshot_path(config.snapshot_path.clone());
+    let mut report = None;
     if let Some(wal_config) = &config.wal {
         // Replay order matters: snapshot first (above), then the WAL —
         // the dedup watermarks restored by the snapshot absorb every
         // record it already covers, and the rest re-applies exactly
         // once. Only then is a fresh segment opened for new traffic.
-        recovery::recover(&wal_config.dir, core.ledger())?;
+        report = Some(recovery::recover(&wal_config.dir, core.ledger())?);
         core = core.with_wal(Arc::new(Wal::open(wal_config.clone())?));
     }
-    serve_with_core(&config, Arc::new(core))
+    let mut handle = serve_with_core(&config, Arc::new(core))?;
+    handle.recovery = report;
+    Ok(handle)
 }
 
 /// Binds and serves over a caller-built [`RequestCore`] — the entry
@@ -199,7 +211,13 @@ pub fn serve_with_core(config: &ServerConfig, core: Arc<RequestCore>) -> io::Res
                 .name("oisum-reactor".to_owned())
                 .spawn(move || crate::reactor::run(listener, core, stopping))?
         };
-        return Ok(ServerHandle { addr, ledger, acceptor, stopping });
+        return Ok(ServerHandle {
+            addr,
+            ledger,
+            acceptor,
+            stopping,
+            recovery: None,
+        });
     }
 
     let acceptor = {
@@ -239,7 +257,13 @@ pub fn serve_with_core(config: &ServerConfig, core: Arc<RequestCore>) -> io::Res
         })
     };
 
-    Ok(ServerHandle { addr, ledger, acceptor, stopping })
+    Ok(ServerHandle {
+        addr,
+        ledger,
+        acceptor,
+        stopping,
+        recovery: None,
+    })
 }
 
 /// Serves one connection until EOF, protocol error, or shutdown ACK.

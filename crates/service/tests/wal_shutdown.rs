@@ -5,7 +5,7 @@
 //! attached they must survive on the log alone.
 
 use oisum_core::Hp6x3;
-use oisum_service::wal::{list_segments, FsyncPolicy, WalConfig};
+use oisum_service::wal::{list_segments, FsyncPolicy, WalConfig, SEAL_LEN};
 use oisum_service::{recovery, serve, Client, ClientConfig, ServerConfig, ShardedLedger};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -86,6 +86,73 @@ fn acked_batches_survive_shutdown_on_the_log_alone() {
     assert_eq!(reply.limbs, expected, "post-restart replays were double-applied");
     retry.shutdown().unwrap();
     restored.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A restart over a torn log keeps what the replay did: the handle's
+/// report names the truncated tail and counts only the records before
+/// it, and the served sum is exactly theirs.
+#[test]
+fn a_restart_over_a_torn_log_reports_the_truncation() {
+    let dir = temp_dir("torn-report");
+    let data = dataset(3_000, 43);
+    let server = serve(ServerConfig {
+        wal: Some(WalConfig::new(&dir)),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    assert_eq!(
+        server.recovery(),
+        Some(&recovery::RecoveryReport::default())
+    );
+    let mut client = tracked_client(server.addr(), 7);
+    for chunk in data.chunks(250) {
+        client.add_binary("s", chunk).unwrap();
+    }
+    client.shutdown().unwrap();
+    server.join().unwrap();
+
+    // Cut the sealed segment inside its last record: the seal goes, and
+    // that record becomes a torn tail.
+    let (index, path) = list_segments(&dir).unwrap().pop().unwrap();
+    let sealed = std::fs::read(&path).unwrap();
+    let cut = sealed.len() - SEAL_LEN - 5;
+    std::fs::write(&path, &sealed[..cut]).unwrap();
+
+    let restarted = serve(ServerConfig {
+        wal: Some(WalConfig::new(&dir)),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let report = restarted.recovery().unwrap().clone();
+    assert_eq!(
+        (report.segments, report.records, report.applied),
+        (1, 11, 11)
+    );
+    assert_eq!((report.deduped, report.values), (0, 11 * 250));
+    assert_eq!(report.torn.len(), 1);
+    assert_eq!(report.torn[0].segment, index);
+    assert_eq!(
+        report.torn[0].offset + report.torn[0].dropped_bytes,
+        cut as u64
+    );
+    assert_eq!(
+        report.to_string(),
+        "segments=1 records=11 applied=11 deduped=0 values=2750 torn=1"
+    );
+    let mut reader = tracked_client(restarted.addr(), 8);
+    assert_eq!(
+        reader.sum("s").unwrap().limbs,
+        Hp6x3::sum_f64_slice(&data[..11 * 250]).as_limbs().to_vec()
+    );
+    reader.shutdown().unwrap();
+    restarted.join().unwrap();
+
+    // Without a WAL there is no replay to report.
+    let bare = serve(ServerConfig::default()).unwrap();
+    assert!(bare.recovery().is_none());
+    bare.shutdown();
+    bare.join().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 

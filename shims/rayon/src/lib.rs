@@ -14,17 +14,23 @@
 #![forbid(unsafe_code)]
 
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Worker-count override installed by [`ThreadPool::install`].
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// The default width, read once: `available_parallelism` re-reads the
+/// cgroup files on every call, and real rayon fixes its global pool's
+/// width at start too.
+static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
+
 /// The number of worker threads parallel operations will use on this
 /// thread.
 pub fn current_num_threads() -> usize {
     POOL_THREADS.with(|t| t.get()).unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        *DEFAULT_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
@@ -102,15 +108,21 @@ fn for_each_parallel<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
         let tail = items.split_off(items.len().saturating_sub(block));
         blocks.push(tail);
     }
-    blocks.reverse();
     let f = &f;
     std::thread::scope(|s| {
+        // `blocks` was peeled tail-first, so its first entry is the last
+        // block: the calling thread runs that one instead of idling.
+        let mut blocks = blocks.into_iter();
+        let mine = blocks.next();
         for blk in blocks {
             s.spawn(move || {
                 for item in blk {
                     f(item);
                 }
             });
+        }
+        for item in mine.into_iter().flatten() {
+            f(item);
         }
     });
 }
@@ -207,19 +219,22 @@ where
     // split_off peeled blocks tail-first; restore input order so the
     // final combine is deterministic left-to-right.
     blocks.reverse();
-    let partials: Vec<O> = std::thread::scope(|s| {
+    let last = blocks.pop();
+    std::thread::scope(|s| {
         let handles: Vec<_> = blocks
             .into_iter()
             .map(|blk| {
                 s.spawn(move || blk.into_iter().map(f).fold(identity(), &op))
             })
             .collect();
-        handles
+        // The calling thread runs the last block while the others work.
+        let mine = last.into_iter().flatten().map(f).fold(identity(), op);
+        let partials = handles
             .into_iter()
             .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    });
-    partials.into_iter().fold(identity(), &op)
+            .fold(identity(), op);
+        op(partials, mine)
+    })
 }
 
 /// Parallel chunked views of slices.
@@ -305,6 +320,31 @@ mod tests {
             .map(|c| c.iter().sum::<u64>())
             .reduce(|| 0, |a, b| a + b);
         assert_eq!(total, xs.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn reduce_combines_blocks_in_input_order_and_the_caller_works() {
+        // Concatenation does not commute, so any out-of-order combine of
+        // the blocks shows; the caller's thread id shows it ran a block.
+        let caller = std::thread::current().id();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let xs: Vec<u32> = (0..1000).collect();
+        let (joined, ran_here) = pool.install(|| {
+            xs.par_chunks(7)
+                .map(|c| (c.to_vec(), std::thread::current().id() == caller))
+                .reduce(
+                    || (Vec::new(), false),
+                    |(mut a, x), (b, y)| {
+                        a.extend(b);
+                        (a, x || y)
+                    },
+                )
+        });
+        assert_eq!(joined, xs);
+        assert!(ran_here);
     }
 
     #[test]
