@@ -24,7 +24,7 @@ use oisum_cluster::{ClusterNode, ClusterNodeConfig, Membership, NodeSpec};
 fn usage() -> ! {
     eprintln!(
         "usage: oisum-cluster-node --id N --node CLIENT,PEER [--node CLIENT,PEER ...]\n\
-         \x20      [--replication R] [--shards S] [--snapshot PATH]"
+         \x20      [--replication R] [--snapshot PATH]"
     );
     std::process::exit(2);
 }
@@ -33,7 +33,6 @@ fn main() -> ExitCode {
     let mut id: Option<u32> = None;
     let mut specs: Vec<NodeSpec> = Vec::new();
     let mut replication = 1usize;
-    let mut shards = 8usize;
     let mut snapshot = None;
 
     let mut args = std::env::args().skip(1);
@@ -57,7 +56,6 @@ fn main() -> ExitCode {
                 });
             }
             "--replication" => replication = value("count").parse().unwrap_or_else(|_| usage()),
-            "--shards" => shards = value("count").parse().unwrap_or_else(|_| usage()),
             "--snapshot" => snapshot = Some(value("path").into()),
             "--help" | "-h" => usage(),
             other => {
@@ -81,7 +79,6 @@ fn main() -> ExitCode {
     };
 
     let mut config = ClusterNodeConfig::new(id);
-    config.shards = shards;
     config.snapshot_path = snapshot;
 
     let node = match ClusterNode::start(Arc::clone(&membership), config) {

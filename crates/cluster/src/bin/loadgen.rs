@@ -3,7 +3,7 @@
 //! fire.
 //!
 //! ```text
-//! loadgen [--threads N] [--values N] [--batch N] [--shards N] [--seed N]
+//! loadgen [--threads N] [--values N] [--batch N] [--seed N]
 //!         [--chaos] [--out PATH]
 //! loadgen --cluster [--nodes 1,2,3] [--replication R] [--cluster-out PATH]
 //! ```
@@ -70,7 +70,6 @@ struct Args {
     threads: usize,
     values: usize,
     batch: usize,
-    shards: usize,
     seed: u64,
     chaos: bool,
     out: String,
@@ -122,7 +121,6 @@ impl Default for Args {
             threads: 4,
             values: 200_000,
             batch: 500,
-            shards: 8,
             seed: 0x5EED,
             chaos: false,
             out: "BENCH_service.json".to_owned(),
@@ -145,7 +143,7 @@ impl Default for Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: loadgen [--threads N] [--values N] [--batch N] [--shards N] [--seed N] \
+        "usage: loadgen [--threads N] [--values N] [--batch N] [--seed N] \
          [--chaos] [--gate] [--wal] [--out PATH] \
          [--transport threads|epoll] [--connections N] [--idle-heavy] \
          [--connect ADDR] [--shutdown] \
@@ -164,7 +162,6 @@ fn parse_args() -> Args {
             "--threads" => a.threads = value().parse().unwrap_or_else(|_| usage()),
             "--values" => a.values = value().parse().unwrap_or_else(|_| usage()),
             "--batch" => a.batch = value().parse().unwrap_or_else(|_| usage()),
-            "--shards" => a.shards = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => a.seed = value().parse().unwrap_or_else(|_| usage()),
             "--chaos" => a.chaos = true,
             "--gate" => a.gate = true,
@@ -294,7 +291,6 @@ struct PassReport {
 /// the bitwise-identical-sum invariant before reporting.
 fn run_pass(args: &Args, data: &[f64], expected: &ServiceHp, wal: Option<WalConfig>) -> PassReport {
     let server = serve(ServerConfig {
-        shards: args.shards,
         wal,
         transport: args.transport,
         ..ServerConfig::default()
@@ -467,7 +463,7 @@ fn run_wal_pass(
 
     // run_pass joined the server, so the commit group is drained and
     // every segment sealed: the log alone must rebuild the exact bits.
-    let ledger = ShardedLedger::new(args.shards);
+    let ledger = ShardedLedger::default();
     let report = recovery::recover(&dir, &ledger).expect("recover the sealed log");
     assert!(report.torn.is_empty(), "graceful close must leave no torn tail");
     assert_eq!(
@@ -516,13 +512,12 @@ fn run_wal_fan_pass(
         let config = WalConfig { fsync, ..WalConfig::new(dir.clone()) };
         (dir, Arc::new(Wal::open(config).expect("open wal")))
     });
-    let mut core = RequestCore::new(Arc::new(ShardedLedger::new(args.shards)));
+    let mut core = RequestCore::new(Arc::new(ShardedLedger::default()));
     if let Some((_, wal)) = &wal {
         core = core.with_wal(Arc::clone(wal));
     }
     let server = serve_with_core(
         &ServerConfig {
-            shards: args.shards,
             transport: Transport::Epoll,
             ..ServerConfig::default()
         },
@@ -557,7 +552,7 @@ fn run_wal_fan_pass(
                  ({:.1} records/fsync)",
                 records as f64 / groups.max(1) as f64
             );
-            let ledger = ShardedLedger::new(args.shards);
+            let ledger = ShardedLedger::default();
             let rec = recovery::recover(dir, &ledger).expect("recover the sealed log");
             assert!(rec.torn.is_empty(), "graceful close must leave no torn tail");
             assert_eq!(
@@ -827,7 +822,6 @@ fn run_reactor_scale(args: &Args, data: &[f64], expected: &ServiceHp) -> Reactor
         }
         None => {
             let server = serve(ServerConfig {
-                shards: args.shards,
                 transport: Transport::Epoll,
                 ..ServerConfig::default()
             })
@@ -940,10 +934,8 @@ struct ClusterPass {
 /// nodes, asserts the cluster sum from *every* coordinator is bitwise
 /// the sequential HP sum, and shuts the cluster down cleanly.
 fn run_cluster_pass(args: &Args, data: &[f64], expected: &ServiceHp, n: usize) -> ClusterPass {
-    let (_membership, nodes) = start_local_cluster(n, args.replication, |c| {
-        c.shards = args.shards;
-    })
-    .expect("start cluster");
+    let (_membership, nodes) =
+        start_local_cluster(n, args.replication, |_| {}).expect("start cluster");
     let addrs: Vec<_> = nodes.iter().map(|node| node.client_addr()).collect();
 
     let batches: Vec<&[f64]> = data.chunks(args.batch).collect();
@@ -1265,11 +1257,10 @@ fn main() {
     let expected = ServiceHp::sum_f64_slice(&data);
 
     println!(
-        "loadgen: {} values in {} batches over {} threads ({} shards)",
+        "loadgen: {} values in {} batches over {} threads",
         args.values,
         args.values.div_ceil(args.batch),
-        args.threads,
-        args.shards
+        args.threads
     );
 
     if args.cluster {
@@ -1343,7 +1334,7 @@ fn main() {
     };
 
     let mut json = format!(
-        "{{\"ops_per_sec\":{:.2},\"values_per_sec\":{:.0},\"p50_us\":{:.2},\"p99_us\":{:.2},\"threads\":{},\"values\":{},\"batch\":{},\"shards\":{},\"chaos\":{},\"faults_fired\":{},\"bitwise_identical\":true",
+        "{{\"ops_per_sec\":{:.2},\"values_per_sec\":{:.0},\"p50_us\":{:.2},\"p99_us\":{:.2},\"threads\":{},\"values\":{},\"batch\":{},\"chaos\":{},\"faults_fired\":{},\"bitwise_identical\":true",
         pass.ops_per_sec,
         pass.values_per_sec,
         pass.p50_us,
@@ -1351,7 +1342,6 @@ fn main() {
         args.threads,
         args.values,
         args.batch,
-        args.shards,
         args.chaos,
         pass.faults_fired
     );

@@ -90,8 +90,6 @@ const SEAM_SNAPSHOT_PARTIAL: &str = "cluster.snapshot.partial";
 pub struct ClusterNodeConfig {
     /// This node's dense cluster id.
     pub node_id: u32,
-    /// Ledger shards for both the primary and the mirror store.
-    pub shards: usize,
     /// Where this node persists (and restores) its ledgers; `None`
     /// disables persistence.
     pub snapshot_path: Option<PathBuf>,
@@ -109,7 +107,6 @@ impl ClusterNodeConfig {
     pub fn new(node_id: u32) -> Self {
         ClusterNodeConfig {
             node_id,
-            shards: 8,
             snapshot_path: None,
             wal: None,
             peer: PeerCallConfig::default(),
@@ -233,14 +230,14 @@ impl ClusterOps for NodeState {
     }
 }
 
-/// Merges a subtree partial into the accumulator with the same
-/// carry-propagating limb add the ledger uses to fold shards
-/// ([`ServiceHp::wrapping_add`]). A naive per-limb add would be exact
-/// *as a value* but drop inter-limb carries, so the reduced bit pattern
-/// would depend on how the values were partitioned across nodes; the
-/// carry-chain add is associative and commutative on the fixed-point
-/// representation itself, which is what makes the tree shape, the
-/// coordinator, and the node count all invisible in the result.
+/// Merges a subtree partial into the accumulator with the
+/// carry-propagating limb add ([`ServiceHp::wrapping_add`]). A naive
+/// per-limb add would be exact *as a value* but drop inter-limb
+/// carries, so the reduced bit pattern would depend on how the values
+/// were partitioned across nodes; the carry-chain add is associative
+/// and commutative on the fixed-point representation itself, which is
+/// what makes the tree shape, the coordinator, and the node count all
+/// invisible in the result.
 fn combine(acc: &mut ClusterSumOut, sub: &ClusterSumOut) {
     debug_assert_eq!(acc.limbs.len(), sub.limbs.len(), "limb layout mismatch");
     let a = ServiceHp::from_limbs(acc.limbs.as_slice().try_into().expect("limb layout"));
@@ -302,8 +299,8 @@ impl ClusterNode {
                 format!("node id {me} outside cluster of {}", membership.len()),
             ));
         }
-        let primary = Arc::new(ShardedLedger::new(config.shards));
-        let mirrors = Arc::new(ShardedLedger::new(config.shards));
+        let primary = Arc::new(ShardedLedger::default());
+        let mirrors = Arc::new(ShardedLedger::default());
         if let Some(path) = &config.snapshot_path {
             match snapshot::load(path, &primary) {
                 Ok(_) => {}
@@ -385,7 +382,6 @@ impl ClusterNode {
         let server = serve_with_core(
             &ServerConfig {
                 addr: membership.client_addr(me),
-                shards: config.shards,
                 snapshot_path: None,
                 wal: None,
                 transport: Transport::default(),
@@ -487,7 +483,6 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
     let mut read_buf = Vec::new();
     let mut scratch = String::new();
     let mut reply_buf = Vec::new();
-    let mut shard_cursor = state.me as usize;
 
     // The first frame must be a fingerprint-matching Hello: a node from
     // a differently-shaped cluster computes different placements and
@@ -535,11 +530,9 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
                     return Ok(());
                 }
                 let name = mirror_stream_name(origin, add.stream);
-                let hint = shard_cursor;
-                shard_cursor = shard_cursor.wrapping_add(1);
                 let (count, applied) = state.mirrors.add_batch_le_bytes_dedup(
                     &name,
-                    hint,
+                    0,
                     add.client_id,
                     add.seq,
                     add.value_bytes(),

@@ -157,16 +157,9 @@ impl<A: AtomicU64Like, const N: usize, const K: usize> AtomicHpImpl<A, N, K> {
 
     /// An accumulator initialized to `v`.
     pub fn new(v: HpFixed<N, K>) -> Self {
-        Self::with_overflows(v, 0)
-    }
-
-    /// An accumulator initialized to `v` with `overflows` detected
-    /// top-limb overflows already on record: how a persisted accumulator
-    /// comes back with its sticky poison flag intact.
-    pub fn with_overflows(v: HpFixed<N, K>, overflows: u64) -> Self {
         AtomicHpImpl {
             limbs: core::array::from_fn(|i| A::new(v.as_limbs()[i])),
-            overflows: A::new(overflows),
+            overflows: A::new(0),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Standalone summation server.
 //!
 //! ```text
-//! oisum-server [--addr HOST:PORT] [--shards N] [--snapshot PATH]
+//! oisum-server [--addr HOST:PORT] [--snapshot PATH]
 //!              [--wal DIR] [--fsync group|never]
 //!              [--transport threads|epoll] [--max-conns N]
 //! ```
@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: oisum-server [--addr HOST:PORT] [--shards N] [--snapshot PATH] \
+        "usage: oisum-server [--addr HOST:PORT] [--snapshot PATH] \
          [--wal DIR] [--fsync group|never] \
          [--transport threads|epoll] [--max-conns N]"
     );
@@ -43,7 +43,6 @@ fn main() -> ExitCode {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--addr" => config.addr = value(),
-            "--shards" => config.shards = value().parse().unwrap_or_else(|_| usage()),
             "--snapshot" => config.snapshot_path = Some(value().into()),
             "--wal" => config.wal = Some(WalConfig::new(value())),
             "--fsync" => {

@@ -295,7 +295,10 @@ impl Client {
         })
     }
 
-    /// Reads ledger statistics. Idempotent, so retried freely.
+    /// Reads ledger statistics: the reply's `shard_count`, which is
+    /// always 1, and the per-stream counters. The pair stays until
+    /// perfbench, which builds against it, stops reading the count.
+    /// Idempotent, so retried freely.
     pub fn stats(&mut self) -> Result<(u64, Vec<StreamStatsRepr>), ClientError> {
         self.with_retries(move |c| match c.call_once(&Request::Stats)? {
             Response::Stats { shard_count, streams } => Ok((shard_count, streams)),

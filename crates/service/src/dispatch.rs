@@ -38,9 +38,9 @@ use std::sync::Arc;
 /// The merged result of a cluster-wide sum (or a subtree partial).
 ///
 /// Every field merges exactly: `limbs` by the carry-propagating
-/// fixed-point add (the same [`ServiceHp::wrapping_add`](crate::ServiceHp)
-/// the ledger uses to fold shards — associative and commutative on the
-/// representation, so the tree shape cannot change a bit),
+/// fixed-point add ([`ServiceHp::wrapping_add`](crate::ServiceHp),
+/// associative and commutative on the representation, so the tree shape
+/// cannot change a bit),
 /// `values`/`holders` by integer addition, and `poisoned` by OR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterSumOut {
@@ -169,14 +169,15 @@ impl RequestCore {
 
     /// Executes one client frame (a binary Add or a JSON control
     /// request). Returns the reply and whether the transport should
-    /// initiate shutdown after sending it. `shard_cursor` is the
-    /// connection's private cursor, advanced once per `Add`.
+    /// initiate shutdown after sending it. `_cursor` is ignored; it
+    /// stays until perfbench, which builds against this signature,
+    /// stops passing it.
     pub fn handle_frame(
         &self,
         frame: ClientFrameView<'_>,
-        shard_cursor: &mut usize,
+        _cursor: &mut usize,
     ) -> (Response, bool) {
-        match self.handle_frame_with(frame, shard_cursor, WalMode::Block) {
+        match self.handle_frame_with(frame, &mut 0, WalMode::Block) {
             FrameOutcome::Done(reply, stop) => (reply, stop),
             // lint:allow(service-unwrap) -- unreachable: WalMode::Block never pends
             FrameOutcome::WalPending { .. } => unreachable!("Block mode never pends"),
@@ -187,10 +188,11 @@ impl RequestCore {
     /// [`WalMode`]. Under [`WalMode::Submit`] a tracked `Add` with a
     /// WAL attached returns [`FrameOutcome::WalPending`] instead of
     /// blocking on the group commit; everything else completes inline.
+    /// `_cursor` is ignored, as in [`handle_frame`](Self::handle_frame).
     pub fn handle_frame_with(
         &self,
         frame: ClientFrameView<'_>,
-        shard_cursor: &mut usize,
+        _cursor: &mut usize,
         mode: WalMode,
     ) -> FrameOutcome {
         let req = match frame {
@@ -202,7 +204,6 @@ impl RequestCore {
                     view.client_id,
                     view.seq,
                     view.value_bytes(),
-                    shard_cursor,
                     mode,
                 )
             }
@@ -210,15 +211,23 @@ impl RequestCore {
         };
         let ledger = &self.ledger;
         let reply = match req {
-            Request::Sum { stream } => match ledger.sum(&stream) {
-                Some(sum) => Response::Sum {
-                    limbs: sum.as_limbs().to_vec(),
-                    poisoned: ledger.overflows(&stream) != 0,
+            Request::Sum { stream } => match ledger.totals(&stream) {
+                Some(t) => Response::Sum {
+                    limbs: t.sum.as_limbs().to_vec(),
+                    poisoned: t.overflows != 0,
                 },
                 None => unknown_stream(&stream),
             },
             Request::ClusterSum { stream } => self.cluster_sum(&stream),
             Request::Snapshot => self.snapshot(),
+            // The log holds no reset record, so a restart would replay
+            // every batch a reset cleared: refuse it, not be undone.
+            Request::Reset if self.wal.is_some() => Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "reset refused: the server has a write-ahead log, which cannot \
+                          record a reset, so a restart would bring back every batch it cleared"
+                    .to_owned(),
+            },
             Request::Reset => {
                 ledger.reset();
                 Response::ResetDone
@@ -226,7 +235,8 @@ impl RequestCore {
             Request::Stats => {
                 let stats = ledger.stats();
                 Response::Stats {
-                    shard_count: stats.shard_count,
+                    // A stream is one sum; the field stays on the wire.
+                    shard_count: 1,
                     streams: stats
                         .streams
                         .into_iter()
@@ -247,7 +257,7 @@ impl RequestCore {
     /// Executes one binary Add: a tracked batch is replicated first,
     /// then deposited through the ledger's one deposit call, then made
     /// durable before its ACK. `value_bytes` are raw little-endian
-    /// `f64`s; the shard cursor advances once.
+    /// `f64`s.
     ///
     /// A batch holding a value the sum format cannot hold (a NaN, an
     /// infinity, or a magnitude of 2^191 or more) is refused as a bad
@@ -261,7 +271,6 @@ impl RequestCore {
         client_id: u64,
         seq: u64,
         value_bytes: &[u8],
-        shard_cursor: &mut usize,
         mode: WalMode,
     ) -> FrameOutcome {
         if let Some(i) = first_out_of_range_le::<SERVICE_LIMBS, 3>(value_bytes) {
@@ -271,8 +280,6 @@ impl RequestCore {
             );
             return FrameOutcome::Done(Response::Error { code: ErrorCode::BadRequest, message }, false);
         }
-        let hint = *shard_cursor;
-        *shard_cursor = shard_cursor.wrapping_add(1);
         let tracked = client_id != UNTRACKED_CLIENT;
         if tracked {
             if let Err(reply) = self.replicate(stream, client_id, seq, value_bytes) {
@@ -281,7 +288,7 @@ impl RequestCore {
         }
         // Untracked clients skip the dedup window inside the ledger.
         let (count, applied) =
-            self.ledger.add_batch_le_bytes_dedup(stream, hint, client_id, seq, value_bytes);
+            self.ledger.add_batch_le_bytes_dedup(stream, 0, client_id, seq, value_bytes);
         let response = Response::Added { count, deduped: !applied };
         if !tracked {
             return FrameOutcome::Done(response, false);
@@ -430,15 +437,15 @@ impl RequestCore {
 }
 
 /// One node's contribution to a cluster sum: its primary partial, its
-/// applied-values count, and whether it holds the stream at all. This is
-/// the leaf the binomial tree folds — defined here so a plain server and
-/// a cluster node compute it identically.
+/// applied-values count, and whether it holds the stream at all, read in
+/// one cut. This is the leaf the binomial tree folds — defined here so a
+/// plain server and a cluster node compute it identically.
 pub fn local_contribution(ledger: &ShardedLedger, stream: &str) -> ClusterSumOut {
-    match ledger.stream_state(stream) {
-        Some(state) => ClusterSumOut {
-            limbs: state.sum.as_limbs().to_vec(),
-            poisoned: state.overflows != 0,
-            values: state.values,
+    match ledger.totals(stream) {
+        Some(t) => ClusterSumOut {
+            limbs: t.sum.as_limbs().to_vec(),
+            poisoned: t.overflows != 0,
+            values: t.values,
             holders: 1,
         },
         None => ClusterSumOut {

@@ -1,151 +1,86 @@
-//! The sharded HP ledger: named accumulation streams, each backed by a
-//! bank of cache-padded [`AtomicHp`] shards.
+//! The HP ledger: named accumulation streams, each one exact sum under
+//! one lock.
 //!
-//! Sharding exists purely to spread atomic contention — because HP
-//! addition is exactly associative, the total over any shard assignment
-//! is bitwise identical to the sequential sum of the same multiset of
-//! values. A read folds the shards in index order with `wrapping_add`.
-//! Neither the shard count nor the interleaving of concurrent
-//! depositors can change a single bit of the result, which is what lets
-//! two service runs with different client counts, batch orders, and
-//! `--shards` settings agree exactly.
+//! A stream is a plain [`ServiceHp`] sum, its overflow count, its
+//! `batches` and `values` counters and its exactly-once dedup window,
+//! all behind one `Mutex`. The paper's HP addition is exact integer
+//! addition (§III), so one sum is exact whatever the order or the
+//! interleaving of the deposits that reach it, which is what lets two
+//! service runs with different client counts and batch orders agree
+//! bit for bit.
 //!
-//! Shard *selection* is deliberately not centralized: a shared
-//! round-robin cursor would put one contended cache line in front of
-//! every deposit from every connection. Instead each depositor walks
-//! its own cursor and passes it as the `shard_hint` of
-//! [`ShardedLedger::add_batch_le_bytes_dedup`]: the server keeps one per
-//! connection, WAL recovery and the cluster's mirror handler one each.
-//! Any assignment is valid; only contention changes.
+//! [`ShardedLedger::add_batch_le_bytes_dedup`] is the ledger's only
+//! deposit. Every batch arrives as raw little-endian `f64` bytes,
+//! whether a binary Add frame, a peer `MirrorAdd` or a replayed WAL
+//! record carried it. The bytes fold into a carry-deferred
+//! [`BatchAcc`] outside the lock. Under the lock the deposit does three
+//! things: the dedup check, one 6-limb add and the window update.
 //!
-//! That call is the ledger's only deposit. Every batch arrives as raw
-//! little-endian `f64` bytes, whether a binary Add frame, a peer
-//! `MirrorAdd` or a replayed WAL record carried it. It folds into a carry-deferred [`BatchAcc`](oisum_core::BatchAcc)
-//! and lands with [`AtomicHp::add_batch_le_bytes`]: exactly `N` atomic
-//! RMWs per batch instead of `N` per value.
+//! Every read takes the same lock: `Sum`, `Stats`, a snapshot, a peer
+//! pull and a tree-reduce contribution. So each one sees a state the
+//! stream really held, whose window covers exactly the batches in its
+//! sum. (A checkpoint whose window ran ahead of its sum would make WAL
+//! replay skip ACKed batches after a crash.)
 //!
-//! Locking is two-level: a `RwLock` guards only the stream *directory*
-//! (name → shard bank); the hot deposit path takes the read lock,
-//! clones an `Arc`, and proceeds lock-free on the shard atomics.
+//! The add counts an overflow by the paper's §III.B.1 sign test, the
+//! rule [`HpFixed::checked_add`](oisum_core::HpFixed::checked_add)
+//! uses: two addends of one sign whose sum has the other sign. The test
+//! sees the running sum and one batch's total, so a wrap inside a single
+//! batch is not counted.
+//!
+//! A `RwLock` guards only the stream *directory* (name → stream). A
+//! deposit takes its read lock to clone the stream's `Arc`, then the
+//! stream's own lock: two locks per deposit, tracked or not.
 
 use crate::proto::UNTRACKED_CLIENT;
 use crate::ServiceHp;
-use crossbeam::utils::CachePadded;
-use oisum_core::AtomicHp;
+use oisum_core::{encode_f64_le_batch, BatchAcc};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Number of integer/fractional limbs in the service accumulator format.
 pub const SERVICE_LIMBS: usize = 6;
 
-/// One named stream: its shard bank, deposit statistics, and the
-/// per-client dedup window for exactly-once retries.
-#[derive(Debug)]
-pub struct Stream {
-    shards: Vec<CachePadded<AtomicHp<6, 3>>>,
-    batches: AtomicU64,
-    values: AtomicU64,
-    /// `client_id → highest applied seq`, one slot per client. The outer
-    /// `RwLock` guards only the directory (read-locked on the hot path);
-    /// the per-client `Mutex` serializes check-then-deposit so a replay
-    /// racing its original (a timed-out request still in flight while
-    /// the retry arrives on a new connection) cannot double-apply.
-    /// Contention on that inner lock is same-client only — a client's
-    /// requests are serialized on its end anyway.
-    dedup: RwLock<HashMap<u64, Arc<Mutex<u64>>>>,
+/// One stream's sum and counters, as one read under its lock sees them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Totals {
+    /// Exact accumulated sum.
+    pub sum: ServiceHp,
+    /// Batch adds the sign test found leaving the representable range
+    /// (saturating); non-zero poisons the stream's range guarantee.
+    pub overflows: u64,
+    /// Batches applied.
+    pub batches: u64,
+    /// Values applied.
+    pub values: u64,
 }
 
-impl Stream {
-    fn new(shard_count: usize) -> Self {
-        Stream {
-            shards: (0..shard_count)
-                .map(|_| CachePadded::new(AtomicHp::zero()))
-                .collect(),
-            batches: AtomicU64::new(0),
-            values: AtomicU64::new(0),
-            dedup: RwLock::new(HashMap::new()),
+impl Totals {
+    /// Adds one applied batch of `values` summands whose exact total is
+    /// `total`. The sum wraps as the paper's adder does; a wrap the sign
+    /// test sees is counted.
+    fn add(&mut self, total: &ServiceHp, values: u64) {
+        match self.sum.checked_add(total) {
+            Ok(sum) => self.sum = sum,
+            Err(_) => {
+                self.sum.add_assign(total);
+                self.overflows = self.overflows.saturating_add(1);
+            }
         }
+        self.batches += 1;
+        self.values += values;
     }
+}
 
-    /// The dedup slot for `client_id`, created on first use (seq 0: no
-    /// batch applied yet; client seqs start at 1).
-    fn dedup_slot(&self, client_id: u64) -> Arc<Mutex<u64>> {
-        if let Some(slot) = self.dedup.read().unwrap().get(&client_id) {
-            return Arc::clone(slot);
-        }
-        let mut map = self.dedup.write().unwrap();
-        Arc::clone(map.entry(client_id).or_default())
-    }
-
-    /// Deposits a tracked batch exactly once. Returns
-    /// `(values accounted for, false)` when `(client_id, seq)` was
-    /// already applied — the deposit is skipped and the stats counters
-    /// untouched, so `values` stays an exact count of applied summands.
-    /// A recognized replay is counted from the byte length alone.
-    fn add_batch_le_bytes_dedup(
-        &self,
-        shard_hint: usize,
-        client_id: u64,
-        seq: u64,
-        bytes: &[u8],
-    ) -> (u64, bool) {
-        let slot = self.dedup_slot(client_id);
-        let mut last = slot.lock().unwrap();
-        if seq <= *last {
-            return ((bytes.len() / 8) as u64, false);
-        }
-        let n = self.add_batch_le_bytes_on(shard_hint, bytes);
-        *last = seq;
-        (n, true)
-    }
-
-    /// Deposits raw little-endian `f64` bytes (length a multiple of 8)
-    /// into the shard selected by `shard_hint` (any value; reduced mod
-    /// the bank size): the bytes feed the multi-lane encode kernel
-    /// directly and land with one `N`-limb atomic deposit. Returns the
-    /// number of values deposited.
-    fn add_batch_le_bytes_on(&self, shard_hint: usize, bytes: &[u8]) -> u64 {
-        let shard = &self.shards[shard_hint % self.shards.len()];
-        shard.add_batch_le_bytes(bytes);
-        let n = (bytes.len() / 8) as u64;
-        // ORDERING: Relaxed — monotonic stats tallies; readers only need
-        // eventually-consistent counts, never an edge with the deposits.
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.values.fetch_add(n, Ordering::Relaxed);
-        n
-    }
-
-    /// Folds the shards in index order. Exact at quiescence (the service
-    /// replies to an `Add` only after its deposits land, so any `Sum`
-    /// issued after those replies observes them).
-    fn sum(&self) -> ServiceHp {
-        self.shards
-            .iter()
-            .fold(ServiceHp::ZERO, |acc, s| acc.wrapping_add(&s.load()))
-    }
-
-    /// Total detected top-limb overflows across the shard bank.
-    fn overflows(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(0u64, |n, s| n.saturating_add(s.overflow_count()))
-    }
-
-    /// The dedup window as `(client_id, last applied seq)`, sorted by
-    /// client id (clients that never applied a batch are omitted).
-    fn dedup_entries(&self) -> Vec<(u64, u64)> {
-        let mut entries: Vec<(u64, u64)> = self
-            .dedup
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(&id, slot)| (id, *slot.lock().unwrap()))
-            .filter(|&(_, seq)| seq > 0)
-            .collect();
-        entries.sort_unstable();
-        entries
-    }
+/// One named stream: its totals and its dedup window, under one lock.
+#[derive(Debug, Default)]
+struct Stream {
+    totals: Totals,
+    /// `client_id → highest applied seq`. A replay racing its original
+    /// (a timed-out request still in flight while the retry arrives on a
+    /// new connection) is decided under the lock that applies the
+    /// original, so it cannot double-apply.
+    window: HashMap<u64, u64>,
 }
 
 /// A stream's complete persistent state, as captured by
@@ -157,7 +92,7 @@ pub struct StreamState {
     pub name: String,
     /// Exact accumulated sum.
     pub sum: ServiceHp,
-    /// Detected top-limb overflows.
+    /// Overflows counted by the sign test.
     pub overflows: u64,
     /// Dedup window: `(client_id, last applied seq)`, sorted by id.
     pub dedup: Vec<(u64, u64)>,
@@ -169,18 +104,38 @@ pub struct StreamState {
     pub values: u64,
 }
 
-/// Captures one stream's persistent state under its directory entry.
-fn state_of(name: &str, s: &Stream) -> StreamState {
+/// Captures one stream's persistent state in one locked read, so the
+/// window covers exactly the batches in the sum. Clients that never
+/// applied a batch are left out of the window.
+fn capture(name: &str, stream: &Mutex<Stream>) -> StreamState {
+    let s = stream.lock().unwrap();
+    let totals = s.totals;
+    let mut dedup: Vec<(u64, u64)> = s.window.iter().map(|(&id, &seq)| (id, seq)).collect();
+    drop(s);
+    dedup.retain(|&(_, seq)| seq > 0);
+    dedup.sort_unstable();
     StreamState {
         name: name.to_owned(),
-        sum: s.sum(),
-        overflows: s.overflows(),
-        dedup: s.dedup_entries(),
-        // ORDERING: Relaxed — monotonic counters; a state captured at
-        // quiescence (the only time it is compared bitwise) is exact.
-        batches: s.batches.load(Ordering::Relaxed),
-        values: s.values.load(Ordering::Relaxed),
+        sum: totals.sum,
+        overflows: totals.overflows,
+        dedup,
+        batches: totals.batches,
+        values: totals.values,
     }
+}
+
+/// Builds a live stream out of persisted state, poison included: a
+/// stream that overflowed stays flagged after a restart or rejoin.
+fn revive(entry: &StreamState) -> Arc<Mutex<Stream>> {
+    Arc::new(Mutex::new(Stream {
+        totals: Totals {
+            sum: entry.sum,
+            overflows: entry.overflows,
+            batches: entry.batches,
+            values: entry.values,
+        },
+        window: entry.dedup.iter().copied().collect(),
+    }))
 }
 
 /// Point-in-time statistics for one stream.
@@ -192,56 +147,45 @@ pub struct StreamStats {
     pub batches: u64,
     /// Values deposited.
     pub values: u64,
-    /// Detected top-limb overflows (saturating); non-zero poisons the
-    /// stream's range guarantee.
+    /// Overflows counted by the sign test (saturating); non-zero
+    /// poisons the stream's range guarantee.
     pub overflows: u64,
 }
 
 /// Aggregate statistics for the whole ledger.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LedgerStats {
-    /// Shards per stream.
-    pub shard_count: u64,
     /// Per-stream counters, sorted by name.
     pub streams: Vec<StreamStats>,
 }
 
-/// A concurrent map of named streams to sharded HP accumulators.
-#[derive(Debug)]
+/// A concurrent map of named streams, each one exact HP sum under one
+/// lock; see the module docs.
+#[derive(Debug, Default)]
 pub struct ShardedLedger {
-    streams: RwLock<BTreeMap<String, Arc<Stream>>>,
-    shard_count: usize,
+    streams: RwLock<BTreeMap<String, Arc<Mutex<Stream>>>>,
 }
 
 impl ShardedLedger {
-    /// A ledger whose streams each hold `shard_count` shards (min 1).
-    pub fn new(shard_count: usize) -> Self {
-        ShardedLedger {
-            streams: RwLock::new(BTreeMap::new()),
-            shard_count: shard_count.max(1),
-        }
+    /// An empty ledger. The argument is ignored: a stream is one sum, not
+    /// a bank of shards. It stays until perfbench, which builds against
+    /// this signature, stops passing it.
+    pub fn new(_shards: usize) -> Self {
+        ShardedLedger::default()
     }
 
-    /// Shards allocated per stream.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    fn stream(&self, name: &str) -> Arc<Stream> {
+    fn stream(&self, name: &str) -> Arc<Mutex<Stream>> {
         if let Some(s) = self.streams.read().unwrap().get(name) {
             return Arc::clone(s);
         }
         let mut map = self.streams.write().unwrap();
-        Arc::clone(
-            map.entry(name.to_owned())
-                .or_insert_with(|| Arc::new(Stream::new(self.shard_count))),
-        )
+        Arc::clone(map.entry(name.to_owned()).or_default())
     }
 
-    /// Deposits a batch into `name` on the shard selected by
-    /// `shard_hint` (reduced mod the shard count), creating the stream
-    /// on first use — the ledger's one deposit. `bytes` are raw
-    /// little-endian `f64`s, length a multiple of 8.
+    /// Deposits a batch into `name`, creating the stream on first use —
+    /// the ledger's one deposit. `bytes` are raw little-endian `f64`s,
+    /// length a multiple of 8. `_shard_hint` is ignored; it stays until
+    /// perfbench, which builds against this signature, stops passing it.
     ///
     /// A batch carrying a `(client_id, seq)` retry identity lands
     /// **exactly once**: a replay of an already-applied identity is
@@ -249,43 +193,57 @@ impl ShardedLedger {
     /// loop resends a frame, the stream's sum — and its `values`
     /// statistic — reflect one application. Returns
     /// `(values accounted for, applied)`; `applied` is `false` for a
-    /// recognized replay. A `client_id` of
-    /// [`UNTRACKED_CLIENT`] bypasses the
-    /// window entirely.
+    /// recognized replay. A `client_id` of [`UNTRACKED_CLIENT`] bypasses
+    /// the window entirely.
     ///
-    /// The caller owns the cursor behind `shard_hint` (one per
-    /// connection), so unrelated connections never contend on shard
-    /// selection, and the bytes reach the multi-lane encode kernel with
-    /// no per-value iterator at all.
+    /// The bytes reach the multi-lane encode kernel with no per-value
+    /// iterator and no lock held; the stream's lock covers only the
+    /// dedup check, one 6-limb add and the window update.
     pub fn add_batch_le_bytes_dedup(
         &self,
         name: &str,
-        shard_hint: usize,
+        _shard_hint: usize,
         client_id: u64,
         seq: u64,
         bytes: &[u8],
     ) -> (u64, bool) {
+        let mut acc = BatchAcc::new();
+        encode_f64_le_batch(&mut acc, bytes);
+        let total = acc.finish();
+        let values = (bytes.len() / 8) as u64;
         let stream = self.stream(name);
-        if client_id == UNTRACKED_CLIENT {
-            (stream.add_batch_le_bytes_on(shard_hint, bytes), true)
-        } else {
-            stream.add_batch_le_bytes_dedup(shard_hint, client_id, seq, bytes)
+        let mut s = stream.lock().unwrap();
+        if client_id != UNTRACKED_CLIENT {
+            // Seq 0 never applies: client seqs start at 1.
+            let last = s.window.entry(client_id).or_default();
+            if seq <= *last {
+                return (values, false);
+            }
+            *last = seq;
         }
+        s.totals.add(&total, values);
+        (values, true)
+    }
+
+    /// `name`'s sum and counters in one cut, or `None` for a stream that
+    /// has never been written.
+    pub fn totals(&self, name: &str) -> Option<Totals> {
+        self.streams
+            .read()
+            .unwrap()
+            .get(name)
+            .map(|s| s.lock().unwrap().totals)
     }
 
     /// The exact HP sum of everything deposited into `name`, or `None`
     /// for a stream that has never been written.
     pub fn sum(&self, name: &str) -> Option<ServiceHp> {
-        self.streams.read().unwrap().get(name).map(|s| s.sum())
+        self.totals(name).map(|t| t.sum)
     }
 
-    /// Detected overflow count for `name` (0 for unknown streams).
+    /// Overflows counted on `name` (0 for unknown streams).
     pub fn overflows(&self, name: &str) -> u64 {
-        self.streams
-            .read()
-            .unwrap()
-            .get(name)
-            .map_or(0, |s| s.overflows())
+        self.totals(name).map_or(0, |t| t.overflows)
     }
 
     /// Drops every stream.
@@ -293,30 +251,25 @@ impl ShardedLedger {
         self.streams.write().unwrap().clear();
     }
 
-    /// Snapshots every stream, sorted by name. Shard structure is
-    /// deliberately not preserved — the split is a contention artifact,
-    /// not part of the value — but the dedup window *is*: a server
-    /// restored from a snapshot taken after a deposit was applied must
-    /// still recognize that deposit's retry as a replay.
+    /// Snapshots every stream, sorted by name, each in one cut: its
+    /// dedup window covers exactly the batches in its sum, so a server
+    /// restored from it recognizes the retry of every batch the sum
+    /// holds as a replay, and of no other.
     pub fn snapshot(&self) -> Vec<StreamState> {
         self.streams
             .read()
             .unwrap()
             .iter()
-            .map(|(name, s)| state_of(name, s))
+            .map(|(name, s)| capture(name, s))
             .collect()
     }
 
-    /// The persistent state of one stream, or `None` if it has never
-    /// been written. This is what a cluster node ships to a peer pulling
-    /// a per-stream copy, and what the tree reduce folds as this node's
-    /// contribution.
+    /// The persistent state of one stream, in one cut, or `None` if it
+    /// has never been written. This is what a cluster node ships to a
+    /// peer pulling a per-stream copy.
     pub fn stream_state(&self, name: &str) -> Option<StreamState> {
-        self.streams
-            .read()
-            .unwrap()
-            .get(name)
-            .map(|s| state_of(name, s))
+        let stream = Arc::clone(self.streams.read().unwrap().get(name)?);
+        Some(capture(name, &stream))
     }
 
     /// Names of every stream, sorted.
@@ -325,13 +278,12 @@ impl ShardedLedger {
     }
 
     /// Restores a snapshot produced by [`Self::snapshot`], replacing any
-    /// existing contents. Each restored sum and overflow count lands in
-    /// shard 0; subsequent deposits spread over the bank as usual.
+    /// existing contents.
     pub fn restore(&self, entries: &[StreamState]) {
         let mut map = self.streams.write().unwrap();
         map.clear();
         for entry in entries {
-            map.insert(entry.name.clone(), Arc::new(self.revive(entry)));
+            map.insert(entry.name.clone(), revive(entry));
         }
     }
 
@@ -340,47 +292,28 @@ impl ShardedLedger {
     /// cluster rejoin, where a restarted node adopts per-stream copies
     /// pulled from replicas one at a time.
     pub fn install(&self, entry: &StreamState) {
-        let stream = Arc::new(self.revive(entry));
+        let stream = revive(entry);
         self.streams
             .write()
             .unwrap()
             .insert(entry.name.clone(), stream);
     }
 
-    /// Builds a live stream out of persisted state, poison included: a
-    /// stream that overflowed stays flagged after a restart or rejoin.
-    fn revive(&self, entry: &StreamState) -> Stream {
-        let mut stream = Stream::new(self.shard_count);
-        stream.shards[0] = CachePadded::new(AtomicHp::with_overflows(entry.sum, entry.overflows));
-        let mut dedup = stream.dedup.write().unwrap();
-        for &(client_id, seq) in &entry.dedup {
-            dedup.insert(client_id, Arc::new(Mutex::new(seq)));
-        }
-        drop(dedup);
-        // ORDERING: Relaxed — the stream is not yet shared; these stores
-        // publish through the directory lock that installs it.
-        stream.batches.store(entry.batches, Ordering::Relaxed);
-        stream.values.store(entry.values, Ordering::Relaxed);
-        stream
-    }
-
-    /// Aggregate statistics, streams sorted by name.
+    /// Aggregate statistics, streams sorted by name, each stream's
+    /// counters read in one cut.
     pub fn stats(&self) -> LedgerStats {
+        let streams = self.streams.read().unwrap();
         LedgerStats {
-            shard_count: self.shard_count as u64,
-            streams: self
-                .streams
-                .read()
-                .unwrap()
+            streams: streams
                 .iter()
-                .map(|(name, s)| StreamStats {
-                    name: name.clone(),
-                    // ORDERING: Relaxed — advisory stats snapshot; the
-                    // counters are monotonic and need no edge with the
-                    // limb deposits they describe.
-                    batches: s.batches.load(Ordering::Relaxed),
-                    values: s.values.load(Ordering::Relaxed),
-                    overflows: s.overflows(),
+                .map(|(name, s)| {
+                    let t = s.lock().unwrap().totals;
+                    StreamStats {
+                        name: name.clone(),
+                        batches: t.batches,
+                        values: t.values,
+                        overflows: t.overflows,
+                    }
                 })
                 .collect(),
         }
@@ -393,12 +326,12 @@ mod tests {
     use crate::proto::le_bytes;
     use proptest::prelude::*;
 
-    /// An untracked deposit on shard 0.
+    /// An untracked deposit.
     fn add(ledger: &ShardedLedger, name: &str, xs: &[f64]) {
         ledger.add_batch_le_bytes_dedup(name, 0, UNTRACKED_CLIENT, 0, &le_bytes(xs));
     }
 
-    /// A tracked deposit on shard 0; returns `(count, applied)`.
+    /// A tracked deposit; returns `(count, applied)`.
     fn add_tracked(
         ledger: &ShardedLedger,
         name: &str,
@@ -441,33 +374,10 @@ mod tests {
         }
         add(&ledger, "t", &[42.0]);
         let snap = ledger.snapshot();
-        let restored = ShardedLedger::new(3); // different shard count
+        let restored = ShardedLedger::new(3);
         restored.restore(&snap);
         assert_eq!(restored.sum("s"), ledger.sum("s"));
         assert_eq!(restored.sum("t"), ledger.sum("t"));
-    }
-
-    #[test]
-    fn shard_hint_never_changes_the_sum() {
-        // Any shard assignment is valid by order-invariance: pathological
-        // hint patterns (all-one-shard, striped, "random") must agree
-        // bitwise with the slice sum.
-        let xs: Vec<f64> = (0..2_000).map(|i| (i as f64 - 1000.0) * 2.3e-6).collect();
-        let expected = ServiceHp::sum_f64_slice(&xs);
-        for pattern in [0usize, 1, 7, 0x9E37] {
-            let ledger = ShardedLedger::new(5);
-            for (b, chunk) in xs.chunks(97).enumerate() {
-                let (n, applied) = ledger.add_batch_le_bytes_dedup(
-                    "s",
-                    b.wrapping_mul(pattern),
-                    UNTRACKED_CLIENT,
-                    0,
-                    &le_bytes(chunk),
-                );
-                assert_eq!((n as usize, applied), (chunk.len(), true));
-            }
-            assert_eq!(ledger.sum("s").unwrap(), expected);
-        }
     }
 
     #[test]
@@ -552,8 +462,8 @@ mod tests {
 
     #[test]
     fn poison_survives_restore_install_and_snapshot_load() {
-        // Two deposits of 3e57 on one shard leave the 2^191 range: the
-        // second top-limb deposit overflows and poisons the stream.
+        // Two deposits of 3e57 leave the 2^191 range: the second add's
+        // sign test fails and poisons the stream.
         let ledger = ShardedLedger::new(2);
         add(&ledger, "hot", &[3e57]);
         add(&ledger, "hot", &[3e57]);
@@ -587,7 +497,6 @@ mod tests {
         add(&ledger, "s", &[1.0, 2.0]);
         add(&ledger, "s", &[3.0]);
         let stats = ledger.stats();
-        assert_eq!(stats.shard_count, 2);
         assert_eq!(stats.streams.len(), 1);
         assert_eq!(stats.streams[0].batches, 2);
         assert_eq!(stats.streams[0].values, 3);
@@ -596,16 +505,15 @@ mod tests {
 
     proptest! {
         /// The ledger invariant behind the whole service: whatever the
-        /// shard count, batch partition, and thread interleaving, the
-        /// ledger total is bitwise the sequential HP sum.
+        /// batch partition and thread interleaving, the ledger total is
+        /// bitwise the sequential HP sum.
         #[test]
         fn ledger_sum_matches_sequential_hp_sum(
-            shard_count in 1usize..9,
             threads in 1usize..5,
             batch_size in 1usize..40,
             xs in proptest::collection::vec(-1e6f64..1e6, 1..300),
         ) {
-            let ledger = ShardedLedger::new(shard_count);
+            let ledger = ShardedLedger::new(1);
             let batches: Vec<&[f64]> = xs.chunks(batch_size).collect();
             std::thread::scope(|s| {
                 for t in 0..threads {
@@ -617,16 +525,8 @@ mod tests {
                         .step_by(threads)
                         .collect();
                     s.spawn(move || {
-                        // Each thread walks its own cursor, as a
-                        // connection does.
-                        for (i, b) in mine.into_iter().enumerate() {
-                            ledger.add_batch_le_bytes_dedup(
-                                "s",
-                                t + i,
-                                UNTRACKED_CLIENT,
-                                0,
-                                &le_bytes(b),
-                            );
+                        for b in mine {
+                            add(ledger, "s", b);
                         }
                     });
                 }

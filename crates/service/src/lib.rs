@@ -6,16 +6,15 @@
 //! producers can stream summands at a shared accumulator and every
 //! reader sees the same exact answer:
 //!
-//! * [`ledger`] — [`ShardedLedger`]: named
-//!   streams of cache-padded atomic HP shards (two-level locking: an
-//!   `RwLock` directory over lock-free shard deposits). Every batch —
-//!   client Add, peer mirror, WAL replay — lands as raw little-endian
-//!   `f64` bytes through one call,
-//!   `ShardedLedger::add_batch_le_bytes_dedup`: one local
-//!   [`BatchAcc`](oisum_core::BatchAcc) fold, then exactly `N` atomic
-//!   RMWs per batch (`AtomicHp::add_batch_le_bytes`), with shard
-//!   selection on each depositor's own cursor instead of one shared
-//!   round-robin cache line.
+//! * [`ledger`] — [`ShardedLedger`]: named streams, each one plain HP
+//!   sum, its counters and its dedup window under one `Mutex` (an
+//!   `RwLock` guards only the directory). Every batch — client Add,
+//!   peer mirror, WAL replay — lands as raw little-endian `f64` bytes
+//!   through one call, `ShardedLedger::add_batch_le_bytes_dedup`: one
+//!   local [`BatchAcc`](oisum_core::BatchAcc) fold outside the lock,
+//!   then the dedup check, one 6-limb add and the window update under
+//!   it. Every read takes the same lock, so every reply and every
+//!   checkpoint is a consistent cut of its stream.
 //! * [`proto`] — the wire protocol: a batch travels only as a
 //!   `b"OIS\x02"` **binary Add** frame (length-prefixed stream name,
 //!   retry identity, raw little-endian `f64`s); `b"OIS\x01"`-tagged,

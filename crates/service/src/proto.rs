@@ -283,7 +283,8 @@ pub enum Response {
     Sum {
         /// The 6 limbs of the service-format accumulator.
         limbs: Vec<u64>,
-        /// True if any shard of the stream detected a range overflow.
+        /// True if an add to the stream failed the sign test: its sum
+        /// left the representable range at least once.
         poisoned: bool,
     },
     /// The exact cluster-wide sum (or a subtree partial, when replying
@@ -317,7 +318,8 @@ pub enum Response {
     ResetDone,
     /// Ledger statistics.
     Stats {
-        /// Shards per stream.
+        /// Always 1: a stream is one sum, not a bank of shards. The
+        /// field stays on the wire for clients that read it.
         shard_count: u64,
         /// Per-stream counters, sorted by name.
         streams: Vec<StreamStatsRepr>,

@@ -74,8 +74,6 @@ pub(crate) struct Conn {
     /// tickets await their group's fsync, instead of idling the whole
     /// pipeline one reply per connection per commit wave.
     pub parked: std::collections::VecDeque<(u64, Vec<u8>)>,
-    /// The connection's private ledger shard cursor.
-    pub shard_cursor: usize,
     /// Frame processing paused by output backpressure.
     pub paused: bool,
     /// Close once `out` fully drains (protocol error or post-ACK).
@@ -86,7 +84,7 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, shard_cursor: usize) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             read: ReadState::Header { buf: [0; 8], filled: 0 },
@@ -94,7 +92,6 @@ impl Conn {
             out: Vec::new(),
             out_pos: 0,
             parked: std::collections::VecDeque::new(),
-            shard_cursor,
             paused: false,
             close_after_flush: false,
             stop_after_flush: false,

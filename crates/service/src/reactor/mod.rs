@@ -254,10 +254,7 @@ impl Reactor {
                         self.free.push(idx);
                         continue;
                     }
-                    // ORDERING: Relaxed — the seed only spreads
-                    // connections across ledger shards (see server.rs).
-                    let cursor = crate::server::CONN_SEQ.fetch_add(1, Ordering::Relaxed);
-                    self.conns[idx] = Some(Conn::new(stream, cursor));
+                    self.conns[idx] = Some(Conn::new(stream));
                     // The add-time readiness edge covers bytes that
                     // raced the registration; nothing more to do here.
                 }
@@ -335,10 +332,7 @@ impl Reactor {
     fn dispatch_frame(&mut self, idx: usize, magic: [u8; 4], len: usize) {
         let Some(conn) = self.conns[idx].as_mut() else { return };
         let outcome = match parse_client_frame(magic, &conn.read_buf[..len]) {
-            Ok(view) => {
-                self.core
-                    .handle_frame_with(view, &mut conn.shard_cursor, WalMode::Submit)
-            }
+            Ok(view) => self.core.handle_frame_with(view, &mut 0, WalMode::Submit),
             Err(e) => {
                 conn.recycle_read_buf(&mut self.pool);
                 let reply = Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };

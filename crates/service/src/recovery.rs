@@ -54,18 +54,17 @@
 //! run and replays record by record. Replays of at least 64 Ki values
 //! spread the streams over every CPU, largest first.
 //!
-//! One thing a run would change is the overflow count, which the ledger
-//! keeps per shard deposit. So a stream takes the run only when its
-//! restored magnitude, and its value count times its largest magnitude,
-//! are each bounded by a power of two no larger than 2^189, so that
-//! together they stay below 2^190, half the 2^191 range. Then no shard
-//! partial, no record total and no deposit's top-limb addend can come
-//! near the range, so the per-record replay would flag nothing either.
-//! Any other
-//! stream, including one with a NaN or an infinity, replays record by
-//! record through [`ShardedLedger::add_batch_le_bytes_dedup`] with the
-//! shard hints the serial replay used. Limbs, counters, windows,
-//! overflow counts and the [`RecoveryReport`] match a serial
+//! One thing a run would change is the overflow count: the ledger's
+//! sign test runs once per deposit, and a run is one add where the
+//! serial replay makes one per record. So a stream takes the run only
+//! when its restored magnitude, and its value count times its largest
+//! magnitude, are each bounded by a power of two no larger than 2^189,
+//! so that together they stay below 2^190, half the 2^191 range. Then
+//! no partial sum and no record total can come near the range, so the
+//! per-record replay would count nothing either. Any other stream,
+//! including one with a NaN or an infinity, replays record by record
+//! through [`ShardedLedger::add_batch_le_bytes_dedup`]. Limbs, counters,
+//! windows, overflow counts and the [`RecoveryReport`] match a serial
 //! record-by-record replay either way.
 //!
 //! Recovery is strictly read-only on the segment files: it never
@@ -172,14 +171,6 @@ pub(crate) struct Walk<T> {
     pub(crate) torn: Option<TornTail>,
 }
 
-/// A tracked record and the shard hint a serial record-by-record replay
-/// would have deposited it with: its position among the log's tracked
-/// records.
-struct Tracked<'a> {
-    hint: usize,
-    record: &'a ParsedRecord<'a>,
-}
-
 /// What one stream's replay adds to the report.
 #[derive(Default)]
 struct Tally {
@@ -235,8 +226,7 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
 
     // Pass 2: group the tracked records by stream, each in log order.
     let mut report = RecoveryReport { segments: segments.len() as u64, ..Default::default() };
-    let mut runs: BTreeMap<&str, Vec<Tracked<'_>>> = BTreeMap::new();
-    let mut hint = 0usize;
+    let mut runs: BTreeMap<&str, Vec<&ParsedRecord<'_>>> = BTreeMap::new();
     for segment in &parsed {
         for record in &segment.records {
             report.records += 1;
@@ -244,10 +234,7 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
                 report.untracked_skipped += 1;
                 continue;
             }
-            runs.entry(record.stream)
-                .or_default()
-                .push(Tracked { hint, record });
-            hint = hint.wrapping_add(1);
+            runs.entry(record.stream).or_default().push(record);
         }
         if let Some(torn) = &segment.torn {
             report.torn.push(torn.clone());
@@ -255,17 +242,17 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
     }
 
     // Pass 3: apply, one stream at a time, the largest first.
-    let mut runs: Vec<(&str, Vec<Tracked<'_>>, u64)> = runs
+    let mut runs: Vec<(&str, Vec<&ParsedRecord<'_>>, u64)> = runs
         .into_iter()
         .map(|(name, run)| {
-            let values = run.iter().map(|t| (t.record.values.len() / 8) as u64).sum();
+            let values = run.iter().map(|record| (record.values.len() / 8) as u64).sum();
             (name, run, values)
         })
         .collect();
     runs.sort_by_key(|&(_, _, values)| std::cmp::Reverse(values));
     let total: u64 = runs.iter().map(|&(_, _, values)| values).sum();
     let threads = if total >= PAR_APPLY_VALUES { cpus() } else { 1 };
-    let apply = |(name, run, values): &(&str, Vec<Tracked<'_>>, u64)| {
+    let apply = |(name, run, values): &(&str, Vec<&ParsedRecord<'_>>, u64)| {
         // Too few values for the bins: staging would gain nothing.
         if *values < BINS_MIN_LEN as u64 {
             replay_records(ledger, name, run)
@@ -284,7 +271,7 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
 /// Replays one stream's tracked records, in log order, against its
 /// restored dedup window, and sums what applies as one run; see the
 /// module docs for when it falls back to [`replay_records`].
-fn replay_stream(ledger: &ShardedLedger, name: &str, run: &[Tracked<'_>]) -> Tally {
+fn replay_stream(ledger: &ShardedLedger, name: &str, run: &[&ParsedRecord<'_>]) -> Tally {
     let restored = ledger.stream_state(name).unwrap_or_else(|| StreamState {
         name: name.to_owned(),
         ..Default::default()
@@ -296,19 +283,19 @@ fn replay_stream(ledger: &ShardedLedger, name: &str, run: &[Tracked<'_>]) -> Tal
     // 2^(widest - 1022), and a NaN or an infinity (field 0x7ff) bounds
     // nothing.
     let mut widest = 0u16;
-    for t in run {
-        let last = window.entry(t.record.client_id).or_default();
-        if t.record.seq <= *last {
+    for record in run {
+        let last = window.entry(record.client_id).or_default();
+        if record.seq <= *last {
             tally.deduped += 1;
             continue;
         }
-        *last = t.record.seq;
-        let words = t.record.values.as_chunks::<8>().0;
+        *last = record.seq;
+        let words = record.values.as_chunks::<8>().0;
         let exponents = words
             .iter()
             .map(|&w| (u64::from_le_bytes(w) >> 52) as u16 & 0x7ff);
         widest = widest.max(exponents.max().unwrap_or(0));
-        staged.extend_le_bytes(t.record.values);
+        staged.extend_le_bytes(record.values);
         tally.applied += 1;
         tally.values += words.len() as u64;
     }
@@ -341,18 +328,12 @@ fn stays_in_half_range(restored: &ServiceHp, values: u64, widest: u16) -> bool {
 }
 
 /// The serial replay for one stream: every record through the ledger's
-/// own deposit, with the shard hint the log order gave it.
-fn replay_records(ledger: &ShardedLedger, name: &str, run: &[Tracked<'_>]) -> Tally {
+/// own deposit, in log order.
+fn replay_records(ledger: &ShardedLedger, name: &str, run: &[&ParsedRecord<'_>]) -> Tally {
     let mut tally = Tally::default();
-    for t in run {
-        let record = t.record;
-        let (count, applied) = ledger.add_batch_le_bytes_dedup(
-            name,
-            t.hint,
-            record.client_id,
-            record.seq,
-            record.values,
-        );
+    for record in run {
+        let (count, applied) =
+            ledger.add_batch_le_bytes_dedup(name, 0, record.client_id, record.seq, record.values);
         if applied {
             tally.applied += 1;
             tally.values += count;
@@ -653,8 +634,7 @@ mod tests {
 
     /// The serial record-by-record replay `recover` must match: every
     /// segment read into memory and walked, then every tracked record
-    /// through the ledger's deposit, with its position among the log's
-    /// tracked records as the shard hint.
+    /// through the ledger's deposit, in log order.
     fn replay_one_by_one(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, WalError> {
         let segments = list_segments(dir)?;
         let files = segments
@@ -676,7 +656,6 @@ mod tests {
                 |offset, payload| parse_payload(*index, offset, payload),
             )?);
         }
-        let mut hint = 0;
         for segment in &parsed {
             for r in &segment.records {
                 report.records += 1;
@@ -685,8 +664,7 @@ mod tests {
                     continue;
                 }
                 let (count, applied) =
-                    ledger.add_batch_le_bytes_dedup(r.stream, hint, r.client_id, r.seq, r.values);
-                hint += 1;
+                    ledger.add_batch_le_bytes_dedup(r.stream, 0, r.client_id, r.seq, r.values);
                 if applied {
                     report.applied += 1;
                     report.values += count;

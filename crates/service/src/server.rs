@@ -25,15 +25,9 @@ use oisum_faults::FaultAction;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Seeds each connection's private shard cursor so concurrent
-/// connections start on different shards; touched once per connection,
-/// not per batch. Shared with the epoll reactor so both transports
-/// spread connections the same way.
-pub(crate) static CONN_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 /// Which connection-serving machinery the server runs. Both transports
 /// execute every frame through the same [`RequestCore`], so the choice
@@ -79,8 +73,6 @@ impl std::fmt::Display for Transport {
 pub struct ServerConfig {
     /// Address to bind; use port 0 to let the OS pick.
     pub addr: String,
-    /// Shards per ledger stream.
-    pub shards: usize,
     /// If set, `Snapshot` requests and graceful shutdown persist the
     /// ledger here (and the server restores from it at startup if the
     /// file exists).
@@ -99,7 +91,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
-            shards: 8,
             snapshot_path: None,
             wal: None,
             transport: Transport::Threads,
@@ -171,7 +162,7 @@ fn signal_shutdown(stopping: &AtomicBool, addr: SocketAddr) {
 /// Binds, restores any existing snapshot, and starts serving in
 /// background threads.
 pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
-    let ledger = Arc::new(ShardedLedger::new(config.shards));
+    let ledger = Arc::new(ShardedLedger::default());
     if let Some(path) = &config.snapshot_path {
         if path.exists() {
             snapshot::load(path, &ledger)?;
@@ -268,12 +259,8 @@ pub fn serve_with_core(config: &ServerConfig, core: Arc<RequestCore>) -> io::Res
 
 /// Serves one connection until EOF, protocol error, or shutdown ACK.
 ///
-/// Each connection owns a private shard cursor (seeded from a global
-/// counter once at accept time, advanced locally per `Add`), so deposit
-/// traffic from unrelated connections never contends on shard
-/// selection. Both protocol versions — JSON `OIS\x01` control requests
-/// and binary `OIS\x02` Adds — are accepted interleaved on the same
-/// connection.
+/// Both protocol versions — JSON `OIS\x01` control requests and binary
+/// `OIS\x02` Adds — are accepted interleaved on the same connection.
 ///
 /// All per-frame buffers live for the whole connection: frames are read
 /// into one reusable payload buffer and parsed in place (a binary Add
@@ -294,10 +281,6 @@ fn serve_connection(conn: TcpStream, core: &RequestCore, stopping: &AtomicBool) 
     let mut read_buf: Vec<u8> = Vec::with_capacity(INITIAL_FRAME_CAPACITY);
     let mut reply_json = String::new();
     let mut reply_frame: Vec<u8> = Vec::with_capacity(256);
-    // ORDERING: Relaxed — the per-connection seed only spreads
-    // connections across ledger shards; uniqueness comes from fetch_add
-    // itself and shard choice never affects the sum.
-    let mut shard_cursor = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
     loop {
         let frame = match read_client_frame_into(&mut reader, &mut read_buf) {
             Ok(Some(frame)) => frame,
@@ -324,7 +307,7 @@ fn serve_connection(conn: TcpStream, core: &RequestCore, stopping: &AtomicBool) 
         if is_add && matches!(oisum_faults::check("server.add.drop_before_apply"), Some(FaultAction::Disconnect)) {
             return Ok(());
         }
-        let (reply, stop_after) = core.handle_frame(frame, &mut shard_cursor);
+        let (reply, stop_after) = core.handle_frame(frame, &mut 0);
         if is_add && matches!(oisum_faults::check("server.add.drop_after_apply"), Some(FaultAction::Disconnect)) {
             return Ok(());
         }

@@ -23,11 +23,9 @@
 //! never pruned, so it can outgrow one record (about a million clients):
 //! it then continues in the records that follow, each repeating the
 //! name, counters and limbs, and a load joins consecutive records of one
-//! stream back into one state. Shard structure
-//! is not persisted: the shard split is a contention artifact with no
-//! effect on the value (HP addition is exactly associative), so a
-//! snapshot taken under `--shards 16` restores identically into a server
-//! running `--shards 2`.
+//! stream back into one state. Each stream's record is one cut of that
+//! stream ([`ShardedLedger::snapshot`]): its window covers exactly the
+//! batches in its sum, so WAL replay after a load skips no ACKed batch.
 //!
 //! This module knows only that payload. The header, records and seal are
 //! written by the [`wal`](crate::wal) framing code and checked by the
@@ -380,7 +378,7 @@ mod tests {
     use crate::proto::{le_bytes, UNTRACKED_CLIENT};
     use crate::wal::{SEAL_LEN, SEGMENT_HEADER_LEN};
 
-    /// An untracked deposit on shard 0.
+    /// An untracked deposit.
     fn add(ledger: &ShardedLedger, name: &str, xs: &[f64]) {
         ledger.add_batch_le_bytes_dedup(name, 0, UNTRACKED_CLIENT, 0, &le_bytes(xs));
     }

@@ -88,7 +88,7 @@ fn run_under_chaos(
     seed: u64,
     watch: &[&str],
 ) -> (Vec<u64>, u64, u64) {
-    let server = serve(ServerConfig { shards: 4, ..ServerConfig::default() }).unwrap();
+    let server = serve(ServerConfig::default()).unwrap();
     let addr = server.addr();
 
     let batches: Vec<&[f64]> = data.chunks(batch).collect();

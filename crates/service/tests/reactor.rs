@@ -51,7 +51,7 @@ fn epoll_server(config: ServerConfig) -> (oisum_service::ServerHandle, SocketAdd
 /// Deposits shuffled batch hands of `data` from `clients` concurrent
 /// connections over the given transport and returns the sum limbs.
 fn run_transport(data: &[f64], clients: usize, batch: usize, transport: Transport) -> Vec<u64> {
-    let server = serve(ServerConfig { shards: 4, transport, ..ServerConfig::default() }).unwrap();
+    let server = serve(ServerConfig { transport, ..ServerConfig::default() }).unwrap();
     let addr = server.addr();
 
     let batches: Vec<&[f64]> = data.chunks(batch).collect();
@@ -151,7 +151,7 @@ fn pipelined_mixed_frames_on_one_connection() {
     }
     wire.extend_from_slice(&frame_bytes(&Request::Stats).unwrap());
     replies.push(Response::Stats {
-        shard_count: 8,
+        shard_count: 1,
         streams: vec![StreamStatsRepr { name: "p".to_owned(), batches: 10, values: 600, overflows: 0 }],
     });
 

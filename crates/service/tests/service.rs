@@ -32,8 +32,8 @@ fn dataset(n: usize, seed: u64) -> Vec<f64> {
 /// Runs one full server lifecycle: `clients` threads deposit shuffled
 /// batch hands of `data` into stream `s`, then the sum limbs are read and
 /// the server is shut down.
-fn run_service(data: &[f64], clients: usize, batch: usize, shards: usize, seed: u64) -> Vec<u64> {
-    let server = serve(ServerConfig { shards, ..ServerConfig::default() }).unwrap();
+fn run_service(data: &[f64], clients: usize, batch: usize, seed: u64) -> Vec<u64> {
+    let server = serve(ServerConfig::default()).unwrap();
     let addr = server.addr();
 
     let batches: Vec<&[f64]> = data.chunks(batch).collect();
@@ -68,10 +68,9 @@ fn run_service(data: &[f64], clients: usize, batch: usize, shards: usize, seed: 
 
 /// The acceptance criterion for the whole subsystem: two runs that agree
 /// on nothing but the multiset of summands — different client counts,
-/// different batch sizes and orders, different shard counts — must
-/// return bitwise-identical serialized sums, equal to the sequential HP
-/// sum, including for bit patterns (denormals, -0.0) a lossy encoding
-/// would mangle.
+/// different batch sizes and orders — must return bitwise-identical
+/// serialized sums, equal to the sequential HP sum, including for bit
+/// patterns (denormals, -0.0) a lossy encoding would mangle.
 #[test]
 fn bitwise_identical_across_configurations() {
     let mut data = dataset(20_000, 42);
@@ -85,8 +84,8 @@ fn bitwise_identical_across_configurations() {
     ]);
     let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
 
-    let run_a = run_service(&data, 2, 700, 16, 1);
-    let run_b = run_service(&data, 5, 123, 3, 2);
+    let run_a = run_service(&data, 2, 700, 1);
+    let run_b = run_service(&data, 5, 123, 2);
     assert_eq!(run_a, expected);
     assert_eq!(run_b, expected);
     assert_eq!(run_a, run_b);
@@ -124,7 +123,6 @@ fn graceful_shutdown_loses_no_acked_batches() {
     let data = dataset(5_000, 7);
 
     let server = serve(ServerConfig {
-        shards: 4,
         snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     })
@@ -156,7 +154,6 @@ fn graceful_shutdown_loses_no_acked_batches() {
     // it into a fresh server and compare limbs bitwise.
     let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
     let restored = serve(ServerConfig {
-        shards: 9, // different shard count: must not matter
         snapshot_path: Some(path.clone()),
         ..ServerConfig::default()
     })
@@ -204,14 +201,14 @@ fn unknown_stream_yields_typed_error() {
 
 #[test]
 fn stats_reflect_traffic_and_reset_clears() {
-    let server = serve(ServerConfig { shards: 5, ..ServerConfig::default() }).unwrap();
+    let server = serve(ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     client.add_binary("a", &[1.0, 2.0, 3.0]).unwrap();
     client.add_binary("a", &[4.0]).unwrap();
     client.add_binary("b", &[5.0]).unwrap();
 
     let (shard_count, streams) = client.stats().unwrap();
-    assert_eq!(shard_count, 5);
+    assert_eq!(shard_count, 1);
     assert_eq!(streams.len(), 2);
     let a = streams.iter().find(|s| s.name == "a").unwrap();
     assert_eq!((a.batches, a.values, a.overflows), (2, 4, 0));
@@ -221,6 +218,43 @@ fn stats_reflect_traffic_and_reset_clears() {
     assert!(streams.is_empty());
     client.shutdown().unwrap();
     server.join().unwrap();
+}
+
+/// A `Reset` on a server with a write-ahead log is refused with a typed
+/// `bad_request` and leaves the ledger as it was: the log holds no reset
+/// record, so a restart would replay every batch a reset cleared. Add
+/// 1.5, `Reset`, add 2.0: the live sum and the sum after a restart are
+/// both 3.5.
+#[test]
+fn reset_with_a_wal_is_refused_and_a_restart_keeps_the_sum() {
+    let dir = std::env::temp_dir()
+        .join(format!("oisum-service-test-{}-reset-wal", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig { wal: Some(WalConfig::new(&dir)), ..ServerConfig::default() };
+    let server = serve(config.clone()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.add_binary("s", &[1.5]).unwrap();
+    let held = client.sum("s").unwrap().limbs;
+    match client.reset() {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest, "{message}");
+            assert!(message.contains("write-ahead log"), "{message}");
+        }
+        other => panic!("a reset on a WAL-backed server got {other:?}"),
+    }
+    assert_eq!(client.sum("s").unwrap().limbs, held, "the refused reset touched the ledger");
+    client.add_binary("s", &[2.0]).unwrap();
+    let live = client.sum("s").unwrap().limbs;
+    assert_eq!(live, ServiceHp::sum_f64_slice(&[1.5, 2.0]).as_limbs().to_vec());
+    client.shutdown().unwrap();
+    server.join().unwrap();
+
+    let server = serve(config).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(client.sum("s").unwrap().limbs, live, "the restart changed the sum");
+    client.shutdown().unwrap();
+    server.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The exactly-once guarantee, proven at the wire level: the *same*
@@ -234,7 +268,7 @@ fn replayed_binary_frame_applies_exactly_once() {
     use oisum_service::proto::{add_binary_bytes, read_frame, Response};
     use std::io::Write;
 
-    let server = serve(ServerConfig { shards: 4, ..ServerConfig::default() }).unwrap();
+    let server = serve(ServerConfig::default()).unwrap();
     let values = [1.5, -0.25, 5e-324];
     let frame = add_binary_bytes("r", 0x00C1_1E17, 1, &values).unwrap();
 

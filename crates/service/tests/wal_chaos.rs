@@ -114,7 +114,6 @@ fn run_crash_matrix(
     let name = &format!("{name}-{transport:?}");
     let dir = temp_dir(name, seed);
     let server = serve(ServerConfig {
-        shards: 4,
         wal: Some(WalConfig { segment_bytes: 8 * 1024, fsync, ..WalConfig::new(&dir) }),
         transport,
         ..ServerConfig::default()
@@ -420,7 +419,6 @@ fn snapshot_mid_load_then_crash_recovers_the_union() {
         let snap = dir.join("ledger.snap");
         let wal_dir = dir.join("wal");
         let config = ServerConfig {
-            shards: 4,
             snapshot_path: Some(snap.clone()),
             wal: Some(WalConfig { segment_bytes: 2 * 1024, ..WalConfig::new(&wal_dir) }),
             ..ServerConfig::default()

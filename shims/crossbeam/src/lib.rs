@@ -1,11 +1,11 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Provides the pieces this workspace uses: an unbounded MPMC channel
-//! with timeout-aware receive (`crossbeam::channel`) and
-//! `crossbeam::utils::CachePadded`. Built on `std::sync` primitives
-//! (`Mutex` + `Condvar`), with disconnection semantics matching the real
-//! crate: sends fail once every receiver is gone, receives report
-//! `Disconnected` once every sender is gone and the queue is drained.
+//! Provides the piece this workspace uses: an unbounded MPMC channel
+//! with timeout-aware receive (`crossbeam::channel`). Built on
+//! `std::sync` primitives (`Mutex` + `Condvar`), with disconnection
+//! semantics matching the real crate: sends fail once every receiver is
+//! gone, receives report `Disconnected` once every sender is gone and
+//! the queue is drained.
 
 #![forbid(unsafe_code)]
 
@@ -244,58 +244,6 @@ pub mod channel {
                 consumers.into_iter().map(|h| h.join().unwrap()).sum()
             });
             assert_eq!(total, 5050);
-        }
-    }
-}
-
-/// Utility types.
-pub mod utils {
-    /// Pads and aligns a value to (at least) a cache-line boundary,
-    /// preventing false sharing between adjacent shards in a `Vec`.
-    ///
-    /// 128 bytes covers the common 64-byte line as well as the 128-byte
-    /// prefetch pairs on recent x86 and Apple hardware.
-    #[derive(Debug, Default)]
-    #[repr(align(128))]
-    pub struct CachePadded<T> {
-        value: T,
-    }
-
-    impl<T> CachePadded<T> {
-        /// Wraps `value`.
-        pub const fn new(value: T) -> Self {
-            CachePadded { value }
-        }
-
-        /// Unwraps the value.
-        pub fn into_inner(self) -> T {
-            self.value
-        }
-    }
-
-    impl<T> core::ops::Deref for CachePadded<T> {
-        type Target = T;
-        fn deref(&self) -> &T {
-            &self.value
-        }
-    }
-
-    impl<T> core::ops::DerefMut for CachePadded<T> {
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.value
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::CachePadded;
-
-        #[test]
-        fn padding_aligns_and_derefs() {
-            let padded = CachePadded::new(7u64);
-            assert_eq!(*padded, 7);
-            assert_eq!(core::mem::align_of::<CachePadded<u64>>(), 128);
-            assert!(core::mem::size_of::<CachePadded<u64>>() >= 128);
         }
     }
 }
