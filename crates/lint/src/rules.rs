@@ -55,10 +55,12 @@ pub enum RuleId {
     /// `recovery.rs` (recovery and group-commit decisions must replay
     /// bit-for-bit), every fsync in `wal.rs` lives inside the
     /// committer's `commit*`/`seal*` functions (one place owns the
-    /// durability edge), and the request path (`server.rs`,
-    /// `dispatch.rs`) never opens or writes files directly — an ACK may
-    /// only ride on bytes that went through the committer or the
-    /// snapshot writer.
+    /// durability edge), every `wal.rs` function that creates a file or
+    /// a directory also calls `sync_parent_dir(` (a new name is durable
+    /// only once its directory is synced), and the request path
+    /// (`server.rs`, `dispatch.rs`) never opens or writes files directly
+    /// — an ACK may only ride on bytes that went through the committer
+    /// or the snapshot writer.
     WalDurability,
     /// Lock acquisition order, from the per-file static lock graph
     /// (see `locks.rs`): acquiring against a declared
@@ -143,8 +145,9 @@ impl RuleId {
                 "kernel fast paths stay screened by THRESH and fall back to #[cold] Listing-1"
             }
             RuleId::WalDurability => {
-                "WAL logic stays deterministic, fsyncs stay in the committer, and the \
-                 request path never writes files directly"
+                "WAL logic stays deterministic, fsyncs stay in the committer, every \
+                 create syncs its directory, and the request path never writes files \
+                 directly"
             }
             RuleId::LockOrder => {
                 "lock acquisitions respect the declared lint:lock-order and form no cycles"
@@ -842,6 +845,46 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
                 }
             }
         }
+    }
+
+    // --- wal-durability: a directory sync after every create ---
+    // A new file's or directory's name is durable only once its parent
+    // directory is synced; records ACKed into a segment whose entry is
+    // lost on power loss go with it. So every function in the log
+    // module that creates one must also call `sync_parent_dir(`.
+    if in_scope(RuleId::WalDurability, path, kind) && path.ends_with("wal.rs") {
+        const CREATES: [&str; 5] =
+            ["create(true)", "create_new(true)", "File::create(", "create_dir(", "create_dir_all("];
+        // Per function: the line of its first create, and whether it syncs.
+        let mut pending: Option<usize> = None;
+        let mut synced = false;
+        let mut flush = |pending: &mut Option<usize>, synced: bool| {
+            if let Some(idx) = pending.take().filter(|_| !synced) {
+                push(
+                    idx,
+                    RuleId::WalDurability,
+                    "file or directory created without a `sync_parent_dir(` in the same \
+                     function; its name is not durable until the parent directory is synced"
+                        .into(),
+                    &lines,
+                );
+            }
+        };
+        for idx in 0..lines.len() {
+            if lines[idx].in_test {
+                continue;
+            }
+            if toks[idx].iter().any(|t| t == "fn") {
+                flush(&mut pending, synced);
+                synced = false;
+            }
+            let sq = &squished[idx];
+            if pending.is_none() && CREATES.iter().any(|c| sq.contains(c)) {
+                pending = Some(idx);
+            }
+            synced |= sq.contains("sync_parent_dir(");
+        }
+        flush(&mut pending, synced);
     }
 
     // --- lock-order / condvar-predicate: function-scope lock analysis ---

@@ -602,6 +602,24 @@ fn wal_durability_accepts_fsync_in_commit_and_seal_fns() {
 }
 
 #[test]
+fn wal_durability_flags_a_create_without_a_directory_sync() {
+    // A segment created, and a log directory made, with no sync of the
+    // directory holding either: both names may vanish on power loss.
+    let src = "fn create(path: &Path) {\n    let f = OpenOptions::new()\n        .write(true)\n        .create(true)\n        .open(path);\n}\nfn open(dir: &Path) {\n    fs::create_dir_all(dir).ok();\n    sync_data_of(dir);\n}\n";
+    assert_eq!(
+        fire_lines(RuleId::WalDurability, "crates/service/src/wal.rs", FileKind::Prod, src),
+        vec![4, 8]
+    );
+}
+
+#[test]
+fn wal_durability_accepts_a_create_followed_by_a_directory_sync() {
+    let src = "fn create(path: &Path) {\n    let f = OpenOptions::new().write(true).create(true).open(path);\n    sync_parent_dir(path).ok();\n}\nfn open(dir: &Path) {\n    fs::create_dir_all(dir).ok();\n    sync_parent_dir(dir).ok();\n}\nfn list(dir: &Path) {\n    fs::read_dir(dir).ok();\n}\n";
+    assert!(fire_lines(RuleId::WalDurability, "crates/service/src/wal.rs", FileKind::Prod, src)
+        .is_empty());
+}
+
+#[test]
 fn wal_durability_flags_direct_file_writes_on_the_request_path() {
     let src = "fn handle() {\n    std::fs::write(\"x\", b\"y\").ok();\n}\n";
     assert_eq!(

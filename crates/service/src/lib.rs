@@ -70,9 +70,9 @@ pub mod ledger;
 pub mod proto;
 pub mod reactor;
 pub mod recovery;
-// A carve-out from `deny(unsafe_code)`: the raw mmap/munmap/fallocate
-// syscalls backing mapped WAL segments, each with a SAFETY argument at
-// the call site. (The other carve-out is `reactor::sys`, the epoll
+// A carve-out from `deny(unsafe_code)`: the raw mmap/munmap/fallocate/
+// madvise syscalls backing mapped WAL segments, each with a SAFETY
+// argument at the call site. (The other carve-out is `reactor::sys`, the epoll
 // shim, declared inside `reactor`.)
 #[allow(unsafe_code)]
 pub(crate) mod segmap;

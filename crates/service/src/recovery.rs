@@ -464,11 +464,11 @@ pub(crate) fn walk<'a, T>(
             return parse_seal(index, bytes, records, offset, seal_fnv);
         }
         if len_field == 0 && zero_from(offset)? {
-            // The zero-filled preallocated remainder of a mapped
-            // segment (see `crate::segmap`): a length of 0 is
-            // unwritable (every payload has an 18-byte fixed head),
+            // The reserved, never-written rest of a mapped segment's
+            // last prepared step (see `crate::segmap`): a length of 0
+            // is unwritable (every payload has an 18-byte fixed head),
             // and nothing but zeros follows, so this is the clean
-            // unsealed end of a pre-sized file — not a torn tail.
+            // unsealed end of the segment — not a torn tail.
             return Ok(Walk { records, sealed: false, torn: None });
         }
         let payload_len = len_field as usize;

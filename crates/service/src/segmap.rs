@@ -6,56 +6,78 @@
 //! `write(2)` per group gets them there, but costs ~2 µs per 4 KB on
 //! the append hot path, almost all of it page-cache bookkeeping the
 //! kernel repeats for every call. A `MAP_SHARED` mapping moves that
-//! bookkeeping to segment *creation*: the segment file is sized and
-//! every page is faulted in (dirtied) up front, and each append is then
-//! a plain `memcpy` into memory the kernel already owns — the store is
-//! in the page cache the instant it retires, with no syscall on the
-//! path. `fsync(2)` on the file descriptor still flushes pages dirtied
+//! bookkeeping off the append: a segment is mapped at its full length
+//! once, and its file is reserved and pre-faulted one [`STEP`] (2 MiB)
+//! at a time as it fills — `fallocate` the step's blocks, then
+//! `madvise(MADV_POPULATE_WRITE)` its pages — so each append is a plain
+//! `memcpy` into memory the kernel already owns. The store is in the
+//! page cache the instant it retires, with no syscall on the path.
+//! `fsync(2)` on the file descriptor still flushes pages dirtied
 //! through the mapping, so the `group` policy keeps its power-loss
 //! guarantee unchanged.
 //!
-//! The tree deliberately has no C-binding dependency, so the three
-//! syscalls this needs (`mmap`, `munmap`, `fallocate`) are issued
-//! directly; the module is therefore compiled only for
-//! `linux`/`x86_64`, and every other target (or any syscall failure —
-//! an odd filesystem, an enormous requested length) falls back to the
-//! WAL's buffered `write(2)` path, which is slower but semantically
-//! identical. `fallocate` runs before the mapping is touched so that
-//! "disk full" surfaces as a clean `Err` at segment creation; without
-//! the reservation, the kernel would deliver ENOSPC to a later page
-//! fault as SIGBUS, which no ledger process should die of.
+//! Only the prepared prefix is ever handed out
+//! ([`SegmentMap::bytes_mut`]), so safe code cannot touch a page past
+//! the reserved end of the file, which the kernel would answer with
+//! SIGBUS. Each step's `fallocate` runs before any of its pages is
+//! touched, so a full disk (ENOSPC, EDQUOT) is an `Err` from
+//! [`SegmentMap::create`] or [`SegmentMap::reserve`], at creation or at
+//! any later step, never a signal; the WAL poisons the log on it.
+//! Kernels before 5.14 refuse the populate advice (EINVAL), and there a
+//! step is pre-faulted by zero-filling its new bytes instead.
+//!
+//! The tree deliberately has no C-binding dependency, so the four
+//! syscalls this needs (`mmap`, `munmap`, `fallocate`, `madvise`) are
+//! issued directly; the module is therefore compiled only for
+//! `linux`/`x86_64`. Where the mapping cannot be had — every other
+//! target, a refused `mmap` (an odd filesystem, an enormous requested
+//! length), a filesystem without `fallocate` (EOPNOTSUPP) — the WAL
+//! falls back to its buffered `write(2)` path, which is slower but
+//! semantically identical.
 //!
 //! Recovery reads segments through the same syscalls: [`SegmentFile`]
 //! maps a whole segment read-only and private (`mmap` + `munmap`), so
 //! the walk and the apply read records out of the page cache with no
-//! copy into the heap. A pre-sized segment a crash left unsealed ends
-//! in its zero tail, up to 8 MiB of it; [`SegmentFile::zero_from`]
-//! checks that tail with `pread` into a small buffer rather than
-//! through the mapping, so its pages are never faulted into this
-//! process. No segment keeps a file descriptor once it is mapped or
-//! read (a mapping holds its own reference to the file), so a log may
-//! have more segments than the process may keep files open. A mapping
-//! holds no lock on the file: if another process truncated a segment
-//! while recovery had it mapped, touching the lost pages would raise
-//! SIGBUS. Nothing in this tree writes a segment before recovery ends,
-//! so that takes an outside hand. A segment under 64 KiB, and any
-//! segment where the mapping cannot be had (other targets, a failed
-//! `mmap`), is read into memory whole instead, with the same bytes and
-//! verdicts.
+//! copy into the heap. A segment a crash left unsealed ends in the zero
+//! tail of its last prepared step, less than one step of it;
+//! [`SegmentFile::zero_from`] checks that tail with `pread` into a
+//! small buffer rather than through the mapping, so its pages are never
+//! faulted into this process. No segment keeps a file descriptor once
+//! it is mapped or read (a mapping holds its own reference to the
+//! file), so a log may have more segments than the process may keep
+//! files open. A mapping holds no lock on the file: if another process
+//! truncated a segment while recovery had it mapped, touching the lost
+//! pages would raise SIGBUS. Nothing in this tree writes a segment
+//! before recovery ends, so that takes an outside hand. A segment under
+//! 64 KiB, and any segment where the mapping cannot be had (other
+//! targets, a failed `mmap`), is read into memory whole instead, with
+//! the same bytes and verdicts.
+
+/// How much of a mapped segment's file is reserved and pre-faulted at
+/// a time. A start or a rotation prepares one step, not the whole
+/// segment, and the append that first crosses a step's end prepares the
+/// next before it writes.
+pub(crate) const STEP: usize = 2 << 20;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
+    use super::STEP;
     use std::fs::File;
     use std::io;
     use std::os::unix::io::AsRawFd;
 
     const SYS_MMAP: isize = 9;
     const SYS_MUNMAP: isize = 11;
+    const SYS_MADVISE: isize = 28;
     const SYS_FALLOCATE: isize = 285;
     const PROT_READ: usize = 0x1;
     const PROT_WRITE: usize = 0x2;
     const MAP_SHARED: usize = 0x1;
     const MAP_PRIVATE: usize = 0x2;
+    /// Write-fault every page of a range now (Linux 5.14 and later).
+    const MADV_POPULATE_WRITE: usize = 23;
+    const EINVAL: i32 = 22;
+    const EOPNOTSUPP: i32 = 95;
 
     /// Issues a raw 6-argument syscall and folds the kernel's negative
     /// errno convention into `io::Error`.
@@ -102,11 +124,16 @@ mod imp {
         }
     }
 
-    /// An exclusive, fixed-length, file-backed writable mapping of one
-    /// WAL segment.
+    /// An exclusive, file-backed writable mapping of one WAL segment,
+    /// mapped at its full length once and made usable one [`STEP`] at a
+    /// time.
     pub struct SegmentMap {
         ptr: *mut u8,
         len: usize,
+        /// The prefix whose blocks are reserved in the file and whose
+        /// pages are faulted in: a multiple of [`STEP`], or `len`. Only
+        /// this prefix is ever handed out.
+        ready: usize,
     }
 
     // The WAL keeps the owning `ActiveSegment` behind a `Mutex`, so no
@@ -117,40 +144,85 @@ mod imp {
     unsafe impl Send for SegmentMap {}
 
     impl SegmentMap {
-        /// Grows `file` to exactly `len` bytes with real block
-        /// reservation, maps it shared, and faults every page in (one
-        /// streaming zero-fill) so later appends never page-fault.
-        pub fn create(file: &File, len: usize) -> io::Result<SegmentMap> {
+        /// Maps `len` bytes of `file` shared, then reserves and
+        /// pre-faults the first step. The bytes `file` already holds (a
+        /// segment's header) are kept. `Ok(None)` means the mapping
+        /// cannot be had here — `mmap` refused it, or the filesystem has
+        /// no `fallocate` — and the caller writes through the file
+        /// instead; any other failure to reserve the step is an `Err`.
+        pub fn create(file: &File, len: usize) -> io::Result<Option<SegmentMap>> {
             if len == 0 || len > isize::MAX as usize {
-                return Err(io::Error::new(io::ErrorKind::InvalidInput, "bad mapping length"));
+                return Ok(None);
             }
+            let held = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
             let fd = file.as_raw_fd() as usize;
-            // SAFETY: fallocate(fd, mode = 0, offset = 0, len) on a file
-            // descriptor we own; mode 0 allocates blocks and extends the
-            // file size, and the kernel validates the rest.
-            unsafe { syscall6(SYS_FALLOCATE, fd, 0, 0, len, 0, 0)? };
-            // SAFETY: a fresh shared read+write mapping of `len` bytes
-            // of a file we just sized to `len`; addr = 0 lets the
-            // kernel choose placement, and the fd outlives the call.
-            let ptr = unsafe {
-                syscall6(SYS_MMAP, 0, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0)?
-            } as *mut u8;
-            let mut map = SegmentMap { ptr, len };
-            // Pre-fault: dirty every page now, off the append path. The
-            // blocks are already reserved, so this cannot SIGBUS.
-            map.bytes_mut().fill(0);
-            Ok(map)
+            let prot = PROT_READ | PROT_WRITE;
+            // SAFETY: a fresh shared mapping of `len` bytes of a file we hold
+            // open, placed by the kernel; no page past the file's end is
+            // touched before a step reserves it.
+            let Ok(ptr) = (unsafe { syscall6(SYS_MMAP, 0, len, prot, MAP_SHARED, fd, 0) }) else {
+                return Ok(None);
+            };
+            let mut map = SegmentMap { ptr: ptr as *mut u8, len, ready: 0 };
+            match map.step(file, held) {
+                Ok(()) => Ok(Some(map)),
+                Err(e) if e.raw_os_error() == Some(EOPNOTSUPP) => Ok(None),
+                Err(e) => Err(e),
+            }
         }
 
-        /// The whole mapping as bytes.
+        /// Reserves and pre-faults whole steps until the prepared prefix
+        /// holds `end` bytes, or the whole mapping if that is shorter. A
+        /// no-op when it already does.
+        pub fn reserve(&mut self, file: &File, end: usize) -> io::Result<()> {
+            while self.ready < end.min(self.len) {
+                self.step(file, 0)?;
+            }
+            Ok(())
+        }
+
+        /// Reserves the next step's blocks, which extends `file` to the
+        /// step's end, then write-faults the step's pages. The zero-fill
+        /// fallback keeps the first `held` bytes of the file.
+        fn step(&mut self, file: &File, held: usize) -> io::Result<()> {
+            if oisum_faults::check("wal.segment.reserve").is_some() {
+                return Err(io::Error::other("injected segment step reservation failure"));
+            }
+            let (from, to) = (self.ready, (self.ready + STEP).min(self.len));
+            let fd = file.as_raw_fd() as usize;
+            // SAFETY: fallocate(fd, mode = 0, offset, len) on a file
+            // descriptor we hold; mode 0 allocates blocks and extends
+            // the file size, and the kernel validates the rest.
+            unsafe { syscall6(SYS_FALLOCATE, fd, 0, from, to - from, 0, 0)? };
+            let (start, advice) = (self.ptr as usize + from, MADV_POPULATE_WRITE);
+            // SAFETY: advice over [from, to) of our live mapping, page-aligned
+            // (`from` is a multiple of STEP); the range now lies inside the
+            // file, so faulting it in cannot raise SIGBUS.
+            let populated = unsafe { syscall6(SYS_MADVISE, start, to - from, advice, 0, 0, 0) };
+            match populated {
+                Ok(_) => self.ready = to,
+                // A kernel before 5.14 does not know the advice: dirty the
+                // new pages by hand. They read as zero (just reserved), so
+                // only the fault is new.
+                Err(e) if e.raw_os_error() == Some(EINVAL) => {
+                    self.ready = to;
+                    self.bytes_mut()[from.max(held.min(to))..].fill(0);
+                }
+                Err(e) => return Err(e),
+            }
+            Ok(())
+        }
+
+        /// The prepared prefix of the mapping: every byte of it is
+        /// reserved in the file and faulted in.
         pub fn bytes_mut(&mut self) -> &mut [u8] {
-            // SAFETY: `ptr` is a live mapping of exactly `len` bytes
-            // (held until `Drop`), and `&mut self` guarantees
-            // exclusivity for the returned lifetime.
-            unsafe { core::slice::from_raw_parts_mut(self.ptr, self.len) }
+            // SAFETY: `ptr` maps `len >= ready` bytes until `Drop`, the first
+            // `ready` backed by the file; `&mut self` guarantees exclusivity
+            // for the returned lifetime.
+            unsafe { core::slice::from_raw_parts_mut(self.ptr, self.ready) }
         }
 
-        /// Mapping length in bytes.
+        /// Mapping length in bytes: how long the segment may grow.
         pub fn len(&self) -> usize {
             self.len
         }
@@ -244,18 +316,19 @@ mod imp {
     use std::io;
 
     /// Stub for targets without the raw-syscall mapping: `create`
-    /// always fails, which routes the WAL onto its buffered `write(2)`
-    /// path — same bytes, same guarantees, more syscalls.
+    /// always returns `None`, which routes the WAL onto its buffered
+    /// `write(2)` path — same bytes, same guarantees, more syscalls.
     pub struct SegmentMap {
         never: core::convert::Infallible,
     }
 
     impl SegmentMap {
-        pub fn create(_file: &File, _len: usize) -> io::Result<SegmentMap> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "segment mapping is only implemented for linux/x86_64",
-            ))
+        pub fn create(_file: &File, _len: usize) -> io::Result<Option<SegmentMap>> {
+            Ok(None)
+        }
+
+        pub fn reserve(&mut self, _file: &File, _end: usize) -> io::Result<()> {
+            match self.never {}
         }
 
         pub fn bytes_mut(&mut self) -> &mut [u8] {
@@ -354,7 +427,7 @@ impl SegmentFile {
     }
 
     /// Whether every byte from `offset` to the end is zero: the walk's
-    /// test for the zero tail of a pre-sized segment. A mapped segment
+    /// test for the zero tail of an unsealed mapped segment. A mapped segment
     /// reopens its file and answers through `pread`, so the tail never
     /// becomes resident in this process.
     pub(crate) fn zero_from(&self, offset: usize) -> io::Result<bool> {
@@ -368,7 +441,7 @@ impl SegmentFile {
 #[cfg(test)]
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod tests {
-    use super::{Bytes, SegmentFile, SegmentMap};
+    use super::{Bytes, SegmentFile, SegmentMap, STEP};
 
     #[test]
     fn segment_files_map_read_only_and_find_their_zero_tail() {
@@ -404,11 +477,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn mapped_writes_are_visible_through_the_file() {
+    fn scratch_file(name: &str) -> (std::path::PathBuf, std::fs::File) {
         let mut path = std::env::temp_dir();
-        path.push(format!("oisum-segmap-unit-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        path.push(format!("oisum-segmap-unit-{}-{name}", std::process::id()));
         let file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -416,21 +487,54 @@ mod tests {
             .truncate(true)
             .open(&path)
             .unwrap();
-        let mut map = SegmentMap::create(&file, 3 * 4096 + 17).unwrap();
+        (path, file)
+    }
+
+    #[test]
+    fn mapped_writes_are_visible_through_the_file() {
+        use std::io::Write;
+        let (path, mut file) = scratch_file("visible");
+        // A prefix written through the file survives the mapping.
+        file.write_all(b"head").unwrap();
+        let mut map = SegmentMap::create(&file, 3 * 4096 + 17).unwrap().unwrap();
         assert_eq!(map.len(), 3 * 4096 + 17);
+        assert_eq!(map.bytes_mut().len(), 3 * 4096 + 17, "one step covers a short mapping");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 3 * 4096 + 17);
-        map.bytes_mut()[0..4].copy_from_slice(b"head");
+        assert_eq!(&map.bytes_mut()[..4], b"head");
         let tail = map.len() - 4;
         map.bytes_mut()[tail..].copy_from_slice(b"tail");
         drop(map);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[..4], b"head");
         assert_eq!(&bytes[bytes.len() - 4..], b"tail");
-        // The pre-fault zero-fill means everything else reads as zero.
         assert!(bytes[4..bytes.len() - 4].iter().all(|&b| b == 0));
         // Truncation after unmap trims the tail cleanly.
         file.set_len(4).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"head");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_file_and_the_usable_prefix_grow_one_step_at_a_time() {
+        let (path, file) = scratch_file("steps");
+        let len = 2 * STEP + 100;
+        let file_len = || std::fs::metadata(&path).unwrap().len() as usize;
+        let mut map = SegmentMap::create(&file, len).unwrap().unwrap();
+        assert_eq!((map.bytes_mut().len(), file_len()), (STEP, STEP));
+        // Already prepared: nothing moves.
+        map.reserve(&file, STEP).unwrap();
+        assert_eq!((map.bytes_mut().len(), file_len()), (STEP, STEP));
+        map.reserve(&file, STEP + 1).unwrap();
+        assert_eq!((map.bytes_mut().len(), file_len()), (2 * STEP, 2 * STEP));
+        // The last step is the mapping's remainder, and a reservation
+        // past the mapping stops at its end.
+        map.reserve(&file, usize::MAX).unwrap();
+        assert_eq!((map.bytes_mut().len(), file_len()), (len, len));
+        map.bytes_mut()[len - 1] = 7;
+        map.bytes_mut()[STEP] = 9;
+        drop(map);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!((bytes[STEP], bytes[len - 1]), (9, 7));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -73,24 +73,30 @@
 //!
 //! ## Mapped segments
 //!
-//! On linux/x86_64, a new segment is pre-sized with real block
-//! reservation and mapped `MAP_SHARED` with every page faulted in at
-//! creation time (`crate::segmap`). An append is then a ~300 ns
-//! `memcpy` into the kernel's own page cache — the bytes already have
-//! process-crash durability when the store retires, which is exactly
-//! the `never` policy's contract — and `fsync` on the descriptor still
-//! flushes mapping-dirtied pages, so `group` keeps its power-loss
-//! guarantee. The page-dirtying cost hasn't vanished, it has *moved*:
-//! segment creation (server start, or rotation) eats it in one
-//! streaming pass, off the per-ACK path — the same preallocation
-//! trade classic databases make for their logs. Until a
-//! mapped segment is sealed, its file carries a zero-filled tail;
-//! recovery reads a zero length field followed by only zeros as the
-//! clean end of a pre-sized segment (a real record can't have length
-//! 0), and sealing truncates the tail before the footer goes down so a
-//! sealed segment is exactly header + records + seal. Anywhere the
-//! mapping can't be had (other targets, exotic filesystems), the WAL
-//! falls back to buffered `write(2)` with identical semantics.
+//! On linux/x86_64, a new segment is mapped `MAP_SHARED` at its full
+//! length once, and its file is reserved (`fallocate`) and pre-faulted
+//! (`madvise(MADV_POPULATE_WRITE)`) in 2 MiB steps as it fills
+//! (`crate::segmap`): creation prepares the first step, and a group
+//! that would cross the prepared frontier prepares the next before it
+//! is written. An append is then a ~300 ns `memcpy` into the kernel's
+//! own page cache — the bytes already have process-crash durability
+//! when the store retires, which is exactly the `never` policy's
+//! contract — and `fsync` on the descriptor still flushes
+//! mapping-dirtied pages, so `group` keeps its power-loss guarantee.
+//! The page-dirtying cost hasn't vanished, it has *moved*, and per
+//! written byte it is what it was: a server start or a rotation pays
+//! for one step rather than a whole segment, and the group that crosses
+//! a step's end pays for the next one before its ACK (DESIGN.md §16.3).
+//! A failed reservation (a full disk) poisons the log like any other
+//! commit failure; no page is touched before its step is reserved, so
+//! it never raises SIGBUS. Until a mapped segment is sealed, its file
+//! ends in the zero tail of its last prepared step; recovery reads a
+//! zero length field followed by only zeros as the clean end of an
+//! unsealed segment (a real record can't have length 0), and sealing
+//! truncates the tail before the footer goes down so a sealed segment
+//! is exactly header + records + seal. Anywhere the mapping can't be
+//! had (other targets, exotic filesystems), the WAL falls back to
+//! buffered `write(2)` with identical semantics.
 //!
 //! ## Crash discipline
 //!
@@ -101,7 +107,10 @@
 //! `wal.fsync.drop`, `wal.segment.corrupt`) model a crash corrupting the
 //! in-flight group and therefore always poison; an in-flight group is by
 //! definition un-ACKed, which is what makes "zero ACKed-batch loss"
-//! provable rather than probabilistic.
+//! provable rather than probabilistic. The `wal.segment.reserve` seam
+//! fails a segment step's reservation as a full disk would; it fires
+//! before the group that needed the step is written, so that group is
+//! refused and absent from the file.
 
 use crate::segmap::SegmentMap;
 use crate::snapshot::sync_parent_dir;
@@ -1243,11 +1252,11 @@ struct ActiveSegment {
     fnv: u64,
     /// Rotation threshold.
     target: u64,
-    /// Pre-faulted shared mapping of the whole segment, when the
-    /// platform provides one (see [`crate::segmap`]): appends become
-    /// page-cache-resident with a `memcpy` instead of a `write(2)`.
-    /// `None` runs the buffered fallback — identical bytes and
-    /// guarantees, one syscall per group.
+    /// Shared mapping of the whole segment, reserved and pre-faulted a
+    /// step at a time, when the platform provides one (see
+    /// [`crate::segmap`]): appends become page-cache-resident with a
+    /// `memcpy` instead of a `write(2)`. `None` runs the buffered
+    /// fallback — identical bytes and guarantees, one syscall per group.
     map: Option<SegmentMap>,
 }
 
@@ -1257,12 +1266,20 @@ impl ActiveSegment {
     }
 
     /// Creates segment `index`, mapped at least `min_map` bytes long
-    /// (for a group bigger than the whole default mapping). The mapped
-    /// file is sized and pre-faulted for its entire life up front; its
-    /// un-appended tail reads as zeros, which recovery classifies as
-    /// the torn tail it is, and which [`ActiveSegment::seal`] trims.
-    /// `dir` is fsynced after the create, so the segment's name is
-    /// durable before any record in it is ACKed.
+    /// (for a group bigger than the whole default mapping). The mapping
+    /// spans the segment's whole life, but only its first step is
+    /// reserved and pre-faulted here; [`ActiveSegment::ensure_group_fits`]
+    /// prepares each later one. The prepared tail past the last record
+    /// reads as zeros, which recovery reads as the clean end of an
+    /// unsealed segment, and which [`ActiveSegment::seal`] trims. `dir`
+    /// is fsynced after the create, so the segment's name is durable
+    /// before any record in it is ACKed. The header goes down through
+    /// the file before anything is reserved, so a file left by a failed
+    /// or interrupted reservation still starts with it.
+    ///
+    /// A failed reservation is an `Err`, as at any later step; only a
+    /// mapping the platform or filesystem cannot provide falls back to
+    /// buffered writes.
     fn create_sized(
         dir: &Path,
         index: u64,
@@ -1280,15 +1297,11 @@ impl ActiveSegment {
         // its directory entry on power loss.
         sync_parent_dir(&path)?;
         let header = file_header(WAL_MAGIC, index);
+        file.write_all(&header)?;
         let want = (target as usize)
             .saturating_add(SEGMENT_HEADER_LEN + SEAL_LEN + MAP_SLACK)
             .max(min_map);
-        let mut map =
-            if want <= MAX_MAP_LEN { SegmentMap::create(&file, want).ok() } else { None };
-        match &mut map {
-            Some(map) => map.bytes_mut()[..SEGMENT_HEADER_LEN].copy_from_slice(&header),
-            None => file.write_all(&header)?,
-        }
+        let map = if want <= MAX_MAP_LEN { SegmentMap::create(&file, want)? } else { None };
         Ok(ActiveSegment {
             dir: dir.to_owned(),
             file,
@@ -1305,7 +1318,9 @@ impl ActiveSegment {
     /// mapped segments, `write(2)` for the buffered fallback. Does not
     /// advance the append offset (the seam paths deliberately leave
     /// mangled bytes unaccounted). Mapped callers must have run
-    /// [`ActiveSegment::ensure_group_fits`] first.
+    /// [`ActiveSegment::ensure_group_fits`] first: the mapping hands out
+    /// only its prepared prefix, so a write past it panics rather than
+    /// touching an unreserved page.
     fn write_raw(&mut self, data: &[u8]) -> io::Result<()> {
         match &mut self.map {
             Some(map) => {
@@ -1322,15 +1337,20 @@ impl ActiveSegment {
     /// mapping, rotate first — into a specially sized segment if the
     /// group alone outgrows the default mapping. Sealing early is
     /// format-legal; `target` is a rotation threshold, not an exact
-    /// size. The buffered path has no such limit.
+    /// size. Then, when the group would cross the prepared frontier,
+    /// the steps it reaches are reserved and pre-faulted before a byte
+    /// of it is written, so a failed reservation leaves the group out
+    /// of the file. The buffered path has no such limit.
     fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
         let Some(map) = &self.map else { return Ok(()) };
-        if self.bytes as usize + incoming + SEAL_LEN <= map.len() {
-            return Ok(());
+        if self.bytes as usize + incoming + SEAL_LEN > map.len() {
+            self.seal()?;
+            let min_map = SEGMENT_HEADER_LEN + incoming + SEAL_LEN;
+            *self = ActiveSegment::create_sized(&self.dir, self.index + 1, self.target, min_map)?;
         }
-        self.seal()?;
-        let min_map = SEGMENT_HEADER_LEN + incoming + SEAL_LEN;
-        *self = ActiveSegment::create_sized(&self.dir, self.index + 1, self.target, min_map)?;
+        if let Some(map) = &mut self.map {
+            map.reserve(&self.file, self.bytes as usize + incoming)?;
+        }
         Ok(())
     }
 
@@ -1451,10 +1471,10 @@ impl ActiveSegment {
     /// checksum — and fsyncs. After this the segment is immutable and
     /// fully self-verifying.
     ///
-    /// A mapped segment carries a pre-faulted zero tail, which must go
-    /// before the footer does: recovery reads zeros after a completed
-    /// seal as corruption (data past the seal), but an unsealed file
-    /// that simply ends is clean. So the order is unmap, truncate to
+    /// A mapped segment carries the zero tail of its last prepared
+    /// step, which must go before the footer does: recovery reads zeros
+    /// after a completed seal as corruption (data past the seal), but
+    /// an unsealed file that simply ends is clean. So the order is unmap, truncate to
     /// the append offset, *then* append the footer — a crash between
     /// any two steps leaves an ordinary unsealed segment whose records
     /// all replay.
@@ -1813,5 +1833,143 @@ mod tests {
         }
         assert_eq!(records, 200);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `n` summands of mixed sign and magnitude.
+    fn values(n: usize, seed: u64) -> Vec<f64> {
+        (0..n as u64)
+            .map(|i| {
+                let x = (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                (x as f64 - 8.0e6) * 2f64.powi((i % 48) as i32 - 24)
+            })
+            .collect()
+    }
+
+    /// The record count of a sealed segment, asserting that the file is
+    /// exactly header + records + seal.
+    fn sealed_records(path: &Path) -> u64 {
+        let bytes = fs::read(path).unwrap();
+        let (mut pos, mut records) = (SEGMENT_HEADER_LEN, 0u64);
+        loop {
+            let len = u32::from_be_bytes(bytes[pos..pos + 4].try_into().unwrap());
+            if len == SEAL_MARKER {
+                break;
+            }
+            pos += RECORD_OVERHEAD + len as usize;
+            records += 1;
+        }
+        assert_eq!(pos + SEAL_LEN, bytes.len(), "{path:?}: not header + records + seal");
+        assert_eq!(u64::from_be_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()), records);
+        records
+    }
+
+    /// Recovers `dir` into a fresh ledger and checks that stream "s" is
+    /// bitwise the sum of `logged`, with every record read and no torn
+    /// tail.
+    fn assert_recovers(dir: &Path, logged: &[f64], records: u64) {
+        let ledger = crate::ShardedLedger::new(1);
+        let report = crate::recovery::recover(dir, &ledger).unwrap();
+        assert_eq!((report.records, report.torn.len()), (records, 0), "{report}");
+        assert_eq!(
+            ledger.sum("s").unwrap().as_limbs(),
+            crate::ServiceHp::sum_f64_slice(logged).as_limbs()
+        );
+    }
+
+    fn file_len(path: &Path) -> usize {
+        fs::metadata(path).unwrap().len() as usize
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn open_prepares_only_the_first_step() {
+        use crate::segmap::STEP;
+        let dir = temp_dir("first-step");
+        let wal = Wal::open(WalConfig::new(&dir)).unwrap();
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        assert_eq!(file_len(&path), STEP);
+        wal.close().unwrap();
+        assert_eq!(sealed_records(&path), 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn appends_prepare_step_after_step_and_seal_exactly() {
+        use crate::segmap::STEP;
+        let dir = temp_dir("steps");
+        let segment_bytes = 5 << 20;
+        let map_len = segment_bytes as usize + SEGMENT_HEADER_LEN + SEAL_LEN + MAP_SLACK;
+        let wal = Wal::open(WalConfig { segment_bytes, ..WalConfig::new(&dir) }).unwrap();
+        let mut logged = Vec::new();
+        let mut lengths = Vec::new();
+        for seq in 1..=100u64 {
+            let batch = values(8192, seq);
+            wal.append("s", 1, seq, &le_bytes(&batch)).unwrap();
+            logged.extend_from_slice(&batch);
+            let (index, path) = list_segments(&dir).unwrap().pop().unwrap();
+            if index == 0 && lengths.last() != Some(&file_len(&path)) {
+                lengths.push(file_len(&path));
+            }
+        }
+        // The first segment grew one step at a time, then rotated.
+        assert_eq!(lengths, [STEP, 2 * STEP, map_len]);
+        wal.close().unwrap();
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 2);
+        let records: u64 = segments.iter().map(|(_, path)| sealed_records(path)).sum();
+        assert_eq!(records, 100);
+        assert_recovers(&dir, &logged, 100);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn a_crash_mid_step_leaves_less_than_a_step_of_zero_tail() {
+        use crate::segmap::STEP;
+        let dir = temp_dir("crash-mid-step");
+        let wal = Wal::open(WalConfig::new(&dir)).unwrap();
+        let mut logged = Vec::new();
+        let mut end = SEGMENT_HEADER_LEN;
+        for seq in 1..=45u64 {
+            let batch = values(8192, seq);
+            let bytes = le_bytes(&batch);
+            wal.append("s", 1, seq, &bytes).unwrap();
+            logged.extend_from_slice(&batch);
+            end += RECORD_OVERHEAD + RECORD_FIXED + 1 + bytes.len();
+        }
+        assert!(end > STEP + STEP / 4 && end < 2 * STEP - STEP / 4, "mid-step: {end}");
+        wal.crash();
+        drop(wal);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let len = file_len(&path);
+        assert!(len >= end && len - end < STEP, "{len} bytes for {end} of records");
+        assert_recovers(&dir, &logged, 45);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn groups_longer_than_a_step_or_the_mapping_commit_and_recover() {
+        // Two 1.5 MiB records submitted together commit as one 3 MiB
+        // group: inside a default segment it spans two steps, and past
+        // a 1 MiB segment's mapping it takes a segment sized for it.
+        for segment_bytes in [DEFAULT_SEGMENT_BYTES, 1 << 20] {
+            let dir = temp_dir(&format!("big-group-{segment_bytes}"));
+            let wal = Wal::open(WalConfig { segment_bytes, ..WalConfig::new(&dir) }).unwrap();
+            let mut logged = Vec::new();
+            for seq in 1..=2u64 {
+                let batch = values(3 << 16, seq);
+                wal.submit("s", 1, seq, &le_bytes(&batch)).unwrap();
+                logged.extend_from_slice(&batch);
+            }
+            wal.flush().unwrap();
+            assert_eq!(wal.group_stats(), (2, 1));
+            wal.close().unwrap();
+            let records: u64 =
+                list_segments(&dir).unwrap().iter().map(|(_, path)| sealed_records(path)).sum();
+            assert_eq!(records, 2);
+            assert_recovers(&dir, &logged, 2);
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 }

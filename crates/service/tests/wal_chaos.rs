@@ -23,6 +23,7 @@
 #![cfg(feature = "failpoints")]
 
 use oisum_faults::{registry, FaultAction, FireRule};
+use oisum_service::proto::ErrorCode;
 use oisum_service::wal::{FsyncPolicy, WalConfig};
 use oisum_service::{
     recovery, serve, Client, ClientConfig, ClientError, ServerConfig, ServiceHp, ShardedLedger,
@@ -463,4 +464,115 @@ fn snapshot_mid_load_then_crash_recovers_the_union() {
         restored.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Values per batch in the step-reservation cases: a 128 KiB record,
+/// so a default segment crosses a 2 MiB reservation step about every
+/// sixteen batches.
+const STEP_BATCH: usize = 16 << 10;
+
+/// A client with retry identity 1 that re-sends `batches` in order
+/// from seq 1, expecting every one ACKed.
+fn resend(addr: std::net::SocketAddr, batches: &[&[f64]], seed: u64) {
+    let mut client = chaos_client(addr, 1, seed);
+    for batch in batches {
+        client.add_binary("s", batch).unwrap();
+    }
+}
+
+/// A segment's step reservation fails mid-segment, as on a full disk:
+/// the third reservation, after the one at open and the one at 2 MiB.
+/// The Add that needed the step gets a typed `internal` refusal and no
+/// later Add is ACKed; nothing touches the unreserved pages, so nothing
+/// raises SIGBUS. After a restart every ACKed batch recovers bitwise,
+/// the refused batch is absent from the log, and a retry of it applies
+/// once.
+#[test]
+fn a_failed_step_reservation_refuses_the_add_and_every_later_one() {
+    let _g = chaos_guard();
+    for transport in TRANSPORTS {
+        let seed = 23u64;
+        registry().reset(seed);
+        let dir = temp_dir(&format!("reserve-{transport:?}"), seed);
+        let config = ServerConfig {
+            wal: Some(WalConfig::new(&dir)),
+            transport,
+            ..ServerConfig::default()
+        };
+        let data = dataset(40 * STEP_BATCH, seed);
+        let batches: Vec<&[f64]> = data.chunks(STEP_BATCH).collect();
+        registry().arm("wal.segment.reserve", FireRule::Nth(3), FaultAction::Disconnect);
+        let server = serve(config.clone()).unwrap();
+        let mut client = chaos_client(server.addr(), 1, seed);
+        let (mut acked, mut refused) = (0usize, 0usize);
+        for batch in &batches {
+            match client.add_binary("s", batch) {
+                Ok(_) => {
+                    assert_eq!(refused, 0, "{transport:?}: an Add was ACKed after the refusal");
+                    acked += 1;
+                }
+                Err(ClientError::Server { code, message }) => {
+                    assert_eq!(code, ErrorCode::Internal, "{transport:?}: {message}");
+                    refused += 1;
+                }
+                Err(e) => panic!("{transport:?}: unexpected client failure: {e}"),
+            }
+        }
+        assert_eq!(registry().fired("wal.segment.reserve"), 1, "{transport:?}");
+        assert!(
+            (16..32).contains(&acked) && acked + refused == batches.len(),
+            "{transport:?}: {acked} ACKed, {refused} refused"
+        );
+        registry().clear();
+        drop(client);
+        server.shutdown();
+        let _ = server.join(); // the poisoned log fails the close
+
+        let restarted = serve(config.clone()).unwrap();
+        let report = restarted.recovery().unwrap().clone();
+        assert!(report.torn.is_empty(), "{transport:?}: {report}");
+        assert_eq!(report.records, acked as u64, "{transport:?}: the refused batch is in the log");
+        let ledger = restarted.ledger();
+        let reference = |n: usize| ServiceHp::sum_f64_slice(&data[..n * STEP_BATCH]);
+        assert_eq!(
+            ledger.sum("s").unwrap().as_limbs(),
+            reference(acked).as_limbs(),
+            "{transport:?}: the ACKed batches did not recover bitwise"
+        );
+        // The retry carries the refused batch's seq: it applies, once,
+        // however often it is sent again.
+        for _ in 0..2 {
+            resend(restarted.addr(), &batches[..=acked], seed);
+            assert_eq!(ledger.sum("s").unwrap().as_limbs(), reference(acked + 1).as_limbs());
+            let state = ledger.stream_state("s").unwrap();
+            assert_eq!(state.values, ((acked + 1) * STEP_BATCH) as u64, "{transport:?}");
+        }
+        restarted.shutdown();
+        restarted.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The first step's reservation fails when the log opens: the server
+/// refuses to start with the I/O error rather than falling back to
+/// buffered writes. The segment it leaves holds only its header, which
+/// the next start recovers as an empty, clean segment.
+#[test]
+fn a_failed_reservation_at_open_refuses_to_start() {
+    let _g = chaos_guard();
+    let seed = 24u64;
+    registry().reset(seed);
+    let dir = temp_dir("reserve-open", seed);
+    let config = ServerConfig { wal: Some(WalConfig::new(&dir)), ..ServerConfig::default() };
+    registry().arm("wal.segment.reserve", FireRule::Once, FaultAction::Disconnect);
+    let err = serve(config.clone()).err().expect("a failed reservation must refuse the open");
+    assert!(err.to_string().contains("reservation"), "{err}");
+    registry().clear();
+    let server = serve(config).unwrap();
+    let report = server.recovery().unwrap().clone();
+    assert_eq!((report.segments, report.records, report.torn.len()), (1, 0, 0), "{report}");
+    chaos_client(server.addr(), 1, seed).add_binary("s", &[1.5]).unwrap();
+    server.shutdown();
+    server.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
