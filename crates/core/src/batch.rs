@@ -242,12 +242,11 @@ pub(crate) const STAGE_LEN: usize = 2 * crate::kernel::BINS_MIN_LEN;
 
 /// A [`BatchAcc`] fed through a buffer of 4096 values, twice
 /// [`BINS_MIN_LEN`](crate::kernel::BINS_MIN_LEN), so values that
-/// arrive a few at a time still reach the kernel's exponent-indexed
-/// bins: one by one from an iterator
-/// ([`crate::sum::HpSumExt::hp_sum`]), or as many short little-endian
-/// records that together make one long run (the service's WAL replay).
-/// Staging only regroups the values, so the total is bitwise
-/// [`HpFixed::sum_f64_slice`] of everything fed, in any order.
+/// arrive one by one from an iterator
+/// ([`crate::sum::HpSumExt::hp_sum`]) still reach the kernel's
+/// exponent-indexed bins. Staging only regroups the values, so the
+/// total is bitwise [`HpFixed::sum_f64_slice`] of everything fed, in
+/// any order.
 ///
 /// ```
 /// use oisum_core::{Hp6x3, StagedAcc};
@@ -278,22 +277,6 @@ impl<const N: usize, const K: usize> StagedAcc<N, K> {
         StagedAcc {
             acc: BatchAcc::new(),
             buf: Vec::with_capacity(STAGE_LEN),
-        }
-    }
-
-    /// Stages raw little-endian `f64` bytes (the service's wire and log
-    /// payload), decoding them straight into the buffer. Trailing bytes
-    /// beyond the last whole `f64` are ignored, as
-    /// [`crate::kernel::encode_f64_le_batch`] ignores them.
-    pub fn extend_le_bytes(&mut self, bytes: &[u8]) {
-        let mut words = bytes.as_chunks::<8>().0;
-        while !words.is_empty() {
-            let (head, rest) = words.split_at(words.len().min(STAGE_LEN - self.buf.len()));
-            self.buf.extend(head.iter().map(|&w| f64::from_le_bytes(w)));
-            if self.buf.len() == STAGE_LEN {
-                self.flush();
-            }
-            words = rest;
         }
     }
 
@@ -468,32 +451,18 @@ mod tests {
     #[test]
     fn staged_values_match_the_slice_sum_however_they_are_split() {
         // Pieces that straddle a flush, land on one exactly, and are
-        // longer than the buffer; odd trailing bytes are ignored.
+        // longer than the buffer.
         let xs: Vec<f64> = (0..(3 * STAGE_LEN + 777))
             .map(|i| (i as f64 - 6000.0) * 3.7e-5 * if i % 5 == 0 { -1e9 } else { 1.0 })
             .collect();
-        let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
         let want = per_value_sum::<6, 3>(&xs);
         for piece in [1, 256, STAGE_LEN - 1, STAGE_LEN, 2 * STAGE_LEN + 3] {
             let mut acc = StagedAcc::<6, 3>::new();
-            for chunk in bytes.chunks(piece * 8) {
-                acc.extend_le_bytes(chunk);
+            for chunk in xs.chunks(piece) {
+                acc.extend(chunk.iter().copied());
             }
             assert_eq!(acc.finish(), want, "pieces of {piece} values");
         }
-        // Iterator pieces and byte pieces mix in one accumulator.
-        let mut acc = StagedAcc::<6, 3>::new();
-        for (i, piece) in xs.chunks(STAGE_LEN - 5).enumerate() {
-            if i % 2 == 0 {
-                acc.extend(piece.iter().copied());
-            } else {
-                acc.extend_le_bytes(&bytes[8 * i * (STAGE_LEN - 5)..][..8 * piece.len()]);
-            }
-        }
-        assert_eq!(acc.finish(), want);
-        let mut acc = StagedAcc::<6, 3>::new();
-        acc.extend_le_bytes(&bytes[..8 * 3 + 5]);
-        assert_eq!(acc.finish(), per_value_sum::<6, 3>(&xs[..3]));
         assert!(StagedAcc::<6, 3>::new().finish().is_zero());
     }
 

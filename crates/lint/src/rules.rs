@@ -55,9 +55,10 @@ pub enum RuleId {
     /// `recovery.rs` (recovery and group-commit decisions must replay
     /// bit-for-bit), every fsync in `wal.rs` lives inside the
     /// committer's `commit*`/`seal*` functions (one place owns the
-    /// durability edge), every `wal.rs` function that creates a file or
-    /// a directory also calls `sync_parent_dir(` (a new name is durable
-    /// only once its directory is synced), and the request path
+    /// durability edge), every `wal.rs` or `snapshot.rs` function that
+    /// creates or renames a file or a directory also calls
+    /// `sync_parent_dir(` (a new name is durable only once its directory
+    /// is synced), and the request path
     /// (`server.rs`, `dispatch.rs`) never opens or writes files directly
     /// — an ACK may only ride on bytes that went through the committer
     /// or the snapshot writer.
@@ -146,8 +147,8 @@ impl RuleId {
             }
             RuleId::WalDurability => {
                 "WAL logic stays deterministic, fsyncs stay in the committer, every \
-                 create syncs its directory, and the request path never writes files \
-                 directly"
+                 create or rename syncs its directory, and the request path never writes \
+                 files directly"
             }
             RuleId::LockOrder => {
                 "lock acquisitions respect the declared lint:lock-order and form no cycles"
@@ -329,6 +330,7 @@ fn in_scope(rule: RuleId, path: &str, kind: FileKind) -> bool {
                 && path.starts_with("crates/service/src/")
                 && (path.ends_with("wal.rs")
                     || path.ends_with("recovery.rs")
+                    || path.ends_with("snapshot.rs")
                     || path.ends_with("server.rs")
                     || path.ends_with("dispatch.rs"))
         }
@@ -474,11 +476,10 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
                                 );
                             }
                         }
-                    } else {
-                        // server.rs / dispatch.rs: the ACK path may not
-                        // write files behind the committer's back. The
-                        // snapshot writer and the WAL own every byte that
-                        // an ACK can ride on.
+                    } else if path.ends_with("server.rs") || path.ends_with("dispatch.rs") {
+                        // The ACK path may not write files behind the
+                        // committer's back. The snapshot writer and the
+                        // WAL own every byte that an ACK can ride on.
                         const WRITERS: [&str; 4] =
                             ["File::create", "OpenOptions::", "std::fs::write", "fs::write("];
                         for w in WRITERS {
@@ -850,11 +851,21 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
     // --- wal-durability: a directory sync after every create ---
     // A new file's or directory's name is durable only once its parent
     // directory is synced; records ACKed into a segment whose entry is
-    // lost on power loss go with it. So every function in the log
-    // module that creates one must also call `sync_parent_dir(`.
-    if in_scope(RuleId::WalDurability, path, kind) && path.ends_with("wal.rs") {
-        const CREATES: [&str; 5] =
-            ["create(true)", "create_new(true)", "File::create(", "create_dir(", "create_dir_all("];
+    // lost on power loss go with it, and so does a snapshot renamed
+    // over the old one. So every function in the log and snapshot
+    // modules that creates or renames one must also call
+    // `sync_parent_dir(`.
+    if in_scope(RuleId::WalDurability, path, kind)
+        && (path.ends_with("wal.rs") || path.ends_with("snapshot.rs"))
+    {
+        const CREATES: [&str; 6] = [
+            "create(true)",
+            "create_new(true)",
+            "File::create(",
+            "create_dir(",
+            "create_dir_all(",
+            "fs::rename(",
+        ];
         // Per function: the line of its first create, and whether it syncs.
         let mut pending: Option<usize> = None;
         let mut synced = false;
@@ -863,8 +874,9 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
                 push(
                     idx,
                     RuleId::WalDurability,
-                    "file or directory created without a `sync_parent_dir(` in the same \
-                     function; its name is not durable until the parent directory is synced"
+                    "file or directory created or renamed without a `sync_parent_dir(` in \
+                     the same function; its name is not durable until the parent directory \
+                     is synced"
                         .into(),
                     &lines,
                 );

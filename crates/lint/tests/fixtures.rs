@@ -620,6 +620,30 @@ fn wal_durability_accepts_a_create_followed_by_a_directory_sync() {
 }
 
 #[test]
+fn wal_durability_flags_a_snapshot_rename_without_a_directory_sync() {
+    // A snapshot written to a temp file and renamed over the old one,
+    // with the file synced but not its directory: the rename may not
+    // survive power loss.
+    let src = "fn save(tmp: &Path, path: &Path) {\n    let mut f = File::create(tmp).unwrap();\n    f.sync_all().ok();\n    fs::rename(tmp, path).ok();\n}\n";
+    assert_eq!(
+        fire_lines(RuleId::WalDurability, "crates/service/src/snapshot.rs", FileKind::Prod, src),
+        vec![2]
+    );
+    let src = "fn install(tmp: &Path, path: &Path) {\n    fs::rename(tmp, path).ok();\n}\n";
+    assert_eq!(
+        fire_lines(RuleId::WalDurability, "crates/service/src/snapshot.rs", FileKind::Prod, src),
+        vec![2]
+    );
+}
+
+#[test]
+fn wal_durability_accepts_a_snapshot_rename_followed_by_a_directory_sync() {
+    let src = "fn save(tmp: &Path, path: &Path) {\n    let mut f = File::create(tmp).unwrap();\n    f.sync_all().ok();\n    fs::rename(tmp, path).ok();\n    sync_parent_dir(path).ok();\n}\nfn load(path: &Path) {\n    fs::read(path).ok();\n}\n";
+    assert!(fire_lines(RuleId::WalDurability, "crates/service/src/snapshot.rs", FileKind::Prod, src)
+        .is_empty());
+}
+
+#[test]
 fn wal_durability_flags_direct_file_writes_on_the_request_path() {
     let src = "fn handle() {\n    std::fs::write(\"x\", b\"y\").ok();\n}\n";
     assert_eq!(
@@ -656,6 +680,7 @@ fn real_wal_sources_pass_wal_durability() {
     for (path, src) in [
         ("crates/service/src/wal.rs", include_str!("../../service/src/wal.rs")),
         ("crates/service/src/recovery.rs", include_str!("../../service/src/recovery.rs")),
+        ("crates/service/src/snapshot.rs", include_str!("../../service/src/snapshot.rs")),
         ("crates/service/src/server.rs", include_str!("../../service/src/server.rs")),
         ("crates/service/src/dispatch.rs", include_str!("../../service/src/dispatch.rs")),
     ] {

@@ -33,7 +33,7 @@
 //! wakeup).
 
 use oisum_loom_lite::{declare_lock_order, Model, ModelSyncShim, Report, ThreadBody};
-use oisum_service::wal::{FsyncPolicy, MemSink, SegmentSink, Shared, WalError, LOCK_ORDER};
+use oisum_service::wal::{FsyncPolicy, MemSink, Record, SegmentSink, Shared, WalError, LOCK_ORDER};
 use std::sync::{Arc, Mutex as StdMutex};
 
 /// [`MemSink`] behind an `Arc` so the scenario can still observe it
@@ -51,17 +51,10 @@ impl SharedSink {
 }
 
 impl SegmentSink for SharedSink {
-    fn commit_one(
-        &mut self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-        fsync: bool,
-    ) -> Result<(), WalError> {
+    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
         let mut m = self.mem();
         assert!(!m.sealed, "record committed after the seal");
-        m.commit_one(stream, client_id, seq, value_bytes, fsync)
+        m.commit_one(record, fsync)
     }
     fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
         self.mem().ensure_group_fits(incoming)
@@ -102,7 +95,7 @@ fn mk_scenario(fsync: FsyncPolicy) -> WalScenario {
 }
 
 /// The client ids of the framed records in `bytes`, in file order. A
-/// record is `len | client_id seq name_len name values | checksum`.
+/// record is `len | client_id seq total name_len name values | checksum`.
 fn record_ids(bytes: &[u8]) -> Vec<u64> {
     let mut ids = Vec::new();
     let mut pos = 0;
@@ -120,7 +113,8 @@ fn record_ids(bytes: &[u8]) -> Vec<u64> {
 /// outcome of losing the race to `close`; anything else fails.
 fn appender(id: u64, fsyncs: bool) -> ThreadBody<WalScenario> {
     Box::new(move |s: &WalScenario| {
-        match s.shared.append("model", id, 1, &id.to_le_bytes()) {
+        let bytes = id.to_le_bytes();
+        match s.shared.append(&Record::fold("model", id, 1, &bytes).unwrap()) {
             Ok(()) => {
                 let m = s.sink.lock().unwrap();
                 let durable = if fsyncs { m.synced_records } else { m.records };
@@ -150,7 +144,9 @@ fn closer() -> ThreadBody<WalScenario> {
 /// its commit (the connection, not the thread, parks on the ticket).
 fn submitter(id: u64, n: u64) -> ThreadBody<WalScenario> {
     Box::new(move |s: &WalScenario| {
-        let ticket = s.shared.submit("model", id, 1, &id.to_le_bytes()).expect("submit accepted");
+        let bytes = id.to_le_bytes();
+        let record = Record::fold("model", id, 1, &bytes).unwrap();
+        let ticket = s.shared.submit(&record).expect("submit accepted");
         assert!((1..=n).contains(&ticket), "tickets are issued densely");
         s.accepted.lock().unwrap().push(id);
     })

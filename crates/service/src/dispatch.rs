@@ -12,9 +12,10 @@
 //! Within the core, too, an `Add` has one definition. A batch arrives
 //! only as a binary Add frame, whose little-endian value bytes run one
 //! routine: refuse a batch holding a value the sum format cannot hold,
-//! replicate a tracked batch, deposit it through
-//! [`ShardedLedger::add_batch_le_bytes_dedup`], then make it durable
-//! before the ACK. JSON frames carry the control ops alone.
+//! replicate a tracked batch, fold it once into its exact total, add
+//! that total through [`ShardedLedger::add_total_dedup`], then make it
+//! durable before the ACK with a WAL [`Record`] carrying the same
+//! total. JSON frames carry the control ops alone.
 //!
 //! The cluster attaches through the [`ClusterOps`] trait rather than a
 //! concrete type so this crate stays free of any cluster dependency
@@ -24,12 +25,12 @@
 //! is exactly what makes N=1 vs N=3 comparisons meaningful: both run
 //! the same code path.
 
-use crate::ledger::{ShardedLedger, SERVICE_LIMBS};
+use crate::ledger::{batch_total, ShardedLedger, SERVICE_LIMBS};
 use crate::proto::{
     ClientFrameView, ErrorCode, Request, Response, StreamStatsRepr, UNTRACKED_CLIENT,
 };
 use crate::snapshot::Checkpointer;
-use crate::wal::Wal;
+use crate::wal::{Record, Wal};
 use oisum_core::kernel::first_out_of_range_le;
 use std::io;
 use std::path::PathBuf;
@@ -255,9 +256,9 @@ impl RequestCore {
     }
 
     /// Executes one binary Add: a tracked batch is replicated first,
-    /// then deposited through the ledger's one deposit call, then made
-    /// durable before its ACK. `value_bytes` are raw little-endian
-    /// `f64`s.
+    /// then folded once into its exact total, which is added through the
+    /// ledger's one locked add and logged in the batch's WAL record
+    /// before its ACK. `value_bytes` are raw little-endian `f64`s.
     ///
     /// A batch holding a value the sum format cannot hold (a NaN, an
     /// infinity, or a magnitude of 2^191 or more) is refused as a bad
@@ -286,14 +287,15 @@ impl RequestCore {
                 return FrameOutcome::Done(reply, false);
             }
         }
+        let record = Record { stream, client_id, seq, total: batch_total(value_bytes), value_bytes };
+        let count = (value_bytes.len() / 8) as u64;
         // Untracked clients skip the dedup window inside the ledger.
-        let (count, applied) =
-            self.ledger.add_batch_le_bytes_dedup(stream, 0, client_id, seq, value_bytes);
+        let applied = self.ledger.add_total_dedup(stream, client_id, seq, &record.total, count);
         let response = Response::Added { count, deduped: !applied };
         if !tracked {
             return FrameOutcome::Done(response, false);
         }
-        match self.commit_step(stream, client_id, seq, value_bytes, mode) {
+        match self.commit_step(&record, mode) {
             Err(reply) => FrameOutcome::Done(reply, false),
             Ok(Some(ticket)) => FrameOutcome::WalPending { ticket, response },
             Ok(None) => FrameOutcome::Done(response, false),
@@ -322,14 +324,7 @@ impl RequestCore {
     /// record); under [`WalMode::Submit`] the record is enqueued and
     /// its ticket returned as `Ok(Some(ticket))` — the caller must hold
     /// the ACK until the commit mark covers it.
-    fn commit_step(
-        &self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-        mode: WalMode,
-    ) -> Result<Option<u64>, Response> {
+    fn commit_step(&self, record: &Record<'_>, mode: WalMode) -> Result<Option<u64>, Response> {
         let Some(wal) = &self.wal else { return Ok(None) };
         let refuse = |message: String| Response::Error {
             code: ErrorCode::Internal,
@@ -341,12 +336,12 @@ impl RequestCore {
         }
         let ticket = match mode {
             WalMode::Block => {
-                wal.append(stream, client_id, seq, value_bytes)
+                wal.append_record(record)
                     .map_err(|e| refuse(format!("wal append failed: {e}")))?;
                 None
             }
             WalMode::Submit => Some(
-                wal.submit(stream, client_id, seq, value_bytes)
+                wal.submit_record(record)
                     .map_err(|e| refuse(format!("wal submit failed: {e}")))?,
             ),
         };
@@ -709,6 +704,29 @@ mod tests {
             }
         }
         wal.close().unwrap();
+        std::fs::remove_dir_all(wal.dir()).ok();
+    }
+
+    /// The largest Add a frame can carry — a one-byte name and as many
+    /// values as fit `MAX_FRAME` — is ACKed, logged in one record and
+    /// recovered bitwise: a record holds the frame's bytes plus the
+    /// 48-byte total.
+    #[test]
+    fn the_largest_add_a_frame_carries_fits_one_record() {
+        use crate::proto::MAX_FRAME;
+        let most = (MAX_FRAME as usize - 19) / 8;
+        let values: Vec<f64> = (0..most).map(|i| (i as f64 - 1e6) * 2f64.powi(-20)).collect();
+        let wal = scratch_wal("largest");
+        let ledger = Arc::new(ShardedLedger::new(1));
+        let core = RequestCore::new(Arc::clone(&ledger)).with_wal(Arc::clone(&wal));
+        let reply = add(&core, &mut 0, "s", 7, 1, &values);
+        assert_eq!(reply, Response::Added { count: most as u64, deduped: false });
+        wal.close().unwrap();
+        let recovered = ShardedLedger::new(1);
+        let report = crate::recover(wal.dir(), &recovered).unwrap();
+        assert_eq!((report.applied, report.values), (1, most as u64), "{report}");
+        assert_eq!(recovered.sum("s"), ledger.sum("s"));
+        assert_eq!(recovered.sum("s").unwrap(), ServiceHp::sum_f64_slice(&values));
         std::fs::remove_dir_all(wal.dir()).ok();
     }
 

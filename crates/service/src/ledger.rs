@@ -9,12 +9,15 @@
 //! service runs with different client counts and batch orders agree
 //! bit for bit.
 //!
-//! [`ShardedLedger::add_batch_le_bytes_dedup`] is the ledger's only
-//! deposit. Every batch arrives as raw little-endian `f64` bytes,
-//! whether a binary Add frame, a peer `MirrorAdd` or a replayed WAL
-//! record carried it. The bytes fold into a carry-deferred
-//! [`BatchAcc`] outside the lock. Under the lock the deposit does three
-//! things: the dedup check, one 6-limb add and the window update.
+//! [`ShardedLedger::add_total_dedup`] is the ledger's one locked add: a
+//! batch's exact total, folded before the lock is taken. Under the lock
+//! it does three things: the dedup check, one 6-limb add and the window
+//! update. Every batch reaches it as one total. A binary Add's total is
+//! folded once in dispatch, which hands the same total to the WAL
+//! record; a replayed record brings the total it logged; a peer
+//! `MirrorAdd` goes through [`ShardedLedger::add_batch_le_bytes_dedup`],
+//! which folds raw little-endian `f64` bytes into a carry-deferred
+//! [`BatchAcc`] (`batch_total`) in front of the same add.
 //!
 //! Every read takes the same lock: `Sum`, `Stats`, a snapshot, a peer
 //! pull and a tree-reduce contribution. So each one sees a state the
@@ -40,6 +43,18 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// Number of integer/fractional limbs in the service accumulator format.
 pub const SERVICE_LIMBS: usize = 6;
+
+/// The exact total of a batch of raw little-endian `f64` bytes, folded
+/// through the multi-lane encode kernel into a carry-deferred
+/// [`BatchAcc`]. This is what a deposit adds and what the batch's WAL
+/// record carries. Every value must be finite and below 2^191 in
+/// magnitude (the kernel debug-asserts on the rest); callers that take
+/// bytes from outside screen them first.
+pub(crate) fn batch_total(bytes: &[u8]) -> ServiceHp {
+    let mut acc = BatchAcc::new();
+    encode_f64_le_batch(&mut acc, bytes);
+    acc.finish()
+}
 
 /// One stream's sum and counters, as one read under its lock sees them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,6 +96,29 @@ struct Stream {
     /// new connection) is decided under the lock that applies the
     /// original, so it cannot double-apply.
     window: HashMap<u64, u64>,
+}
+
+/// One stream, looked up by name once, for a caller that adds to it
+/// many times (WAL recovery resolves each stream once per replay).
+#[derive(Debug, Clone)]
+pub(crate) struct StreamHandle(Arc<Mutex<Stream>>);
+
+impl StreamHandle {
+    /// The ledger's one locked add; see
+    /// [`ShardedLedger::add_total_dedup`].
+    pub(crate) fn add_total(&self, client_id: u64, seq: u64, total: &ServiceHp, values: u64) -> bool {
+        let mut s = self.0.lock().unwrap();
+        if client_id != UNTRACKED_CLIENT {
+            // Seq 0 never applies: client seqs start at 1.
+            let last = s.window.entry(client_id).or_default();
+            if seq <= *last {
+                return false;
+            }
+            *last = seq;
+        }
+        s.totals.add(total, values);
+        true
+    }
 }
 
 /// A stream's complete persistent state, as captured by
@@ -174,31 +212,43 @@ impl ShardedLedger {
         ShardedLedger::default()
     }
 
-    fn stream(&self, name: &str) -> Arc<Mutex<Stream>> {
+    /// The stream called `name`, created on first use.
+    pub(crate) fn handle(&self, name: &str) -> StreamHandle {
         if let Some(s) = self.streams.read().unwrap().get(name) {
-            return Arc::clone(s);
+            return StreamHandle(Arc::clone(s));
         }
         let mut map = self.streams.write().unwrap();
-        Arc::clone(map.entry(name.to_owned()).or_default())
+        StreamHandle(Arc::clone(map.entry(name.to_owned()).or_default()))
     }
 
-    /// Deposits a batch into `name`, creating the stream on first use —
-    /// the ledger's one deposit. `bytes` are raw little-endian `f64`s,
-    /// length a multiple of 8. `_shard_hint` is ignored; it stays until
-    /// perfbench, which builds against this signature, stops passing it.
+    /// Adds one batch of `values` summands, whose exact total is
+    /// `total`, to `name`, creating the stream on first use — the
+    /// ledger's one locked add. Returns whether it applied.
     ///
     /// A batch carrying a `(client_id, seq)` retry identity lands
     /// **exactly once**: a replay of an already-applied identity is
-    /// acknowledged without depositing, so however many times a retry
-    /// loop resends a frame, the stream's sum — and its `values`
-    /// statistic — reflect one application. Returns
-    /// `(values accounted for, applied)`; `applied` is `false` for a
-    /// recognized replay. A `client_id` of [`UNTRACKED_CLIENT`] bypasses
-    /// the window entirely.
-    ///
-    /// The bytes reach the multi-lane encode kernel with no per-value
-    /// iterator and no lock held; the stream's lock covers only the
+    /// acknowledged without adding, so however many times a retry loop
+    /// resends a frame, the stream's sum — and its `values` statistic —
+    /// reflect one application. A `client_id` of [`UNTRACKED_CLIENT`]
+    /// bypasses the window entirely. The stream's lock covers only the
     /// dedup check, one 6-limb add and the window update.
+    pub fn add_total_dedup(
+        &self,
+        name: &str,
+        client_id: u64,
+        seq: u64,
+        total: &ServiceHp,
+        values: u64,
+    ) -> bool {
+        self.handle(name).add_total(client_id, seq, total, values)
+    }
+
+    /// Deposits a batch of raw little-endian `f64` bytes (length a
+    /// multiple of 8) into `name`: `batch_total` with no lock held,
+    /// then [`add_total_dedup`](Self::add_total_dedup). Returns
+    /// `(values accounted for, applied)`; `applied` is `false` for a
+    /// recognized replay. `_shard_hint` is ignored; it stays until
+    /// perfbench, which builds against this signature, stops passing it.
     pub fn add_batch_le_bytes_dedup(
         &self,
         name: &str,
@@ -207,22 +257,9 @@ impl ShardedLedger {
         seq: u64,
         bytes: &[u8],
     ) -> (u64, bool) {
-        let mut acc = BatchAcc::new();
-        encode_f64_le_batch(&mut acc, bytes);
-        let total = acc.finish();
         let values = (bytes.len() / 8) as u64;
-        let stream = self.stream(name);
-        let mut s = stream.lock().unwrap();
-        if client_id != UNTRACKED_CLIENT {
-            // Seq 0 never applies: client seqs start at 1.
-            let last = s.window.entry(client_id).or_default();
-            if seq <= *last {
-                return (values, false);
-            }
-            *last = seq;
-        }
-        s.totals.add(&total, values);
-        (values, true)
+        let total = batch_total(bytes);
+        (values, self.add_total_dedup(name, client_id, seq, &total, values))
     }
 
     /// `name`'s sum and counters in one cut, or `None` for a stream that

@@ -9,12 +9,16 @@
 //! * [`ledger`] — [`ShardedLedger`]: named streams, each one plain HP
 //!   sum, its counters and its dedup window under one `Mutex` (an
 //!   `RwLock` guards only the directory). Every batch — client Add,
-//!   peer mirror, WAL replay — lands as raw little-endian `f64` bytes
-//!   through one call, `ShardedLedger::add_batch_le_bytes_dedup`: one
-//!   local [`BatchAcc`](oisum_core::BatchAcc) fold outside the lock,
-//!   then the dedup check, one 6-limb add and the window update under
-//!   it. Every read takes the same lock, so every reply and every
-//!   checkpoint is a consistent cut of its stream.
+//!   peer mirror, WAL replay — lands through one locked add,
+//!   `ShardedLedger::add_total_dedup`, as its exact total: the dedup
+//!   check, one 6-limb add and the window update. The total is one
+//!   [`BatchAcc`](oisum_core::BatchAcc) fold of the batch's raw
+//!   little-endian `f64` bytes outside the lock, made once per client
+//!   Add (dispatch logs the same total in the batch's WAL record) and
+//!   per peer mirror (`ShardedLedger::add_batch_le_bytes_dedup`); a WAL
+//!   replay adds the totals the log holds. Every read takes the same
+//!   lock, so every reply and every checkpoint is a consistent cut of
+//!   its stream.
 //! * [`proto`] — the wire protocol: a batch travels only as a
 //!   `b"OIS\x02"` **binary Add** frame (length-prefixed stream name,
 //!   retry identity, raw little-endian `f64`s); `b"OIS\x01"`-tagged,

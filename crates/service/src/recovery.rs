@@ -40,32 +40,15 @@
 //! so it never becomes resident. Segments are independent until applied,
 //! so a log of at least 8 MiB is walked on every CPU.
 //!
-//! Once every segment has verified, the tracked records are grouped by
-//! stream, in log order. Streams are independent too: each one's records
-//! are decided against its restored window in log order, as a
-//! record-by-record replay would, and the accepted payloads are summed
-//! as one run through a [`StagedAcc`], which hands the kernel's bins a
-//! few thousand values per flush rather than one record's 256. The
-//! stream then lands whole: its restored state plus the run, installed
-//! as a new [`StreamState`] through [`ShardedLedger::install`], the
-//! call cluster rejoin uses. Order invariance is what makes the run
-//! bitwise equal to the per-record replay. A stream with fewer than
-//! [`BINS_MIN_LEN`] values, too few for the bins, gains nothing from a
-//! run and replays record by record. Replays of at least 64 Ki values
-//! spread the streams over every CPU, largest first.
-//!
-//! One thing a run would change is the overflow count: the ledger's
-//! sign test runs once per deposit, and a run is one add where the
-//! serial replay makes one per record. So a stream takes the run only
-//! when its restored magnitude, and its value count times its largest
-//! magnitude, are each bounded by a power of two no larger than 2^189,
-//! so that together they stay below 2^190, half the 2^191 range. Then
-//! no partial sum and no record total can come near the range, so the
-//! per-record replay would count nothing either. Any other stream,
-//! including one with a NaN or an infinity, replays record by record
-//! through [`ShardedLedger::add_batch_le_bytes_dedup`]. Limbs, counters,
-//! windows, overflow counts and the [`RecoveryReport`] match a serial
-//! record-by-record replay either way.
+//! Once every segment has verified, the tracked records are applied in
+//! log order, each as the exact total it logged ([`crate::wal::Record`]),
+//! through the ledger's one locked add,
+//! [`ShardedLedger::add_total_dedup`]. That is the serial record-by-record
+//! replay itself: the same dedup decision against the same window, and
+//! one sign test per batch, so limbs, counters, windows, overflow counts
+//! and the [`RecoveryReport`] are exactly what re-encoding every value
+//! would give, and no value is re-encoded. Each stream is looked up by
+//! name once per recovery, not once per record.
 //!
 //! Recovery is strictly read-only on the segment files: it never
 //! truncates or deletes, so a recovery interrupted by another crash
@@ -76,16 +59,15 @@
 //! snapshot is written whole, so it must end in a valid seal, and a
 //! torn tail is refused rather than truncated.
 
-use crate::ledger::{ShardedLedger, StreamState};
+use crate::ledger::{ShardedLedger, StreamHandle};
 use crate::proto::{split_name, UNTRACKED_CLIENT};
 use crate::segmap::SegmentFile;
 use crate::wal::{
-    fnv4, fnv_wide, fnv_wide_update, list_segments, WalError, MAX_RECORD_PAYLOAD, SEAL_LEN,
-    SEAL_MARKER, SEGMENT_HEADER_LEN, WAL_MAGIC,
+    fnv4, fnv_wide, fnv_wide_update, list_segments, Record, WalError, MAX_RECORD_PAYLOAD,
+    RECORD_TOTAL_LEN, SEAL_LEN, SEAL_MARKER, SEGMENT_HEADER_LEN, WAL_MAGIC, WAL_MAGIC_V1,
 };
 use crate::ServiceHp;
-use oisum_core::{StagedAcc, BINS_MIN_LEN};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -96,11 +78,6 @@ use std::sync::OnceLock;
 /// parallel took 4-13% longer than on one thread at 1-4 MiB and 6-10%
 /// less from 8 MiB on.
 const PAR_WALK_BYTES: usize = 8 << 20;
-
-/// Replays applying at least this many values split their streams
-/// across the CPUs; smaller ones run on the calling thread. On 2 vCPUs
-/// the split over 16 streams broke even between 32 Ki and 96 Ki values.
-const PAR_APPLY_VALUES: u64 = 1 << 16;
 
 /// What [`recover`] did, for logging and assertions.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -150,16 +127,6 @@ pub struct TornTail {
     pub dropped_bytes: u64,
 }
 
-/// One parsed, checksum-verified record, borrowing its name and values
-/// from the segment bytes it was read from.
-struct ParsedRecord<'a> {
-    client_id: u64,
-    seq: u64,
-    stream: &'a str,
-    /// Raw little-endian f64 payload, length a multiple of 8.
-    values: &'a [u8],
-}
-
 /// One framed file after [`walk`]: the decoded payload of every verified
 /// record, in file order, and how the file ends.
 pub(crate) struct Walk<T> {
@@ -169,14 +136,6 @@ pub(crate) struct Walk<T> {
     pub(crate) sealed: bool,
     /// The unverifiable suffix of an unsealed file, if any.
     pub(crate) torn: Option<TornTail>,
-}
-
-/// What one stream's replay adds to the report.
-#[derive(Default)]
-struct Tally {
-    applied: u64,
-    deduped: u64,
-    values: u64,
 }
 
 /// Replays every WAL segment in `dir` into `ledger`, oldest first. A
@@ -224,9 +183,9 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
 
-    // Pass 2: group the tracked records by stream, each in log order.
+    // Pass 2: apply each tracked record's logged total, in log order.
     let mut report = RecoveryReport { segments: segments.len() as u64, ..Default::default() };
-    let mut runs: BTreeMap<&str, Vec<&ParsedRecord<'_>>> = BTreeMap::new();
+    let mut streams: HashMap<&str, StreamHandle> = HashMap::new();
     for segment in &parsed {
         for record in &segment.records {
             report.records += 1;
@@ -234,114 +193,20 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
                 report.untracked_skipped += 1;
                 continue;
             }
-            runs.entry(record.stream).or_default().push(record);
+            let stream = streams
+                .entry(record.stream)
+                .or_insert_with(|| ledger.handle(record.stream));
+            let values = (record.value_bytes.len() / 8) as u64;
+            if stream.add_total(record.client_id, record.seq, &record.total, values) {
+                report.applied += 1;
+                report.values += values;
+            } else {
+                report.deduped += 1;
+            }
         }
-        if let Some(torn) = &segment.torn {
-            report.torn.push(torn.clone());
-        }
-    }
-
-    // Pass 3: apply, one stream at a time, the largest first.
-    let mut runs: Vec<(&str, Vec<&ParsedRecord<'_>>, u64)> = runs
-        .into_iter()
-        .map(|(name, run)| {
-            let values = run.iter().map(|record| (record.values.len() / 8) as u64).sum();
-            (name, run, values)
-        })
-        .collect();
-    runs.sort_by_key(|&(_, _, values)| std::cmp::Reverse(values));
-    let total: u64 = runs.iter().map(|&(_, _, values)| values).sum();
-    let threads = if total >= PAR_APPLY_VALUES { cpus() } else { 1 };
-    let apply = |(name, run, values): &(&str, Vec<&ParsedRecord<'_>>, u64)| {
-        // Too few values for the bins: staging would gain nothing.
-        if *values < BINS_MIN_LEN as u64 {
-            replay_records(ledger, name, run)
-        } else {
-            replay_stream(ledger, name, run)
-        }
-    };
-    for tally in par_map(&runs, threads, apply) {
-        report.applied += tally.applied;
-        report.deduped += tally.deduped;
-        report.values += tally.values;
+        report.torn.extend(segment.torn.clone());
     }
     Ok(report)
-}
-
-/// Replays one stream's tracked records, in log order, against its
-/// restored dedup window, and sums what applies as one run; see the
-/// module docs for when it falls back to [`replay_records`].
-fn replay_stream(ledger: &ShardedLedger, name: &str, run: &[&ParsedRecord<'_>]) -> Tally {
-    let restored = ledger.stream_state(name).unwrap_or_else(|| StreamState {
-        name: name.to_owned(),
-        ..Default::default()
-    });
-    let mut window: HashMap<u64, u64> = restored.dedup.iter().copied().collect();
-    let mut staged = StagedAcc::new();
-    let mut tally = Tally::default();
-    // The largest raw exponent field applied: every summand is below
-    // 2^(widest - 1022), and a NaN or an infinity (field 0x7ff) bounds
-    // nothing.
-    let mut widest = 0u16;
-    for record in run {
-        let last = window.entry(record.client_id).or_default();
-        if record.seq <= *last {
-            tally.deduped += 1;
-            continue;
-        }
-        *last = record.seq;
-        let words = record.values.as_chunks::<8>().0;
-        let exponents = words
-            .iter()
-            .map(|&w| (u64::from_le_bytes(w) >> 52) as u16 & 0x7ff);
-        widest = widest.max(exponents.max().unwrap_or(0));
-        staged.extend_le_bytes(record.values);
-        tally.applied += 1;
-        tally.values += words.len() as u64;
-    }
-    if !stays_in_half_range(&restored.sum, tally.values, widest) {
-        return replay_records(ledger, name, run);
-    }
-    let mut dedup: Vec<(u64, u64)> = window.into_iter().filter(|&(_, seq)| seq > 0).collect();
-    dedup.sort_unstable();
-    ledger.install(&StreamState {
-        sum: restored.sum.wrapping_add(&staged.finish()),
-        dedup,
-        batches: restored.batches + tally.applied,
-        values: restored.values + tally.values,
-        ..restored
-    });
-    tally
-}
-
-/// Whether `values` summands, each below 2^(widest - 1022) in magnitude
-/// (`widest` a raw exponent field), keep every partial sum started from
-/// `restored` below 2^190 in magnitude, in any grouping. Both parts are
-/// bounded by powers of two, and each must be at most 2^189:
-/// |restored| < (|top limb| + 1) · 2^128 < 2^(128 + bits(|top limb| + 1)),
-/// and the summands together stay below 2^(bits(values) + widest - 1022).
-/// A NaN or an infinity (field 0x7ff) fails.
-fn stays_in_half_range(restored: &ServiceHp, values: u64, widest: u16) -> bool {
-    let bits = |x: u64| i64::from(u64::BITS - x.leading_zeros());
-    let top = restored.as_limbs()[0].cast_signed().unsigned_abs();
-    128 + bits(top + 1) <= 189 && bits(values) + i64::from(widest) - 1022 <= 189
-}
-
-/// The serial replay for one stream: every record through the ledger's
-/// own deposit, in log order.
-fn replay_records(ledger: &ShardedLedger, name: &str, run: &[&ParsedRecord<'_>]) -> Tally {
-    let mut tally = Tally::default();
-    for record in run {
-        let (count, applied) =
-            ledger.add_batch_le_bytes_dedup(name, 0, record.client_id, record.seq, record.values);
-        if applied {
-            tally.applied += 1;
-            tally.values += count;
-        } else {
-            tally.deduped += 1;
-        }
-    }
-    tally
 }
 
 /// This machine's CPU count, read once: `available_parallelism` reads
@@ -424,7 +289,13 @@ pub(crate) fn walk<'a, T>(
         });
     }
     if bytes[..8] != magic {
-        return Err(WalError::BadHeader { segment: index, detail: "bad magic".to_owned() });
+        let detail = if magic == WAL_MAGIC && bytes[..8] == WAL_MAGIC_V1 {
+            "a v1 log written by an older release, whose records carry no batch totals; \
+             replay it with that release and take a snapshot before upgrading"
+        } else {
+            "bad magic"
+        };
+        return Err(WalError::BadHeader { segment: index, detail: detail.to_owned() });
     }
     let embedded = u64::from_be_bytes(
         bytes[8..16].try_into().map_err(|_| WalError::BadHeader {
@@ -602,22 +473,29 @@ fn parse_seal<T>(
 /// the checksum passed, so the bytes are what was written — if they are
 /// structurally impossible, the writer (or an editor of the file) was
 /// broken, and applying a guess would corrupt an exact sum.
-fn parse_payload(index: u64, offset: usize, payload: &[u8]) -> Result<ParsedRecord<'_>, WalError> {
+fn parse_payload(index: u64, offset: usize, payload: &[u8]) -> Result<Record<'_>, WalError> {
     let corrupt = |detail: String| WalError::Corrupt { segment: index, offset: offset as u64, detail };
     let short = || corrupt(format!("payload of {} bytes is shorter than the fixed fields", payload.len()));
     let (client_id, rest) = payload.split_first_chunk::<8>().ok_or_else(short)?;
     let (seq, rest) = rest.split_first_chunk::<8>().ok_or_else(short)?;
+    let (total, rest) = rest.split_first_chunk::<RECORD_TOTAL_LEN>().ok_or_else(short)?;
     let (client_id, seq) = (u64::from_be_bytes(*client_id), u64::from_be_bytes(*seq));
-    let (stream, values) = split_name(rest).map_err(|e| corrupt(e.to_owned()))?;
-    if !values.len().is_multiple_of(8) {
-        return Err(corrupt(format!("value payload of {} bytes is not a multiple of 8", values.len())));
+    let limbs = total.as_chunks::<8>().0;
+    let total = ServiceHp::from_limbs(core::array::from_fn(|i| u64::from_be_bytes(limbs[i])));
+    let (stream, value_bytes) = split_name(rest).map_err(|e| corrupt(e.to_owned()))?;
+    if !value_bytes.len().is_multiple_of(8) {
+        return Err(corrupt(format!(
+            "value payload of {} bytes is not a multiple of 8",
+            value_bytes.len()
+        )));
     }
-    Ok(ParsedRecord { client_id, seq, stream, values })
+    Ok(Record { stream, client_id, seq, total, value_bytes })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::StreamState;
     use crate::proto::le_bytes;
     use crate::wal::{FsyncPolicy, Wal, WalConfig};
     use oisum_core::Hp6x3;
@@ -633,8 +511,9 @@ mod tests {
     }
 
     /// The serial record-by-record replay `recover` must match: every
-    /// segment read into memory and walked, then every tracked record
-    /// through the ledger's deposit, in log order.
+    /// segment read into memory and walked, then every tracked record's
+    /// value bytes re-encoded through the ledger's byte deposit, in log
+    /// order, so the logged totals are checked against a re-encode.
     fn replay_one_by_one(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, WalError> {
         let segments = list_segments(dir)?;
         let files = segments
@@ -664,7 +543,7 @@ mod tests {
                     continue;
                 }
                 let (count, applied) =
-                    ledger.add_batch_le_bytes_dedup(r.stream, 0, r.client_id, r.seq, r.values);
+                    ledger.add_batch_le_bytes_dedup(r.stream, 0, r.client_id, r.seq, r.value_bytes);
                 if applied {
                     report.applied += 1;
                     report.values += count;
@@ -680,7 +559,7 @@ mod tests {
     /// One summand: mostly ordinary magnitudes of either sign, now and
     /// then zero or below the 2^-192 resolution, and, in the `edge`
     /// stream only, within a factor of two of ±2^191, where deposits
-    /// overflow and the per-record fallback has to run.
+    /// overflow and the sign test counts them.
     fn summand(rng: &mut StdRng, stream: &str) -> f64 {
         let sign = if rng.random_bool(0.5) { -1.0 } else { 1.0 };
         match rng.random_range(0..16) {
@@ -819,14 +698,14 @@ mod tests {
             overflowed += usize::from(ledger.overflows("edge") > 0);
             fs::remove_dir_all(&dir).ok();
         }
-        // The range bound's fallback was exercised, not just reachable.
+        // Overflow counts were compared on streams that really overflowed.
         assert!(overflowed > 0, "no random log overflowed a stream");
     }
 
     #[test]
     fn a_log_big_enough_to_split_across_cpus_matches_too() {
-        // Past both floors: 8 MiB of log and 64 Ki applied values, so
-        // the walk and the apply both take the parallel path.
+        // Past the floor of 8 MiB of log, so the walk takes the
+        // parallel path.
         let mut rng = StdRng::seed_from_u64(7);
         let dir = temp_dir("equivalence-big");
         let config = WalConfig {
@@ -835,16 +714,13 @@ mod tests {
             ..WalConfig::new(&dir)
         };
         let wal = Wal::open(config).unwrap();
-        let mut values_logged = 0;
         for seq in 1..=600u64 {
             let stream = ["a", "b", "c", "d", "e", "edge"][rng.random_range(0..6usize)];
             let values: Vec<f64> = (0..2048).map(|_| summand(&mut rng, stream)).collect();
             wal.append(stream, 1 + seq % 3, seq, &le_bytes(&values))
                 .unwrap();
-            values_logged += values.len();
         }
         wal.close().unwrap();
-        assert!(values_logged as u64 >= PAR_APPLY_VALUES);
         let log_bytes: u64 = list_segments(&dir)
             .unwrap()
             .iter()
@@ -902,6 +778,142 @@ mod tests {
         assert!(report.segments >= 150, "{report}");
         assert_eq!(report.applied, 150);
         assert_eq!(ledger.sum("s").unwrap(), Hp6x3::sum_f64_slice(&all));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every record in `dir`'s segments, in log order, as owned
+    /// `(stream, client_id, seq, total, value bytes)`.
+    fn logged_records(dir: &Path) -> Vec<(String, u64, u64, ServiceHp, Vec<u8>)> {
+        let mut records = Vec::new();
+        for (index, path) in list_segments(dir).unwrap() {
+            let bytes = fs::read(path).unwrap();
+            let zero_from = |at: usize| Ok(bytes[at..].iter().all(|&b| b == 0));
+            let file = walk(WAL_MAGIC, index, &bytes, zero_from, |offset, payload| {
+                parse_payload(index, offset, payload)
+            })
+            .unwrap();
+            assert!(file.sealed, "segment {index} is not sealed");
+            for r in file.records {
+                let owned = (r.stream.to_owned(), r.client_id, r.seq, r.total, r.value_bytes.to_vec());
+                records.push(owned);
+            }
+        }
+        records
+    }
+
+    /// A summand at the edges of the format: within a factor of two of
+    /// ±2^191, below the 2^-192 resolution, ±0, or subnormal.
+    fn edge_summand(rng: &mut StdRng) -> f64 {
+        let sign = if rng.random_bool(0.5) { -1.0 } else { 1.0 };
+        let mantissa = rng.random_range(0..1u64 << 52);
+        match rng.random_range(0..4) {
+            0 => sign * f64::from_bits(2f64.powi(190).to_bits() + mantissa),
+            1 => sign * f64::from_bits(rng.random_range(1..830u64) << 52 | mantissa),
+            2 => sign * 0.0,
+            _ => sign * f64::from_bits(mantissa.max(1)),
+        }
+    }
+
+    #[test]
+    fn every_logged_total_is_the_listing1_fold_of_its_values() {
+        use crate::dispatch::{FrameOutcome, RequestCore, WalMode};
+        use crate::proto::{add_binary_bytes, parse_client_frame, Response, MAGIC_ADD_BIN};
+        use oisum_core::convert::encode_listing1;
+        use std::sync::Arc;
+        let listing1 = |bytes: &[u8]| {
+            bytes.as_chunks::<8>().0.iter().fold(ServiceHp::ZERO, |acc, &w| {
+                let x = f64::from_le_bytes(w);
+                acc.wrapping_add(&ServiceHp::from_limbs(encode_listing1::<6, 3>(x)))
+            })
+        };
+        // The four ways a record is written: the log's own blocking and
+        // submit calls, which fold the bytes themselves, and a server's
+        // blocking and submit dispatch, which log the total it deposited.
+        for (path, seed) in ["append", "submit", "block", "pending"].into_iter().zip(11u64..) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dir = temp_dir(&format!("totals-{path}"));
+            let config = WalConfig {
+                segment_bytes: 16 << 10,
+                fsync: FsyncPolicy::Never,
+                ..WalConfig::new(&dir)
+            };
+            let wal = Arc::new(Wal::open(config).unwrap());
+            let core = RequestCore::new(Arc::new(ShardedLedger::new(1))).with_wal(Arc::clone(&wal));
+            let mut written = Vec::new();
+            for seq in 1..=200u64 {
+                let stream = ["a", "bb", "ccc"][rng.random_range(0..3usize)];
+                let n = rng.random_range(0..40usize);
+                let values: Vec<f64> = (0..n).map(|_| edge_summand(&mut rng)).collect();
+                let bytes = le_bytes(&values);
+                let frame = add_binary_bytes(stream, 5, seq, &values).unwrap();
+                let view = || parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap();
+                match path {
+                    "append" => wal.append(stream, 5, seq, &bytes).unwrap(),
+                    "submit" => {
+                        wal.submit(stream, 5, seq, &bytes).unwrap();
+                        wal.flush().unwrap();
+                    }
+                    "block" => {
+                        let (reply, _) = core.handle_frame(view(), &mut 0);
+                        assert!(matches!(reply, Response::Added { .. }), "{reply:?}");
+                    }
+                    _ => {
+                        let outcome = core.handle_frame_with(view(), &mut 0, WalMode::Submit);
+                        assert!(matches!(outcome, FrameOutcome::WalPending { .. }), "{outcome:?}");
+                        wal.flush().unwrap();
+                    }
+                }
+                written.push((stream.to_owned(), seq, bytes));
+            }
+            wal.close().unwrap();
+            let logged = logged_records(&dir);
+            assert!(list_segments(&dir).unwrap().len() > 1, "{path}: the log never rotated");
+            assert_eq!(logged.len(), written.len(), "{path}");
+            for ((stream, client, seq, total, bytes), want) in logged.iter().zip(&written) {
+                assert_eq!((stream, *seq, bytes), (&want.0, want.1, &want.2), "{path}");
+                assert_eq!(*client, 5, "{path}");
+                assert_eq!(*total, listing1(bytes), "{path}: record {seq}'s total");
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_v1_log_is_refused_by_name_before_anything_applies() {
+        // A v1 segment as an older release wrote it: the header, then one
+        // record `client_id | seq | name len | name | values` with a
+        // valid checksum, and no total.
+        let dir = temp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&7u64.to_be_bytes());
+        payload.extend_from_slice(&1u64.to_be_bytes());
+        payload.extend_from_slice(&1u16.to_be_bytes());
+        payload.extend_from_slice(b"s");
+        payload.extend_from_slice(&le_bytes(&[1.5, -0.25]));
+        let mut segment = b"OISWALv1".to_vec();
+        segment.extend_from_slice(&0u64.to_be_bytes());
+        segment.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        segment.extend_from_slice(&payload);
+        segment.extend_from_slice(&fnv4(&payload).to_be_bytes());
+        fs::write(dir.join(crate::wal::segment_file_name(0)), &segment).unwrap();
+
+        let ledger = ShardedLedger::new(1);
+        ledger.add_batch_le_bytes_dedup("held", 0, 3, 1, &le_bytes(&[2.0]));
+        let before = ledger.snapshot();
+        let err = recover(&dir, &ledger).unwrap_err();
+        let WalError::BadHeader { segment: 0, detail } = &err else { panic!("{err:?}") };
+        assert!(detail.contains("v1 log written by an older release"), "{detail}");
+        assert_eq!(ledger.snapshot(), before, "the ledger changed");
+
+        let served = crate::serve(crate::ServerConfig {
+            wal: Some(WalConfig::new(&dir)),
+            ..Default::default()
+        });
+        let Err(e) = served else { panic!("a server started on a v1 log") };
+        assert!(e.to_string().contains("v1 log written by an older release"), "{e}");
+        // The refusal left the log as it was: no v2 segment was started.
+        assert_eq!(list_segments(&dir).unwrap().len(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -57,7 +57,8 @@ use std::iter;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-/// First 8 bytes of every snapshot file (a WAL segment's are `OISWALv1`).
+/// First 8 bytes of every snapshot file (a WAL segment's are `OISWALv2`,
+/// or `OISWALv1` from an older release).
 const SNAPSHOT_MAGIC: [u8; 8] = *b"OISSNPv1";
 
 /// Big-endian words after a record's name: overflows, batches, values

@@ -5,10 +5,10 @@
 //!
 //! Snapshots alone leave a loss window: every deposit between the last
 //! snapshot and a crash dies with the process. The WAL closes it for
-//! *tracked* batches — each `(client_id, seq, stream, raw LE f64
-//! payload)` is appended here and fsynced (per [`FsyncPolicy`]) before
-//! the client sees its ACK, so "ACKed ⇒ durable" holds across a kill at
-//! any instruction. Untracked batches (client id
+//! *tracked* batches — each `(client_id, seq, exact total, stream, raw
+//! LE f64 payload)` is appended here and fsynced (per [`FsyncPolicy`])
+//! before the client sees its ACK, so "ACKed ⇒ durable" holds across a
+//! kill at any instruction. Untracked batches (client id
 //! [`UNTRACKED_CLIENT`](crate::proto::UNTRACKED_CLIENT)) carry no retry
 //! identity, so their replay could never be made idempotent; they keep
 //! their PR-2 semantics — snapshot-only durability — and are not logged.
@@ -19,16 +19,26 @@
 //! `wal-<index:016x>.log`. Each segment is
 //!
 //! ```text
-//! [ 8B magic "OISWALv1" ][ 8B BE segment index ]      <- header
+//! [ 8B magic "OISWALv2" ][ 8B BE segment index ]      <- header
 //! [ 4B BE payload len ][ payload ][ 8B BE fnv4 ]      <- record, repeated
 //! [ 4B BE 0xFFFFFFFF ][ 8B BE records ][ 8B BE fnv ]  <- seal (rotated/closed segments)
 //! ```
 //!
-//! and a record payload is
+//! and a record payload ([`Record`]) is
 //!
 //! ```text
-//! [ 8B BE client_id ][ 8B BE seq ][ 2B BE name len ][ name ][ raw LE f64 bytes ]
+//! [ 8B BE client_id ][ 8B BE seq ][ 6 × 8B BE total limbs, most significant first ]
+//! [ 2B BE name len ][ name ][ raw LE f64 bytes ]
 //! ```
+//!
+//! The total is the exact `ServiceHp` sum of the record's values, the
+//! very one its deposit added to the ledger. HP addition is exact
+//! integer addition, so adding the logged totals in log order rebuilds
+//! the limbs, dedup windows and overflow counts that re-encoding every
+//! value would, and recovery never re-encodes a value. The values stay
+//! in the record: they are the batch itself, and what a log shipped to
+//! another node would carry. A `v1` segment (records without totals,
+//! written by an older release) is refused by name, never replayed.
 //!
 //! Every record carries its own length + checksum, and a finished
 //! segment is sealed by a footer checksum. Snapshots use the same
@@ -112,8 +122,11 @@
 //! before the group that needed the step is written, so that group is
 //! refused and absent from the file.
 
+use crate::ledger::{batch_total, SERVICE_LIMBS};
 use crate::segmap::SegmentMap;
 use crate::snapshot::sync_parent_dir;
+use crate::ServiceHp;
+use oisum_core::kernel::first_out_of_range_le;
 use oisum_core::{AtomicU64Like, StdSyncShim, SyncShimLike};
 use oisum_faults::FaultAction;
 use std::collections::VecDeque;
@@ -123,7 +136,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 /// First 8 bytes of every segment file.
-pub const WAL_MAGIC: [u8; 8] = *b"OISWALv1";
+pub const WAL_MAGIC: [u8; 8] = *b"OISWALv2";
+
+/// The magic of an older release's segments, whose records carry no
+/// total. Recovery refuses them by name.
+pub(crate) const WAL_MAGIC_V1: [u8; 8] = *b"OISWALv1";
 
 /// Segment header length: magic + big-endian segment index.
 pub const SEGMENT_HEADER_LEN: usize = 16;
@@ -138,13 +155,18 @@ pub const SEAL_LEN: usize = 20;
 /// Framing overhead per record: 4-byte length + 8-byte checksum.
 pub const RECORD_OVERHEAD: usize = 12;
 
-/// Fixed payload bytes before the stream name: client id + seq + name
-/// length.
-pub const RECORD_FIXED: usize = 18;
+/// Bytes of a record's exact total: six big-endian limbs.
+pub const RECORD_TOTAL_LEN: usize = 8 * SERVICE_LIMBS;
 
-/// Payload ceiling, matching the wire protocol's frame ceiling — a batch
-/// that fit in a frame always fits in a record.
-pub const MAX_RECORD_PAYLOAD: usize = 16 << 20;
+/// Fixed payload bytes before the stream name: client id + seq + total
+/// + name length.
+pub const RECORD_FIXED: usize = 16 + RECORD_TOTAL_LEN + 2;
+
+/// Payload ceiling: the wire protocol's frame ceiling plus the total. A
+/// binary Add's payload is `18 + name + 8·n` bytes and its record's
+/// `66 + name + 8·n`, so a batch that fit in a frame always fits in a
+/// record.
+pub const MAX_RECORD_PAYLOAD: usize = crate::proto::MAX_FRAME as usize + RECORD_TOTAL_LEN;
 
 /// Default segment rotation threshold.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 << 20;
@@ -233,6 +255,13 @@ pub enum WalError {
         /// Offending name length.
         len: usize,
     },
+    /// The value bytes cannot form a record's exact total: they are not
+    /// whole `f64`s, or one is a NaN, an infinity or a magnitude of
+    /// 2^191 or more. Nothing was logged.
+    BadBatch {
+        /// What was wrong.
+        detail: String,
+    },
     /// A segment file's header is not a valid WAL header, or its
     /// embedded index disagrees with its file name.
     BadHeader {
@@ -275,6 +304,7 @@ impl core::fmt::Display for WalError {
             WalError::StreamNameTooLong { len } => {
                 write!(f, "stream name of {len} bytes exceeds the u16 length prefix")
             }
+            WalError::BadBatch { detail } => write!(f, "batch refused: {detail}"),
             WalError::BadHeader { segment, detail } => {
                 write!(f, "wal segment {segment:016x}: bad header: {detail}")
             }
@@ -376,28 +406,87 @@ fn frame_record(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> Result<u
     Ok(sum)
 }
 
+/// One tracked batch as its WAL record holds it: the retry identity, the
+/// exact total its deposit added, the stream and the raw little-endian
+/// `f64` bytes. The writer frames one; recovery reads one back out of
+/// each verified record, borrowing the name and the values from the
+/// segment.
+#[derive(Debug, Clone, Copy)]
+pub struct Record<'a> {
+    /// Stream the batch was deposited into.
+    pub stream: &'a str,
+    /// Retry identity: the client.
+    pub client_id: u64,
+    /// Retry identity: the client's sequence number.
+    pub seq: u64,
+    /// The exact sum of the values, as the ledger deposited it.
+    pub total: ServiceHp,
+    /// Raw little-endian `f64` bytes.
+    pub value_bytes: &'a [u8],
+}
+
+impl<'a> Record<'a> {
+    /// The record of a batch, its total folded from `value_bytes`. Bytes
+    /// that are not whole `f64`s, or a value the sum format cannot hold
+    /// (a NaN, an infinity, or a magnitude of 2^191 or more), are refused
+    /// with [`WalError::BadBatch`]: they have no exact total.
+    pub fn fold(
+        stream: &'a str,
+        client_id: u64,
+        seq: u64,
+        value_bytes: &'a [u8],
+    ) -> Result<Record<'a>, WalError> {
+        if !value_bytes.len().is_multiple_of(8) {
+            let detail = format!("{} value bytes are not whole f64s", value_bytes.len());
+            return Err(WalError::BadBatch { detail });
+        }
+        if let Some(i) = first_out_of_range_le::<SERVICE_LIMBS, 3>(value_bytes) {
+            let detail = format!("value {i} is not finite or not below 2^191 in magnitude");
+            return Err(WalError::BadBatch { detail });
+        }
+        Ok(Record { stream, client_id, seq, total: batch_total(value_bytes), value_bytes })
+    }
+
+    /// The payload's length, or the refusal of a record the format
+    /// cannot frame.
+    fn payload_len(&self) -> Result<usize, WalError> {
+        if self.stream.len() > u16::MAX as usize {
+            return Err(WalError::StreamNameTooLong { len: self.stream.len() });
+        }
+        let len = RECORD_FIXED + self.stream.len() + self.value_bytes.len();
+        if len > MAX_RECORD_PAYLOAD {
+            return Err(WalError::RecordTooLarge { len });
+        }
+        Ok(len)
+    }
+
+    /// Frames the record into `dst`, which must be exactly
+    /// `RECORD_OVERHEAD + payload_len` bytes long: `len | payload |
+    /// fnv4(payload)`. Returns the stored checksum.
+    fn frame_into(&self, dst: &mut [u8]) -> u64 {
+        let (len, rest) = dst.split_at_mut(4);
+        let (payload, check) = rest.split_at_mut(rest.len() - 8);
+        len.copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        let (fixed, rest) = payload.split_at_mut(RECORD_FIXED);
+        let (name, values) = rest.split_at_mut(self.stream.len());
+        let words = self.total.as_limbs().iter().copied();
+        let words = [self.client_id, self.seq].into_iter().chain(words);
+        for (dst, word) in fixed.chunks_exact_mut(8).zip(words) {
+            dst.copy_from_slice(&word.to_be_bytes());
+        }
+        fixed[RECORD_FIXED - 2..].copy_from_slice(&(self.stream.len() as u16).to_be_bytes());
+        name.copy_from_slice(self.stream.as_bytes());
+        values.copy_from_slice(self.value_bytes);
+        let sum = fnv4(payload);
+        check.copy_from_slice(&sum.to_be_bytes());
+        sum
+    }
+}
+
 /// Encodes one framed record: `len | payload | fnv4(payload)`.
-pub fn encode_record(
-    stream: &str,
-    client_id: u64,
-    seq: u64,
-    value_bytes: &[u8],
-) -> Result<Vec<u8>, WalError> {
-    if stream.len() > u16::MAX as usize {
-        return Err(WalError::StreamNameTooLong { len: stream.len() });
-    }
-    let payload_len = RECORD_FIXED + stream.len() + value_bytes.len();
-    if payload_len > MAX_RECORD_PAYLOAD {
-        return Err(WalError::RecordTooLarge { len: payload_len });
-    }
-    let mut rec = Vec::with_capacity(RECORD_OVERHEAD + payload_len);
-    frame_record(&mut rec, |payload| {
-        payload.extend_from_slice(&client_id.to_be_bytes());
-        payload.extend_from_slice(&seq.to_be_bytes());
-        payload.extend_from_slice(&(stream.len() as u16).to_be_bytes());
-        payload.extend_from_slice(stream.as_bytes());
-        payload.extend_from_slice(value_bytes);
-    })?;
+pub fn encode_record(record: &Record<'_>) -> Result<Vec<u8>, WalError> {
+    let mut rec = vec![0u8; RECORD_OVERHEAD + record.payload_len()?];
+    record.frame_into(&mut rec);
     Ok(rec)
 }
 
@@ -535,14 +624,7 @@ struct CommitQueue {
 pub trait SegmentSink: Send + 'static {
     /// Frames and commits a single record — the inline fast path for a
     /// group of one. `fsync` follows the policy.
-    fn commit_one(
-        &mut self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-        fsync: bool,
-    ) -> Result<(), WalError>;
+    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError>;
     /// Makes room for `incoming` more bytes (rotating early if the
     /// current segment cannot hold them).
     fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError>;
@@ -576,15 +658,8 @@ pub struct MemSink {
 }
 
 impl SegmentSink for MemSink {
-    fn commit_one(
-        &mut self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-        fsync: bool,
-    ) -> Result<(), WalError> {
-        let rec = encode_record(stream, client_id, seq, value_bytes)?;
+    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
+        let rec = encode_record(record)?;
         self.bytes.extend_from_slice(&rec);
         self.records += 1;
         if fsync {
@@ -724,17 +799,11 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// commit is in flight; the record joins the queue, and the next
     /// holder of the lock commits it together with everything else
     /// queued behind that commit, under one fsync.
-    pub fn append(
-        &self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<(), WalError> {
+    pub fn append(&self, record: &Record<'_>) -> Result<(), WalError> {
         if let Some(mut seg) = S::try_lock(&self.segment) {
-            return self.append_won(&mut seg, stream, client_id, seq, value_bytes);
+            return self.append_won(&mut seg, record);
         }
-        self.append_contended(stream, client_id, seq, value_bytes)
+        self.append_contended(record)
     }
 
     /// Inline append holding the segment lock. With an empty queue the
@@ -743,24 +812,11 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// would advance the dense watermark out of ticket order, so the
     /// record joins the queue and the whole lot drains as one group.
     // lint:holds(segment)
-    fn append_won(
-        &self,
-        seg: &mut Option<G>,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<(), WalError> {
+    fn append_won(&self, seg: &mut Option<G>, record: &Record<'_>) -> Result<(), WalError> {
         // Validation first: a ticket, once issued, must eventually be
         // covered by `committed` (the watermark is dense), so nothing
         // refusable may happen between ticket issue and commit.
-        if stream.len() > u16::MAX as usize {
-            return Err(WalError::StreamNameTooLong { len: stream.len() });
-        }
-        let payload_len = RECORD_FIXED + stream.len() + value_bytes.len();
-        if payload_len > MAX_RECORD_PAYLOAD {
-            return Err(WalError::RecordTooLarge { len: payload_len });
-        }
+        record.payload_len()?;
         let mut s = self.lock();
         if let Some(detail) = &s.crashed {
             return Err(WalError::Crashed(detail.clone()));
@@ -770,7 +826,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         }
         let Some(segment) = seg.as_mut() else { return Err(WalError::Closed) };
         if !s.queue.is_empty() {
-            let rec = encode_record(stream, client_id, seq, value_bytes)?;
+            let rec = encode_record(record)?;
             s.queue.push_back(rec);
             s.submitted += 1;
             let ticket = s.submitted;
@@ -783,7 +839,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         debug_assert_eq!(s.committed + 1, ticket, "empty queue means all prior tickets committed");
         drop(s);
         let result = segment
-            .commit_one(stream, client_id, seq, value_bytes, self.fsync == FsyncPolicy::Group)
+            .commit_one(record, self.fsync == FsyncPolicy::Group)
             .and_then(|()| segment.rotate_if_full());
         // ORDERING: Relaxed — monotonic GC boundary, as in commit_locked.
         self.active.store(segment.index(), Ordering::Relaxed);
@@ -814,14 +870,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// waited out carried our record (the mark covers our ticket) or
     /// the record is still queued and we commit the whole queue
     /// ourselves.
-    fn append_contended(
-        &self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<(), WalError> {
-        let (ticket, _) = self.enqueue(encode_record(stream, client_id, seq, value_bytes)?)?;
+    fn append_contended(&self, record: &Record<'_>) -> Result<(), WalError> {
+        let (ticket, _) = self.enqueue(encode_record(record)?)?;
         let mut seg = S::lock(&self.segment);
         // ORDERING: Acquire — pairs with the Release publishes, which
         // run under the segment lock we now hold: a mark covering our
@@ -879,14 +929,8 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// and the `commit_next` caller would not learn of it until the
     /// next empty→1 submit. The servers keep to this — the threaded
     /// transport only appends, the reactor only submits.
-    pub fn submit(
-        &self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-    ) -> Result<u64, WalError> {
-        let (ticket, first) = self.enqueue(encode_record(stream, client_id, seq, value_bytes)?)?;
+    pub fn submit(&self, record: &Record<'_>) -> Result<u64, WalError> {
+        let (ticket, first) = self.enqueue(encode_record(record)?)?;
         if first {
             S::notify_one(&self.work);
         }
@@ -1109,7 +1153,10 @@ impl Wal {
 
     /// Appends one tracked batch and blocks until its group commits
     /// (written and, per policy, fsynced). `Ok(())` is the license to
-    /// ACK; any `Err` means the batch must be refused.
+    /// ACK; any `Err` means the batch must be refused. The record's total
+    /// is folded from `value_bytes` here ([`Record::fold`], which refuses
+    /// bytes that have none); a caller that already holds the total
+    /// appends through [`append_record`](Wal::append_record).
     pub fn append(
         &self,
         stream: &str,
@@ -1117,7 +1164,14 @@ impl Wal {
         seq: u64,
         value_bytes: &[u8],
     ) -> Result<(), WalError> {
-        self.shared.append(stream, client_id, seq, value_bytes)
+        self.append_record(&Record::fold(stream, client_id, seq, value_bytes)?)
+    }
+
+    /// [`append`](Wal::append) of a record whose total the caller
+    /// folded: the serving path's, which folds each Add once for both
+    /// the ledger and the log.
+    pub fn append_record(&self, record: &Record<'_>) -> Result<(), WalError> {
+        self.shared.append(record)
     }
 
     /// Enqueues one tracked batch without committing it, returning its
@@ -1125,7 +1179,8 @@ impl Wal {
     /// [`commit_mark`](Wal::commit_mark) reaches the ticket. See
     /// [`Shared::submit`] — this is the epoll reactor's append path,
     /// where a connection (not a thread) parks on the ticket, and a log
-    /// takes either submits or blocking appends, not both.
+    /// takes either submits or blocking appends, not both. The total is
+    /// folded here, as in [`append`](Wal::append).
     pub fn submit(
         &self,
         stream: &str,
@@ -1133,7 +1188,12 @@ impl Wal {
         seq: u64,
         value_bytes: &[u8],
     ) -> Result<u64, WalError> {
-        self.shared.submit(stream, client_id, seq, value_bytes)
+        self.submit_record(&Record::fold(stream, client_id, seq, value_bytes)?)
+    }
+
+    /// [`submit`](Wal::submit) of a record whose total the caller folded.
+    pub fn submit_record(&self, record: &Record<'_>) -> Result<u64, WalError> {
+        self.shared.submit(record)
     }
 
     /// The durable watermark: every ticket `<=` this value has been
@@ -1361,57 +1421,33 @@ impl ActiveSegment {
     /// [`ActiveSegment::commit_group`] instead, because the seams tear
     /// and corrupt the *framed* bytes, which the zero-copy path never
     /// materializes.
-    fn commit_one(
-        &mut self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-        fsync: bool,
-    ) -> Result<(), WalError> {
-        if stream.len() > u16::MAX as usize {
-            return Err(WalError::StreamNameTooLong { len: stream.len() });
-        }
-        let payload_len = RECORD_FIXED + stream.len() + value_bytes.len();
-        if payload_len > MAX_RECORD_PAYLOAD {
-            return Err(WalError::RecordTooLarge { len: payload_len });
-        }
-        let framed = RECORD_OVERHEAD + payload_len;
+    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
+        let framed = RECORD_OVERHEAD + record.payload_len()?;
         self.ensure_group_fits(framed)?;
         if cfg!(feature = "failpoints") {
             // Route through the seam-bearing group path so the chaos
             // suite's torn/corrupt injections cover inline commits too.
-            let mut buf = encode_record(stream, client_id, seq, value_bytes)?;
+            let mut buf = encode_record(record)?;
             return self.commit_group(&mut buf, 1, fsync);
         }
-        {
-            let start = self.bytes as usize;
-            match &mut self.map {
-                Some(map) => {
-                    let dst = &mut map.bytes_mut()[start..start + framed];
-                    dst[..4].copy_from_slice(&(payload_len as u32).to_be_bytes());
-                    dst[4..12].copy_from_slice(&client_id.to_be_bytes());
-                    dst[12..20].copy_from_slice(&seq.to_be_bytes());
-                    dst[20..22].copy_from_slice(&(stream.len() as u16).to_be_bytes());
-                    dst[22..22 + stream.len()].copy_from_slice(stream.as_bytes());
-                    dst[22 + stream.len()..4 + payload_len].copy_from_slice(value_bytes);
-                    let sum = fnv4(&dst[4..4 + payload_len]);
-                    dst[4 + payload_len..].copy_from_slice(&sum.to_be_bytes());
-                    self.fnv = fnv_wide_update(self.fnv, &sum.to_be_bytes());
-                }
-                None => {
-                    let rec = encode_record(stream, client_id, seq, value_bytes)?;
-                    self.file.write_all(&rec)?;
-                    self.fnv = fnv_wide_update(self.fnv, &rec[rec.len() - 8..]);
-                }
+        let start = self.bytes as usize;
+        match &mut self.map {
+            Some(map) => {
+                let sum = record.frame_into(&mut map.bytes_mut()[start..start + framed]);
+                self.fnv = fnv_wide_update(self.fnv, &sum.to_be_bytes());
             }
-            self.bytes += framed as u64;
-            self.records += 1;
-            if fsync {
-                self.file.sync_data()?;
+            None => {
+                let rec = encode_record(record)?;
+                self.file.write_all(&rec)?;
+                self.fnv = fnv_wide_update(self.fnv, &rec[rec.len() - 8..]);
             }
-            Ok(())
         }
+        self.bytes += framed as u64;
+        self.records += 1;
+        if fsync {
+            self.file.sync_data()?;
+        }
+        Ok(())
     }
 
     /// Writes one concatenated group of `count` records and, when the
@@ -1500,15 +1536,8 @@ impl ActiveSegment {
 /// The production sink: the inherent methods above, exposed through the
 /// protocol's storage seam.
 impl SegmentSink for ActiveSegment {
-    fn commit_one(
-        &mut self,
-        stream: &str,
-        client_id: u64,
-        seq: u64,
-        value_bytes: &[u8],
-        fsync: bool,
-    ) -> Result<(), WalError> {
-        ActiveSegment::commit_one(self, stream, client_id, seq, value_bytes, fsync)
+    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
+        ActiveSegment::commit_one(self, record, fsync)
     }
 
     fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
@@ -1632,29 +1661,77 @@ mod tests {
 
     #[test]
     fn record_encoding_is_length_checksum_framed() {
-        let rec = encode_record("s", 7, 3, &le_bytes(&[1.5, -2.0])).unwrap();
+        let values = le_bytes(&[1.5, -2.0]);
+        let record = Record::fold("s", 7, 3, &values).unwrap();
+        assert_eq!(record.total, ServiceHp::sum_f64_slice(&[1.5, -2.0]));
+        let rec = encode_record(&record).unwrap();
         let payload_len = u32::from_be_bytes(rec[..4].try_into().unwrap()) as usize;
         assert_eq!(payload_len, RECORD_FIXED + 1 + 16);
         assert_eq!(rec.len(), 4 + payload_len + 8);
         let payload = &rec[4..4 + payload_len];
-        assert_eq!(u64::from_be_bytes(payload[..8].try_into().unwrap()), 7);
-        assert_eq!(u64::from_be_bytes(payload[8..16].try_into().unwrap()), 3);
+        let words: Vec<u64> = payload[..64]
+            .chunks_exact(8)
+            .map(|w| u64::from_be_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words[..2], [7, 3]);
+        assert_eq!(words[2..], record.total.as_limbs()[..]);
+        assert_eq!(payload[64..67], [0, 1, b's']);
+        assert_eq!(payload[67..], values[..]);
         let sum = u64::from_be_bytes(rec[4 + payload_len..].try_into().unwrap());
         assert_eq!(sum, fnv4(payload));
     }
 
     #[test]
     fn oversized_names_and_payloads_are_refused() {
+        let record = |stream, value_bytes| Record {
+            stream,
+            client_id: 1,
+            seq: 1,
+            total: ServiceHp::ZERO,
+            value_bytes,
+        };
         let long = "x".repeat(u16::MAX as usize + 1);
         assert!(matches!(
-            encode_record(&long, 1, 1, &[]),
+            encode_record(&record(&long, &[])),
             Err(WalError::StreamNameTooLong { .. })
         ));
         let huge = vec![0u8; MAX_RECORD_PAYLOAD];
         assert!(matches!(
-            encode_record("s", 1, 1, &huge),
+            encode_record(&record("s", &huge)),
             Err(WalError::RecordTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn batches_without_an_exact_total_are_refused_and_not_logged() {
+        let dir = temp_dir("bad-batch");
+        let wal = Wal::open(WalConfig::new(&dir)).unwrap();
+        let two191 = 2f64.powi(191);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, two191, -two191, 1e300] {
+            let bytes = le_bytes(&[0.5, -1.0, bad]);
+            for submit in [false, true] {
+                let refused = if submit {
+                    wal.submit("s", 1, 1, &bytes).map(drop)
+                } else {
+                    wal.append("s", 1, 1, &bytes)
+                };
+                match refused {
+                    Err(WalError::BadBatch { detail }) => {
+                        assert!(detail.contains("value 2 "), "{bad:?}: {detail}")
+                    }
+                    other => panic!("{bad:?} submit={submit}: {other:?}"),
+                }
+            }
+        }
+        let ragged = wal.append("s", 1, 1, &[0u8; 12]);
+        assert!(matches!(ragged, Err(WalError::BadBatch { .. })), "{ragged:?}");
+        wal.flush().unwrap();
+        assert_eq!(wal.group_stats(), (0, 0), "a refused batch was logged");
+        let edge = f64::from_bits(two191.to_bits() - 1);
+        wal.append("s", 1, 1, &le_bytes(&[edge, -edge, 5e-324])).unwrap();
+        wal.close().unwrap();
+        assert_recovers(&dir, &[edge, -edge, 5e-324], 1);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1741,7 +1818,8 @@ mod tests {
                 let tx = tx.clone();
                 std::thread::spawn(move || {
                     for seq in 1..=APPENDS {
-                        let ack = shared.append("s", client, seq, &le_bytes(&[seq as f64]));
+                        let bytes = le_bytes(&[seq as f64]);
+                        let ack = shared.append(&Record::fold("s", client, seq, &bytes).unwrap());
                         let _ = tx.send((client, seq, ack));
                     }
                 })

@@ -91,10 +91,22 @@ proptest! {
     }
 }
 
+/// Spins until `flag` is set.
+fn wait_for(flag: &AtomicBool) {
+    // ORDERING: Relaxed — a progress flag; the data it reports on is
+    // read under the ledger's locks, and the scope's join orders the
+    // rest.
+    while !flag.load(Ordering::Relaxed) {
+        std::thread::yield_now();
+    }
+}
+
 /// One thread alternates deposits of −2^-192 and +2^-192, so the stream
 /// only ever holds 0 or −2^-192. Every `Sum` read meanwhile must be one
 /// of the two: a read torn across limbs between an all-ones and an
-/// all-zeros state is neither.
+/// all-zeros state is neither. The writer holds its last deposit until
+/// a read has been counted, so at least one read overlaps the deposits
+/// however the threads are scheduled.
 #[test]
 fn concurrent_sums_read_only_states_the_stream_held() {
     const PAIRS: usize = 20_000;
@@ -102,12 +114,15 @@ fn concurrent_sums_read_only_states_the_stream_held() {
     let (down, up) = ([-tick], [tick]);
     let low = ServiceHp::from_f64(-tick).unwrap();
     let ledger = ShardedLedger::new(1);
-    let writing = AtomicBool::new(true);
+    let (writing, read) = (AtomicBool::new(true), AtomicBool::new(false));
     let (mut reads, mut torn) = (0u64, 0u64);
     std::thread::scope(|s| {
         s.spawn(|| {
-            for _ in 0..PAIRS {
+            for pair in 0..PAIRS {
                 add(&ledger, 0, &down);
+                if pair == PAIRS - 1 {
+                    wait_for(&read);
+                }
                 add(&ledger, 0, &up);
             }
             // ORDERING: Relaxed — a stop flag; the scope's join orders
@@ -119,6 +134,8 @@ fn concurrent_sums_read_only_states_the_stream_held() {
             if let Some(sum) = ledger.sum("s") {
                 reads += 1;
                 torn += u64::from(!sum.is_zero() && sum != low);
+                // ORDERING: Relaxed — see `wait_for`.
+                read.store(true, Ordering::Relaxed);
             }
         }
     });
@@ -142,20 +159,24 @@ fn is_a_cut(state: &StreamState) -> bool {
 /// threads take `snapshot()`, `stream_state` and `stats()`. A capture
 /// whose window ran ahead of its sum would, as a checkpoint, make WAL
 /// replay skip ACKed batches after a crash; every capture must be a
-/// cut.
+/// cut. Each client holds its last add until a capture has been
+/// counted, so at least one capture overlaps the adds.
 #[test]
 fn every_capture_is_a_cut() {
     const CLIENTS: u64 = 4;
     const SEQS: u64 = 16_000;
     let ledger = ShardedLedger::new(8);
-    let adding = AtomicBool::new(true);
+    let (adding, captured) = (AtomicBool::new(true), AtomicBool::new(false));
     let (mut captures, mut broken) = (0u64, Vec::new());
     std::thread::scope(|s| {
         let adders: Vec<_> = (1..=CLIENTS)
             .map(|client| {
-                let ledger = &ledger;
+                let (ledger, captured) = (&ledger, &captured);
                 s.spawn(move || {
                     for seq in 1..=SEQS {
+                        if seq == SEQS {
+                            wait_for(captured);
+                        }
                         let (n, applied) =
                             ledger.add_batch_le_bytes_dedup("s", 0, client, seq, &le_bytes(&[1.0]));
                         assert_eq!((n, applied), (1, true));
@@ -165,12 +186,16 @@ fn every_capture_is_a_cut() {
             .collect();
         let readers: Vec<_> = (0..3)
             .map(|kind| {
-                let (ledger, adding) = (&ledger, &adding);
+                let (ledger, adding, captured) = (&ledger, &adding, &captured);
                 s.spawn(move || {
                     let (mut captures, mut broken) = (0u64, Vec::new());
                     // ORDERING: Relaxed — a stop flag; the joins order
                     // everything read after them.
                     while adding.load(Ordering::Relaxed) {
+                        if captures > 0 {
+                            // ORDERING: Relaxed — see `wait_for`.
+                            captured.store(true, Ordering::Relaxed);
+                        }
                         let states = match kind {
                             0 => ledger.snapshot(),
                             1 => ledger.stream_state("s").into_iter().collect(),
