@@ -2,10 +2,10 @@
 //! extended to `Mutex`/`Condvar`.
 //!
 //! The WAL's group-commit protocol (`oisum-service::wal`) is a blocking
-//! algorithm: a ticketed queue under a mutex, two condvars, and a
-//! leader-elected inline commit behind a `try_lock`. Its correctness
-//! argument — the dense committed watermark, the counted-waiter wakeup
-//! skip, the `segment`-before-`state` lock order — quantifies over
+//! algorithm: a ticketed queue under one mutex, every commit under a
+//! second, and a condvar the reactor's commit pump waits on. Its
+//! correctness argument — the dense committed watermark, the empty→1
+//! wakeup skip, the `segment`-before-`state` lock order — quantifies over
 //! *schedules*, exactly like the atomic accumulator's order-invariance
 //! argument. [`AtomicU64Like`] let `oisum-loom-lite` exhaustively
 //! explore the real accumulator code; this trait does the same for the
@@ -29,7 +29,7 @@ use crate::atomic::AtomicU64Like;
 use core::ops::DerefMut;
 use core::time::Duration;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// The blocking primitives a protocol needs, abstracted so the same
 /// code runs on `std::sync` in production and on model-checked virtual
@@ -59,8 +59,6 @@ pub trait SyncShimLike: 'static {
     fn mutex<T: Send + 'static>(label: &'static str, value: T) -> Self::Mutex<T>;
     /// Blocking acquire.
     fn lock<'a, T: Send + 'static>(m: &'a Self::Mutex<T>) -> Self::Guard<'a, T>;
-    /// Non-blocking acquire; `None` when contended.
-    fn try_lock<'a, T: Send + 'static>(m: &'a Self::Mutex<T>) -> Option<Self::Guard<'a, T>>;
     /// A new condition variable named `label`.
     fn condvar(label: &'static str) -> Self::Condvar;
     /// Releases the guard, parks until notified, reacquires. Spurious
@@ -111,15 +109,6 @@ impl SyncShimLike for StdSyncShim {
     #[inline]
     fn lock<'a, T: Send + 'static>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
         m.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[inline]
-    fn try_lock<'a, T: Send + 'static>(m: &'a Mutex<T>) -> Option<MutexGuard<'a, T>> {
-        match m.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
     }
 
     #[inline]
@@ -195,15 +184,6 @@ mod tests {
         };
         assert_eq!(take(&cell), 42);
         producer.join().unwrap();
-    }
-
-    #[test]
-    fn std_try_lock_contends() {
-        let m = StdSyncShim::mutex("m", 7u32);
-        let g = StdSyncShim::lock(&m);
-        assert!(StdSyncShim::try_lock(&m).is_none());
-        drop(g);
-        assert_eq!(*StdSyncShim::try_lock(&m).unwrap(), 7);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub enum RuleId {
     /// (`crates/service/src/`): no clocks or entropy inside `wal.rs` /
     /// `recovery.rs` (recovery and group-commit decisions must replay
     /// bit-for-bit), every fsync in `wal.rs` lives inside the
-    /// committer's `commit*`/`seal*` functions (one place owns the
+    /// segment's `commit_group` or `seal` (one place owns the
     /// durability edge), every `wal.rs` or `snapshot.rs` function that
     /// creates or renames a file or a directory also calls
     /// `sync_parent_dir(` (a new name is durable only once its directory
@@ -814,9 +814,10 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
     }
 
     // --- wal-durability: fsync placement (needs fn tracking) ---
-    // Every fsync in the log module must sit inside the committer's
-    // `commit*` / `seal*` functions: one audited place owns the edge
-    // where an ACK becomes justified. An fsync anywhere else means some
+    // Every fsync in the log module must sit inside `commit_group` or
+    // `seal`, the two functions every record and every footer reach the
+    // file through: one audited place owns the edge where an ACK
+    // becomes justified. An fsync anywhere else means some
     // other code path believes it can make bytes durable — which is how
     // "committed" quietly stops meaning one thing.
     if in_scope(RuleId::WalDurability, path, kind) && path.ends_with("wal.rs") {
@@ -830,16 +831,13 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
             }
             let sq = &squished[idx];
             if sq.contains("sync_all(") || sq.contains("sync_data(") {
-                let owned = current_fn
-                    .as_deref()
-                    .is_some_and(|f| f.starts_with("commit") || f.starts_with("seal"));
+                let owned = matches!(current_fn.as_deref(), Some("commit_group" | "seal"));
                 if !owned {
                     push(
                         idx,
                         RuleId::WalDurability,
-                        "fsync outside the committer's `commit*`/`seal*` functions; the \
-                         group committer is the only place an ACK's durability may be \
-                         established"
+                        "fsync outside `commit_group` and `seal`; the group commit is the \
+                         only place an ACK's durability may be established"
                             .into(),
                         &lines,
                     );

@@ -595,6 +595,17 @@ fn wal_durability_flags_fsync_outside_the_committer() {
 }
 
 #[test]
+fn wal_durability_flags_fsync_in_a_second_commit_fn() {
+    // A commit path beside `commit_group`: its fsync is a durability
+    // edge the crash seams and the model do not see.
+    let src = "fn commit_one(file: &std::fs::File) {\n    file.sync_data().ok();\n}\nfn commit_locked(file: &std::fs::File) {\n    file.sync_all().ok();\n}\nfn sealed(file: &std::fs::File) {\n    file.sync_all().ok();\n}\n";
+    assert_eq!(
+        fire_lines(RuleId::WalDurability, "crates/service/src/wal.rs", FileKind::Prod, src),
+        vec![2, 5, 8]
+    );
+}
+
+#[test]
 fn wal_durability_accepts_fsync_in_commit_and_seal_fns() {
     let src = "fn commit_group(file: &std::fs::File) {\n    file.sync_data().ok();\n}\nfn seal(file: &std::fs::File) {\n    file.sync_all().ok();\n}\n";
     assert!(fire_lines(RuleId::WalDurability, "crates/service/src/wal.rs", FileKind::Prod, src)

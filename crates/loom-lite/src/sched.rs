@@ -169,18 +169,6 @@ impl Scheduler {
         }
     }
 
-    /// Non-blocking acquire; true when the lock was free and is now
-    /// owned by `tid`. Always a scheduling point.
-    pub(crate) fn mutex_try_lock(&self, tid: usize, meta: &LockMeta) -> bool {
-        self.yield_point(tid);
-        let mut st = self.lock_state();
-        if st.owners.contains_key(&meta.id) {
-            return false;
-        }
-        self.acquire_locked(&mut st, tid, meta);
-        true
-    }
-
     /// Release by the owner. Not a scheduling point (an unlock is one
     /// atomic op whose aftermath other threads can only observe at
     /// *their* next scheduling point); contenders become runnable.

@@ -115,28 +115,6 @@ impl<T: Send + 'static> ModelMutex<T> {
         }
     }
 
-    /// Non-blocking acquire; a scheduling point. `None` when another
-    /// model thread owns the lock at this point in the schedule.
-    pub fn try_lock(&self) -> Option<ModelMutexGuard<'_, T>> {
-        let ctx = current_ctx();
-        if let Some((sched, tid)) = &ctx {
-            if !sched.mutex_try_lock(*tid, &self.meta) {
-                return None;
-            }
-            let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            return Some(ModelMutexGuard {
-                mutex: self,
-                inner: Some(inner),
-                ctx,
-            });
-        }
-        self.inner.try_lock().ok().map(|inner| ModelMutexGuard {
-            mutex: self,
-            inner: Some(inner),
-            ctx: None,
-        })
-    }
-
     /// The wrapped value, consuming the mutex (post-exploration
     /// observation).
     pub fn into_inner(self) -> T {
@@ -289,10 +267,6 @@ impl oisum_core::SyncShimLike for ModelSyncShim {
 
     fn lock<'a, T: Send + 'static>(m: &'a ModelMutex<T>) -> ModelMutexGuard<'a, T> {
         m.lock()
-    }
-
-    fn try_lock<'a, T: Send + 'static>(m: &'a ModelMutex<T>) -> Option<ModelMutexGuard<'a, T>> {
-        m.try_lock()
     }
 
     fn condvar(label: &'static str) -> ModelCondvar {

@@ -3,13 +3,14 @@
 //!
 //! `oisum_service::wal::Shared` is generic over
 //! [`oisum_core::SyncShimLike`] and a storage sink, so the exact
-//! production code paths — `append`'s inline fast path, its contended
-//! path (queue the record, block on the segment lock, then commit the
-//! queue unless the mark already covers the ticket), `submit` and the
-//! `commit_next` pump the epoll reactor runs, and `close` — run here
-//! against model primitives, with every lock, wait, notify, and atomic
-//! a scheduling point. Each scenario asserts, in every explored
-//! schedule:
+//! production code paths — `append` (frame the record onto the queue,
+//! block on the segment lock, then commit the queue unless the mark
+//! already covers the ticket; a lone appender commits a group of its
+//! own record the same way), `submit` and the `commit_next` pump the
+//! epoll reactor runs, and `close` — run here against model
+//! primitives, with every lock, wait, notify, and atomic a scheduling
+//! point. Every path writes through the sink's one `commit_group`.
+//! Each scenario asserts, in every explored schedule:
 //!
 //! * **no verdicts** — no deadlock, no lost wakeup, no lock-order
 //!   inversion (the `segment < state` order is declared to the
@@ -27,10 +28,9 @@
 //!   `close` is refused, and the sink holds exactly the accepted
 //!   records.
 //!
-//! Two seeded bugs must fail here: a contended appender that returns
-//! once it holds the segment lock without committing (an ACK that is
-//! not durable), and a `submit` that never wakes the pump (a lost
-//! wakeup).
+//! Two seeded bugs must fail here: an appender that returns once it
+//! holds the segment lock without committing (an ACK that is not
+//! durable), and a `submit` that never wakes the pump (a lost wakeup).
 
 use oisum_loom_lite::{declare_lock_order, Model, ModelSyncShim, Report, ThreadBody};
 use oisum_service::wal::{FsyncPolicy, MemSink, Record, SegmentSink, Shared, WalError, LOCK_ORDER};
@@ -51,21 +51,10 @@ impl SharedSink {
 }
 
 impl SegmentSink for SharedSink {
-    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
-        let mut m = self.mem();
-        assert!(!m.sealed, "record committed after the seal");
-        m.commit_one(record, fsync)
-    }
-    fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
-        self.mem().ensure_group_fits(incoming)
-    }
     fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError> {
         let mut m = self.mem();
         assert!(!m.sealed, "group committed after the seal");
         m.commit_group(buf, count, fsync)
-    }
-    fn rotate_if_full(&mut self) -> Result<(), WalError> {
-        self.mem().rotate_if_full()
     }
     fn seal(&mut self) -> Result<(), WalError> {
         let mut m = self.mem();
@@ -226,10 +215,10 @@ fn wal_group_single_appender_races_close() {
     assert_eq!(outcomes, [(0, 0, 0), (1, 1, 1)]);
 }
 
-/// Two appenders racing `close` under `group`: the loser of the
-/// segment `try_lock` takes the contended path — queue, block on the
-/// segment lock, commit the queue unless the winner's group carried
-/// its record — while `close` may win at any point.
+/// Two appenders racing `close` under `group`: each queues its record
+/// and blocks on the segment lock, and the second to take it finds its
+/// record committed by the first's group or commits the queue itself —
+/// while `close` may win at any point.
 #[test]
 fn wal_group_two_appenders_race_close() {
     let report = explore(

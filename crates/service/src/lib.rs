@@ -76,8 +76,9 @@ pub mod reactor;
 pub mod recovery;
 // A carve-out from `deny(unsafe_code)`: the raw mmap/munmap/fallocate/
 // madvise syscalls backing mapped WAL segments, each with a SAFETY
-// argument at the call site. (The other carve-out is `reactor::sys`, the epoll
-// shim, declared inside `reactor`.)
+// argument at the call site, and `segmap::syscall6`, the tree's one
+// raw-syscall wrapper. (The other carve-out is `reactor::sys`, the epoll
+// shim, declared inside `reactor`, which calls that same wrapper.)
 #[allow(unsafe_code)]
 pub(crate) mod segmap;
 pub mod server;

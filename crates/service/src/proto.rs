@@ -4,7 +4,7 @@
 //! <payload>`. A batch of summands travels one way only: the version
 //! `0x02` **binary Add** frame — a length-prefixed stream name, the
 //! retry identity, then raw little-endian `f64` summands, no JSON
-//! anywhere (see [`write_add_binary`]). Version `0x01` payloads are
+//! anywhere (see [`add_binary_bytes`]). Version `0x01` payloads are
 //! JSON-encoded [`Request`]s — every control op (sum, cluster sum,
 //! snapshot, reset, stats, shutdown), never an Add — and every
 //! [`Response`], the binary Add's `Added` ACK included (replies are tiny;
@@ -656,18 +656,6 @@ pub fn le_bytes(values: &[f64]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
-/// Writes one binary Add frame; see [`add_binary_bytes`] for the layout.
-pub fn write_add_binary<W: Write>(
-    w: &mut W,
-    stream: &str,
-    client_id: u64,
-    seq: u64,
-    values: &[f64],
-) -> io::Result<()> {
-    w.write_all(&add_binary_bytes(stream, client_id, seq, values)?)?;
-    w.flush()
-}
-
 /// A binary Add frame parsed *in place*: the stream name and value bytes
 /// borrow the frame payload, so the server's hot path hands the summands
 /// straight from its read buffer to the ledger without materializing a
@@ -1185,8 +1173,7 @@ mod tests {
             0.1 + 0.2,
             -1.5e-300,
         ];
-        let mut wire = Vec::new();
-        write_add_binary(&mut wire, "stream/α", 0xDEAD_BEEF_0BAD_F00D, 41, &values).unwrap();
+        let wire = add_binary_bytes("stream/α", 0xDEAD_BEEF_0BAD_F00D, 41, &values).unwrap();
         let mut buf = Vec::new();
         let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap()
         else {
@@ -1201,8 +1188,7 @@ mod tests {
 
     #[test]
     fn binary_add_empty_batch_roundtrips() {
-        let mut wire = Vec::new();
-        write_add_binary(&mut wire, "s", UNTRACKED_CLIENT, 0, &[]).unwrap();
+        let wire = add_binary_bytes("s", UNTRACKED_CLIENT, 0, &[]).unwrap();
         let mut buf = Vec::new();
         let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap()
         else {
@@ -1216,7 +1202,7 @@ mod tests {
     fn client_frame_reader_accepts_both_versions() {
         let mut wire = Vec::new();
         write_frame(&mut wire, &Request::Sum { stream: "s".into() }).unwrap();
-        write_add_binary(&mut wire, "s", 7, 1, &[4.25]).unwrap();
+        wire.extend_from_slice(&add_binary_bytes("s", 7, 1, &[4.25]).unwrap());
         let mut r = wire.as_slice();
         let mut buf = Vec::new();
         let Some(ClientFrameView::Json(req)) = read_client_frame_into(&mut r, &mut buf).unwrap() else {

@@ -38,7 +38,8 @@
 
 // The second carve-out from `deny(unsafe_code)` (after `segmap`): the
 // raw epoll/eventfd/prlimit syscalls, each with a SAFETY argument at
-// the call site.
+// the call site, issued through `segmap::syscall6`, the wrapper that
+// lives in the first.
 #[allow(unsafe_code)]
 pub(crate) mod sys;
 

@@ -1,11 +1,11 @@
 //! Raw `epoll`/`eventfd`/`prlimit64` syscall shim for the event-driven
 //! transport.
 //!
-//! The tree deliberately has no C-binding dependency (see `segmap.rs`,
-//! whose raw-syscall discipline this module follows), so the five
+//! The tree deliberately has no C-binding dependency, so the five
 //! syscalls the reactor needs — `epoll_create1`, `epoll_ctl`,
 //! `epoll_wait`, `eventfd2`, `prlimit64` — are issued directly, plus
-//! `read`/`write`/`close` on the eventfd itself. The module is compiled
+//! `read`/`write`/`close` on the eventfd itself, through the one
+//! raw-syscall wrapper the WAL's mappings use, `segmap::syscall6`. The module is compiled
 //! only for `linux`/`x86_64`; every other target gets a stub whose
 //! constructors fail with `Unsupported`, which the server surfaces as a
 //! clean "transport unavailable" error at startup (the threaded
@@ -21,6 +21,7 @@
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
+    use crate::segmap::syscall6;
     use std::io;
     use std::os::unix::io::AsRawFd;
 
@@ -54,51 +55,6 @@ mod imp {
     pub const EPOLLRDHUP: u32 = 0x2000;
     /// `epoll_event.events` bit: edge-triggered delivery.
     pub const EPOLLET: u32 = 1 << 31;
-
-    /// Issues a raw 6-argument syscall and folds the kernel's negative
-    /// errno convention into `io::Error`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must pass arguments valid for `nr` per the Linux
-    /// x86-64 syscall ABI; the kernel interprets them without any
-    /// further checking on our side.
-    // SAFETY: declared unsafe — soundness is the caller's `# Safety`
-    // obligation above.
-    unsafe fn syscall6(
-        nr: isize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> io::Result<usize> {
-        let ret: isize;
-        // SAFETY: the x86-64 Linux syscall ABI — args in rdi/rsi/rdx/
-        // r10/r8/r9, number and result in rax, rcx/r11 clobbered;
-        // `nostack` holds (the instruction touches no user stack).
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") nr => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
-                in("r10") a4,
-                in("r8") a5,
-                in("r9") a6,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        if (-4095..0).contains(&ret) {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret as usize)
-        }
-    }
 
     /// The kernel's `epoll_event` for x86-64 — packed, by ABI decree
     /// (the one architecture where the struct is not naturally aligned).

@@ -80,7 +80,9 @@ mod imp {
     const EOPNOTSUPP: i32 = 95;
 
     /// Issues a raw 6-argument syscall and folds the kernel's negative
-    /// errno convention into `io::Error`.
+    /// errno convention into `io::Error`. The tree's one raw-syscall
+    /// wrapper: the epoll shim (`reactor::sys`) issues its syscalls
+    /// through it too.
     ///
     /// # Safety
     ///
@@ -89,7 +91,7 @@ mod imp {
     /// further checking on our side.
     // SAFETY: declared unsafe — soundness is the caller's `# Safety`
     // obligation above.
-    unsafe fn syscall6(
+    pub(crate) unsafe fn syscall6(
         nr: isize,
         a1: usize,
         a2: usize,
@@ -364,6 +366,8 @@ mod imp {
     }
 }
 
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+pub(crate) use imp::syscall6;
 pub(crate) use imp::SegmentMap;
 
 use imp::ReadMap;

@@ -65,21 +65,21 @@
 //! [`Wal::append`] returns only once the group containing its record is
 //! written (and synced, per [`FsyncPolicy`]). No thread exists to do
 //! that on an appender's behalf: every group commits on the thread that
-//! needs it, leader/follower style. The appender that wins the segment
-//! lock commits, and when it also finds the queue empty (the common
-//! case at any sane load) its record is a complete group of one, framed
-//! *directly into the segment* — no `Vec`, no queue round-trip, no
-//! wakeups. An appender that loses the lock queues its framed record
-//! and blocks on the segment lock. Once it holds the lock, either the
-//! commit it waited out already carried its record, or it commits the
-//! whole queue itself as one group under one fsync. Whoever holds the
-//! segment lock drains everything queued, so group size tracks the
-//! fsync's cost with no timer, no condvar and no hand-off.
-//! [`Wal::flush`] and [`Wal::close`] commit on the caller's thread too.
-//! [`Wal::submit`], the epoll reactor's non-blocking path, only queues:
-//! the reactor's pump thread commits those records in
-//! [`Wal::commit_next`]. The server sends an `Added` ACK only once the
-//! record's group has committed, which is the whole contract.
+//! needs it. An appender frames its record onto the end of the commit
+//! queue, one byte buffer shared by every thread, and blocks on the
+//! segment lock. Once it holds the lock, either the commit it waited
+//! out already carried its record, or it takes the whole queue and
+//! commits it itself as one group under one fsync. A lone appender's
+//! group is its own record. Whoever holds the segment lock drains
+//! everything queued, so group size tracks the fsync's cost with no
+//! timer, no condvar and no hand-off. Every group reaches the file
+//! through one function, the segment's `commit_group`, so the fault
+//! seams below sit on the path every record takes. [`Wal::flush`] and
+//! [`Wal::close`] commit on the caller's thread too. [`Wal::submit`],
+//! the epoll reactor's non-blocking path, only queues: the reactor's
+//! pump thread commits those records in [`Wal::commit_next`]. The
+//! server sends an `Added` ACK only once the record's group has
+//! committed, which is the whole contract.
 //!
 //! ## Mapped segments
 //!
@@ -129,7 +129,6 @@ use crate::ServiceHp;
 use oisum_core::kernel::first_out_of_range_le;
 use oisum_core::{AtomicU64Like, StdSyncShim, SyncShimLike};
 use oisum_faults::FaultAction;
-use std::collections::VecDeque;
 use std::fs::{self, File};
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
@@ -460,34 +459,22 @@ impl<'a> Record<'a> {
         Ok(len)
     }
 
-    /// Frames the record into `dst`, which must be exactly
-    /// `RECORD_OVERHEAD + payload_len` bytes long: `len | payload |
-    /// fnv4(payload)`. Returns the stored checksum.
-    fn frame_into(&self, dst: &mut [u8]) -> u64 {
-        let (len, rest) = dst.split_at_mut(4);
-        let (payload, check) = rest.split_at_mut(rest.len() - 8);
-        len.copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        let (fixed, rest) = payload.split_at_mut(RECORD_FIXED);
-        let (name, values) = rest.split_at_mut(self.stream.len());
-        let words = self.total.as_limbs().iter().copied();
-        let words = [self.client_id, self.seq].into_iter().chain(words);
-        for (dst, word) in fixed.chunks_exact_mut(8).zip(words) {
-            dst.copy_from_slice(&word.to_be_bytes());
-        }
-        fixed[RECORD_FIXED - 2..].copy_from_slice(&(self.stream.len() as u16).to_be_bytes());
-        name.copy_from_slice(self.stream.as_bytes());
-        values.copy_from_slice(self.value_bytes);
-        let sum = fnv4(payload);
-        check.copy_from_slice(&sum.to_be_bytes());
-        sum
+    /// Frames the record at the end of `buf` through [`frame_record`]. A
+    /// record the format cannot hold is refused before a byte of it is
+    /// written.
+    fn frame(&self, buf: &mut Vec<u8>) -> Result<(), WalError> {
+        buf.reserve(RECORD_OVERHEAD + self.payload_len()?);
+        frame_record(buf, |out| {
+            let limbs = self.total.as_limbs().iter();
+            for word in [self.client_id, self.seq].iter().chain(limbs) {
+                out.extend_from_slice(&word.to_be_bytes());
+            }
+            out.extend_from_slice(&(self.stream.len() as u16).to_be_bytes());
+            out.extend_from_slice(self.stream.as_bytes());
+            out.extend_from_slice(self.value_bytes);
+        })
+        .map(drop)
     }
-}
-
-/// Encodes one framed record: `len | payload | fnv4(payload)`.
-pub fn encode_record(record: &Record<'_>) -> Result<Vec<u8>, WalError> {
-    let mut rec = vec![0u8; RECORD_OVERHEAD + record.payload_len()?];
-    record.frame_into(&mut rec);
-    Ok(rec)
 }
 
 /// A framed file assembled in memory and written whole, rather than
@@ -596,11 +583,17 @@ pub(crate) fn fnv_wide(bytes: &[u8]) -> u64 {
 /// The FNV-1a 64 offset basis (an empty input's checksum).
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
-/// The commit queue every thread shares. The queue holds fully framed
-/// records; tickets are dense, so `committed >= ticket` is exactly "my
-/// group's fsync finished".
+/// The commit queue every thread shares. Tickets are dense, so
+/// `committed >= ticket` is exactly "my group's fsync finished".
 struct CommitQueue {
-    queue: VecDeque<Vec<u8>>,
+    /// The framed records of the next group, back to back.
+    queue: Vec<u8>,
+    /// Records in `queue`.
+    queued: u64,
+    /// The last committed group's buffer, cleared: the next committer
+    /// swaps it in for the queue it takes, so the two buffers alternate
+    /// and a steady stream of groups allocates nothing.
+    spare: Vec<u8>,
     /// Tickets issued (one per accepted append).
     submitted: u64,
     /// Tickets durably committed, in issue order.
@@ -622,18 +615,11 @@ struct CommitQueue {
 /// holding the `segment` lock, so implementations need no internal
 /// synchronization.
 pub trait SegmentSink: Send + 'static {
-    /// Frames and commits a single record — the inline fast path for a
-    /// group of one. `fsync` follows the policy.
-    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError>;
-    /// Makes room for `incoming` more bytes (rotating early if the
-    /// current segment cannot hold them).
-    fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError>;
-    /// Writes one concatenated group of `count` already-framed records
-    /// and, when `fsync`, syncs it.
+    /// Writes one group of `count` framed records, back to back in
+    /// `buf`, and, when `fsync`, syncs it. Every record reaches storage
+    /// through here; a sink with segments to fill makes room before the
+    /// write and rotates after it.
     fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError>;
-    /// Seals and starts the next segment if the rotation threshold has
-    /// been reached.
-    fn rotate_if_full(&mut self) -> Result<(), WalError>;
     /// Seals the current segment (close path).
     fn seal(&mut self) -> Result<(), WalError>;
     /// The index of the segment currently being appended to.
@@ -658,30 +644,12 @@ pub struct MemSink {
 }
 
 impl SegmentSink for MemSink {
-    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
-        let rec = encode_record(record)?;
-        self.bytes.extend_from_slice(&rec);
-        self.records += 1;
-        if fsync {
-            self.synced_records = self.records;
-        }
-        Ok(())
-    }
-
-    fn ensure_group_fits(&mut self, _incoming: usize) -> Result<(), WalError> {
-        Ok(())
-    }
-
     fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError> {
         self.bytes.extend_from_slice(buf);
         self.records += count;
         if fsync {
             self.synced_records = self.records;
         }
-        Ok(())
-    }
-
-    fn rotate_if_full(&mut self) -> Result<(), WalError> {
         Ok(())
     }
 
@@ -754,7 +722,9 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
             state: S::mutex(
                 "state",
                 CommitQueue {
-                    queue: VecDeque::new(),
+                    queue: Vec::new(),
+                    queued: 0,
+                    spare: Vec::new(),
                     submitted: 0,
                     committed: 0,
                     stopping: false,
@@ -793,89 +763,18 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// (written and, per policy, fsynced). `Ok(())` is the license to
     /// ACK; any `Err` means the batch must be refused.
     ///
-    /// An appender that wins the segment lock outright is the leader:
-    /// it commits on its own thread — framed straight into the mapped
-    /// segment, with no queue round-trip. Losing the lock means another
-    /// commit is in flight; the record joins the queue, and the next
-    /// holder of the lock commits it together with everything else
-    /// queued behind that commit, under one fsync.
+    /// The record is framed onto the queue, and the appender blocks on
+    /// the segment lock. The queue is only drained under that lock, so
+    /// once it holds the lock either the commit it waited out carried
+    /// its record (the mark covers its ticket) or the record is still
+    /// queued and it commits the whole queue itself, under one fsync.
     pub fn append(&self, record: &Record<'_>) -> Result<(), WalError> {
-        if let Some(mut seg) = S::try_lock(&self.segment) {
-            return self.append_won(&mut seg, record);
-        }
-        self.append_contended(record)
-    }
-
-    /// Inline append holding the segment lock. With an empty queue the
-    /// record is a complete group of one and commits with zero copies
-    /// (`commit_one`); with a non-empty queue, committing only ours
-    /// would advance the dense watermark out of ticket order, so the
-    /// record joins the queue and the whole lot drains as one group.
-    // lint:holds(segment)
-    fn append_won(&self, seg: &mut Option<G>, record: &Record<'_>) -> Result<(), WalError> {
-        // Validation first: a ticket, once issued, must eventually be
-        // covered by `committed` (the watermark is dense), so nothing
-        // refusable may happen between ticket issue and commit.
-        record.payload_len()?;
-        let mut s = self.lock();
-        if let Some(detail) = &s.crashed {
-            return Err(WalError::Crashed(detail.clone()));
-        }
-        if s.stopping {
-            return Err(WalError::Closed);
-        }
-        let Some(segment) = seg.as_mut() else { return Err(WalError::Closed) };
-        if !s.queue.is_empty() {
-            let rec = encode_record(record)?;
-            s.queue.push_back(rec);
-            s.submitted += 1;
-            let ticket = s.submitted;
-            drop(s);
-            self.commit_locked(seg);
-            return verdict::<S>(self.lock(), ticket);
-        }
-        s.submitted += 1;
-        let ticket = s.submitted;
-        debug_assert_eq!(s.committed + 1, ticket, "empty queue means all prior tickets committed");
-        drop(s);
-        let result = segment
-            .commit_one(record, self.fsync == FsyncPolicy::Group)
-            .and_then(|()| segment.rotate_if_full());
-        // ORDERING: Relaxed — monotonic GC boundary, as in commit_locked.
-        self.active.store(segment.index(), Ordering::Relaxed);
-        match result {
-            Ok(()) => {
-                let mut s = self.lock();
-                s.committed = ticket;
-                // ORDERING: Relaxed — a statistics gauge, as in
-                // commit_locked; a group of one is still a group.
-                self.groups.fetch_add(1, Ordering::Relaxed);
-                // ORDERING: Release — publishes the durable watermark
-                // to the contended path's Acquire load; written only
-                // under both locks, so it stays monotonic.
-                self.commit_mark.store(s.committed, Ordering::Release);
-                Ok(())
-            }
-            Err(e) => {
-                let detail = e.to_string();
-                self.poison(detail.clone());
-                Err(WalError::Crashed(detail))
-            }
-        }
-    }
-
-    /// Append while another commit holds the segment lock: queue the
-    /// record, then block on the segment lock. The queue is only
-    /// drained under that lock, so once we hold it either the commit we
-    /// waited out carried our record (the mark covers our ticket) or
-    /// the record is still queued and we commit the whole queue
-    /// ourselves.
-    fn append_contended(&self, record: &Record<'_>) -> Result<(), WalError> {
-        let (ticket, _) = self.enqueue(encode_record(record)?)?;
+        let (ticket, _) = self.enqueue(record)?;
         let mut seg = S::lock(&self.segment);
-        // ORDERING: Acquire — pairs with the Release publishes, which
-        // run under the segment lock we now hold: a mark covering our
-        // ticket means its group's write (and policy fsync) finished.
+        // ORDERING: Acquire — pairs with the Release publish in
+        // commit_locked, which runs under the segment lock we now hold:
+        // a mark covering our ticket means its group's write (and
+        // policy fsync) finished.
         if self.commit_mark.load(Ordering::Acquire) >= ticket {
             return Ok(());
         }
@@ -884,10 +783,11 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         verdict::<S>(self.lock(), ticket)
     }
 
-    /// Queues one framed record under the next dense ticket, unless the
-    /// log is closed or crashed. Returns the ticket and whether the
-    /// queue was empty before.
-    fn enqueue(&self, rec: Vec<u8>) -> Result<(u64, bool), WalError> {
+    /// Frames one record onto the queue under the next dense ticket,
+    /// unless the log is closed or crashed or the record cannot be
+    /// framed. Returns the ticket and whether the queue was empty
+    /// before.
+    fn enqueue(&self, record: &Record<'_>) -> Result<(u64, bool), WalError> {
         let mut s = self.lock();
         if let Some(detail) = &s.crashed {
             return Err(WalError::Crashed(detail.clone()));
@@ -895,9 +795,10 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         if s.stopping {
             return Err(WalError::Closed);
         }
-        s.queue.push_back(rec);
+        record.frame(&mut s.queue)?;
+        s.queued += 1;
         s.submitted += 1;
-        Ok((s.submitted, s.queue.len() == 1))
+        Ok((s.submitted, s.queued == 1))
     }
 
     /// Commits everything submitted so far on the calling thread (or
@@ -930,7 +831,7 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// next empty→1 submit. The servers keep to this — the threaded
     /// transport only appends, the reactor only submits.
     pub fn submit(&self, record: &Record<'_>) -> Result<u64, WalError> {
-        let (ticket, first) = self.enqueue(encode_record(record)?)?;
+        let (ticket, first) = self.enqueue(record)?;
         if first {
             S::notify_one(&self.work);
         }
@@ -948,10 +849,10 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// amortizes over a readiness burst with no accumulation window.
     pub fn commit_next(&self) -> Option<u64> {
         let mut s = self.lock();
-        while s.queue.is_empty() && !s.stopping && s.crashed.is_none() {
+        while s.queued == 0 && !s.stopping && s.crashed.is_none() {
             s = S::wait(&self.work, s);
         }
-        if s.crashed.is_some() || s.queue.is_empty() {
+        if s.crashed.is_some() || s.queued == 0 {
             return None;
         }
         drop(s);
@@ -987,10 +888,9 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
     /// under the state lock, so it is monotonic and never ahead of the
     /// real watermark.
     pub fn commit_mark(&self) -> u64 {
-        // ORDERING: Acquire — pairs with the Release publishes in
-        // commit_locked / append_won; a mark covering a ticket means
-        // that group's write (and policy fsync) happened-before this
-        // load.
+        // ORDERING: Acquire — pairs with the Release publish in
+        // commit_locked; a mark covering a ticket means that group's
+        // write (and policy fsync) happened-before this load.
         self.commit_mark.load(Ordering::Acquire)
     }
 
@@ -1047,11 +947,12 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         self.commit_locked(&mut seg)
     }
 
-    /// Drains the queue and commits it as one group, for a caller that
-    /// holds the segment lock — the queue is only drained while it is
-    /// held, so groups reach the file in enqueue order no matter which
-    /// thread commits. Writes the group, publishes the new commit
-    /// watermark, and rotates when the segment is full.
+    /// Takes the whole queue and commits it as one group, for a caller
+    /// that holds the segment lock — the queue is only drained while it
+    /// is held, so groups reach the file in enqueue order no matter
+    /// which thread commits. Writes the group (the sink rotates a full
+    /// segment), then publishes the new commit watermark and hands the
+    /// group's buffer back as the next spare.
     ///
     /// Returns false once the log is poisoned, in which case the mark
     /// will never cover a queued ticket.
@@ -1064,50 +965,30 @@ impl<S: SyncShimLike, G: SegmentSink> Shared<S, G> {
         if s.crashed.is_some() {
             return false;
         }
-        if s.queue.is_empty() {
+        if s.queued == 0 {
             return true;
         }
-        let group: Vec<Vec<u8>> = s.queue.drain(..).collect();
+        let spare = std::mem::take(&mut s.spare);
+        let mut group = std::mem::replace(&mut s.queue, spare);
+        let count = std::mem::take(&mut s.queued);
         drop(s);
-        let count = group.len() as u64;
-        // Coalesce into a thread-local scratch reused across groups: a
-        // fresh group-sized Vec crosses glibc's mmap threshold, so every
-        // commit would pay an mmap/munmap plus one page fault per
-        // written page — on a small box that costs more than the
-        // group's actual write. Each committing thread keeps its own
-        // (rarely-grown) scratch.
-        thread_local! {
-            static GROUP_SCRATCH: std::cell::RefCell<Vec<u8>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        let fsync = self.fsync == FsyncPolicy::Group;
-        let result = GROUP_SCRATCH.with(|scratch| {
-            let mut buf = scratch.borrow_mut();
-            buf.clear();
-            buf.reserve(group.iter().map(Vec::len).sum());
-            for rec in &group {
-                buf.extend_from_slice(rec);
-            }
-            segment
-                .ensure_group_fits(buf.len())
-                .and_then(|()| segment.commit_group(&mut buf, count, fsync))
-                .and_then(|()| segment.rotate_if_full())
-        });
+        let result = segment.commit_group(&mut group, count, self.fsync == FsyncPolicy::Group);
         // ORDERING: Relaxed — publishing a monotonic GC boundary (the
-        // fit pre-check can also rotate); readers seeing it late only
+        // group may have rotated); readers seeing it late only
         // under-collect.
         self.active.store(segment.index(), Ordering::Relaxed);
         match result {
             Ok(()) => {
                 let mut s = self.lock();
+                group.clear();
+                s.spare = group;
                 s.committed += count;
                 // ORDERING: Relaxed — a statistics gauge; readers only
                 // ever divide by it.
                 self.groups.fetch_add(1, Ordering::Relaxed);
                 // ORDERING: Release — publishes the durable watermark
-                // to the Acquire loads in append_contended and
-                // commit_mark; written only under both locks, so it
-                // stays monotonic.
+                // to the Acquire loads in append and commit_mark;
+                // written only under both locks, so it stays monotonic.
                 self.commit_mark.store(s.committed, Ordering::Release);
                 true
             }
@@ -1146,7 +1027,7 @@ impl Wal {
         let next_index = list_segments(&config.dir)?
             .last()
             .map_or(0, |(index, _)| index + 1);
-        let segment = ActiveSegment::create(&config.dir, next_index, config.segment_bytes)?;
+        let segment = ActiveSegment::create(&config.dir, next_index, config.segment_bytes, 0)?;
         let shared = Shared::new(config.fsync, segment, next_index);
         Ok(Wal { dir: config.dir, shared })
     }
@@ -1321,26 +1202,22 @@ struct ActiveSegment {
 }
 
 impl ActiveSegment {
-    fn create(dir: &Path, index: u64, target: u64) -> Result<ActiveSegment, WalError> {
-        Self::create_sized(dir, index, target, 0)
-    }
-
     /// Creates segment `index`, mapped at least `min_map` bytes long
-    /// (for a group bigger than the whole default mapping). The mapping
-    /// spans the segment's whole life, but only its first step is
-    /// reserved and pre-faulted here; [`ActiveSegment::ensure_group_fits`]
+    /// (for a group bigger than the whole default mapping; 0 otherwise).
+    /// The mapping spans the segment's whole life, but only its first
+    /// step is reserved and pre-faulted here; [`ActiveSegment::make_room`]
     /// prepares each later one. The prepared tail past the last record
     /// reads as zeros, which recovery reads as the clean end of an
-    /// unsealed segment, and which [`ActiveSegment::seal`] trims. `dir`
-    /// is fsynced after the create, so the segment's name is durable
-    /// before any record in it is ACKed. The header goes down through
-    /// the file before anything is reserved, so a file left by a failed
-    /// or interrupted reservation still starts with it.
+    /// unsealed segment, and which sealing trims. `dir` is fsynced after
+    /// the create, so the segment's name is durable before any record in
+    /// it is ACKed. The header goes down through the file before anything
+    /// is reserved, so a file left by a failed or interrupted reservation
+    /// still starts with it.
     ///
     /// A failed reservation is an `Err`, as at any later step; only a
     /// mapping the platform or filesystem cannot provide falls back to
     /// buffered writes.
-    fn create_sized(
+    fn create(
         dir: &Path,
         index: u64,
         target: u64,
@@ -1378,8 +1255,8 @@ impl ActiveSegment {
     /// mapped segments, `write(2)` for the buffered fallback. Does not
     /// advance the append offset (the seam paths deliberately leave
     /// mangled bytes unaccounted). Mapped callers must have run
-    /// [`ActiveSegment::ensure_group_fits`] first: the mapping hands out
-    /// only its prepared prefix, so a write past it panics rather than
+    /// [`ActiveSegment::make_room`] first: the mapping hands out only
+    /// its prepared prefix, so a write past it panics rather than
     /// touching an unreserved page.
     fn write_raw(&mut self, data: &[u8]) -> io::Result<()> {
         match &mut self.map {
@@ -1401,12 +1278,10 @@ impl ActiveSegment {
     /// the steps it reaches are reserved and pre-faulted before a byte
     /// of it is written, so a failed reservation leaves the group out
     /// of the file. The buffered path has no such limit.
-    fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
+    fn make_room(&mut self, incoming: usize) -> Result<(), WalError> {
         let Some(map) = &self.map else { return Ok(()) };
         if self.bytes as usize + incoming + SEAL_LEN > map.len() {
-            self.seal()?;
-            let min_map = SEGMENT_HEADER_LEN + incoming + SEAL_LEN;
-            *self = ActiveSegment::create_sized(&self.dir, self.index + 1, self.target, min_map)?;
+            self.rotate(SEGMENT_HEADER_LEN + incoming + SEAL_LEN)?;
         }
         if let Some(map) = &mut self.map {
             map.reserve(&self.file, self.bytes as usize + incoming)?;
@@ -1414,54 +1289,32 @@ impl ActiveSegment {
         Ok(())
     }
 
-    /// Commits a single record with no group buffer: the record is
-    /// framed directly into the mapping — the inline fast path's
-    /// commit, for an appender that won the segment lock over an empty
-    /// queue. Fault-injection builds route through
-    /// [`ActiveSegment::commit_group`] instead, because the seams tear
-    /// and corrupt the *framed* bytes, which the zero-copy path never
-    /// materializes.
-    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
-        let framed = RECORD_OVERHEAD + record.payload_len()?;
-        self.ensure_group_fits(framed)?;
-        if cfg!(feature = "failpoints") {
-            // Route through the seam-bearing group path so the chaos
-            // suite's torn/corrupt injections cover inline commits too.
-            let mut buf = encode_record(record)?;
-            return self.commit_group(&mut buf, 1, fsync);
-        }
-        let start = self.bytes as usize;
-        match &mut self.map {
-            Some(map) => {
-                let sum = record.frame_into(&mut map.bytes_mut()[start..start + framed]);
-                self.fnv = fnv_wide_update(self.fnv, &sum.to_be_bytes());
-            }
-            None => {
-                let rec = encode_record(record)?;
-                self.file.write_all(&rec)?;
-                self.fnv = fnv_wide_update(self.fnv, &rec[rec.len() - 8..]);
-            }
-        }
-        self.bytes += framed as u64;
-        self.records += 1;
-        if fsync {
-            self.file.sync_data()?;
-        }
+    /// Seals the current segment and starts the next one, mapped at
+    /// least `min_map` bytes long.
+    fn rotate(&mut self, min_map: usize) -> Result<(), WalError> {
+        self.seal()?;
+        *self = ActiveSegment::create(&self.dir, self.index + 1, self.target, min_map)?;
         Ok(())
     }
+}
 
-    /// Writes one concatenated group of `count` records and, when the
-    /// policy says so, fsyncs it. This is the *only* place record bytes
-    /// reach the file, and (with [`ActiveSegment::seal`]) the only place
-    /// a segment's bytes are fsynced — the `wal-durability` lint pins
-    /// that shape. Directory entries are synced where they are created.
+/// The production sink: segment files, mapped or buffered, rotated at
+/// their target and sealed.
+impl SegmentSink for ActiveSegment {
+    /// Makes room for one group of `count` records, writes it and, when
+    /// the policy says so, fsyncs it, then rotates if the segment has
+    /// reached its target. This is the *only* place record bytes reach
+    /// the file, and (with [`seal`](SegmentSink::seal)) the only place a
+    /// segment's bytes are fsynced — the `wal-durability` lint pins that
+    /// shape. Directory entries are synced where they are created.
     ///
-    /// The fault seams fire here: `wal.append.torn` truncates the group
-    /// mid-write, `wal.segment.corrupt` flips a bit in it, and
-    /// `wal.fsync.drop` skips the sync. All three model a crash mangling
-    /// the in-flight group, so all three poison the log — the group's
-    /// appenders get errors, not ACKs.
+    /// The fault seams fire here, after the room is made: `wal.append.torn`
+    /// truncates the group mid-write, `wal.segment.corrupt` flips a bit
+    /// in it, and `wal.fsync.drop` skips the sync. All three model a
+    /// crash mangling the in-flight group, so all three poison the log —
+    /// the group's appenders get errors, not ACKs.
     fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError> {
+        self.make_room(buf.len())?;
         if let Some(FaultAction::Truncate { keep }) = oisum_faults::check("wal.append.torn") {
             let keep = keep.min(buf.len());
             self.write_raw(&buf[..keep])?;
@@ -1500,6 +1353,9 @@ impl ActiveSegment {
             }
             self.file.sync_data()?;
         }
+        if self.bytes >= self.target {
+            self.rotate(0)?;
+        }
         Ok(())
     }
 
@@ -1523,40 +1379,6 @@ impl ActiveSegment {
         self.file.write_all(&footer)?;
         self.file.sync_data()?;
         Ok(())
-    }
-
-    /// Seals the current segment and starts the next one.
-    fn rotate(&mut self) -> Result<(), WalError> {
-        self.seal()?;
-        *self = ActiveSegment::create(&self.dir, self.index + 1, self.target)?;
-        Ok(())
-    }
-}
-
-/// The production sink: the inherent methods above, exposed through the
-/// protocol's storage seam.
-impl SegmentSink for ActiveSegment {
-    fn commit_one(&mut self, record: &Record<'_>, fsync: bool) -> Result<(), WalError> {
-        ActiveSegment::commit_one(self, record, fsync)
-    }
-
-    fn ensure_group_fits(&mut self, incoming: usize) -> Result<(), WalError> {
-        ActiveSegment::ensure_group_fits(self, incoming)
-    }
-
-    fn commit_group(&mut self, buf: &mut [u8], count: u64, fsync: bool) -> Result<(), WalError> {
-        ActiveSegment::commit_group(self, buf, count, fsync)
-    }
-
-    fn rotate_if_full(&mut self) -> Result<(), WalError> {
-        if self.bytes >= self.target {
-            self.rotate()?;
-        }
-        Ok(())
-    }
-
-    fn seal(&mut self) -> Result<(), WalError> {
-        ActiveSegment::seal(self)
     }
 
     fn index(&self) -> u64 {
@@ -1664,7 +1486,8 @@ mod tests {
         let values = le_bytes(&[1.5, -2.0]);
         let record = Record::fold("s", 7, 3, &values).unwrap();
         assert_eq!(record.total, ServiceHp::sum_f64_slice(&[1.5, -2.0]));
-        let rec = encode_record(&record).unwrap();
+        let mut rec = Vec::new();
+        record.frame(&mut rec).unwrap();
         let payload_len = u32::from_be_bytes(rec[..4].try_into().unwrap()) as usize;
         assert_eq!(payload_len, RECORD_FIXED + 1 + 16);
         assert_eq!(rec.len(), 4 + payload_len + 8);
@@ -1690,16 +1513,18 @@ mod tests {
             total: ServiceHp::ZERO,
             value_bytes,
         };
+        let mut buf = b"queued".to_vec();
         let long = "x".repeat(u16::MAX as usize + 1);
         assert!(matches!(
-            encode_record(&record(&long, &[])),
+            record(&long, &[]).frame(&mut buf),
             Err(WalError::StreamNameTooLong { .. })
         ));
         let huge = vec![0u8; MAX_RECORD_PAYLOAD];
         assert!(matches!(
-            encode_record(&record("s", &huge)),
+            record("s", &huge).frame(&mut buf),
             Err(WalError::RecordTooLarge { .. })
         ));
+        assert_eq!(buf, b"queued", "a refused record left bytes in the queue");
     }
 
     #[test]
@@ -1732,6 +1557,73 @@ mod tests {
         wal.close().unwrap();
         assert_recovers(&dir, &[edge, -edge, 5e-324], 1);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn appends_and_submits_write_the_documented_layout_byte_for_byte() {
+        // The module docs' layout, built here byte by byte with none of
+        // this module's framing code: a header, `len | payload |
+        // fnv4(payload)` per record, and a seal of the record count and
+        // the fold of the header and each stored checksum.
+        fn record(stream: &str, client_id: u64, seq: u64, values: &[f64]) -> Vec<u8> {
+            let mut payload = Vec::new();
+            payload.extend_from_slice(&client_id.to_be_bytes());
+            payload.extend_from_slice(&seq.to_be_bytes());
+            for limb in ServiceHp::sum_f64_slice(values).as_limbs() {
+                payload.extend_from_slice(&limb.to_be_bytes());
+            }
+            payload.extend_from_slice(&(stream.len() as u16).to_be_bytes());
+            payload.extend_from_slice(stream.as_bytes());
+            for v in values {
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            let mut rec = (payload.len() as u32).to_be_bytes().to_vec();
+            rec.extend_from_slice(&payload);
+            rec.extend_from_slice(&fnv4(&payload).to_be_bytes());
+            rec
+        }
+        fn segment(index: u64, records: &[Vec<u8>]) -> Vec<u8> {
+            let mut file = b"OISWALv2".to_vec();
+            file.extend_from_slice(&index.to_be_bytes());
+            let mut folded = file.clone();
+            for rec in records {
+                file.extend_from_slice(rec);
+                folded.extend_from_slice(&rec[rec.len() - 8..]);
+            }
+            file.extend_from_slice(&[0xFF; 4]);
+            file.extend_from_slice(&(records.len() as u64).to_be_bytes());
+            file.extend_from_slice(&fnv_wide(&folded).to_be_bytes());
+            file
+        }
+        let script: [(&str, u64, u64, &[f64]); 3] = [
+            ("alpha", 7, 1, &[1.5, -0.25]),
+            ("b", 7, 2, &[f64::from_bits(1)]),
+            ("gamma", 9, 1, &[0.5, -0.0, 3e50]),
+        ];
+        let records: Vec<_> = script.iter().map(|&(s, c, q, v)| record(s, c, q, v)).collect();
+        // Against a 160-byte target, segment 0 holds 16 + 99 bytes after
+        // the first append and 202 after the second, which rotates it;
+        // the submitted third record lands alone in segment 1.
+        assert_eq!(records.iter().map(Vec::len).collect::<Vec<_>>(), [99, 87, 107]);
+        let expected = [segment(0, &records[..2]), segment(1, &records[2..])];
+        for fsync in [FsyncPolicy::Group, FsyncPolicy::Never] {
+            let dir = temp_dir(&format!("layout-{fsync}"));
+            let wal = Wal::open(WalConfig { dir: dir.clone(), segment_bytes: 160, fsync }).unwrap();
+            for &(stream, client_id, seq, values) in &script[..2] {
+                wal.append(stream, client_id, seq, &le_bytes(values)).unwrap();
+            }
+            let (stream, client_id, seq, values) = script[2];
+            wal.submit(stream, client_id, seq, &le_bytes(values)).unwrap();
+            wal.flush().unwrap();
+            assert_eq!(wal.group_stats(), (3, 3), "{fsync}");
+            wal.close().unwrap();
+            let segments = list_segments(&dir).unwrap();
+            assert_eq!(segments.len(), expected.len(), "{fsync}");
+            for ((index, path), want) in segments.iter().zip(&expected) {
+                assert_eq!(fs::read(path).unwrap(), *want, "segment {index} ({fsync})");
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1783,9 +1675,9 @@ mod tests {
 
     #[test]
     fn sequential_appends_count_one_group_each() {
-        // A lone appender always wins the segment lock over an empty
-        // queue, so each record commits inline as its own group — and
-        // counts as one, or `records / groups` overstates amortization.
+        // A lone appender finds only its own record queued, so each
+        // record commits as its own group — and counts as one, or
+        // `records / groups` overstates amortization.
         for fsync in [FsyncPolicy::Group, FsyncPolicy::Never] {
             let dir = temp_dir(&format!("groups-{fsync}"));
             let wal = Wal::open(WalConfig { fsync, ..WalConfig::new(&dir) }).unwrap();
