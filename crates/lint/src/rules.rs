@@ -58,10 +58,12 @@ pub enum RuleId {
     /// durability edge), every `wal.rs` or `snapshot.rs` function that
     /// creates or renames a file or a directory also calls
     /// `sync_parent_dir(` (a new name is durable only once its directory
-    /// is synced), and the request path
+    /// is synced), the request path
     /// (`server.rs`, `dispatch.rs`) never opens or writes files directly
     /// — an ACK may only ride on bytes that went through the committer
-    /// or the snapshot writer.
+    /// or the snapshot writer — and every raw `madvise` passes
+    /// `MADV_POPULATE_WRITE` or `MADV_DONTNEED` and every raw `fallocate`
+    /// mode 0, so no page or block of a segment is ever freed.
     WalDurability,
     /// Lock acquisition order, from the per-file static lock graph
     /// (see `locks.rs`): acquiring against a declared
@@ -147,8 +149,8 @@ impl RuleId {
             }
             RuleId::WalDurability => {
                 "WAL logic stays deterministic, fsyncs stay in the committer, every \
-                 create or rename syncs its directory, and the request path never writes \
-                 files directly"
+                 create or rename syncs its directory, the request path never writes \
+                 files directly, and no madvise or fallocate can free the log's bytes"
             }
             RuleId::LockOrder => {
                 "lock acquisitions respect the declared lint:lock-order and form no cycles"
@@ -325,15 +327,8 @@ fn in_scope(rule: RuleId, path: &str, kind: FileKind) -> bool {
                 && path.starts_with("crates/core/src/")
                 && path.ends_with("kernel.rs")
         }
-        RuleId::WalDurability => {
-            kind == FileKind::Prod
-                && path.starts_with("crates/service/src/")
-                && (path.ends_with("wal.rs")
-                    || path.ends_with("recovery.rs")
-                    || path.ends_with("snapshot.rs")
-                    || path.ends_with("server.rs")
-                    || path.ends_with("dispatch.rs"))
-        }
+        // Each check picks its own files; the advice check covers all.
+        RuleId::WalDurability => kind == FileKind::Prod && path.starts_with("crates/service/src/"),
         // The lock graph and the wait discipline apply to every
         // production file that declares lock/condvar fields (the passes
         // are no-ops elsewhere); the hot-path rule is the frame path's
@@ -392,6 +387,27 @@ fn has_float_hint(toks: &[String]) -> bool {
 fn comment_above(lines: &[Line], idx: usize, marker: &str, lookback: usize) -> bool {
     let lo = idx.saturating_sub(lookback);
     lines[lo..=idx].iter().any(|l| l.comment.contains(marker))
+}
+
+/// The top-level arguments, squished, of the call whose argument list
+/// `code` starts with, up to its closing parenthesis.
+fn call_args(code: &str) -> Vec<String> {
+    let (mut args, mut arg, mut depth) = (Vec::new(), String::new(), 0usize);
+    for c in code.chars() {
+        match c {
+            ')' | ']' | '}' if depth == 0 => break,
+            ',' if depth == 0 => {
+                args.push(std::mem::take(&mut arg));
+                continue;
+            }
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
+            _ => {}
+        }
+        arg.push(c);
+    }
+    args.push(arg);
+    args
 }
 
 /// Lint one file's source. `path` is workspace-relative with forward
@@ -895,6 +911,67 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
             synced |= sq.contains("sync_parent_dir(");
         }
         flush(&mut pending, synced);
+    }
+
+    // --- wal-durability: advice and modes that keep the log's bytes ---
+    // `MADV_DONTNEED` (4) drops only this process's mapping of a page and
+    // fallocate mode 0 only allocates. `MADV_REMOVE` (9) or `MADV_FREE`
+    // on a shared tmpfs mapping, or a punching or collapsing fallocate
+    // mode, would free a segment's pages, ACKed records included. So every
+    // raw `madvise` names one of the two advices that keep them at the
+    // call, every raw `fallocate` passes mode 0, and both advice
+    // constants keep their kernel values.
+    if in_scope(RuleId::WalDurability, path, kind) {
+        const CALLS: [(&str, usize, &[&str], &str); 2] = [
+            (
+                "syscall6(SYS_MADVISE,",
+                3,
+                &["MADV_POPULATE_WRITE", "MADV_DONTNEED"],
+                "`madvise` advice other than `MADV_POPULATE_WRITE` or `MADV_DONTNEED` \
+                 named at the call; `MADV_REMOVE` or `MADV_FREE` would free a shared \
+                 segment's pages, ACKed records included",
+            ),
+            (
+                "syscall6(SYS_FALLOCATE,",
+                2,
+                &["0"],
+                "`fallocate` with a mode other than 0; a punching or collapsing mode \
+                 would free a segment's blocks, ACKed records included",
+            ),
+        ];
+        const VALUES: [(&str, &str); 2] = [("MADV_DONTNEED", "4"), ("MADV_POPULATE_WRITE", "23")];
+        // The production code squished into one string, so a call
+        // split over lines reads whole; `starts` maps it back to lines.
+        let (mut code, mut starts) = (String::new(), Vec::new());
+        for idx in (0..lines.len()).filter(|&idx| !lines[idx].in_test) {
+            starts.push((code.len(), idx));
+            code.push_str(&squished[idx]);
+        }
+        for (call, arg, allowed, message) in CALLS {
+            for (at, _) in code.match_indices(call) {
+                let args = call_args(&code[at + "syscall6(".len()..]);
+                if !args.get(arg).is_some_and(|a| allowed.contains(&a.as_str())) {
+                    let line = starts.partition_point(|&(start, _)| start <= at) - 1;
+                    push(starts[line].1, RuleId::WalDurability, message.into(), &lines);
+                }
+            }
+        }
+        for idx in 0..lines.len() {
+            if lines[idx].in_test {
+                continue;
+            }
+            let sq = &squished[idx];
+            for (name, value) in VALUES {
+                if sq.contains(&format!("const{name}:")) && !sq.ends_with(&format!("={value};")) {
+                    push(
+                        idx,
+                        RuleId::WalDurability,
+                        format!("`{name}` is {value} in the kernel's ABI; any other value is a different advice"),
+                        &lines,
+                    );
+                }
+            }
+        }
     }
 
     // --- lock-order / condvar-predicate: function-scope lock analysis ---

@@ -686,10 +686,31 @@ fn wal_durability_scope_is_the_service_wal_surface_only() {
 }
 
 #[test]
+fn wal_durability_flags_advice_and_modes_that_free_log_bytes() {
+    // `MADV_REMOVE` and `MADV_FREE` free a shared tmpfs segment's pages;
+    // an advice passed through a variable cannot be checked; a nonzero
+    // fallocate mode punches or collapses blocks; and a mistyped
+    // constant turns the allowed name into another advice.
+    let src = "fn release(p: usize, n: usize, fd: usize) {\n    unsafe { syscall6(SYS_MADVISE, p, n, MADV_REMOVE, 0, 0, 0) };\n    unsafe { syscall6(SYS_MADVISE, p, n, MADV_FREE, 0, 0, 0) };\n    let advice = MADV_DONTNEED;\n    unsafe { syscall6(SYS_MADVISE, p, n, advice, 0, 0, 0) };\n    unsafe { syscall6(SYS_FALLOCATE, fd, FALLOC_FL_PUNCH_HOLE, 0, n, 0, 0) };\n    unsafe {\n        syscall6(\n            SYS_FALLOCATE,\n            fd,\n            3,\n            0,\n            n,\n            0,\n            0,\n        )\n    };\n}\nconst MADV_DONTNEED: usize = 9;\n";
+    assert_eq!(
+        fire_lines(RuleId::WalDurability, "crates/service/src/segmap.rs", FileKind::Prod, src),
+        vec![2, 3, 5, 6, 8, 19]
+    );
+}
+
+#[test]
+fn wal_durability_accepts_the_advice_and_mode_that_keep_log_bytes() {
+    let src = "const MADV_POPULATE_WRITE: usize = 23;\nconst MADV_DONTNEED: usize = 4;\nfn step(p: usize, n: usize, fd: usize) {\n    unsafe { syscall6(SYS_FALLOCATE, fd, 0, p, n, 0, 0) };\n    unsafe { syscall6(SYS_MADVISE, p + (n - 1), n, MADV_POPULATE_WRITE, 0, 0, 0) };\n    unsafe {\n        syscall6(\n            SYS_MADVISE,\n            p,\n            f(n, [1, 2]),\n            MADV_DONTNEED,\n            0,\n            0,\n            0,\n        )\n    };\n}\n";
+    assert!(fire_lines(RuleId::WalDurability, "crates/service/src/segmap.rs", FileKind::Prod, src)
+        .is_empty());
+}
+
+#[test]
 fn real_wal_sources_pass_wal_durability() {
     // The rule must hold on the shipped WAL surface, not just fixtures.
     for (path, src) in [
         ("crates/service/src/wal.rs", include_str!("../../service/src/wal.rs")),
+        ("crates/service/src/segmap.rs", include_str!("../../service/src/segmap.rs")),
         ("crates/service/src/recovery.rs", include_str!("../../service/src/recovery.rs")),
         ("crates/service/src/snapshot.rs", include_str!("../../service/src/snapshot.rs")),
         ("crates/service/src/server.rs", include_str!("../../service/src/server.rs")),

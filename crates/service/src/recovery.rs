@@ -40,7 +40,17 @@
 //! so it never becomes resident. Segments are independent until applied,
 //! so a log of at least 8 MiB is walked on every CPU.
 //!
-//! Once every segment has verified, the tracked records are applied in
+//! The apply needs four things of a record: its stream, its
+//! `(client_id, seq)`, its logged total and its value count. So the
+//! walk keeps only those, in an owned summary per verified record with
+//! the stream interned per segment, and never needs a record's pages
+//! again. As its cursor passes each 1 MiB window of a mapped segment
+//! it releases the pages behind it, and the segment's mapping
+//! (or read buffer) is dropped as soon as the segment has verified, on
+//! the thread that walked it. A walking thread holds one window and the
+//! record it is reading, however long the segment or the log.
+//!
+//! Once every segment has verified, the tracked summaries are applied in
 //! log order, each as the exact total it logged ([`crate::wal::Record`]),
 //! through the ledger's one locked add,
 //! [`ShardedLedger::add_total_dedup`]. That is the serial record-by-record
@@ -69,6 +79,7 @@ use crate::wal::{
 use crate::ServiceHp;
 use std::collections::HashMap;
 use std::fmt;
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -78,6 +89,40 @@ use std::sync::OnceLock;
 /// parallel took 4-13% longer than on one thread at 1-4 MiB and 6-10%
 /// less from 8 MiB on.
 const PAR_WALK_BYTES: usize = 8 << 20;
+
+/// How far the walk gets through a file between releases of the pages
+/// behind its cursor ([`Framed::release`]): a mapped segment keeps at
+/// most this much of itself resident, plus the record being read. A
+/// multiple of the page size.
+pub(crate) const RELEASE_WINDOW: usize = 1 << 20;
+
+/// A framed file as [`walk`] reads it: a WAL segment being recovered,
+/// or bytes already in memory (a snapshot, a test's copy of a segment).
+pub(crate) trait Framed {
+    /// The whole file.
+    fn bytes(&self) -> &[u8];
+
+    /// Whether every byte from `offset` to the end is zero: the walk's
+    /// test for the zero tail of an unsealed mapped segment.
+    fn zero_from(&self, offset: usize) -> io::Result<bool>;
+
+    /// Tells the file that the walk is done with `[from, to)`, offsets
+    /// that are multiples of [`RELEASE_WINDOW`], so their pages may
+    /// leave memory. The bytes must stay readable.
+    fn release(&self, from: usize, to: usize);
+}
+
+impl Framed for [u8] {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+
+    fn zero_from(&self, offset: usize) -> io::Result<bool> {
+        Ok(self[offset..].iter().all(|&b| b == 0))
+    }
+
+    fn release(&self, _from: usize, _to: usize) {}
+}
 
 /// What [`recover`] did, for logging and assertions.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -138,6 +183,29 @@ pub(crate) struct Walk<T> {
     pub(crate) torn: Option<TornTail>,
 }
 
+/// What the apply needs of one verified WAL record, owned, so that its
+/// segment's pages can go once the segment has verified.
+struct Summary {
+    /// The stream, as an index into its segment's [`Verified::names`].
+    name: u32,
+    client_id: u64,
+    seq: u64,
+    /// The exact total the record logged.
+    total: ServiceHp,
+    /// How many values the total sums.
+    values: u64,
+}
+
+/// One verified segment, reduced to what the apply needs.
+struct Verified {
+    /// Every stream the segment names, once each.
+    names: Vec<Box<str>>,
+    /// Every verified record, in file order.
+    records: Vec<Summary>,
+    /// The unverifiable suffix of an unsealed segment, if any.
+    torn: Option<TornTail>,
+}
+
 /// Replays every WAL segment in `dir` into `ledger`, oldest first. A
 /// missing directory is an empty log. See the module docs for the
 /// validate-then-apply and torn-vs-corrupt rules; on any `Err` the
@@ -152,54 +220,43 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
             return Err(WalError::MissingSegment { expected: pair[0].0 + 1, found: pair[1].0 });
         }
     }
-    // Pass 1: map and verify everything. Hard errors abort here, before
-    // the ledger sees a single value; the first failing segment in log
-    // order is the one reported.
-    let files = segments
-        .iter()
-        .map(|(_, path)| SegmentFile::open(path))
-        .collect::<Result<Vec<_>, _>>()?;
-    let log_bytes: usize = files.iter().map(|file| file.bytes().len()).sum();
-    let threads = if log_bytes >= PAR_WALK_BYTES {
+    let mut log_bytes = 0;
+    for (_, path) in &segments {
+        log_bytes += std::fs::metadata(path)?.len();
+    }
+    let threads = if log_bytes >= PAR_WALK_BYTES as u64 {
         cpus()
     } else {
         1
     };
-    let jobs: Vec<(u64, &SegmentFile)> = segments
-        .iter()
-        .map(|(index, _)| *index)
-        .zip(&files)
-        .collect();
-    let parsed = par_map(&jobs, threads, |&(index, file)| {
-        let zero_from = |at| Ok(file.zero_from(at)?);
-        walk(
-            WAL_MAGIC,
-            index,
-            file.bytes(),
-            zero_from,
-            |offset, payload| parse_payload(index, offset, payload),
-        )
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+    // Pass 1: open, verify and summarize each segment, dropping its bytes
+    // as soon as it has verified. Hard errors abort here, before the
+    // ledger sees a single value; the first failing segment in log order
+    // is the one reported.
+    let verified = par_map(&segments, threads, |(index, path)| verify(*index, path))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
-    // Pass 2: apply each tracked record's logged total, in log order.
+    // Pass 2: apply each tracked record's logged total, in log order. A
+    // stream is resolved on its first tracked record, as a record-by-record
+    // replay would create it.
     let mut report = RecoveryReport { segments: segments.len() as u64, ..Default::default() };
     let mut streams: HashMap<&str, StreamHandle> = HashMap::new();
-    for segment in &parsed {
+    for segment in &verified {
+        let mut handles: Vec<Option<StreamHandle>> = vec![None; segment.names.len()];
         for record in &segment.records {
             report.records += 1;
             if record.client_id == UNTRACKED_CLIENT {
                 report.untracked_skipped += 1;
                 continue;
             }
-            let stream = streams
-                .entry(record.stream)
-                .or_insert_with(|| ledger.handle(record.stream));
-            let values = (record.value_bytes.len() / 8) as u64;
-            if stream.add_total(record.client_id, record.seq, &record.total, values) {
+            let stream = handles[record.name as usize].get_or_insert_with(|| {
+                let name = &*segment.names[record.name as usize];
+                streams.entry(name).or_insert_with(|| ledger.handle(name)).clone()
+            });
+            if stream.add_total(record.client_id, record.seq, &record.total, record.values) {
                 report.applied += 1;
-                report.values += values;
+                report.values += record.values;
             } else {
                 report.deduped += 1;
             }
@@ -207,6 +264,32 @@ pub fn recover(dir: &Path, ledger: &ShardedLedger) -> Result<RecoveryReport, Wal
         report.torn.extend(segment.torn.clone());
     }
     Ok(report)
+}
+
+/// Opens, walks and summarizes segment `index`, releasing its pages as
+/// the walk passes them; the segment's bytes are dropped on return.
+fn verify(index: u64, path: &Path) -> Result<Verified, WalError> {
+    let file = SegmentFile::open(path)?;
+    let mut ids: HashMap<Box<str>, u32> = HashMap::new();
+    let walked = walk(WAL_MAGIC, index, &file, |offset, payload| {
+        let record = parse_payload(index, offset, payload)?;
+        let name = match ids.get(record.stream) {
+            Some(&id) => id,
+            None => {
+                let id = ids.len() as u32;
+                ids.insert(record.stream.into(), id);
+                id
+            }
+        };
+        let values = (record.value_bytes.len() / 8) as u64;
+        let Record { client_id, seq, total, .. } = record;
+        Ok(Summary { name, client_id, seq, total, values })
+    })?;
+    let mut names = vec![Box::default(); ids.len()];
+    for (name, id) in ids {
+        names[id as usize] = name;
+    }
+    Ok(Verified { names, records: walked.records, torn: walked.torn })
 }
 
 /// This machine's CPU count, read once: `available_parallelism` reads
@@ -255,20 +338,20 @@ fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, job: impl Fn(&T) -> R 
 
 /// Walks one framed file — a WAL segment, or a snapshot under its own
 /// magic — checking the header against `magic` and `index`, then every
-/// record's framing and checksum, then the seal. `zero_from(offset)`
-/// says whether every byte of the file from `offset` on is zero, for
-/// the zero-tail rule below. `decode` turns each verified payload,
-/// given its record's offset, into a record that may borrow from
-/// `bytes`. An `Err` from either is a hard error. Torn tails (the
-/// unverifiable suffix of an unsealed file) truncate; everything else
-/// that fails to verify is a hard error.
-pub(crate) fn walk<'a, T>(
+/// record's framing and checksum, then the seal. `decode` turns each
+/// verified payload, given its record's offset, into a record that may
+/// borrow from the file; an `Err` from it, or from the file's zero-tail
+/// check, is a hard error. Each time the cursor passes the end of a
+/// [`RELEASE_WINDOW`], the file is told it may release the windows
+/// behind it. Torn tails (the unverifiable suffix of an unsealed file)
+/// truncate; everything else that fails to verify is a hard error.
+pub(crate) fn walk<'a, T, F: Framed + ?Sized>(
     magic: [u8; 8],
     index: u64,
-    bytes: &'a [u8],
-    mut zero_from: impl FnMut(usize) -> Result<bool, WalError>,
+    file: &'a F,
     mut decode: impl FnMut(usize, &'a [u8]) -> Result<T, WalError>,
 ) -> Result<Walk<T>, WalError> {
+    let bytes = file.bytes();
     if bytes.len() < SEGMENT_HEADER_LEN {
         // A header-length torn write can only happen to the very first
         // bytes of a brand-new file, before any record committed.
@@ -312,6 +395,7 @@ pub(crate) fn walk<'a, T>(
 
     let mut records = Vec::new();
     let mut offset = SEGMENT_HEADER_LEN;
+    let mut released = 0;
     // Running seal fold: header, then each verified record's stored
     // checksum, mirroring what the writer accumulated (see the format
     // notes in [`crate::wal`]).
@@ -334,7 +418,7 @@ pub(crate) fn walk<'a, T>(
         if len_field == SEAL_MARKER {
             return parse_seal(index, bytes, records, offset, seal_fnv);
         }
-        if len_field == 0 && zero_from(offset)? {
+        if len_field == 0 && file.zero_from(offset)? {
             // The reserved, never-written rest of a mapped segment's
             // last prepared step (see `crate::segmap`): a length of 0
             // is unwritable (every payload has an 18-byte fixed head),
@@ -373,6 +457,11 @@ pub(crate) fn walk<'a, T>(
         );
         records.push(decode(offset, payload)?);
         offset += 4 + payload_len + 8;
+        if offset - released >= RELEASE_WINDOW {
+            let passed = offset - offset % RELEASE_WINDOW;
+            file.release(released, passed);
+            released = passed;
+        }
     }
 }
 
@@ -526,14 +615,9 @@ mod tests {
         };
         let mut parsed = Vec::new();
         for ((index, _), bytes) in segments.iter().zip(&files) {
-            let zero_from = |at: usize| Ok(bytes[at..].iter().all(|&b| b == 0));
-            parsed.push(walk(
-                WAL_MAGIC,
-                *index,
-                bytes,
-                zero_from,
-                |offset, payload| parse_payload(*index, offset, payload),
-            )?);
+            parsed.push(walk(WAL_MAGIC, *index, bytes.as_slice(), |offset, payload| {
+                parse_payload(*index, offset, payload)
+            })?);
         }
         for segment in &parsed {
             for r in &segment.records {
@@ -781,14 +865,94 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// This process's peak resident set so far (`VmHWM`), in bytes.
+    #[cfg(target_os = "linux")]
+    fn peak_resident() -> usize {
+        let status = fs::read_to_string("/proc/self/status").unwrap();
+        let kb = status.lines().find_map(|line| line.strip_prefix("VmHWM:")).unwrap();
+        kb.trim().trim_end_matches("kB").trim().parse::<usize>().unwrap() << 10
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn writing_and_recovering_a_log_hold_a_bounded_part_of_it() {
+        // Each phase runs in a child of its own, so each reads the peak
+        // resident set of a process that did nothing else: one child
+        // writes two 32 MiB segments, the next recovers them.
+        use crate::segmap::STEP;
+        use crate::wal::{RECORD_FIXED, RECORD_OVERHEAD};
+        const PHASE: &str = "OISUM_RESIDENCY_PHASE";
+        const DIR: &str = "OISUM_RESIDENCY_DIR";
+        const SEGMENT: usize = 32 << 20;
+        let Some(phase) = std::env::var_os(PHASE) else {
+            if !Path::new("/proc/self/status").exists() {
+                return;
+            }
+            let dir = temp_dir("residency");
+            for phase in ["write", "recover"] {
+                let child = std::process::Command::new(std::env::current_exe().unwrap())
+                    .arg("recovery::tests::writing_and_recovering_a_log_hold_a_bounded_part_of_it")
+                    .args(["--exact", "--test-threads=1", "--nocapture"])
+                    .env(PHASE, phase)
+                    .env(DIR, &dir)
+                    .output()
+                    .unwrap();
+                let out = String::from_utf8_lossy(&child.stdout);
+                assert!(child.status.success(), "{phase} phase: {}\n{out}", child.status);
+            }
+            fs::remove_dir_all(&dir).ok();
+            return;
+        };
+        let dir = PathBuf::from(std::env::var_os(DIR).unwrap());
+        // One batch, folded once: every record logs it under a new seq.
+        let values: Vec<f64> = (0..1 << 16).map(|i| (i as f64 - 30_000.5) * 0.375).collect();
+        let bytes = le_bytes(&values);
+        let batch = Record::fold("s", 1, 0, &bytes).unwrap();
+        let record_len = RECORD_OVERHEAD + RECORD_FIXED + 1 + bytes.len();
+        // The first segment rotates at its target; the second stays under it.
+        let records = (2 * SEGMENT / record_len - 1) as u64;
+        let before = peak_resident();
+        if phase == "write" {
+            let config = WalConfig {
+                segment_bytes: SEGMENT as u64,
+                fsync: FsyncPolicy::Never,
+                ..WalConfig::new(&dir)
+            };
+            let wal = Wal::open(config).unwrap();
+            for seq in 1..=records {
+                wal.append_record(&Record { seq, ..batch }).unwrap();
+            }
+            let grew = peak_resident() - before;
+            wal.close().unwrap();
+            assert_eq!(list_segments(&dir).unwrap().len(), 2);
+            // Two steps of the mapping, and the commit queue's two buffers
+            // of a record each, with room to spare.
+            let bound = 2 * STEP + 8 * record_len;
+            println!("write: grew {grew} bytes, bound {bound}");
+            assert!(grew < bound, "writing grew the resident set by {grew} bytes, bound {bound}");
+        } else {
+            let ledger = ShardedLedger::new(1);
+            let report = recover(&dir, &ledger).unwrap();
+            let grew = peak_resident() - before;
+            assert_eq!((report.applied, report.torn.len()), (records, 0), "{report}");
+            let total = (0..records).fold(ServiceHp::ZERO, |acc, _| acc.wrapping_add(&batch.total));
+            assert_eq!(ledger.sum("s").unwrap(), total);
+            // Each walking thread holds one window and the record it
+            // reads, with room to spare.
+            let threads = cpus().min(2);
+            let bound = threads * (RELEASE_WINDOW + 2 * record_len) + STEP;
+            println!("recover: grew {grew} bytes, bound {bound}");
+            assert!(grew < bound, "recovery grew the resident set by {grew} bytes, bound {bound}");
+        }
+    }
+
     /// Every record in `dir`'s segments, in log order, as owned
     /// `(stream, client_id, seq, total, value bytes)`.
     fn logged_records(dir: &Path) -> Vec<(String, u64, u64, ServiceHp, Vec<u8>)> {
         let mut records = Vec::new();
         for (index, path) in list_segments(dir).unwrap() {
             let bytes = fs::read(path).unwrap();
-            let zero_from = |at: usize| Ok(bytes[at..].iter().all(|&b| b == 0));
-            let file = walk(WAL_MAGIC, index, &bytes, zero_from, |offset, payload| {
+            let file = walk(WAL_MAGIC, index, bytes.as_slice(), |offset, payload| {
                 parse_payload(index, offset, payload)
             })
             .unwrap();

@@ -16,6 +16,15 @@
 //! through the mapping, so the `group` policy keeps its power-loss
 //! guarantee unchanged.
 //!
+//! The writer never looks back, so when a step is prepared every step
+//! wholly below the one holding the append offset is released with
+//! `madvise(MADV_DONTNEED)`. On a shared file mapping that drops only
+//! this process's page-table entries: the pages stay in the page cache
+//! with their dirty state, the file keeps every byte, and `fsync` still
+//! flushes them. A segment of any length therefore keeps at most two
+//! steps resident, and the `munmap` at seal time zaps at most two
+//! steps' pages.
+//!
 //! Only the prepared prefix is ever handed out
 //! ([`SegmentMap::bytes_mut`]), so safe code cannot touch a page past
 //! the reserved end of the file, which the kernel would answer with
@@ -33,15 +42,23 @@
 //! target, a refused `mmap` (an odd filesystem, an enormous requested
 //! length), a filesystem without `fallocate` (EOPNOTSUPP) — the WAL
 //! falls back to its buffered `write(2)` path, which is slower but
-//! semantically identical.
+//! semantically identical. The `wal-durability` lint pins the only
+//! advice (`MADV_POPULATE_WRITE`, `MADV_DONTNEED`) and `fallocate` mode
+//! (0) these calls may pass: `MADV_REMOVE` or a punching mode would
+//! free a shared file's pages, ACKed records included.
 //!
 //! Recovery reads segments through the same syscalls: [`SegmentFile`]
 //! maps a whole segment read-only and private (`mmap` + `munmap`), so
-//! the walk and the apply read records out of the page cache with no
-//! copy into the heap. A segment a crash left unsealed ends in the zero
-//! tail of its last prepared step, less than one step of it;
-//! [`SegmentFile::zero_from`] checks that tail with `pread` into a
-//! small buffer rather than through the mapping, so its pages are never
+//! the walk reads records out of the page cache with no copy into the
+//! heap. As the walk's cursor passes each window, it releases the pages
+//! behind it ([`Framed::release`]); a private mapping that is never
+//! written holds only the file's page-cache pages, so a later touch
+//! reads the same bytes back. The walk keeps an owned summary of each
+//! record, and the segment is dropped as soon as it has verified, so no
+//! segment outlives its own walk. A segment a crash left unsealed ends
+//! in the zero tail of its last prepared step, less than one step of it;
+//! [`Framed::zero_from`] checks that tail with `pread` into a small
+//! buffer rather than through the mapping, so its pages are never
 //! faulted into this process. No segment keeps a file descriptor once
 //! it is mapped or read (a mapping holds its own reference to the
 //! file), so a log may have more segments than the process may keep
@@ -76,6 +93,9 @@ mod imp {
     const MAP_PRIVATE: usize = 0x2;
     /// Write-fault every page of a range now (Linux 5.14 and later).
     const MADV_POPULATE_WRITE: usize = 23;
+    /// Drop this process's pages of a range. A file mapping's pages stay
+    /// in the page cache, so nothing the file holds is lost.
+    const MADV_DONTNEED: usize = 4;
     const EINVAL: i32 = 22;
     const EOPNOTSUPP: i32 = 95;
 
@@ -133,9 +153,12 @@ mod imp {
         ptr: *mut u8,
         len: usize,
         /// The prefix whose blocks are reserved in the file and whose
-        /// pages are faulted in: a multiple of [`STEP`], or `len`. Only
+        /// pages were faulted in: a multiple of [`STEP`], or `len`. Only
         /// this prefix is ever handed out.
         ready: usize,
+        /// The prefix whose pages were released from this process: a
+        /// multiple of [`STEP`], at most `ready`.
+        released: usize,
     }
 
     // The WAL keeps the owning `ActiveSegment` behind a `Mutex`, so no
@@ -165,8 +188,8 @@ mod imp {
             let Ok(ptr) = (unsafe { syscall6(SYS_MMAP, 0, len, prot, MAP_SHARED, fd, 0) }) else {
                 return Ok(None);
             };
-            let mut map = SegmentMap { ptr: ptr as *mut u8, len, ready: 0 };
-            match map.step(file, held) {
+            let mut map = SegmentMap { ptr: ptr as *mut u8, len, ready: 0, released: 0 };
+            match map.step(file, held, 0) {
                 Ok(()) => Ok(Some(map)),
                 Err(e) if e.raw_os_error() == Some(EOPNOTSUPP) => Ok(None),
                 Err(e) => Err(e),
@@ -175,20 +198,40 @@ mod imp {
 
         /// Reserves and pre-faults whole steps until the prepared prefix
         /// holds `end` bytes, or the whole mapping if that is shorter. A
-        /// no-op when it already does.
-        pub fn reserve(&mut self, file: &File, end: usize) -> io::Result<()> {
+        /// no-op when it already does. `at` is the append offset: each
+        /// step prepared here first releases every step wholly below the
+        /// one holding it.
+        pub fn reserve(&mut self, file: &File, at: usize, end: usize) -> io::Result<()> {
             while self.ready < end.min(self.len) {
-                self.step(file, 0)?;
+                self.step(file, 0, at)?;
             }
             Ok(())
         }
 
-        /// Reserves the next step's blocks, which extends `file` to the
-        /// step's end, then write-faults the step's pages. The zero-fill
+        /// Releases every step wholly below the one holding `at`, then
+        /// reserves the next step's blocks, which extends `file` to the
+        /// step's end, and write-faults the step's pages. The zero-fill
         /// fallback keeps the first `held` bytes of the file.
-        fn step(&mut self, file: &File, held: usize) -> io::Result<()> {
+        fn step(&mut self, file: &File, held: usize, at: usize) -> io::Result<()> {
             if oisum_faults::check("wal.segment.reserve").is_some() {
                 return Err(io::Error::other("injected segment step reservation failure"));
+            }
+            let below = (at - at % STEP).min(self.ready);
+            if below > self.released {
+                let start = self.ptr as usize + self.released;
+                // On a shared file mapping MADV_DONTNEED only drops this
+                // process's page-table entries: each page, dirty state
+                // included, stays in the page cache, so the file keeps every
+                // byte written here and fsync still flushes them, and a later
+                // touch faults the same page back. A failed release only
+                // leaves the pages resident.
+                // SAFETY: advice over [released, below) of our live mapping,
+                // page-aligned (both are multiples of STEP), which by the
+                // above frees no byte of the file.
+                let _ = unsafe {
+                    syscall6(SYS_MADVISE, start, below - self.released, MADV_DONTNEED, 0, 0, 0)
+                };
+                self.released = below;
             }
             let (from, to) = (self.ready, (self.ready + STEP).min(self.len));
             let fd = file.as_raw_fd() as usize;
@@ -196,11 +239,11 @@ mod imp {
             // descriptor we hold; mode 0 allocates blocks and extends
             // the file size, and the kernel validates the rest.
             unsafe { syscall6(SYS_FALLOCATE, fd, 0, from, to - from, 0, 0)? };
-            let (start, advice) = (self.ptr as usize + from, MADV_POPULATE_WRITE);
+            let (start, len) = (self.ptr as usize + from, to - from);
             // SAFETY: advice over [from, to) of our live mapping, page-aligned
             // (`from` is a multiple of STEP); the range now lies inside the
             // file, so faulting it in cannot raise SIGBUS.
-            let populated = unsafe { syscall6(SYS_MADVISE, start, to - from, advice, 0, 0, 0) };
+            let populated = unsafe { syscall6(SYS_MADVISE, start, len, MADV_POPULATE_WRITE, 0, 0, 0) };
             match populated {
                 Ok(_) => self.ready = to,
                 // A kernel before 5.14 does not know the advice: dirty the
@@ -216,7 +259,8 @@ mod imp {
         }
 
         /// The prepared prefix of the mapping: every byte of it is
-        /// reserved in the file and faulted in.
+        /// reserved in the file. A released step's pages fault back in
+        /// from the page cache if touched.
         pub fn bytes_mut(&mut self) -> &mut [u8] {
             // SAFETY: `ptr` maps `len >= ready` bytes until `Drop`, the first
             // `ready` backed by the file; `&mut self` guarantees exclusivity
@@ -281,6 +325,26 @@ mod imp {
             unsafe { core::slice::from_raw_parts(self.ptr, self.len) }
         }
 
+        /// Drops this process's pages of `[from, to)`, offsets into the
+        /// mapping with `from` a multiple of the page size and `to` at
+        /// most its length. The bytes stay readable: the next read of a
+        /// released page faults it back in from the page cache.
+        pub fn release(&self, from: usize, to: usize) {
+            // The mapping is private and read-only (PROT_READ) and nothing
+            // writes through it, so no page of it was ever copied on write:
+            // every resident page is the file's own page-cache page, and
+            // MADV_DONTNEED only drops this process's reference to it. The
+            // mapping stays valid, and a later read faults in the same page
+            // from the page cache. A failed release only leaves the pages
+            // resident.
+            // SAFETY: advice over [from, to) of our live mapping (`to <= len`),
+            // from a page boundary; by the above, `bytes()` keeps returning
+            // the file's bytes after it.
+            let _ = unsafe {
+                syscall6(SYS_MADVISE, self.ptr as usize + from, to - from, MADV_DONTNEED, 0, 0, 0)
+            };
+        }
+
         /// Whether every byte of `file` (the mapped one) from `offset`
         /// to the mapping's end is zero, read with `pread` into a
         /// buffer of at most 64 KiB so the pages are never faulted into
@@ -329,7 +393,7 @@ mod imp {
             Ok(None)
         }
 
-        pub fn reserve(&mut self, _file: &File, _end: usize) -> io::Result<()> {
+        pub fn reserve(&mut self, _file: &File, _at: usize, _end: usize) -> io::Result<()> {
             match self.never {}
         }
 
@@ -363,6 +427,10 @@ mod imp {
         pub fn zero_from(&self, _file: &File, _offset: usize) -> io::Result<bool> {
             match self.never {}
         }
+
+        pub fn release(&self, _from: usize, _to: usize) {
+            match self.never {}
+        }
     }
 }
 
@@ -370,6 +438,7 @@ mod imp {
 pub(crate) use imp::syscall6;
 pub(crate) use imp::SegmentMap;
 
+use crate::recovery::Framed;
 use imp::ReadMap;
 use std::fs::File;
 use std::io::{self, Read};
@@ -378,15 +447,19 @@ use std::path::{Path, PathBuf};
 /// Segments shorter than this are read, not mapped, which spares the
 /// corruption suites' thousands of tiny logs a mapping each. Reading is
 /// faster up to about 1 MiB (a mapped 32-512 KiB segment recovered
-/// 3-15% slower on 2 vCPUs), but every segment is held until the apply
-/// ends, and heap copies grow with the log where a mapping shares the
-/// page cache's pages.
+/// 3-15% slower on 2 vCPUs). The floor was set low when every segment
+/// was held until the apply ended, so heap copies grew with the log;
+/// that no longer holds, since each segment's bytes are dropped once it
+/// has verified. The floor is kept, not re-measured: a read segment is
+/// resident whole while it is walked, and a mapped one only a window at
+/// a time, so the floor also caps what a read segment holds.
 const MAP_MIN_LEN: usize = 64 << 10;
 
 /// One segment's bytes for recovery: mapped read-only where that works,
 /// read into memory otherwise. It holds no file descriptor: a log may
 /// have more segments than the process may keep open, and a mapping
-/// keeps its own reference to the file.
+/// keeps its own reference to the file. Recovery drops it as soon as
+/// the segment has verified.
 pub(crate) struct SegmentFile {
     path: PathBuf,
     bytes: Bytes,
@@ -422,22 +495,30 @@ impl SegmentFile {
         })
     }
 
-    /// The segment's bytes.
-    pub(crate) fn bytes(&self) -> &[u8] {
+}
+
+impl Framed for SegmentFile {
+    fn bytes(&self) -> &[u8] {
         match &self.bytes {
             Bytes::Mapped(map) => map.bytes(),
             Bytes::Read(buf) => buf,
         }
     }
 
-    /// Whether every byte from `offset` to the end is zero: the walk's
-    /// test for the zero tail of an unsealed mapped segment. A mapped segment
-    /// reopens its file and answers through `pread`, so the tail never
-    /// becomes resident in this process.
-    pub(crate) fn zero_from(&self, offset: usize) -> io::Result<bool> {
+    /// A mapped segment reopens its file and answers through `pread`, so
+    /// the zero tail never becomes resident in this process.
+    fn zero_from(&self, offset: usize) -> io::Result<bool> {
         match &self.bytes {
             Bytes::Mapped(map) => map.zero_from(&File::open(&self.path)?, offset),
-            Bytes::Read(buf) => Ok(buf[offset..].iter().all(|&b| b == 0)),
+            Bytes::Read(buf) => buf.zero_from(offset),
+        }
+    }
+
+    /// A mapped segment drops the range's pages; a read one keeps its
+    /// buffer until it is dropped.
+    fn release(&self, from: usize, to: usize) {
+        if let Bytes::Mapped(map) = &self.bytes {
+            map.release(from, to);
         }
     }
 }
@@ -445,7 +526,7 @@ impl SegmentFile {
 #[cfg(test)]
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod tests {
-    use super::{Bytes, SegmentFile, SegmentMap, STEP};
+    use super::{Bytes, Framed, ReadMap, SegmentFile, SegmentMap, STEP};
 
     #[test]
     fn segment_files_map_read_only_and_find_their_zero_tail() {
@@ -526,19 +607,88 @@ mod tests {
         let mut map = SegmentMap::create(&file, len).unwrap().unwrap();
         assert_eq!((map.bytes_mut().len(), file_len()), (STEP, STEP));
         // Already prepared: nothing moves.
-        map.reserve(&file, STEP).unwrap();
+        map.reserve(&file, 0, STEP).unwrap();
         assert_eq!((map.bytes_mut().len(), file_len()), (STEP, STEP));
-        map.reserve(&file, STEP + 1).unwrap();
+        map.reserve(&file, 0, STEP + 1).unwrap();
         assert_eq!((map.bytes_mut().len(), file_len()), (2 * STEP, 2 * STEP));
         // The last step is the mapping's remainder, and a reservation
         // past the mapping stops at its end.
-        map.reserve(&file, usize::MAX).unwrap();
+        map.reserve(&file, STEP, usize::MAX).unwrap();
         assert_eq!((map.bytes_mut().len(), file_len()), (len, len));
         map.bytes_mut()[len - 1] = 7;
         map.bytes_mut()[STEP] = 9;
         drop(map);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!((bytes[STEP], bytes[len - 1]), (9, 7));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// This process's resident bytes of the mapping holding `addr`,
+    /// from `/proc/self/smaps`.
+    fn mapping_rss(addr: *const u8) -> usize {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let addr = addr as usize;
+        let mut lines = smaps.lines().skip_while(|line| {
+            let range = line.split(' ').next().unwrap_or("");
+            let mut ends = range.split('-').map(|x| usize::from_str_radix(x, 16).ok());
+            !matches!((ends.next(), ends.next()), (Some(Some(lo)), Some(Some(hi))) if lo <= addr && addr < hi)
+        });
+        let rss = lines.find_map(|line| line.strip_prefix("Rss:")).unwrap();
+        rss.trim().trim_end_matches("kB").trim().parse::<usize>().unwrap() << 10
+    }
+
+    #[test]
+    fn released_pages_read_back_the_files_bytes() {
+        let (path, file) = scratch_file("release");
+        let bytes: Vec<u8> = (0..3 * STEP + 1000).map(|i| (i * 7 + i / 4096) as u8).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        // Read through a mapping, release part of it, read again.
+        let map = ReadMap::open(&file, bytes.len()).unwrap();
+        assert_eq!(map.bytes(), &bytes[..]);
+        let touched = mapping_rss(map.bytes().as_ptr());
+        map.release(STEP, 2 * STEP);
+        map.release(0, 4096);
+        map.release(3 * STEP, bytes.len());
+        // At least the whole step went; a large folio may take more of
+        // its neighbours with a partial release.
+        assert!(mapping_rss(map.bytes().as_ptr()) <= touched - STEP);
+        assert_eq!(map.bytes(), &bytes[..]);
+        drop(map);
+        // The same through a segment file, released whole.
+        let segment = SegmentFile::open(&path).unwrap();
+        assert!(matches!(segment.bytes, Bytes::Mapped(_)));
+        assert_eq!(segment.bytes(), &bytes[..]);
+        segment.release(0, bytes.len());
+        assert_eq!(segment.bytes(), &bytes[..]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn preparing_a_step_releases_the_steps_below_the_append_offset() {
+        let (path, file) = scratch_file("writer-release");
+        let len = 4 * STEP;
+        let mut map = SegmentMap::create(&file, len).unwrap().unwrap();
+        let base = map.bytes_mut().as_ptr();
+        let mut written = vec![0u8; len];
+        // Appends of three quarters of a step each, as the WAL makes them:
+        // room first, from the append offset, then the bytes.
+        let chunk = 3 * STEP / 4;
+        for (n, at) in (0..len).step_by(chunk).enumerate() {
+            let end = (at + chunk).min(len);
+            map.reserve(&file, at, end).unwrap();
+            let mine: Vec<u8> = (at..end).map(|i| (i * 13 + n) as u8).collect();
+            map.bytes_mut()[at..end].copy_from_slice(&mine);
+            written[at..end].copy_from_slice(&mine);
+            // The step holding the append offset and the one after it at
+            // most; every step wholly below the former is gone.
+            let held = mapping_rss(base);
+            assert!(held <= 2 * STEP, "append {n} at {at}: {held} bytes resident");
+        }
+        // Released steps fault back in with their bytes, and the file
+        // holds every byte written through the mapping.
+        assert_eq!(&map.bytes_mut()[..], &written[..]);
+        drop(map);
+        assert_eq!(std::fs::read(&path).unwrap(), written);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -236,8 +236,7 @@ pub fn states_to_sealed(states: &[StreamState]) -> Result<Vec<u8>, SnapshotError
 /// carries.
 pub fn parse_sealed(bytes: &[u8]) -> Result<Vec<StreamState>, SnapshotError> {
     let mut states = Vec::new();
-    let zero_from = |at: usize| Ok(bytes[at..].iter().all(|&b| b == 0));
-    let file = walk(SNAPSHOT_MAGIC, 0, bytes, zero_from, |offset, payload| {
+    let file = walk(SNAPSHOT_MAGIC, 0, bytes, |offset, payload| {
         decode_state(&mut states, offset, payload)
     })
     .map_err(|e| match e {

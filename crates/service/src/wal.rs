@@ -88,8 +88,11 @@
 //! (`madvise(MADV_POPULATE_WRITE)`) in 2 MiB steps as it fills
 //! (`crate::segmap`): creation prepares the first step, and a group
 //! that would cross the prepared frontier prepares the next before it
-//! is written. An append is then a ~300 ns `memcpy` into the kernel's
-//! own page cache — the bytes already have process-crash durability
+//! is written. Preparing a step first releases every step wholly below
+//! the one holding the append offset (`madvise(MADV_DONTNEED)`, which
+//! leaves their bytes in the page cache), so a segment keeps at most
+//! two steps resident. An append is then a ~300 ns `memcpy` into the
+//! kernel's own page cache — the bytes already have process-crash durability
 //! when the store retires, which is exactly the `never` policy's
 //! contract — and `fsync` on the descriptor still flushes
 //! mapping-dirtied pages, so `group` keeps its power-loss guarantee.
@@ -1277,14 +1280,15 @@ impl ActiveSegment {
     /// size. Then, when the group would cross the prepared frontier,
     /// the steps it reaches are reserved and pre-faulted before a byte
     /// of it is written, so a failed reservation leaves the group out
-    /// of the file. The buffered path has no such limit.
+    /// of the file, and the steps below the append offset's are
+    /// released. The buffered path has no such limit.
     fn make_room(&mut self, incoming: usize) -> Result<(), WalError> {
         let Some(map) = &self.map else { return Ok(()) };
         if self.bytes as usize + incoming + SEAL_LEN > map.len() {
             self.rotate(SEGMENT_HEADER_LEN + incoming + SEAL_LEN)?;
         }
         if let Some(map) = &mut self.map {
-            map.reserve(&self.file, self.bytes as usize + incoming)?;
+            map.reserve(&self.file, self.bytes as usize, self.bytes as usize + incoming)?;
         }
         Ok(())
     }
@@ -1915,6 +1919,57 @@ mod tests {
         let len = file_len(&path);
         assert!(len >= end && len - end < STEP, "{len} bytes for {end} of records");
         assert_recovers(&dir, &logged, 45);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn records_in_released_steps_come_back_bitwise_after_a_crash() {
+        use crate::recovery::walk;
+        use crate::segmap::{SegmentFile, STEP};
+        let dir = temp_dir("released-steps");
+        let config = WalConfig { fsync: FsyncPolicy::Never, ..WalConfig::new(&dir) };
+        let wal = Wal::open(config).unwrap();
+        let streams = ["a", "bb", "ccc"];
+        let mut appended = Vec::new();
+        let mut end = SEGMENT_HEADER_LEN;
+        // Past three steps, so the writer released at least two.
+        while end < 3 * STEP + STEP / 2 {
+            let seq = appended.len() as u64 + 1;
+            let stream = streams[seq as usize % 3];
+            let bytes = le_bytes(&values(4096 + seq as usize % 7, seq));
+            wal.append(stream, 1 + seq % 2, seq, &bytes).unwrap();
+            end += RECORD_OVERHEAD + RECORD_FIXED + stream.len() + bytes.len();
+            appended.push((stream, 1 + seq % 2, seq, bytes));
+        }
+        wal.crash();
+        drop(wal);
+        let segments = list_segments(&dir).unwrap();
+        assert_eq!(segments.len(), 1);
+        // Every payload, read through a mapping whose walk releases its
+        // windows in turn, is the one the writer framed.
+        let file = SegmentFile::open(&segments[0].1).unwrap();
+        let walked = walk(WAL_MAGIC, 0, &file, |_, payload| Ok(payload.to_vec())).unwrap();
+        assert!(!walked.sealed && walked.torn.is_none());
+        assert_eq!(walked.records.len(), appended.len());
+        for (payload, (stream, client_id, seq, bytes)) in walked.records.iter().zip(&appended) {
+            let mut framed = Vec::new();
+            Record::fold(stream, *client_id, *seq, bytes).unwrap().frame(&mut framed).unwrap();
+            assert_eq!(&framed[4..framed.len() - 8], &payload[..], "record {seq}");
+        }
+        drop(file);
+        // And recovery applies every one of them.
+        let ledger = crate::ShardedLedger::new(1);
+        let report = crate::recovery::recover(&dir, &ledger).unwrap();
+        assert_eq!((report.applied, report.torn.len()), (appended.len() as u64, 0), "{report}");
+        for stream in streams {
+            let logged: Vec<f64> = appended
+                .iter()
+                .filter(|r| r.0 == stream)
+                .flat_map(|r| r.3.as_chunks::<8>().0.iter().map(|w| f64::from_le_bytes(*w)))
+                .collect();
+            assert_eq!(ledger.sum(stream).unwrap(), crate::ServiceHp::sum_f64_slice(&logged));
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

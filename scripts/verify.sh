@@ -265,6 +265,78 @@ fi
 rm -f "$reactor_out" "$reactor_log"
 fi
 
+echo "==> restart-memory gate: a restart holds less than half of its log"
+# ROADMAP item 4's soak gate. A release oisum-server logs at least
+# 128 MiB of tracked binary Adds from loadgen, is shut down through the
+# protocol, and starts again on the same log. Its listening line comes
+# after recovery, and from then its peak resident set (VmHWM) must stay
+# under half the log's size: recovery keeps a summary per record,
+# releases each window of a segment it has walked and drops each segment
+# once it has verified, so a restart holds about 80 bytes a record, not
+# the log's pages. The log lives on /dev/shm when there is one, like the
+# WAL gate's.
+# Without /proc there is no VmHWM to read, and the section skips.
+if [ ! -r /proc/self/status ]; then
+    echo "==> restart-memory gate: no /proc, skipping"
+else
+restart_root=${TMPDIR:-/tmp}
+[ -d /dev/shm ] && restart_root=/dev/shm
+restart_dir=$(mktemp -d "$restart_root/oisum-restart-gate.XXXXXX")
+restart_log=$(mktemp)
+restart_out=$(mktemp)
+restart_pid=""
+# Stops the server and removes the log, on every way out of the section.
+restart_cleanup() {
+    if [ -n "$restart_pid" ]; then
+        kill "$restart_pid" 2>/dev/null || true
+        wait "$restart_pid" 2>/dev/null || true
+        restart_pid=""
+    fi
+    rm -rf "$restart_dir" "$restart_log" "$restart_out"
+}
+trap restart_cleanup EXIT
+# Starts oisum-server on the gate's log and waits for its listening
+# line, which sets restart_addr.
+restart_serve() {
+    : >"$restart_log"
+    ./target/release/oisum-server --addr 127.0.0.1:0 --wal "$restart_dir" >"$restart_log" 2>&1 &
+    restart_pid=$!
+    restart_addr=""
+    for _ in $(seq 1 300); do
+        restart_addr=$(sed -n 's/^oisum-server listening on //p' "$restart_log")
+        [ -n "$restart_addr" ] && return 0
+        kill -0 "$restart_pid" 2>/dev/null || break
+        sleep 0.1
+    done
+    echo "verify: oisum-server failed to start for the restart-memory gate" >&2
+    cat "$restart_log" >&2
+    exit 1
+}
+cargo build --offline --release -q -p oisum-service --bin oisum-server
+cargo build --offline --release -q -p oisum-cluster --bin loadgen
+restart_serve
+# 17M values in 500-value Adds log about 139 MB (8.17 bytes a value).
+./target/release/loadgen --threads 4 --batch 500 --values 17000000 --connections 4 \
+    --connect "$restart_addr" --shutdown --out "$restart_out"
+wait "$restart_pid" \
+    || { echo "verify: oisum-server exited uncleanly after the restart-memory load" >&2; exit 1; }
+restart_pid=""
+restart_log_bytes=$(stat -c %s "$restart_dir"/wal-*.log | awk '{ n += $1 } END { print n }')
+if [ "$restart_log_bytes" -lt $((128 << 20)) ]; then
+    echo "verify: the restart-memory gate logged $restart_log_bytes bytes, under 128 MiB" >&2
+    exit 1
+fi
+restart_serve
+restart_hwm_kb=$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$restart_pid/status")
+restart_cleanup
+trap - EXIT
+echo "restart-memory gate: VmHWM $restart_hwm_kb kB after recovering a $restart_log_bytes-byte log"
+if [ -z "$restart_hwm_kb" ] || [ $((restart_hwm_kb * 2048)) -ge "$restart_log_bytes" ]; then
+    echo "verify: a restart reached VmHWM ${restart_hwm_kb:-?} kB, half its log or more" >&2
+    exit 1
+fi
+fi
+
 # Best-effort deeper checkers: run when the toolchain has them, skip
 # cleanly when it does not (this container typically lacks both).
 if cargo miri --version >/dev/null 2>&1; then
