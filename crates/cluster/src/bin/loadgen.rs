@@ -29,7 +29,7 @@
 //! Generates one dataset of `--values` summands with magnitudes spread
 //! over ~30 orders of magnitude, splits it into batches, deals the
 //! batches to `--threads` clients *in shuffled order*, and streams them
-//! as binary Add frames (`OIS\x02`) at a fresh in-process server. After
+//! as binary Add frames at a fresh in-process server. After
 //! the pass it asserts the server's `Sum` limbs are bitwise identical to
 //! the sequential `ServiceHp::sum_f64_slice` of the un-shuffled dataset,
 //! then reports throughput (`ops_per_sec` and `values_per_sec`) and
@@ -39,7 +39,7 @@
 use oisum_cluster::start_local_cluster;
 use oisum_core::{encode_f64_batch, encode_f64_le_batch, lane_evidence, BatchAcc};
 use oisum_faults::{registry, FaultAction, FireRule};
-use oisum_service::proto::{add_binary_into, le_bytes, read_frame, Response};
+use oisum_service::proto::{add_binary_into, le_bytes, read_response, Response};
 use oisum_service::wal::Wal;
 use oisum_service::{
     raise_nofile_limit, recovery, serve, serve_with_core, Client, ClientConfig, FsyncPolicy,
@@ -722,7 +722,7 @@ fn fan_pass(
                                     slot: usize,
                                     pending: (Instant, usize)| {
                         let (t0, bi) = pending;
-                        let reply: Response = read_frame(&mut conns[slot].1)
+                        let reply = read_response(&mut conns[slot].1)
                             .expect("read reply")
                             .expect("server closed mid-pass");
                         lat.push(t0.elapsed().as_nanos());

@@ -13,7 +13,7 @@
 //!   address book, config fingerprint enforced at peer handshake.
 //! * [`placement`] — consistent-hash ring deciding which peers mirror
 //!   each tracked stream.
-//! * [`peer`] — the `OIS\x03` RPC layer: pooled connections for mirror
+//! * [`peer`] — the peer RPC layer: pooled connections for mirror
 //!   adds, fresh connections for tree sums and snapshot pulls (the
 //!   split is a deadlock-avoidance argument, see the module docs).
 //! * [`node`] — the node itself: primary + mirror ledgers, the

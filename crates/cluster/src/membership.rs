@@ -21,7 +21,7 @@ use std::sync::RwLock;
 use oisum_faults::fnv1a64;
 
 /// One node's slot in the cluster config: a dense id (`0..n`) plus the
-/// two listen addresses (client protocol and `OIS\x03` peer protocol).
+/// two listen addresses (the client port and the peer port).
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
     pub id: u32,

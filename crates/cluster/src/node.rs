@@ -61,7 +61,7 @@ use oisum_faults::{check, FaultAction};
 use oisum_service::dispatch::{local_contribution, ClusterOps, ClusterSumOut};
 use oisum_service::ledger::{ShardedLedger, StreamState};
 use oisum_service::proto::{
-    frame_into, peer_snapshot_data_into, read_peer_request_into, ErrorCode, PeerRequestView,
+    peer_snapshot_data_into, read_peer_request_into, reply_into, ErrorCode, PeerRequestView,
     Response, SnapshotScope, MAX_FRAME,
 };
 use oisum_service::snapshot::{self, SnapshotError};
@@ -481,51 +481,36 @@ fn rejoin(state: &NodeState) {
 fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<()> {
     conn.set_nodelay(true)?;
     let mut read_buf = Vec::new();
-    let mut scratch = String::new();
     let mut reply_buf = Vec::new();
-
-    // The first frame must be a fingerprint-matching Hello: a node from
+    let refuse = |message: String| Response::Error { code: ErrorCode::BadRequest, message };
+    // Nothing is served before a fingerprint-matching Hello: a node from
     // a differently-shaped cluster computes different placements and
     // must not be allowed to mirror or reduce here.
-    match read_peer_request_into(&mut &conn, &mut read_buf)? {
-        None => return Ok(()),
-        Some(PeerRequestView::Hello { fingerprint, .. }) => {
-            let reply = if fingerprint == state.membership.fingerprint() {
-                Response::PeerHello { node_id: u64::from(state.me) }
-            } else {
-                Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!(
+    let mut greeted = false;
+    loop {
+        // Each arm yields the reply and whether to close after it.
+        let (reply, close) = match read_peer_request_into(&mut &conn, &mut read_buf) {
+            Ok(None) => return Ok(()),
+            // A frame the peer port cannot take (a client op, a retired
+            // magic, a malformed body) is refused as on the client port.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => (refuse(e.to_string()), true),
+            Err(e) => return Err(e),
+            Ok(Some(PeerRequestView::Hello { fingerprint, .. })) => {
+                if fingerprint == state.membership.fingerprint() {
+                    greeted = true;
+                    (Response::PeerHello { node_id: u64::from(state.me) }, false)
+                } else {
+                    let message = format!(
                         "cluster config fingerprint mismatch (mine {:#018x}, yours {fingerprint:#018x})",
                         state.membership.fingerprint()
-                    ),
+                    );
+                    (refuse(message), true)
                 }
-            };
-            let refused = matches!(reply, Response::Error { .. });
-            frame_into(&reply, &mut scratch, &mut reply_buf)?;
-            conn.write_all(&reply_buf)?;
-            if refused {
-                return Ok(());
             }
-        }
-        Some(_) => {
-            let reply = Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "peer connection must open with a hello".to_owned(),
-            };
-            frame_into(&reply, &mut scratch, &mut reply_buf)?;
-            conn.write_all(&reply_buf)?;
-            return Ok(());
-        }
-    }
-
-    loop {
-        let Some(view) = read_peer_request_into(&mut &conn, &mut read_buf)? else {
-            return Ok(());
-        };
-        let reply = match view {
-            PeerRequestView::Hello { .. } => Response::PeerHello { node_id: u64::from(state.me) },
-            PeerRequestView::MirrorAdd { origin, add } => {
+            Ok(Some(_)) if !greeted => {
+                (refuse("peer connection must open with a hello".to_owned()), true)
+            }
+            Ok(Some(PeerRequestView::MirrorAdd { origin, add })) => {
                 if check(SEAM_MIRROR_DROP_BEFORE).is_some() {
                     return Ok(());
                 }
@@ -540,16 +525,16 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
                 if check(SEAM_MIRROR_DROP_AFTER).is_some() {
                     return Ok(());
                 }
-                Response::Added { count, deduped: !applied }
+                (Response::Added { count, deduped: !applied }, false)
             }
-            PeerRequestView::TreeSum { root, limit, stream } => {
+            Ok(Some(PeerRequestView::TreeSum { root, limit, stream })) => {
                 if let Some(FaultAction::Delay { ms }) = check(SEAM_REDUCE_DELAY) {
                     thread::sleep(Duration::from_millis(ms));
                 }
                 if check(SEAM_REDUCE_DROP).is_some() {
                     return Ok(());
                 }
-                match state.subtree_sum(stream, root, limit) {
+                let reply = match state.subtree_sum(stream, root, limit) {
                     Ok(out) => Response::ClusterSum {
                         limbs: out.limbs,
                         poisoned: out.poisoned,
@@ -557,22 +542,21 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
                         holders: out.holders,
                     },
                     Err(message) => Response::Error { code: ErrorCode::Internal, message },
-                }
+                };
+                (reply, false)
             }
-            PeerRequestView::SnapshotPull { origin, scope } => {
+            Ok(Some(PeerRequestView::SnapshotPull { origin, scope })) => {
                 let states = state.snapshot_for(origin, scope);
                 let sealed = snapshot::states_to_sealed(&states)?;
                 // A snapshot too large for one frame can never be
                 // shipped: refuse it with a typed error (which the puller
                 // treats as final) and keep serving this connection.
                 if peer_snapshot_data_into(&mut reply_buf, &sealed).is_err() {
-                    Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!(
-                            "sealed snapshot of {} bytes exceeds the {MAX_FRAME}-byte peer frame cap",
-                            sealed.len()
-                        ),
-                    }
+                    let message = format!(
+                        "sealed snapshot of {} bytes exceeds the {MAX_FRAME}-byte peer frame cap",
+                        sealed.len()
+                    );
+                    (Response::Error { code: ErrorCode::Internal, message }, false)
                 } else {
                     if let Some(FaultAction::PartialWrite { keep }) = check(SEAM_SNAPSHOT_PARTIAL) {
                         let keep = keep.min(reply_buf.len());
@@ -584,7 +568,10 @@ fn serve_peer_connection(mut conn: TcpStream, state: &NodeState) -> io::Result<(
                 }
             }
         };
-        frame_into(&reply, &mut scratch, &mut reply_buf)?;
+        reply_into(&mut reply_buf, &reply);
         conn.write_all(&reply_buf)?;
+        if close {
+            return Ok(());
+        }
     }
 }

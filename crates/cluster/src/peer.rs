@@ -1,4 +1,4 @@
-//! The peer RPC layer: how one node talks `OIS\x03` to another.
+//! The peer RPC layer: how one node calls another over the peer port.
 //!
 //! Two connection disciplines, chosen by deadlock analysis rather than
 //! taste:
@@ -37,7 +37,7 @@ use oisum_service::dispatch::ClusterSumOut;
 use oisum_service::ledger::StreamState;
 use oisum_service::proto::{
     peer_hello_into, peer_mirror_add_into, peer_snapshot_pull_into, peer_tree_sum_into,
-    read_peer_reply_into, PeerReplyView, Response, SnapshotScope,
+    read_reply_into, ReplyView, Response, SnapshotScope,
 };
 use oisum_service::snapshot;
 
@@ -121,15 +121,15 @@ impl PeerPool {
         Ok(conn)
     }
 
-    /// Reads one JSON reply, mapping typed errors to fatal call errors.
-    fn read_json_reply(&self, conn: &mut TcpStream) -> Result<Response, CallError> {
+    /// Reads one reply, mapping typed errors to fatal call errors.
+    fn read_reply(&self, conn: &mut TcpStream) -> Result<Response, CallError> {
         let mut buf = Vec::new();
-        match read_peer_reply_into(&mut &*conn, &mut buf).map_err(transient)? {
-            Some(PeerReplyView::Json(Response::Error { code, message })) => Err(CallError::Fatal(
+        match read_reply_into(&mut &*conn, &mut buf).map_err(transient)? {
+            Some(ReplyView::Reply(Response::Error { code, message })) => Err(CallError::Fatal(
                 format!("peer refused ({code:?}): {message}"),
             )),
-            Some(PeerReplyView::Json(resp)) => Ok(resp),
-            Some(PeerReplyView::SnapshotData(_)) => Err(CallError::Fatal(
+            Some(ReplyView::Reply(resp)) => Ok(resp),
+            Some(ReplyView::SnapshotData(_)) => Err(CallError::Fatal(
                 "unexpected snapshot data reply".to_owned(),
             )),
             None => Err(CallError::Transient("peer closed the connection".to_owned())),
@@ -140,7 +140,7 @@ impl PeerPool {
     /// meant to dial (the address book is mutable; a stale entry must
     /// surface as an error, not a silently misrouted RPC).
     fn expect_hello_ack(&self, conn: &mut TcpStream, peer: u32) -> Result<(), CallError> {
-        match self.read_json_reply(conn)? {
+        match self.read_reply(conn)? {
             Response::PeerHello { node_id } if node_id == u64::from(peer) => Ok(()),
             Response::PeerHello { node_id } => Err(CallError::Fatal(format!(
                 "dialed node {peer} but node {node_id} answered"
@@ -202,7 +202,7 @@ impl PeerPool {
                 .write_all(&frame)
                 .and_then(|()| conn.flush())
                 .map_err(transient)
-                .and_then(|()| self.read_json_reply(conn));
+                .and_then(|()| self.read_reply(conn));
             match sent {
                 Ok(Response::Added { deduped, .. }) => Ok(deduped),
                 Ok(other) => {
@@ -240,7 +240,7 @@ impl PeerPool {
             frame.extend_from_slice(&request);
             conn.write_all(&frame).map_err(transient)?;
             self.expect_hello_ack(&mut conn, peer)?;
-            match self.read_json_reply(&mut conn)? {
+            match self.read_reply(&mut conn)? {
                 Response::ClusterSum { limbs, poisoned, values, holders } => {
                     Ok(ClusterSumOut { limbs, poisoned, values, holders })
                 }
@@ -273,10 +273,10 @@ impl PeerPool {
             conn.write_all(&frame).map_err(transient)?;
             self.expect_hello_ack(&mut conn, peer)?;
             let mut buf = Vec::new();
-            match read_peer_reply_into(&mut &conn, &mut buf).map_err(transient)? {
-                Some(PeerReplyView::SnapshotData(sealed)) => snapshot::parse_sealed(sealed)
+            match read_reply_into(&mut &conn, &mut buf).map_err(transient)? {
+                Some(ReplyView::SnapshotData(sealed)) => snapshot::parse_sealed(sealed)
                     .map_err(|e| CallError::Transient(format!("snapshot transfer damaged: {e}"))),
-                Some(PeerReplyView::Json(Response::Error { code, message })) => Err(
+                Some(ReplyView::Reply(Response::Error { code, message })) => Err(
                     CallError::Fatal(format!("peer refused ({code:?}): {message}")),
                 ),
                 Some(other) => Err(CallError::Fatal(format!(

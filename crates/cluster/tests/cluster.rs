@@ -415,8 +415,8 @@ fn wal_replay_restores_watermarks_before_rejoin() {
 fn oversized_snapshot_pull_is_refused_and_the_peer_keeps_serving() {
     use oisum_service::ledger::StreamState;
     use oisum_service::proto::{
-        peer_hello_into, peer_snapshot_pull_into, peer_tree_sum_into, read_peer_reply_into,
-        ErrorCode, PeerReplyView, Response, SnapshotScope, MAX_FRAME,
+        peer_hello_into, peer_snapshot_pull_into, peer_tree_sum_into, read_reply_into,
+        ErrorCode, ReplyView, Response, SnapshotScope, MAX_FRAME,
     };
     use std::io::Write;
 
@@ -468,14 +468,67 @@ fn oversized_snapshot_pull_is_refused_and_the_peer_keeps_serving() {
     frames.extend_from_slice(&frame);
     conn.write_all(&frames).unwrap();
     let mut buf = Vec::new();
-    let mut reply = || match read_peer_reply_into(&mut &conn, &mut buf).unwrap() {
-        Some(PeerReplyView::Json(reply)) => reply,
-        other => panic!("expected a JSON reply, got {other:?}"),
+    let mut reply = || match read_reply_into(&mut &conn, &mut buf).unwrap() {
+        Some(ReplyView::Reply(reply)) => reply,
+        other => panic!("expected a reply, got {other:?}"),
     };
     assert!(matches!(reply(), Response::PeerHello { node_id: 1 }));
     assert!(matches!(reply(), Response::Error { code: ErrorCode::Internal, .. }));
     assert!(matches!(reply(), Response::ClusterSum { holders: 0, .. }));
     drop(conn);
 
+    shutdown_all(nodes);
+}
+
+/// The peer port takes peer ops alone. A client Add or Sum, before or
+/// after the `Hello`, is refused by its op byte; a frame under the
+/// retired peer version 3 is refused naming the version. Each refusal
+/// is a typed `bad_request` and a close, nothing is deposited, and the
+/// node keeps serving peers and clients.
+#[test]
+fn the_peer_port_refuses_client_ops_and_retired_versions() {
+    use oisum_service::proto::{
+        add_binary_bytes, peer_hello_into, read_response, request_into, ErrorCode, Request,
+        Response,
+    };
+    use std::io::Write;
+
+    let (membership, nodes) = start_local_cluster(2, 2, |_| {}).expect("start cluster");
+    let mut hello = Vec::new();
+    peer_hello_into(&mut hello, 0, membership.fingerprint()).unwrap();
+    let add = add_binary_bytes("s", 7, 1, &[1.5]).unwrap();
+    let mut sum = Vec::new();
+    request_into(&mut sum, &Request::Sum { stream: "s".to_owned() }).unwrap();
+    let mut v3_hello = hello.clone();
+    v3_hello[3] = 3;
+    let cases: [(Vec<u8>, &str); 5] = [
+        (add.clone(), "client op 0x01 refused on the peer port"),
+        (sum.clone(), "client op 0x02 refused on the peer port"),
+        ([hello.clone(), add].concat(), "client op 0x01 refused on the peer port"),
+        ([hello.clone(), sum].concat(), "client op 0x02 refused on the peer port"),
+        (v3_hello, "retired protocol version 3"),
+    ];
+    for (wire, names) in cases {
+        let mut conn = std::net::TcpStream::connect(nodes[1].peer_addr()).expect("dial node 1");
+        conn.write_all(&wire).unwrap();
+        let mut reply = read_response(&mut conn).unwrap().expect("a typed reply before close");
+        if wire.starts_with(&hello) {
+            assert_eq!(reply, Response::PeerHello { node_id: 1 }, "{names}");
+            reply = read_response(&mut conn).unwrap().expect("a typed reply before close");
+        }
+        match reply {
+            Response::Error { code: ErrorCode::BadRequest, message } => {
+                assert!(message.contains(names), "{message}");
+            }
+            other => panic!("{names}: got {other:?}"),
+        }
+        assert!(read_response(&mut conn).unwrap().is_none(), "{names}: the connection stayed open");
+    }
+
+    let pool = oisum_cluster::PeerPool::new(0, Arc::clone(&membership), Default::default());
+    assert_eq!(pool.tree_sum(1, 1, 1, "s").expect("node 1 still answers peers").holders, 0);
+    let mut client = Client::connect(nodes[1].client_addr()).expect("connect");
+    assert!(client.sum("s").is_err(), "a refused Add deposited");
+    drop(client);
     shutdown_all(nodes);
 }

@@ -86,9 +86,15 @@ pub enum RuleId {
     /// reactor the stakes are higher still — one blocked acquisition
     /// stalls every connection the event loop owns, not one worker.
     BlockingInHotPath,
+    /// No `serde::` or `serde_json` paths in the service's non-test
+    /// sources (`crates/service/src/`): the wire is binary, one header
+    /// and one op table, and the service manifest keeps both serde
+    /// crates only for the benchmark's lock file, so nothing but this
+    /// rule keeps JSON from creeping back onto the wire.
+    ServiceSerde,
 }
 
-pub const ALL_RULES: [RuleId; 12] = [
+pub const ALL_RULES: [RuleId; 13] = [
     RuleId::FloatAccum,
     RuleId::UnsafeSafety,
     RuleId::AtomicOrdering,
@@ -101,6 +107,7 @@ pub const ALL_RULES: [RuleId; 12] = [
     RuleId::LockOrder,
     RuleId::CondvarPredicate,
     RuleId::BlockingInHotPath,
+    RuleId::ServiceSerde,
 ];
 
 impl RuleId {
@@ -118,6 +125,7 @@ impl RuleId {
             RuleId::LockOrder => "lock-order",
             RuleId::CondvarPredicate => "condvar-predicate",
             RuleId::BlockingInHotPath => "blocking-in-hot-path",
+            RuleId::ServiceSerde => "service-serde",
         }
     }
 
@@ -161,6 +169,7 @@ impl RuleId {
             RuleId::BlockingInHotPath => {
                 "no blocking lock acquisitions on the zero-copy frame path"
             }
+            RuleId::ServiceSerde => "no serde or serde_json paths in the service: the wire is binary",
         }
     }
 }
@@ -341,6 +350,8 @@ fn in_scope(rule: RuleId, path: &str, kind: FileKind) -> bool {
                     || path.ends_with("dispatch.rs")
                     || path.starts_with("crates/service/src/reactor/"))
         }
+        // The server binary too: any code that speaks for the service.
+        RuleId::ServiceSerde => kind != FileKind::Test && path.starts_with("crates/service/src/"),
     }
 }
 
@@ -615,6 +626,23 @@ pub fn check_file(path: &str, kind: FileKind, src: &str) -> Vec<Finding> {
                             );
                             break;
                         }
+                    }
+                }
+                RuleId::ServiceSerde => {
+                    let t = &toks[idx];
+                    let serde_path = t.iter().enumerate().any(|(i, tok)| {
+                        tok == "serde_json"
+                            || (tok == "serde" && t.get(i + 1).is_some_and(|n| n == "::"))
+                    });
+                    if serde_path {
+                        push(
+                            idx,
+                            rule,
+                            "serde path in the service: every frame is binary under one \
+                             header and one op table (`proto.rs`), so JSON stays off the wire"
+                                .into(),
+                            &lines,
+                        );
                     }
                 }
                 RuleId::ServiceUnwrap => {

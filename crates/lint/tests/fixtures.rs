@@ -281,6 +281,37 @@ fn codec_modules_are_exempt_from_lossy_cast() {
     .is_empty());
 }
 
+// --------------------------------------------------------------- service-serde
+
+#[test]
+fn serde_paths_in_service_src_fire() {
+    let src = "use serde::Serialize;\nfn reply(v: &u64) -> Vec<u8> {\n    serde_json::to_vec(v).unwrap_or_default()\n}\n";
+    for (path, kind) in [
+        ("crates/service/src/proto.rs", FileKind::Prod),
+        ("crates/service/src/bin/server.rs", FileKind::Bin),
+    ] {
+        assert_eq!(fire_lines(RuleId::ServiceSerde, path, kind, src), vec![1, 3], "{path}");
+    }
+}
+
+#[test]
+fn serde_outside_service_src_or_in_tests_and_strings_is_fine() {
+    let src = "use serde::Serialize;\nfn f() -> usize {\n    serde_json::to_string(&1).unwrap().len()\n}\n";
+    // Other crates keep their optional serde features.
+    assert!(fire_lines(RuleId::ServiceSerde, "crates/core/src/serde_impls.rs", FileKind::Prod, src)
+        .is_empty());
+    // Integration tests and #[cfg(test)] regions may use JSON.
+    assert!(fire_lines(RuleId::ServiceSerde, "crates/service/tests/t.rs", FileKind::Test, src)
+        .is_empty());
+    let gated = format!("#[cfg(test)]\nmod tests {{\n{src}}}\n");
+    assert!(fire_lines(RuleId::ServiceSerde, "crates/service/src/x.rs", FileKind::Prod, &gated)
+        .is_empty());
+    // Prose and string contents are not paths; nor is a longer name.
+    let prose = "// the wire once spoke serde_json\nfn f() -> &'static str { \"serde::Serialize\" }\nfn my_serde_jsonish() {}\n";
+    assert!(fire_lines(RuleId::ServiceSerde, "crates/service/src/x.rs", FileKind::Prod, prose)
+        .is_empty());
+}
+
 // -------------------------------------------------------------- service-unwrap
 
 #[test]

@@ -6,17 +6,19 @@
 //! window recognizes the replay. Retrying is therefore *exactly-once*
 //! for deposits, not at-least-once.
 //!
-//! One request/one reply over a persistent connection: a binary Add
-//! frame for a deposit, a JSON frame for every other call, a JSON reply
-//! to each. Typed helpers unwrap the reply kind; a mismatched or `Error`
-//! reply surfaces as [`ClientError::Server`] with the server's code and
-//! message. Transport failures (`ClientError::Io`) trigger reconnect +
+//! One request/one reply over a persistent connection, every frame
+//! binary under the protocol's one header: an Add frame for a deposit, a
+//! control frame for every other call, and each reply read through the
+//! protocol's one reply decoder. Typed helpers unwrap the reply kind; a
+//! mismatched or `Error` reply surfaces as [`ClientError::Server`] with
+//! the server's code and message. Transport failures (`ClientError::Io`) trigger reconnect +
 //! resend up to [`ClientConfig::retries`] times with exponential backoff
 //! and seeded jitter; typed server errors are never retried — the server
 //! heard us and said no.
 
 use crate::proto::{
-    add_binary_into, read_frame, write_frame, ErrorCode, Request, Response, StreamStatsRepr,
+    add_binary_into, read_reply_into, request_into, ErrorCode, ReplyView, Request, Response,
+    StreamStatsRepr,
 };
 use rand::{Rng, SeedableRng, StdRng};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -129,10 +131,12 @@ pub struct Client {
     /// never per attempt — that is the whole exactly-once trick.
     next_seq: u64,
     jitter: StdRng,
-    /// Reusable binary Add frame buffer: formatted once per logical
-    /// batch, resent verbatim by every retry, capacity kept across
-    /// batches.
+    /// Reusable request frame buffer: an Add is formatted once per
+    /// logical batch and resent verbatim by every retry; capacity is
+    /// kept across requests.
     send_buf: Vec<u8>,
+    /// Reusable reply payload buffer.
+    reply_buf: Vec<u8>,
 }
 
 impl Client {
@@ -164,6 +168,7 @@ impl Client {
             // Presized so the first full-size batch never pays a realloc
             // ladder (a one-off latency spike that becomes the p99).
             send_buf: Vec::with_capacity(crate::proto::INITIAL_FRAME_CAPACITY),
+            reply_buf: Vec::new(),
         })
     }
 
@@ -217,17 +222,25 @@ impl Client {
 
     /// One request/one reply on the current socket, no retry.
     fn call_once(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, req)?;
+        request_into(&mut self.send_buf, req)?;
+        self.writer.write_all(&self.send_buf)?;
+        self.writer.flush()?;
         self.read_reply()
     }
 
     fn read_reply(&mut self) -> Result<Response, ClientError> {
-        let reply = read_frame::<_, Response>(&mut self.reader)?.ok_or_else(|| {
-            ClientError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ))
-        })?;
+        let reply = match read_reply_into(&mut self.reader, &mut self.reply_buf)? {
+            Some(ReplyView::Reply(reply)) => reply,
+            Some(ReplyView::SnapshotData(_)) => {
+                return Err(ClientError::UnexpectedReply("a client reply"))
+            }
+            None => {
+                return Err(ClientError::Io(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                )))
+            }
+        };
         if let Response::Error { code, message } = reply {
             return Err(ClientError::Server { code, message });
         }
@@ -242,7 +255,7 @@ impl Client {
         seq
     }
 
-    /// Deposits a batch exactly once over a binary `OIS\x02` Add frame
+    /// Deposits a batch exactly once over a binary Add frame
     /// (raw little-endian `f64` bytes, every bit pattern unchanged, no
     /// number formatting or parsing on either side); returns the number
     /// of values the batch accounts for. Under retries, at most one
@@ -295,13 +308,13 @@ impl Client {
         })
     }
 
-    /// Reads ledger statistics: the reply's `shard_count`, which is
-    /// always 1, and the per-stream counters. The pair stays until
-    /// perfbench, which builds against it, stops reading the count.
-    /// Idempotent, so retried freely.
+    /// Reads ledger statistics: a count that is always 1 (a stream is
+    /// one sum, not a bank of shards) and the per-stream counters. The
+    /// pair stays until perfbench, which builds against it, stops
+    /// reading the count. Idempotent, so retried freely.
     pub fn stats(&mut self) -> Result<(u64, Vec<StreamStatsRepr>), ClientError> {
         self.with_retries(move |c| match c.call_once(&Request::Stats)? {
-            Response::Stats { shard_count, streams } => Ok((shard_count, streams)),
+            Response::Stats { streams } => Ok((1, streams)),
             _ => Err(ClientError::UnexpectedReply("stats")),
         })
     }

@@ -15,7 +15,7 @@
 //! replicate a tracked batch, fold it once into its exact total, add
 //! that total through [`ShardedLedger::add_total_dedup`], then make it
 //! durable before the ACK with a WAL [`Record`] carrying the same
-//! total. JSON frames carry the control ops alone.
+//! total. The other client ops are the control requests.
 //!
 //! The cluster attaches through the [`ClusterOps`] trait rather than a
 //! concrete type so this crate stays free of any cluster dependency
@@ -168,8 +168,7 @@ impl RequestCore {
         self.wal.as_ref()
     }
 
-    /// Executes one client frame (a binary Add or a JSON control
-    /// request). Returns the reply and whether the transport should
+    /// Executes one client frame (a binary Add or a control request). Returns the reply and whether the transport should
     /// initiate shutdown after sending it. `_cursor` is ignored; it
     /// stays until perfbench, which builds against this signature,
     /// stops passing it.
@@ -236,8 +235,6 @@ impl RequestCore {
             Request::Stats => {
                 let stats = ledger.stats();
                 Response::Stats {
-                    // A stream is one sum; the field stays on the wire.
-                    shard_count: 1,
                     streams: stats
                         .streams
                         .into_iter()
@@ -462,7 +459,7 @@ fn unknown_stream(stream: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{add_binary_bytes, le_bytes, parse_client_frame, MAGIC_ADD_BIN};
+    use crate::proto::{add_binary_bytes, le_bytes, parse_client_frame, MAGIC};
     use crate::snapshot;
     use crate::wal::{FsyncPolicy, WalConfig};
     use crate::ServiceHp;
@@ -490,7 +487,7 @@ mod tests {
     ) -> Response {
         let frame = add_binary_bytes(stream, client_id, seq, values).unwrap();
         let (reply, stop) =
-            core.handle_frame(parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap(), cursor);
+            core.handle_frame(parse_client_frame(MAGIC, &frame[8..]).unwrap(), cursor);
         assert!(!stop);
         reply
     }
@@ -709,12 +706,12 @@ mod tests {
 
     /// The largest Add a frame can carry — a one-byte name and as many
     /// values as fit `MAX_FRAME` — is ACKed, logged in one record and
-    /// recovered bitwise: a record holds the frame's bytes plus the
-    /// 48-byte total.
+    /// recovered bitwise: a record holds the Add body plus the 48-byte
+    /// total.
     #[test]
     fn the_largest_add_a_frame_carries_fits_one_record() {
         use crate::proto::MAX_FRAME;
-        let most = (MAX_FRAME as usize - 19) / 8;
+        let most = (MAX_FRAME as usize - 20) / 8;
         let values: Vec<f64> = (0..most).map(|i| (i as f64 - 1e6) * 2f64.powi(-20)).collect();
         let wal = scratch_wal("largest");
         let ledger = Arc::new(ShardedLedger::new(1));

@@ -19,11 +19,12 @@
 //!   replay adds the totals the log holds. Every read takes the same
 //!   lock, so every reply and every checkpoint is a consistent cut of
 //!   its stream.
-//! * [`proto`] — the wire protocol: a batch travels only as a
-//!   `b"OIS\x02"` **binary Add** frame (length-prefixed stream name,
-//!   retry identity, raw little-endian `f64`s); `b"OIS\x01"`-tagged,
-//!   length-prefixed JSON frames carry the control ops and every reply,
-//!   on the same port; sums travel as raw limbs, never `f64`.
+//! * [`proto`] — the wire protocol: every request and reply, client or
+//!   peer, is one binary frame under one header (`b"OIS\x04"`, a
+//!   length, an op byte from one op table); a batch travels only as a
+//!   **binary Add** (length-prefixed stream name, retry identity, raw
+//!   little-endian `f64`s), and sums travel as six raw limbs, never
+//!   `f64`.
 //! * [`dispatch`] — the transport-agnostic request core
 //!   ([`RequestCore`]): frame in → ledger op →
 //!   reply out, shared by the client-facing server and the cluster's

@@ -1,48 +1,32 @@
-//! Wire protocol: length-prefixed frames with a versioned header.
+//! Wire protocol: one frame header, one op table, binary bodies.
 //!
-//! Every frame is `b"OIS" <version byte> <u32 big-endian payload length>
-//! <payload>`. A batch of summands travels one way only: the version
-//! `0x02` **binary Add** frame — a length-prefixed stream name, the
-//! retry identity, then raw little-endian `f64` summands, no JSON
-//! anywhere (see [`add_binary_bytes`]). Version `0x01` payloads are
-//! JSON-encoded [`Request`]s — every control op (sum, cluster sum,
-//! snapshot, reset, stats, shutdown), never an Add — and every
-//! [`Response`], the binary Add's `Added` ACK included (replies are tiny;
-//! the serialization cost worth eliminating is the request's values, not
-//! the acknowledgement). The magic-plus-version prefix lets either side
-//! reject a non-protocol peer (or an incompatible revision) before
-//! parsing anything, and the explicit length keeps framing independent
-//! of the payload encoding. Both versions are accepted on the same port.
+//! Every frame, client or peer, request or reply, is `b"OIS\x04"`, a
+//! `u32` big-endian payload length (at most [`MAX_FRAME`]), then the
+//! payload: one op byte from the table below and the op's binary body.
+//! Integers are big-endian, stream names are the u16-length-prefixed
+//! UTF-8 shared with WAL and snapshot records, and HP sums cross
+//! as their six raw `u64` limbs, most significant first, so clients
+//! compare results *bitwise* instead of through a lossy `f64`. A batch
+//! of summands travels only in an `Add` body: the name, the
+//! `(client_id, seq)` retry identity, then raw little-endian `f64`s (see
+//! [`add_binary_into`]); a peer `MirrorAdd` carries the same body after
+//! its origin id, and the server reads both in place ([`BinaryAddView`]).
 //!
-//! HP sums cross the wire as their raw limb sequences (most significant
-//! first) — exactly the `oisum-core` serde representation — so clients
-//! can compare results *bitwise* instead of through a lossy `f64`.
+//! The magic lets either side refuse a non-protocol peer before parsing
+//! anything, and the explicit length keeps framing independent of the
+//! body. Versions 1 to 3 (JSON control frames, the first binary Add and
+//! the first peer framing) are retired: a frame under one is refused as
+//! a bad request naming its version. Each port accepts its own ops
+//! alone: the client port refuses a peer op, and the peer port a client
+//! op, by the op byte. Every parse consumes its body exactly, so a body
+//! with bytes missing or left over is refused, never half-read.
 
-use serde::de::{Error as DeError, MapAccess, Visitor};
-use serde::ser::SerializeStruct;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::io::{self, Read, Write};
+use crate::ledger::SERVICE_LIMBS;
+use std::io::{self, Read};
 
-/// JSON frame magic (control requests and every reply); the final byte
-/// is the protocol version.
-pub const MAGIC: [u8; 4] = *b"OIS\x01";
-
-/// Binary Add frame magic (protocol version 2). Payload:
-/// `u16 BE name length, name bytes (UTF-8), u64 BE client id, u64 BE
-/// sequence number, raw little-endian f64 × n`. A client id of
-/// [`UNTRACKED_CLIENT`] opts out of deduplication.
-pub const MAGIC_ADD_BIN: [u8; 4] = *b"OIS\x02";
-
-/// Inter-node peer frame magic (protocol version 3). Payload is one
-/// opcode byte followed by an op-specific binary body; see
-/// [`PeerRequestView`] for the request ops and [`PeerReplyView`] for the
-/// one binary reply (`SnapshotData`). Peer frames only travel between
-/// cluster nodes on the dedicated peer port — the client-facing port
-/// rejects them by magic. Replies to peer requests reuse the ordinary
-/// JSON [`Response`] frames (preformatted through [`frame_into`]),
-/// except the snapshot transfer, whose sealed snapshot crosses as raw
-/// bytes.
-pub const MAGIC_PEER: [u8; 4] = *b"OIS\x03";
+/// Frame magic, the protocol's one header; the final byte is the
+/// protocol version.
+pub const MAGIC: [u8; 4] = *b"OIS\x04";
 
 /// Hard cap on payload size (16 MiB) so a corrupt or hostile length
 /// prefix cannot drive an unbounded allocation.
@@ -60,43 +44,51 @@ pub const MAX_FRAME: u32 = 16 << 20;
 /// Buffers still grow past this on demand (up to [`MAX_FRAME`]).
 pub const INITIAL_FRAME_CAPACITY: usize = (64 << 10) + 64;
 
-/// Machine-readable error categories carried by [`Response::Error`].
+// The op table: the first payload byte of every frame. Client requests
+// are 0x0_, peer requests 0x1_, and replies set the top bit.
+const OP_ADD: u8 = 0x01;
+const OP_SUM: u8 = 0x02;
+const OP_CLUSTER_SUM: u8 = 0x03;
+const OP_SNAPSHOT: u8 = 0x04;
+const OP_RESET: u8 = 0x05;
+const OP_STATS: u8 = 0x06;
+const OP_SHUTDOWN: u8 = 0x07;
+const OP_HELLO: u8 = 0x11;
+const OP_MIRROR_ADD: u8 = 0x12;
+const OP_TREE_SUM: u8 = 0x13;
+const OP_SNAPSHOT_PULL: u8 = 0x14;
+/// Answers `Add` and `MirrorAdd`.
+const OP_ADDED: u8 = 0x81;
+const OP_SUM_REPLY: u8 = 0x82;
+/// Answers `ClusterSum` and `TreeSum`.
+const OP_CLUSTER_SUM_REPLY: u8 = 0x83;
+const OP_SNAPSHOT_DONE: u8 = 0x84;
+const OP_RESET_DONE: u8 = 0x85;
+const OP_STATS_REPLY: u8 = 0x86;
+const OP_SHUTTING_DOWN: u8 = 0x87;
+const OP_PEER_HELLO: u8 = 0x91;
+const OP_SNAPSHOT_DATA: u8 = 0x94;
+const OP_ERROR: u8 = 0xFF;
+
+/// Machine-readable error categories carried by [`Response::Error`], on
+/// the wire as the error body's first byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorCode {
     /// The frame payload was not a valid request.
-    BadRequest,
+    BadRequest = 1,
     /// The named stream has never been written.
-    UnknownStream,
+    UnknownStream = 2,
     /// The server failed to act on a valid request (e.g. snapshot I/O).
-    Internal,
-}
-
-impl ErrorCode {
-    fn as_str(self) -> &'static str {
-        match self {
-            ErrorCode::BadRequest => "bad_request",
-            ErrorCode::UnknownStream => "unknown_stream",
-            ErrorCode::Internal => "internal",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "bad_request" => ErrorCode::BadRequest,
-            "unknown_stream" => ErrorCode::UnknownStream,
-            "internal" => ErrorCode::Internal,
-            _ => return None,
-        })
-    }
+    Internal = 3,
 }
 
 /// Sentinel `client_id` meaning "untracked": the deposit bypasses the
 /// ledger's dedup window and is applied unconditionally.
 pub const UNTRACKED_CLIENT: u64 = 0;
 
-/// A client-to-server control command, JSON-framed. Summands never
-/// travel as JSON: a batch is deposited with a binary Add frame
-/// ([`add_binary_into`]).
+/// A client-to-server control command. Summands never travel here: a
+/// batch is deposited with a binary Add frame ([`add_binary_into`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Read the exact HP sum of the named stream.
@@ -123,86 +115,6 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// Every op a JSON request may name, as [`Request::op`] spells it.
-    const OPS: [&'static str; 6] = ["sum", "cluster_sum", "snapshot", "reset", "stats", "shutdown"];
-
-    fn op(&self) -> &'static str {
-        match self {
-            Request::Sum { .. } => "sum",
-            Request::ClusterSum { .. } => "cluster_sum",
-            Request::Snapshot => "snapshot",
-            Request::Reset => "reset",
-            Request::Stats => "stats",
-            Request::Shutdown => "shutdown",
-        }
-    }
-}
-
-impl Serialize for Request {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Request", 2)?;
-        s.serialize_field("op", &self.op())?;
-        match self {
-            Request::Sum { stream } | Request::ClusterSum { stream } => {
-                s.serialize_field("stream", stream)?
-            }
-            Request::Snapshot | Request::Reset | Request::Stats | Request::Shutdown => {}
-        }
-        s.end()
-    }
-}
-
-struct RequestVisitor;
-
-impl<'de> Visitor<'de> for RequestVisitor {
-    type Value = Request;
-
-    fn expecting(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("a request object with an `op` field")
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Request, A::Error> {
-        let unknown_op = |op: &str| A::Error::custom(format!("unknown op `{op}`"));
-        let (mut op, mut stream) = (None::<String>, None::<String>);
-        while let Some(key) = map.next_key::<String>()? {
-            match key.as_str() {
-                // An unknown op is refused before any field it brought
-                // along: a JSON `add` is named as the op, not as a stray
-                // `values` field.
-                "op" => {
-                    let name: String = map.next_value()?;
-                    if !Request::OPS.contains(&name.as_str()) {
-                        return Err(unknown_op(&name));
-                    }
-                    op = Some(name);
-                }
-                "stream" => stream = Some(map.next_value()?),
-                other => return Err(A::Error::custom(format!("unknown field `{other}`"))),
-            }
-        }
-        let op = op.ok_or_else(|| A::Error::custom("missing field `op`"))?;
-        let need_stream = |stream: Option<String>| {
-            stream.ok_or_else(|| A::Error::custom(format!("`{op}` requires `stream`")))
-        };
-        Ok(match op.as_str() {
-            "sum" => Request::Sum { stream: need_stream(stream)? },
-            "cluster_sum" => Request::ClusterSum { stream: need_stream(stream)? },
-            "snapshot" => Request::Snapshot,
-            "reset" => Request::Reset,
-            "stats" => Request::Stats,
-            "shutdown" => Request::Shutdown,
-            other => return Err(unknown_op(other)),
-        })
-    }
-}
-
-impl<'de> Deserialize<'de> for Request {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_struct("Request", &["op", "stream"], RequestVisitor)
-    }
-}
-
 /// Per-stream counters inside a [`Response::Stats`] reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamStatsRepr {
@@ -214,56 +126,6 @@ pub struct StreamStatsRepr {
     pub values: u64,
     /// Detected top-limb overflows.
     pub overflows: u64,
-}
-
-impl Serialize for StreamStatsRepr {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("StreamStats", 4)?;
-        s.serialize_field("name", &self.name)?;
-        s.serialize_field("batches", &self.batches)?;
-        s.serialize_field("values", &self.values)?;
-        s.serialize_field("overflows", &self.overflows)?;
-        s.end()
-    }
-}
-
-struct StreamStatsVisitor;
-
-impl<'de> Visitor<'de> for StreamStatsVisitor {
-    type Value = StreamStatsRepr;
-
-    fn expecting(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("a per-stream stats object")
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
-        let (mut name, mut batches, mut values, mut overflows) = (None, None, None, None);
-        while let Some(key) = map.next_key::<String>()? {
-            match key.as_str() {
-                "name" => name = Some(map.next_value()?),
-                "batches" => batches = Some(map.next_value()?),
-                "values" => values = Some(map.next_value()?),
-                "overflows" => overflows = Some(map.next_value()?),
-                other => return Err(A::Error::custom(format!("unknown field `{other}`"))),
-            }
-        }
-        Ok(StreamStatsRepr {
-            name: name.ok_or_else(|| A::Error::custom("missing `name`"))?,
-            batches: batches.ok_or_else(|| A::Error::custom("missing `batches`"))?,
-            values: values.ok_or_else(|| A::Error::custom("missing `values`"))?,
-            overflows: overflows.ok_or_else(|| A::Error::custom("missing `overflows`"))?,
-        })
-    }
-}
-
-impl<'de> Deserialize<'de> for StreamStatsRepr {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_struct(
-            "StreamStats",
-            &["name", "batches", "values", "overflows"],
-            StreamStatsVisitor,
-        )
-    }
 }
 
 /// A server-to-client reply.
@@ -318,9 +180,6 @@ pub enum Response {
     ResetDone,
     /// Ledger statistics.
     Stats {
-        /// Always 1: a stream is one sum, not a bank of shards. The
-        /// field stays on the wire for clients that read it.
-        shard_count: u64,
         /// Per-stream counters, sorted by name.
         streams: Vec<StreamStatsRepr>,
     },
@@ -335,212 +194,139 @@ pub enum Response {
     },
 }
 
-impl Response {
-    fn kind(&self) -> &'static str {
-        match self {
-            Response::Added { .. } => "added",
-            Response::Sum { .. } => "sum",
-            Response::ClusterSum { .. } => "cluster_sum",
-            Response::PeerHello { .. } => "peer_hello",
-            Response::Snapshot { .. } => "snapshot",
-            Response::ResetDone => "reset",
-            Response::Stats { .. } => "stats",
-            Response::ShuttingDown => "shutting_down",
-            Response::Error { .. } => "error",
-        }
-    }
-}
-
-impl Serialize for Response {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("Response", 3)?;
-        s.serialize_field("kind", &self.kind())?;
-        match self {
-            Response::Added { count, deduped } => {
-                s.serialize_field("count", count)?;
-                s.serialize_field("deduped", deduped)?;
-            }
-            Response::Sum { limbs, poisoned } => {
-                s.serialize_field("limbs", limbs)?;
-                s.serialize_field("poisoned", poisoned)?;
-            }
-            Response::ClusterSum { limbs, poisoned, values, holders } => {
-                s.serialize_field("limbs", limbs)?;
-                s.serialize_field("poisoned", poisoned)?;
-                s.serialize_field("values", values)?;
-                s.serialize_field("holders", holders)?;
-            }
-            Response::PeerHello { node_id } => s.serialize_field("node_id", node_id)?,
-            Response::Snapshot { streams } => s.serialize_field("streams", streams)?,
-            Response::ResetDone | Response::ShuttingDown => {}
-            Response::Stats { shard_count, streams } => {
-                s.serialize_field("shard_count", shard_count)?;
-                s.serialize_field("stream_stats", streams)?;
-            }
-            Response::Error { code, message } => {
-                s.serialize_field("code", &code.as_str())?;
-                s.serialize_field("message", message)?;
-            }
-        }
-        s.end()
-    }
-}
-
-struct ResponseVisitor;
-
-impl<'de> Visitor<'de> for ResponseVisitor {
-    type Value = Response;
-
-    fn expecting(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("a response object with a `kind` field")
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Response, A::Error> {
-        let mut kind = None::<String>;
-        let mut count = None::<u64>;
-        let mut deduped = None::<bool>;
-        let mut limbs = None::<Vec<u64>>;
-        let mut poisoned = None::<bool>;
-        let mut values = None::<u64>;
-        let mut holders = None::<u64>;
-        let mut node_id = None::<u64>;
-        let mut streams = None::<u64>;
-        let mut shard_count = None::<u64>;
-        let mut stream_stats = None::<Vec<StreamStatsRepr>>;
-        let mut code = None::<String>;
-        let mut message = None::<String>;
-        while let Some(key) = map.next_key::<String>()? {
-            match key.as_str() {
-                "kind" => kind = Some(map.next_value()?),
-                "count" => count = Some(map.next_value()?),
-                "deduped" => deduped = Some(map.next_value()?),
-                "limbs" => limbs = Some(map.next_value()?),
-                "poisoned" => poisoned = Some(map.next_value()?),
-                "values" => values = Some(map.next_value()?),
-                "holders" => holders = Some(map.next_value()?),
-                "node_id" => node_id = Some(map.next_value()?),
-                "streams" => streams = Some(map.next_value()?),
-                "shard_count" => shard_count = Some(map.next_value()?),
-                "stream_stats" => stream_stats = Some(map.next_value()?),
-                "code" => code = Some(map.next_value()?),
-                "message" => message = Some(map.next_value()?),
-                other => return Err(A::Error::custom(format!("unknown field `{other}`"))),
-            }
-        }
-        let kind = kind.ok_or_else(|| A::Error::custom("missing field `kind`"))?;
-        let missing = |f: &str| A::Error::custom(format!("`{kind}` reply missing `{f}`"));
-        Ok(match kind.as_str() {
-            "added" => Response::Added {
-                count: count.ok_or_else(|| missing("count"))?,
-                // Absent in pre-dedup frames: nothing was deduplicated.
-                deduped: deduped.unwrap_or(false),
-            },
-            "sum" => Response::Sum {
-                limbs: limbs.ok_or_else(|| missing("limbs"))?,
-                poisoned: poisoned.ok_or_else(|| missing("poisoned"))?,
-            },
-            "cluster_sum" => Response::ClusterSum {
-                limbs: limbs.ok_or_else(|| missing("limbs"))?,
-                poisoned: poisoned.ok_or_else(|| missing("poisoned"))?,
-                values: values.ok_or_else(|| missing("values"))?,
-                holders: holders.ok_or_else(|| missing("holders"))?,
-            },
-            "peer_hello" => Response::PeerHello {
-                node_id: node_id.ok_or_else(|| missing("node_id"))?,
-            },
-            "snapshot" => Response::Snapshot {
-                streams: streams.ok_or_else(|| missing("streams"))?,
-            },
-            "reset" => Response::ResetDone,
-            "stats" => Response::Stats {
-                shard_count: shard_count.ok_or_else(|| missing("shard_count"))?,
-                streams: stream_stats.ok_or_else(|| missing("stream_stats"))?,
-            },
-            "shutting_down" => Response::ShuttingDown,
-            "error" => {
-                let code = code.ok_or_else(|| missing("code"))?;
-                Response::Error {
-                    code: ErrorCode::parse(&code)
-                        .ok_or_else(|| A::Error::custom(format!("unknown code `{code}`")))?,
-                    message: message.ok_or_else(|| missing("message"))?,
-                }
-            }
-            other => return Err(A::Error::custom(format!("unknown kind `{other}`"))),
-        })
-    }
-}
-
-impl<'de> Deserialize<'de> for Response {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_struct(
-            "Response",
-            &[
-                "kind",
-                "count",
-                "deduped",
-                "limbs",
-                "poisoned",
-                "values",
-                "holders",
-                "node_id",
-                "streams",
-                "shard_count",
-                "stream_stats",
-                "code",
-                "message",
-            ],
-            ResponseVisitor,
-        )
-    }
-}
-
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Serializes one JSON frame — header, length, payload — into a byte
-/// buffer. The byte form exists so retry loops can resend a frame
-/// verbatim and so fault injection can cut one mid-frame.
-pub fn frame_bytes<T: Serialize>(msg: &T) -> io::Result<Vec<u8>> {
-    let payload = serde_json::to_vec(msg).map_err(|e| bad_data(e.to_string()))?;
-    let len = u32::try_from(payload.len()).map_err(|_| bad_data("frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(bad_data("frame too large"));
-    }
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.extend_from_slice(&payload);
-    Ok(buf)
-}
-
-/// Serializes one JSON frame into `buf` (cleared first), reusing
-/// `scratch` for the JSON text. Neither buffer allocates once warm, so a
-/// connection loop can format every reply into the same two buffers and
-/// land it on the socket with a single `write_all` — no per-reply `Vec`,
-/// no `BufWriter` copy.
-pub fn frame_into<T: Serialize>(
-    msg: &T,
-    scratch: &mut String,
-    buf: &mut Vec<u8>,
-) -> io::Result<()> {
-    scratch.clear();
-    serde_json::to_string_into(msg, scratch).map_err(|e| bad_data(e.to_string()))?;
-    let len = u32::try_from(scratch.len()).map_err(|_| bad_data("frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(bad_data("frame too large"));
-    }
+/// Starts a frame in `buf` (cleared first): the magic, a length
+/// placeholder that [`finish`] patches, and the op byte.
+fn start(buf: &mut Vec<u8>, op: u8) {
     buf.clear();
     buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.extend_from_slice(scratch.as_bytes());
+    buf.extend_from_slice(&[0; 4]);
+    buf.push(op);
+}
+
+/// The refusal of a payload no frame can carry, naming its size and the
+/// cap.
+fn oversized(len: usize) -> io::Error {
+    bad_data(format!("a {len}-byte payload exceeds the {MAX_FRAME}-byte frame cap"))
+}
+
+/// Patches the payload length of a frame [`start`] began.
+fn finish(buf: &mut [u8]) -> io::Result<()> {
+    let len = buf.len() - 8;
+    let checked = u32::try_from(len).ok().filter(|&n| n <= MAX_FRAME);
+    buf[4..8].copy_from_slice(&checked.ok_or_else(|| oversized(len))?.to_be_bytes());
     Ok(())
 }
 
-/// Writes one frame: header, length, JSON payload.
-pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    w.write_all(&frame_bytes(msg)?)?;
-    w.flush()
+fn put_name(buf: &mut Vec<u8>, name: &str) -> io::Result<()> {
+    let len = u16::try_from(name.len()).map_err(|_| bad_data("stream name too long"))?;
+    buf.extend_from_slice(&len.to_be_bytes());
+    buf.extend_from_slice(name.as_bytes());
+    Ok(())
+}
+
+fn put_limbs(buf: &mut Vec<u8>, limbs: &[u64]) -> io::Result<()> {
+    if limbs.len() != SERVICE_LIMBS {
+        return Err(bad_data(format!("a sum of {} limbs, not {SERVICE_LIMBS}", limbs.len())));
+    }
+    limbs.iter().for_each(|l| buf.extend_from_slice(&l.to_be_bytes()));
+    Ok(())
+}
+
+/// The head of an Add body, shared by a client `Add` and a peer
+/// `MirrorAdd`: the stream name and the retry identity.
+fn put_add_head(buf: &mut Vec<u8>, stream: &str, client_id: u64, seq: u64) -> io::Result<()> {
+    put_name(buf, stream)?;
+    buf.extend_from_slice(&client_id.to_be_bytes());
+    buf.extend_from_slice(&seq.to_be_bytes());
+    Ok(())
+}
+
+/// Serializes a control request into `buf` (cleared first).
+pub fn request_into(buf: &mut Vec<u8>, req: &Request) -> io::Result<()> {
+    match req {
+        Request::Sum { stream } => {
+            start(buf, OP_SUM);
+            put_name(buf, stream)?;
+        }
+        Request::ClusterSum { stream } => {
+            start(buf, OP_CLUSTER_SUM);
+            put_name(buf, stream)?;
+        }
+        Request::Snapshot => start(buf, OP_SNAPSHOT),
+        Request::Reset => start(buf, OP_RESET),
+        Request::Stats => start(buf, OP_STATS),
+        Request::Shutdown => start(buf, OP_SHUTDOWN),
+    }
+    finish(buf)
+}
+
+fn encode_reply(buf: &mut Vec<u8>, reply: &Response) -> io::Result<()> {
+    match reply {
+        Response::Added { count, deduped } => {
+            start(buf, OP_ADDED);
+            buf.extend_from_slice(&count.to_be_bytes());
+            buf.push(u8::from(*deduped));
+        }
+        Response::Sum { limbs, poisoned } => {
+            start(buf, OP_SUM_REPLY);
+            put_limbs(buf, limbs)?;
+            buf.push(u8::from(*poisoned));
+        }
+        Response::ClusterSum { limbs, poisoned, values, holders } => {
+            start(buf, OP_CLUSTER_SUM_REPLY);
+            put_limbs(buf, limbs)?;
+            buf.push(u8::from(*poisoned));
+            buf.extend_from_slice(&values.to_be_bytes());
+            buf.extend_from_slice(&holders.to_be_bytes());
+        }
+        Response::PeerHello { node_id } => {
+            start(buf, OP_PEER_HELLO);
+            buf.extend_from_slice(&node_id.to_be_bytes());
+        }
+        Response::Snapshot { streams } => {
+            start(buf, OP_SNAPSHOT_DONE);
+            buf.extend_from_slice(&streams.to_be_bytes());
+        }
+        Response::ResetDone => start(buf, OP_RESET_DONE),
+        Response::Stats { streams } => {
+            start(buf, OP_STATS_REPLY);
+            let count = u32::try_from(streams.len()).map_err(|_| bad_data("too many streams"))?;
+            buf.extend_from_slice(&count.to_be_bytes());
+            for s in streams {
+                put_name(buf, &s.name)?;
+                for n in [s.batches, s.values, s.overflows] {
+                    buf.extend_from_slice(&n.to_be_bytes());
+                }
+            }
+        }
+        Response::ShuttingDown => start(buf, OP_SHUTTING_DOWN),
+        Response::Error { code, message } => {
+            start(buf, OP_ERROR);
+            buf.push(*code as u8);
+            buf.extend_from_slice(message.as_bytes());
+        }
+    }
+    finish(buf)
+}
+
+/// Serializes `reply` into `buf` (cleared first, so a connection formats
+/// every reply into one buffer and sends it with one write). A reply no
+/// frame can carry, such as a `Stats` reply over [`MAX_FRAME`], becomes
+/// a typed `internal` error naming why, so the request is answered and
+/// the connection stays in step.
+pub fn reply_into(buf: &mut Vec<u8>, reply: &Response) {
+    if let Err(e) = encode_reply(buf, reply) {
+        let refusal = Response::Error {
+            code: ErrorCode::Internal,
+            message: format!("reply not sent: {e}"),
+        };
+        // A short error body always fits a frame.
+        let _ = encode_reply(buf, &refusal);
+    }
 }
 
 /// Splits a complete 8-byte frame header into its magic and payload
@@ -549,18 +335,17 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()>
 /// reactor's incremental header state both call it, so a readiness-driven
 /// connection cannot drift from the synchronous framing by even a byte.
 pub fn parse_frame_header(header: &[u8; 8]) -> io::Result<([u8; 4], u32)> {
-    let magic = [header[0], header[1], header[2], header[3]];
-    // lint:allow(service-unwrap) -- infallible: header[4..8] is exactly 4 bytes
-    let len = u32::from_be_bytes(header[4..8].try_into().unwrap());
+    let [m0, m1, m2, m3, l0, l1, l2, l3] = *header;
+    let len = u32::from_be_bytes([l0, l1, l2, l3]);
     if len > MAX_FRAME {
         return Err(bad_data(format!("frame length {len} exceeds cap {MAX_FRAME}")));
     }
-    Ok((magic, len))
+    Ok(([m0, m1, m2, m3], len))
 }
 
-/// Reads one 8-byte frame header, returning the magic and payload
-/// length, or `None` on a clean EOF at a frame boundary.
-fn read_header<R: Read>(r: &mut R) -> io::Result<Option<([u8; 4], u32)>> {
+/// Reads one frame into `buf` (cleared first, capacity reused),
+/// returning its magic, or `None` on a clean EOF at a frame boundary.
+fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<Option<[u8; 4]>> {
     let mut header = [0u8; 8];
     // A clean close between frames yields 0 bytes; mid-header EOF is an
     // error.
@@ -575,38 +360,83 @@ fn read_header<R: Read>(r: &mut R) -> io::Result<Option<([u8; 4], u32)>> {
         }
         filled += n;
     }
-    parse_frame_header(&header).map(Some)
+    let (magic, len) = parse_frame_header(&header)?;
+    buf.clear();
+    buf.resize(len as usize, 0);
+    r.read_exact(buf)?;
+    Ok(Some(magic))
 }
 
-fn read_payload<R: Read>(r: &mut R, len: u32) -> io::Result<Vec<u8>> {
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
-}
+/// A cursor over a frame body. Each read names what it wanted when the
+/// body runs short, and [`Body::end`] refuses bytes left over.
+struct Body<'a>(&'a [u8]);
 
-/// Reads one JSON frame, returning `None` on a clean EOF at a frame
-/// boundary.
-pub fn read_frame<R: Read, T: for<'de> Deserialize<'de>>(r: &mut R) -> io::Result<Option<T>> {
-    let Some((magic, len)) = read_header(r)? else {
-        return Ok(None);
-    };
-    if magic != MAGIC {
-        return Err(bad_data(format!(
-            "bad frame magic {:02x?} (speaking a different protocol or version?)",
-            magic
-        )));
+impl<'a> Body<'a> {
+    fn bytes<const N: usize>(&mut self, what: &str) -> io::Result<[u8; N]> {
+        let (head, rest) =
+            self.0.split_first_chunk::<N>().ok_or_else(|| bad_data(format!("truncated {what}")))?;
+        self.0 = rest;
+        Ok(*head)
     }
-    let payload = read_payload(r, len)?;
-    serde_json::from_slice(&payload)
-        .map(Some)
-        .map_err(|e| bad_data(format!("bad frame payload: {e}")))
+
+    fn u32(&mut self, what: &str) -> io::Result<u32> {
+        self.bytes(what).map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self, what: &str) -> io::Result<u64> {
+        self.bytes(what).map(u64::from_be_bytes)
+    }
+
+    fn flag(&mut self, what: &str) -> io::Result<bool> {
+        match self.bytes(what)? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [b] => Err(bad_data(format!("{what} byte {b} is neither 0 nor 1"))),
+        }
+    }
+
+    fn name(&mut self) -> io::Result<&'a str> {
+        let (name, rest) = split_name(self.0).map_err(bad_data)?;
+        self.0 = rest;
+        Ok(name)
+    }
+
+    fn limbs(&mut self) -> io::Result<Vec<u64>> {
+        (0..SERVICE_LIMBS).map(|_| self.u64("sum limbs")).collect()
+    }
+
+    /// Ends the body with `value`, refusing any bytes left over.
+    fn end<T>(self, value: T) -> io::Result<T> {
+        match self.0.len() {
+            0 => Ok(value),
+            n => Err(bad_data(format!("{n} bytes past the end of the body"))),
+        }
+    }
 }
 
-/// Serializes one binary Add frame (`OIS\x02`) into a byte buffer:
-/// length-prefixed stream name, the `(client_id, seq)` retry identity,
-/// then the summands as raw little-endian `f64` bytes — every bit
-/// pattern (signed zeros, subnormals) crosses unchanged, at 8 bytes per
-/// value and zero number-formatting cost.
+/// Checks a frame's magic and splits its op byte off the payload.
+fn split_op(magic: [u8; 4], payload: &[u8]) -> io::Result<(u8, Body<'_>)> {
+    if magic != MAGIC {
+        return Err(match magic {
+            [b'O', b'I', b'S', v @ 1..=3] => bad_data(format!(
+                "retired protocol version {v}: this server speaks only version 4 (magic OIS\\x04)"
+            )),
+            _ => bad_data(format!("bad frame magic {magic:02x?} (not this protocol)")),
+        });
+    }
+    let (&op, body) = payload.split_first().ok_or_else(|| bad_data("empty payload: no op byte"))?;
+    Ok((op, Body(body)))
+}
+
+fn unknown_op(op: u8) -> io::Error {
+    bad_data(format!("unknown op {op:#04x}"))
+}
+
+/// Serializes one binary Add frame into a byte buffer: length-prefixed
+/// stream name, the `(client_id, seq)` retry identity, then the summands
+/// as raw little-endian `f64` bytes — every bit pattern (signed zeros,
+/// subnormals) crosses unchanged, at 8 bytes per value and zero
+/// number-formatting cost.
 pub fn add_binary_bytes(
     stream: &str,
     client_id: u64,
@@ -621,8 +451,9 @@ pub fn add_binary_bytes(
 /// [`add_binary_bytes`] into a caller-owned buffer (cleared first), so a
 /// client's send loop reuses one allocation across batches. Refuses a
 /// batch no frame can carry: a stream name over 65,535 bytes, or a
-/// payload (`18 + name + 8·n` bytes) over [`MAX_FRAME`]. A WAL record
-/// has the same payload bound, so every Add a server parses fits one.
+/// payload (`19 + name + 8·n` bytes) over [`MAX_FRAME`]. A WAL record
+/// holds the payload less its op byte plus the batch total, so every Add
+/// a server parses fits one.
 pub fn add_binary_into(
     buf: &mut Vec<u8>,
     stream: &str,
@@ -630,23 +461,17 @@ pub fn add_binary_into(
     seq: u64,
     values: &[f64],
 ) -> io::Result<()> {
-    let name_len = u16::try_from(stream.len()).map_err(|_| bad_data("stream name too long"))?;
-    let len = u32::try_from(2 + stream.len() + 16 + size_of_val(values))
-        .ok()
-        .filter(|&len| len <= MAX_FRAME)
-        .ok_or_else(|| bad_data("frame too large"))?;
-    buf.clear();
-    buf.reserve(8 + len as usize);
-    buf.extend_from_slice(&MAGIC_ADD_BIN);
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.extend_from_slice(&name_len.to_be_bytes());
-    buf.extend_from_slice(stream.as_bytes());
-    buf.extend_from_slice(&client_id.to_be_bytes());
-    buf.extend_from_slice(&seq.to_be_bytes());
+    let len = 19 + stream.len() + size_of_val(values);
+    if len > MAX_FRAME as usize {
+        return Err(oversized(len));
+    }
+    start(buf, OP_ADD);
+    buf.reserve(len - 1);
+    put_add_head(buf, stream, client_id, seq)?;
     for v in values {
         buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    Ok(())
+    finish(buf)
 }
 
 /// The little-endian bytes of `values`: the service's one deposit
@@ -694,8 +519,9 @@ impl<'a> BinaryAddView<'a> {
 }
 
 /// Splits a stream name, u16 length-prefixed and UTF-8, off the front of
-/// `bytes`: the one name encoding of binary Add and peer frames, WAL
-/// records and snapshot records. The error says what is missing or bad.
+/// `bytes`: the one name encoding of every frame that names a stream,
+/// WAL records and snapshot records. The error says what is missing or
+/// bad.
 pub(crate) fn split_name(bytes: &[u8]) -> Result<(&str, &[u8]), &'static str> {
     let (len, rest) = bytes.split_first_chunk::<2>().ok_or("truncated name length")?;
     let (name, rest) = rest
@@ -704,46 +530,74 @@ pub(crate) fn split_name(bytes: &[u8]) -> Result<(&str, &[u8]), &'static str> {
     Ok((core::str::from_utf8(name).map_err(|_| "stream name is not UTF-8")?, rest))
 }
 
-/// Parses the payload of a binary Add frame without copying: the name
-/// and value bytes of the returned view borrow `payload`.
-fn parse_add_binary_view(payload: &[u8]) -> io::Result<BinaryAddView<'_>> {
-    let (stream, rest) = split_name(payload).map_err(|e| bad_data(format!("binary add: {e}")))?;
-    let truncated = || bad_data("binary add: truncated retry identity");
-    let (client_id, rest) = rest.split_first_chunk::<8>().ok_or_else(truncated)?;
-    let (seq, body) = rest.split_first_chunk::<8>().ok_or_else(truncated)?;
-    let (client_id, seq) = (u64::from_be_bytes(*client_id), u64::from_be_bytes(*seq));
-    if body.len() % 8 != 0 {
+/// Parses an Add body (after the op byte, and after a `MirrorAdd`'s
+/// origin) without copying: the name and value bytes of the returned
+/// view borrow `body`.
+fn parse_add_binary_view(body: &[u8]) -> io::Result<BinaryAddView<'_>> {
+    let mut body = Body(body);
+    let stream = body.name()?;
+    let (client_id, seq) = (body.u64("retry identity")?, body.u64("retry identity")?);
+    let value_bytes = body.0;
+    if value_bytes.len() % 8 != 0 {
         return Err(bad_data(format!(
             "binary add: value bytes not a multiple of 8 (got {})",
-            body.len()
+            value_bytes.len()
         )));
     }
-    Ok(BinaryAddView { stream, client_id, seq, value_bytes: body })
+    Ok(BinaryAddView { stream, client_id, seq, value_bytes })
 }
 
-// ---------------------------------------------------------------------
-// Peer protocol (`OIS\x03`): the inter-node wire format.
-//
-// Every peer payload is one opcode byte followed by a fixed binary body
-// (big-endian integers, like the binary Add identity fields). Requests
-// flow node→node on the dedicated peer port; replies reuse the JSON
-// `Response` frames — preformatted through `frame_into`, exactly like
-// client replies — except `SnapshotPull`, whose sealed snapshot crosses
-// as a raw `SnapshotData` peer frame (its record checksums and seal make
-// the transfer self-validating: a connection cut mid-transfer is refused
-// by the receiver's parse, never silently restored).
-// ---------------------------------------------------------------------
+/// A client frame parsed out of a caller-owned read buffer. The binary
+/// Add arm, the only way a batch arrives, borrows the buffer — see
+/// [`BinaryAddView`].
+#[derive(Debug)]
+pub enum ClientFrameView<'a> {
+    /// A control request (every client op but `Add`), decoded from its
+    /// binary frame into an owned [`Request`]. Nothing here is JSON: the
+    /// arm keeps its old name because perfbench matches it by name.
+    Json(Request),
+    /// A binary Add, viewed in place over the read buffer.
+    BinaryAdd(BinaryAddView<'a>),
+}
 
-/// Peer opcode: connection handshake (`node_id`, config fingerprint).
-const PEER_OP_HELLO: u8 = 0x01;
-/// Peer opcode: replicate one tracked batch to a mirror node.
-const PEER_OP_MIRROR_ADD: u8 = 0x02;
-/// Peer opcode: compute a binomial subtree partial of a cluster sum.
-const PEER_OP_TREE_SUM: u8 = 0x03;
-/// Peer opcode: pull a sealed snapshot of a peer's relevant streams.
-const PEER_OP_SNAPSHOT_PULL: u8 = 0x04;
-/// Peer opcode (reply): the sealed snapshot bytes for a `SnapshotPull`.
-const PEER_OP_SNAPSHOT_DATA: u8 = 0x84;
+/// Reads one client frame into `buf` (cleared first, capacity reused
+/// across calls) and parses it in place. Returns `None` on a clean EOF
+/// at a frame boundary. This is the server's zero-copy ingest path:
+/// after warm-up a binary Add performs no allocation between the socket
+/// and the ledger.
+pub fn read_client_frame_into<'a, R: Read>(
+    r: &mut R,
+    buf: &'a mut Vec<u8>,
+) -> io::Result<Option<ClientFrameView<'a>>> {
+    match read_frame_into(r, buf)? {
+        Some(magic) => parse_client_frame(magic, buf).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Parses a complete client frame payload in place — the shared core of
+/// [`read_client_frame_into`] and the epoll reactor's readiness-driven
+/// connection state machine. The binary Add arm borrows `payload`
+/// (zero-copy, see [`BinaryAddView`]); a control op decodes into an
+/// owned [`Request`]. A peer op, a reply op or a retired magic is
+/// refused.
+pub fn parse_client_frame(magic: [u8; 4], payload: &[u8]) -> io::Result<ClientFrameView<'_>> {
+    let (op, mut body) = split_op(magic, payload)?;
+    let req = match op {
+        OP_ADD => return parse_add_binary_view(body.0).map(ClientFrameView::BinaryAdd),
+        OP_SUM => Request::Sum { stream: body.name()?.to_owned() },
+        OP_CLUSTER_SUM => Request::ClusterSum { stream: body.name()?.to_owned() },
+        OP_SNAPSHOT => Request::Snapshot,
+        OP_RESET => Request::Reset,
+        OP_STATS => Request::Stats,
+        OP_SHUTDOWN => Request::Shutdown,
+        OP_HELLO..=OP_SNAPSHOT_PULL => {
+            return Err(bad_data(format!("peer op {op:#04x} refused on the client port")))
+        }
+        _ => return Err(unknown_op(op)),
+    };
+    body.end(ClientFrameView::Json(req))
+}
 
 /// Which streams a `SnapshotPull` asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -768,7 +622,7 @@ impl SnapshotScope {
         Ok(match b {
             0 => SnapshotScope::MirrorOfOrigin,
             1 => SnapshotScope::PrimaryOfPeer,
-            other => return Err(bad_data(format!("peer frame: unknown snapshot scope {other}"))),
+            other => return Err(bad_data(format!("unknown snapshot scope {other}"))),
         })
     }
 }
@@ -821,50 +675,16 @@ pub enum PeerRequestView<'a> {
     },
 }
 
-/// A reply to a peer request: either an ordinary JSON [`Response`]
-/// (`OIS\x01` — hello acks, mirror ACKs, subtree partials, typed errors)
-/// or the raw sealed snapshot bytes answering a `SnapshotPull`.
-#[derive(Debug)]
-pub enum PeerReplyView<'a> {
-    /// A JSON response frame.
-    Json(Response),
-    /// A sealed snapshot file's bytes, borrowed from the read buffer.
-    /// Validation is the receiver's job: the snapshot parse refuses
-    /// truncated or corrupted transfers.
-    SnapshotData(&'a [u8]),
-}
-
-/// Starts a peer frame in `buf` (cleared first): magic, a length
-/// placeholder, and the opcode. [`peer_frame_finish`] patches the length.
-fn peer_frame_start(buf: &mut Vec<u8>, op: u8) {
-    buf.clear();
-    buf.extend_from_slice(&MAGIC_PEER);
-    buf.extend_from_slice(&[0u8; 4]);
-    buf.push(op);
-}
-
-/// Patches the payload length of a frame started by
-/// [`peer_frame_start`].
-fn peer_frame_finish(buf: &mut [u8]) -> io::Result<()> {
-    let payload_len = buf.len() - 8;
-    let len = u32::try_from(payload_len).map_err(|_| bad_data("frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(bad_data("frame too large"));
-    }
-    buf[4..8].copy_from_slice(&len.to_be_bytes());
-    Ok(())
-}
-
 /// Serializes a peer `Hello` frame into `buf` (cleared first).
 pub fn peer_hello_into(buf: &mut Vec<u8>, node_id: u32, fingerprint: u64) -> io::Result<()> {
-    peer_frame_start(buf, PEER_OP_HELLO);
+    start(buf, OP_HELLO);
     buf.extend_from_slice(&node_id.to_be_bytes());
     buf.extend_from_slice(&fingerprint.to_be_bytes());
-    peer_frame_finish(buf)
+    finish(buf)
 }
 
 /// Serializes a peer `MirrorAdd` frame into `buf` (cleared first). The
-/// body after `origin` is laid out exactly like a binary Add payload, so
+/// body after `origin` is laid out exactly like a binary Add body, so
 /// `value_bytes` can come verbatim from an ingested frame's
 /// [`BinaryAddView::value_bytes`].
 pub fn peer_mirror_add_into(
@@ -878,16 +698,11 @@ pub fn peer_mirror_add_into(
     if !value_bytes.len().is_multiple_of(8) {
         return Err(bad_data("mirror add: value bytes not a multiple of 8"));
     }
-    let name = stream.as_bytes();
-    let name_len = u16::try_from(name.len()).map_err(|_| bad_data("stream name too long"))?;
-    peer_frame_start(buf, PEER_OP_MIRROR_ADD);
+    start(buf, OP_MIRROR_ADD);
     buf.extend_from_slice(&origin.to_be_bytes());
-    buf.extend_from_slice(&name_len.to_be_bytes());
-    buf.extend_from_slice(name);
-    buf.extend_from_slice(&client_id.to_be_bytes());
-    buf.extend_from_slice(&seq.to_be_bytes());
+    put_add_head(buf, stream, client_id, seq)?;
     buf.extend_from_slice(value_bytes);
-    peer_frame_finish(buf)
+    finish(buf)
 }
 
 /// Serializes a peer `TreeSum` frame into `buf` (cleared first).
@@ -897,14 +712,11 @@ pub fn peer_tree_sum_into(
     limit: u32,
     stream: &str,
 ) -> io::Result<()> {
-    let name = stream.as_bytes();
-    let name_len = u16::try_from(name.len()).map_err(|_| bad_data("stream name too long"))?;
-    peer_frame_start(buf, PEER_OP_TREE_SUM);
+    start(buf, OP_TREE_SUM);
     buf.extend_from_slice(&root.to_be_bytes());
     buf.extend_from_slice(&limit.to_be_bytes());
-    buf.extend_from_slice(&name_len.to_be_bytes());
-    buf.extend_from_slice(name);
-    peer_frame_finish(buf)
+    put_name(buf, stream)?;
+    finish(buf)
 }
 
 /// Serializes a peer `SnapshotPull` frame into `buf` (cleared first).
@@ -913,196 +725,170 @@ pub fn peer_snapshot_pull_into(
     origin: u32,
     scope: SnapshotScope,
 ) -> io::Result<()> {
-    peer_frame_start(buf, PEER_OP_SNAPSHOT_PULL);
+    start(buf, OP_SNAPSHOT_PULL);
     buf.extend_from_slice(&origin.to_be_bytes());
     buf.push(scope.as_byte());
-    peer_frame_finish(buf)
+    finish(buf)
 }
 
 /// Serializes a peer `SnapshotData` reply into `buf` (cleared first);
 /// `sealed` is a complete sealed snapshot as the snapshot module frames
-/// it.
+/// it. Refuses, naming the sizes, a snapshot too large for one frame.
 pub fn peer_snapshot_data_into(buf: &mut Vec<u8>, sealed: &[u8]) -> io::Result<()> {
-    peer_frame_start(buf, PEER_OP_SNAPSHOT_DATA);
+    start(buf, OP_SNAPSHOT_DATA);
     buf.extend_from_slice(sealed);
-    peer_frame_finish(buf)
-}
-
-fn read_u32(body: &[u8], at: usize, what: &str) -> io::Result<u32> {
-    let bytes: [u8; 4] = body
-        .get(at..at + 4)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| bad_data(format!("peer frame: truncated {what}")))?;
-    Ok(u32::from_be_bytes(bytes))
-}
-
-fn read_u64(body: &[u8], at: usize, what: &str) -> io::Result<u64> {
-    let bytes: [u8; 8] = body
-        .get(at..at + 8)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| bad_data(format!("peer frame: truncated {what}")))?;
-    Ok(u64::from_be_bytes(bytes))
+    finish(buf)
 }
 
 /// Reads one peer request frame into `buf` (cleared first, capacity
 /// reused) and parses it in place. Returns `None` on a clean EOF at a
-/// frame boundary. Rejects non-peer magics: the peer port speaks only
-/// `OIS\x03`.
+/// frame boundary.
 pub fn read_peer_request_into<'a, R: Read>(
     r: &mut R,
     buf: &'a mut Vec<u8>,
 ) -> io::Result<Option<PeerRequestView<'a>>> {
-    let Some((magic, len)) = read_header(r)? else {
-        return Ok(None);
-    };
-    if magic != MAGIC_PEER {
-        return Err(bad_data(format!(
-            "bad peer frame magic {magic:02x?} (client protocol on the peer port?)"
-        )));
+    match read_frame_into(r, buf)? {
+        Some(magic) => parse_peer_request(magic, buf).map(Some),
+        None => Ok(None),
     }
-    buf.clear();
-    buf.resize(len as usize, 0);
-    r.read_exact(buf)?;
-    let (&op, body) = buf
-        .split_first()
-        .ok_or_else(|| bad_data("peer frame: empty payload"))?;
-    Ok(Some(match op {
-        PEER_OP_HELLO => PeerRequestView::Hello {
-            node_id: read_u32(body, 0, "hello node id")?,
-            fingerprint: read_u64(body, 4, "hello fingerprint")?,
+}
+
+/// Parses a complete peer request payload in place. A client op, a
+/// reply op or a retired magic is refused.
+pub fn parse_peer_request(magic: [u8; 4], payload: &[u8]) -> io::Result<PeerRequestView<'_>> {
+    let (op, mut body) = split_op(magic, payload)?;
+    let view = match op {
+        OP_HELLO => PeerRequestView::Hello {
+            node_id: body.u32("hello node id")?,
+            fingerprint: body.u64("hello fingerprint")?,
         },
-        PEER_OP_MIRROR_ADD => {
-            let origin = read_u32(body, 0, "mirror origin")?;
-            let add = parse_add_binary_view(&body[4..])?;
-            PeerRequestView::MirrorAdd { origin, add }
+        OP_MIRROR_ADD => {
+            let origin = body.u32("mirror origin")?;
+            return Ok(PeerRequestView::MirrorAdd { origin, add: parse_add_binary_view(body.0)? });
         }
-        PEER_OP_TREE_SUM => {
-            let root = read_u32(body, 0, "tree root")?;
-            let limit = read_u32(body, 4, "tree limit")?;
-            let (stream, _) = split_name(body.get(8..).unwrap_or_default())
-                .map_err(|e| bad_data(format!("peer frame: {e}")))?;
-            PeerRequestView::TreeSum { root, limit, stream }
+        OP_TREE_SUM => PeerRequestView::TreeSum {
+            root: body.u32("tree root")?,
+            limit: body.u32("tree limit")?,
+            stream: body.name()?,
+        },
+        OP_SNAPSHOT_PULL => PeerRequestView::SnapshotPull {
+            origin: body.u32("pull origin")?,
+            scope: SnapshotScope::parse(body.bytes::<1>("snapshot scope")?[0])?,
+        },
+        OP_ADD..=OP_SHUTDOWN => {
+            return Err(bad_data(format!("client op {op:#04x} refused on the peer port")))
         }
-        PEER_OP_SNAPSHOT_PULL => {
-            let origin = read_u32(body, 0, "pull origin")?;
-            let scope = SnapshotScope::parse(
-                *body
-                    .get(4)
-                    .ok_or_else(|| bad_data("peer frame: truncated snapshot scope"))?,
-            )?;
-            PeerRequestView::SnapshotPull { origin, scope }
-        }
-        other => return Err(bad_data(format!("peer frame: unknown opcode {other:#04x}"))),
-    }))
-}
-
-/// Reads one peer *reply* into `buf` (cleared first): a JSON `Response`
-/// frame or a `SnapshotData` peer frame. Returns `None` on a clean EOF
-/// at a frame boundary.
-pub fn read_peer_reply_into<'a, R: Read>(
-    r: &mut R,
-    buf: &'a mut Vec<u8>,
-) -> io::Result<Option<PeerReplyView<'a>>> {
-    let Some((magic, len)) = read_header(r)? else {
-        return Ok(None);
+        _ => return Err(unknown_op(op)),
     };
-    buf.clear();
-    buf.resize(len as usize, 0);
-    r.read_exact(buf)?;
-    match magic {
-        m if m == MAGIC => serde_json::from_slice(buf)
-            .map(|resp| Some(PeerReplyView::Json(resp)))
-            .map_err(|e| bad_data(format!("bad frame payload: {e}"))),
-        m if m == MAGIC_PEER => {
-            let (&op, body) = buf
-                .split_first()
-                .ok_or_else(|| bad_data("peer frame: empty payload"))?;
-            if op != PEER_OP_SNAPSHOT_DATA {
-                return Err(bad_data(format!(
-                    "peer reply: unexpected opcode {op:#04x} (request op on the reply path?)"
-                )));
-            }
-            Ok(Some(PeerReplyView::SnapshotData(body)))
-        }
-        m => Err(bad_data(format!(
-            "bad frame magic {m:02x?} (speaking a different protocol or version?)"
-        ))),
-    }
+    body.end(view)
 }
 
-/// A client frame parsed out of a caller-owned read buffer. The JSON
-/// arm is an owned control request (small and heterogeneous); the
-/// binary Add arm, the only way a batch arrives, borrows the buffer —
-/// see [`BinaryAddView`].
+/// A reply frame, as every caller reads one: a [`Response`], or the raw
+/// sealed snapshot bytes answering a peer `SnapshotPull`.
 #[derive(Debug)]
-pub enum ClientFrameView<'a> {
-    /// A JSON-framed control request.
-    Json(Request),
-    /// A binary Add, viewed in place over the read buffer.
-    BinaryAdd(BinaryAddView<'a>),
+pub enum ReplyView<'a> {
+    /// Every reply but the snapshot transfer.
+    Reply(Response),
+    /// A sealed snapshot file's bytes, borrowed from the read buffer.
+    /// Validation is the receiver's job: the snapshot parse refuses
+    /// truncated or corrupted transfers.
+    SnapshotData(&'a [u8]),
 }
 
-/// Reads one client frame of either protocol version into `buf`
-/// (cleared first, capacity reused across calls) and parses it in
-/// place. Returns `None` on a clean EOF at a frame boundary. This is
-/// the server's zero-copy ingest path: after warm-up a binary Add
-/// performs no allocation between the socket and the ledger.
-pub fn read_client_frame_into<'a, R: Read>(
+/// Reads one reply frame into `buf` (cleared first) and decodes it: the
+/// one reply decoder of the client, the peer pool and the load
+/// generator. Returns `None` on a clean EOF at a frame boundary.
+pub fn read_reply_into<'a, R: Read>(
     r: &mut R,
     buf: &'a mut Vec<u8>,
-) -> io::Result<Option<ClientFrameView<'a>>> {
-    let Some((magic, len)) = read_header(r)? else {
-        return Ok(None);
-    };
-    buf.clear();
-    buf.resize(len as usize, 0);
-    r.read_exact(buf)?;
-    parse_client_frame(magic, buf).map(Some)
+) -> io::Result<Option<ReplyView<'a>>> {
+    match read_frame_into(r, buf)? {
+        Some(magic) => parse_reply(magic, buf).map(Some),
+        None => Ok(None),
+    }
 }
 
-/// Parses a complete client frame payload in place, dispatching on the
-/// header magic — the shared core of [`read_client_frame_into`] and the
-/// epoll reactor's readiness-driven connection state machine. The binary
-/// Add arm borrows `payload` (zero-copy, see [`BinaryAddView`]); the
-/// JSON arm deserializes into an owned [`Request`].
-pub fn parse_client_frame(magic: [u8; 4], payload: &[u8]) -> io::Result<ClientFrameView<'_>> {
-    match magic {
-        m if m == MAGIC => serde_json::from_slice(payload)
-            .map(ClientFrameView::Json)
-            .map_err(|e| bad_data(format!("bad frame payload: {e}"))),
-        m if m == MAGIC_ADD_BIN => Ok(ClientFrameView::BinaryAdd(parse_add_binary_view(payload)?)),
-        m => Err(bad_data(format!(
-            "bad frame magic {m:02x?} (speaking a different protocol or version?)"
-        ))),
+/// [`read_reply_into`] for a caller that expects a [`Response`]: a
+/// snapshot transfer is refused.
+pub fn read_response<R: Read>(r: &mut R) -> io::Result<Option<Response>> {
+    let mut buf = Vec::new();
+    match read_reply_into(r, &mut buf)? {
+        Some(ReplyView::Reply(reply)) => Ok(Some(reply)),
+        Some(ReplyView::SnapshotData(_)) => Err(bad_data("unexpected snapshot data reply")),
+        None => Ok(None),
     }
+}
+
+/// Decodes a complete reply payload. A request op or a retired magic is
+/// refused.
+pub fn parse_reply(magic: [u8; 4], payload: &[u8]) -> io::Result<ReplyView<'_>> {
+    let (op, mut body) = split_op(magic, payload)?;
+    let reply = match op {
+        OP_SNAPSHOT_DATA => return Ok(ReplyView::SnapshotData(body.0)),
+        OP_ERROR => {
+            let code = match body.bytes("error code")? {
+                [1] => ErrorCode::BadRequest,
+                [2] => ErrorCode::UnknownStream,
+                [3] => ErrorCode::Internal,
+                [b] => return Err(bad_data(format!("unknown error code {b}"))),
+            };
+            let message = core::str::from_utf8(body.0)
+                .map_err(|_| bad_data("error message is not UTF-8"))?
+                .to_owned();
+            return Ok(ReplyView::Reply(Response::Error { code, message }));
+        }
+        OP_ADDED => Response::Added { count: body.u64("count")?, deduped: body.flag("deduped")? },
+        OP_SUM_REPLY => Response::Sum { limbs: body.limbs()?, poisoned: body.flag("poisoned")? },
+        OP_CLUSTER_SUM_REPLY => Response::ClusterSum {
+            limbs: body.limbs()?,
+            poisoned: body.flag("poisoned")?,
+            values: body.u64("value count")?,
+            holders: body.u64("holder count")?,
+        },
+        OP_PEER_HELLO => Response::PeerHello { node_id: body.u64("node id")? },
+        OP_SNAPSHOT_DONE => Response::Snapshot { streams: body.u64("stream count")? },
+        OP_RESET_DONE => Response::ResetDone,
+        OP_STATS_REPLY => {
+            let count = body.u32("stream count")?;
+            // Not presized: the count is untrusted until every entry reads.
+            let mut streams = Vec::new();
+            for _ in 0..count {
+                streams.push(StreamStatsRepr {
+                    name: body.name()?.to_owned(),
+                    batches: body.u64("batch count")?,
+                    values: body.u64("value count")?,
+                    overflows: body.u64("overflow count")?,
+                });
+            }
+            Response::Stats { streams }
+        }
+        OP_SHUTTING_DOWN => Response::ShuttingDown,
+        _ => return Err(bad_data(format!("op {op:#04x} is not a reply"))),
+    };
+    body.end(ReplyView::Reply(reply))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip_request(req: Request) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &req).unwrap();
-        let back: Request = read_frame(&mut buf.as_slice()).unwrap().unwrap();
-        assert_eq!(back, req);
+    /// One of every control request.
+    fn every_request() -> Vec<Request> {
+        vec![
+            Request::Sum { stream: "s".into() },
+            Request::ClusterSum { stream: "stream/α".into() },
+            Request::Snapshot,
+            Request::Reset,
+            Request::Stats,
+            Request::Shutdown,
+        ]
     }
 
-    #[test]
-    fn request_frames_roundtrip() {
-        roundtrip_request(Request::Sum { stream: "s".into() });
-        roundtrip_request(Request::ClusterSum { stream: "s".into() });
-        roundtrip_request(Request::Snapshot);
-        roundtrip_request(Request::Reset);
-        roundtrip_request(Request::Stats);
-        roundtrip_request(Request::Shutdown);
-    }
-
-    #[test]
-    fn response_frames_roundtrip() {
-        for resp in [
+    /// One of every reply, with the edge values of each field.
+    fn every_response() -> Vec<Response> {
+        vec![
             Response::Added { count: 17, deduped: false },
-            Response::Added { count: 9, deduped: true },
+            Response::Added { count: u64::MAX, deduped: true },
             Response::Sum { limbs: vec![1, 2, 3, u64::MAX, 0, 9], poisoned: false },
             Response::ClusterSum {
                 limbs: vec![9, 8, 7, 6, 5, u64::MAX],
@@ -1113,53 +899,168 @@ mod tests {
             Response::PeerHello { node_id: 2 },
             Response::Snapshot { streams: 2 },
             Response::ResetDone,
+            Response::Stats { streams: vec![] },
             Response::Stats {
-                shard_count: 8,
-                streams: vec![StreamStatsRepr {
-                    name: "s".into(),
-                    batches: 3,
-                    values: 90,
-                    overflows: 0,
-                }],
+                streams: vec![
+                    StreamStatsRepr { name: "s".into(), batches: 3, values: 90, overflows: 0 },
+                    StreamStatsRepr { name: "α".into(), batches: 1, values: 0, overflows: 7 },
+                ],
             },
             Response::ShuttingDown,
-            Response::Error {
-                code: ErrorCode::UnknownStream,
-                message: "no such stream".into(),
-            },
-        ] {
+            Response::Error { code: ErrorCode::BadRequest, message: String::new() },
+            Response::Error { code: ErrorCode::UnknownStream, message: "no such stream".into() },
+            Response::Error { code: ErrorCode::Internal, message: "wal: ∅".into() },
+        ]
+    }
+
+    fn reply_bytes(reply: &Response) -> Vec<u8> {
+        let mut buf = Vec::new();
+        reply_into(&mut buf, reply);
+        buf
+    }
+
+    #[test]
+    fn every_request_roundtrips() {
+        for req in every_request() {
+            let mut wire = Vec::new();
+            request_into(&mut wire, &req).unwrap();
+            assert_eq!(&wire[..4], &MAGIC);
             let mut buf = Vec::new();
-            write_frame(&mut buf, &resp).unwrap();
-            let back: Response = read_frame(&mut buf.as_slice()).unwrap().unwrap();
-            assert_eq!(back, resp);
+            let Some(ClientFrameView::Json(back)) =
+                read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap()
+            else {
+                panic!("{req:?} did not parse as a control request")
+            };
+            assert_eq!(back, req);
         }
+    }
+
+    #[test]
+    fn every_response_roundtrips() {
+        for reply in every_response() {
+            let wire = reply_bytes(&reply);
+            assert_eq!(read_response(&mut wire.as_slice()).unwrap(), Some(reply));
+        }
+    }
+
+    /// An `Added` reply is one 18-byte frame: the header, the op, the
+    /// count and the dedup flag.
+    #[test]
+    fn added_reply_is_eighteen_bytes() {
+        let wire = reply_bytes(&Response::Added { count: 5, deduped: true });
+        assert_eq!(wire.len(), 18);
+        assert_eq!(wire[8], OP_ADDED);
+        assert_eq!(wire[9..17], 5u64.to_be_bytes());
+        assert_eq!(wire[17], 1);
+    }
+
+    /// A reply no frame can carry is answered with a typed `internal`
+    /// error naming its size and the cap; so is a sum of the wrong width.
+    #[test]
+    fn unframeable_replies_become_internal_errors() {
+        let name = "n".repeat(65_000);
+        let streams: Vec<StreamStatsRepr> = (0..260)
+            .map(|_| StreamStatsRepr { name: name.clone(), batches: 1, values: 1, overflows: 0 })
+            .collect();
+        let size = 5 + 260 * (2 + 65_000 + 24);
+        let wire = reply_bytes(&Response::Stats { streams });
+        let Some(Response::Error { code, message }) = read_response(&mut wire.as_slice()).unwrap()
+        else {
+            panic!("an oversized reply was framed")
+        };
+        assert_eq!(code, ErrorCode::Internal);
+        assert!(message.contains(&format!("{size}-byte")), "{message}");
+        assert!(message.contains(&format!("{MAX_FRAME}-byte")), "{message}");
+
+        let wire = reply_bytes(&Response::Sum { limbs: vec![1; 5], poisoned: false });
+        let Some(Response::Error { code, message }) = read_response(&mut wire.as_slice()).unwrap()
+        else {
+            panic!("a 5-limb sum was framed")
+        };
+        assert_eq!(code, ErrorCode::Internal);
+        assert!(message.contains("5 limbs"), "{message}");
     }
 
     #[test]
     fn clean_eof_is_none() {
         let empty: &[u8] = &[];
-        assert!(read_frame::<_, Request>(&mut { empty }).unwrap().is_none());
+        assert!(read_response(&mut { empty }).unwrap().is_none());
     }
 
     #[test]
     fn truncated_header_is_error() {
         let partial: &[u8] = &MAGIC[..3];
-        assert!(read_frame::<_, Request>(&mut { partial }).is_err());
-    }
-
-    #[test]
-    fn wrong_magic_is_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Reset).unwrap();
-        buf[3] = 0x02; // future version byte
-        assert!(read_frame::<_, Request>(&mut buf.as_slice()).is_err());
+        assert!(read_response(&mut { partial }).is_err());
     }
 
     #[test]
     fn oversized_length_is_rejected_without_allocating() {
         let mut buf = MAGIC.to_vec();
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert!(read_frame::<_, Request>(&mut buf.as_slice()).is_err());
+        assert!(read_response(&mut buf.as_slice()).is_err());
+    }
+
+    /// A frame under a retired version is refused by its magic, naming
+    /// the version, whatever its payload: the bytes of a valid request
+    /// do not help.
+    #[test]
+    fn retired_magics_are_refused_naming_the_version() {
+        let mut valid = Vec::new();
+        request_into(&mut valid, &Request::Stats).unwrap();
+        for v in 1..=3u8 {
+            let mut wire = valid.clone();
+            wire[3] = v;
+            let mut buf = Vec::new();
+            let errs = [
+                read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap_err(),
+                read_peer_request_into(&mut wire.as_slice(), &mut buf).unwrap_err(),
+                read_reply_into(&mut wire.as_slice(), &mut buf).unwrap_err(),
+            ];
+            for err in errs {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains(&format!("retired protocol version {v}")), "{err}");
+            }
+        }
+    }
+
+    /// A body with a byte missing or a byte left over is refused, and so
+    /// is a flag byte other than 0 or 1: a body parses exactly or not
+    /// at all.
+    #[test]
+    fn bodies_parse_exactly() {
+        let mut buf = Vec::new();
+        let mut frames: Vec<Vec<u8>> =
+            every_request().iter().map(|r| {
+                let mut f = Vec::new();
+                request_into(&mut f, r).unwrap();
+                f
+            }).collect();
+        frames.extend(every_response().iter().map(reply_bytes));
+        for frame in frames {
+            let mut longer = frame.clone();
+            longer.push(0);
+            let len = u32::from_be_bytes(longer[4..8].try_into().unwrap()) + 1;
+            longer[4..8].copy_from_slice(&len.to_be_bytes());
+            let is_request = frame[8] < 0x80;
+            let parses = |wire: &[u8], buf: &mut Vec<u8>| {
+                if is_request {
+                    read_client_frame_into(&mut { wire }, buf).is_ok()
+                } else {
+                    read_reply_into(&mut { wire }, buf).is_ok()
+                }
+            };
+            // An Error reply's message is the rest of its body.
+            let open_ended = frame[8] == OP_ERROR;
+            assert_eq!(parses(&longer, &mut buf), open_ended, "trailing byte after {frame:02x?}");
+            if frame.len() > 9 && !open_ended {
+                let mut shorter = frame[..frame.len() - 1].to_vec();
+                shorter[4..8].copy_from_slice(&(frame.len() as u32 - 9).to_be_bytes());
+                assert!(!parses(&shorter, &mut buf), "short body {shorter:02x?}");
+            }
+        }
+        let mut wire = reply_bytes(&Response::Added { count: 1, deduped: true });
+        wire[17] = 2;
+        assert!(read_response(&mut wire.as_slice()).is_err());
     }
 
     #[test]
@@ -1199,14 +1100,14 @@ mod tests {
     }
 
     #[test]
-    fn client_frame_reader_accepts_both_versions() {
+    fn client_frame_reader_takes_adds_and_control_requests_interleaved() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Sum { stream: "s".into() }).unwrap();
+        request_into(&mut wire, &Request::Sum { stream: "s".into() }).unwrap();
         wire.extend_from_slice(&add_binary_bytes("s", 7, 1, &[4.25]).unwrap());
         let mut r = wire.as_slice();
         let mut buf = Vec::new();
         let Some(ClientFrameView::Json(req)) = read_client_frame_into(&mut r, &mut buf).unwrap() else {
-            panic!("expected a JSON frame")
+            panic!("expected a control request")
         };
         assert_eq!(req, Request::Sum { stream: "s".into() });
         let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut r, &mut buf).unwrap() else {
@@ -1220,10 +1121,10 @@ mod tests {
     #[test]
     fn add_binary_into_bounds_name_and_payload() {
         let mut frame = Vec::new();
-        // 18 fixed bytes + a 1-byte name leave room for this many values.
-        let most = (MAX_FRAME as usize - 19) / 8;
+        // 19 fixed bytes + a 1-byte name leave room for this many values.
+        let most = (MAX_FRAME as usize - 20) / 8;
         add_binary_into(&mut frame, "s", 7, 1, &vec![0.5; most]).unwrap();
-        assert_eq!(frame[4..8], (19 + 8 * most as u32).to_be_bytes());
+        assert_eq!(frame[4..8], (20 + 8 * most as u32).to_be_bytes());
         let mut buf = Vec::new();
         let Some(ClientFrameView::BinaryAdd(view)) = read_client_frame_into(&mut frame.as_slice(), &mut buf).unwrap()
         else {
@@ -1235,50 +1136,27 @@ mod tests {
         assert!(add_binary_into(&mut frame, &"n".repeat(65_536), 7, 1, &[]).is_err());
     }
 
-    /// A batch travels only as a binary Add: the JSON reader refuses an
-    /// `add` op by name, whatever fields it carries.
-    #[test]
-    fn json_add_is_an_unknown_op() {
-        for payload in [
-            &br#"{"op":"add","stream":"s","values":[1.5],"client_id":7,"seq":1}"#[..],
-            br#"{"op":"add","stream":"s"}"#,
-        ] {
-            let mut wire = MAGIC.to_vec();
-            wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            wire.extend_from_slice(payload);
-            let mut buf = Vec::new();
-            let err = read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("unknown op `add`"), "{err}");
-        }
-    }
-
     #[test]
     fn malformed_binary_add_is_rejected() {
         let mut scratch = Vec::new();
-        let mut rejects = |wire: &[u8]| read_client_frame_into(&mut { wire }, &mut scratch).is_err();
-        // Truncated name.
-        let mut buf = MAGIC_ADD_BIN.to_vec();
-        buf.extend_from_slice(&5u32.to_be_bytes());
-        buf.extend_from_slice(&[0, 9, b'a', b'b', b'c']); // claims 9-byte name, has 3
-        assert!(rejects(&buf));
+        let mut rejects = |body: &[u8]| {
+            let mut wire = MAGIC.to_vec();
+            wire.extend_from_slice(&(body.len() as u32 + 1).to_be_bytes());
+            wire.push(OP_ADD);
+            wire.extend_from_slice(body);
+            read_client_frame_into(&mut wire.as_slice(), &mut scratch).is_err()
+        };
+        // Truncated name: claims 9 bytes, has 3.
+        assert!(rejects(&[0, 9, b'a', b'b', b'c']));
         // Truncated retry identity (fewer than 16 bytes after the name).
-        let mut buf = MAGIC_ADD_BIN.to_vec();
-        buf.extend_from_slice(&6u32.to_be_bytes());
-        buf.extend_from_slice(&[0, 1, b's', 1, 2, 3]);
-        assert!(rejects(&buf));
+        assert!(rejects(&[0, 1, b's', 1, 2, 3]));
         // Value bytes not a multiple of 8.
-        let mut buf = MAGIC_ADD_BIN.to_vec();
-        buf.extend_from_slice(&22u32.to_be_bytes());
-        buf.extend_from_slice(&[0, 1, b's']);
-        buf.extend_from_slice(&[0u8; 16]); // identity
-        buf.extend_from_slice(&[1, 2, 3]); // 3 stray value bytes
-        assert!(rejects(&buf));
+        let mut body = vec![0, 1, b's'];
+        body.extend_from_slice(&[0u8; 16]);
+        body.extend_from_slice(&[1, 2, 3]);
+        assert!(rejects(&body));
         // Non-UTF-8 stream name.
-        let mut buf = MAGIC_ADD_BIN.to_vec();
-        buf.extend_from_slice(&4u32.to_be_bytes());
-        buf.extend_from_slice(&[0, 2, 0xFF, 0xFE]);
-        assert!(rejects(&buf));
+        assert!(rejects(&[0, 2, 0xFF, 0xFE]));
     }
 
     #[test]
@@ -1336,59 +1214,88 @@ mod tests {
     }
 
     #[test]
-    fn peer_reply_reader_accepts_json_and_snapshot_data() {
-        let mut wire = Vec::new();
-        write_frame(
-            &mut wire,
-            &Response::ClusterSum { limbs: vec![1; 6], poisoned: false, values: 5, holders: 2 },
-        )
-        .unwrap();
+    fn reply_reader_takes_responses_and_snapshot_data() {
+        let mut wire = reply_bytes(&Response::ClusterSum {
+            limbs: vec![1; 6],
+            poisoned: false,
+            values: 5,
+            holders: 2,
+        });
         let mut frame = Vec::new();
         peer_snapshot_data_into(&mut frame, b"OISSNPv1\xFF not UTF-8").unwrap();
         wire.extend_from_slice(&frame);
 
         let mut r = wire.as_slice();
         let mut buf = Vec::new();
-        let Some(PeerReplyView::Json(Response::ClusterSum { values, holders, .. })) =
-            read_peer_reply_into(&mut r, &mut buf).unwrap()
+        let Some(ReplyView::Reply(Response::ClusterSum { values, holders, .. })) =
+            read_reply_into(&mut r, &mut buf).unwrap()
         else {
-            panic!("expected json cluster_sum reply")
+            panic!("expected a cluster_sum reply")
         };
         assert_eq!((values, holders), (5, 2));
-        let Some(PeerReplyView::SnapshotData(sealed)) =
-            read_peer_reply_into(&mut r, &mut buf).unwrap()
+        let Some(ReplyView::SnapshotData(sealed)) = read_reply_into(&mut r, &mut buf).unwrap()
         else {
             panic!("expected snapshot data")
         };
         assert_eq!(sealed, b"OISSNPv1\xFF not UTF-8");
-        assert!(read_peer_reply_into(&mut r, &mut buf).unwrap().is_none());
+        assert!(read_reply_into(&mut r, &mut buf).unwrap().is_none());
+        // A snapshot transfer is no Response.
+        assert!(read_response(&mut frame.as_slice()).is_err());
+    }
+
+    /// Each port refuses the other's ops by the op byte, and the reply
+    /// decoder refuses every request op.
+    #[test]
+    fn ports_refuse_each_others_ops() {
+        let mut buf = Vec::new();
+        let mut client_ops = vec![add_binary_bytes("s", 7, 1, &[1.0]).unwrap()];
+        for req in every_request() {
+            let mut frame = Vec::new();
+            request_into(&mut frame, &req).unwrap();
+            client_ops.push(frame);
+        }
+        let mut peer_ops = Vec::new();
+        let mut frame = Vec::new();
+        peer_hello_into(&mut frame, 0, 1).unwrap();
+        peer_ops.push(frame.clone());
+        peer_mirror_add_into(&mut frame, 0, "s", 7, 1, &[0; 8]).unwrap();
+        peer_ops.push(frame.clone());
+        peer_tree_sum_into(&mut frame, 0, 1, "s").unwrap();
+        peer_ops.push(frame.clone());
+        peer_snapshot_pull_into(&mut frame, 0, SnapshotScope::PrimaryOfPeer).unwrap();
+        peer_ops.push(frame);
+        for wire in &client_ops {
+            let err = read_peer_request_into(&mut wire.as_slice(), &mut buf).unwrap_err();
+            assert!(err.to_string().contains("refused on the peer port"), "{err}");
+        }
+        for wire in &peer_ops {
+            let err = read_client_frame_into(&mut wire.as_slice(), &mut buf).unwrap_err();
+            assert!(err.to_string().contains("refused on the client port"), "{err}");
+        }
+        for wire in client_ops.iter().chain(&peer_ops) {
+            let err = read_reply_into(&mut wire.as_slice(), &mut buf).unwrap_err();
+            assert!(err.to_string().contains("is not a reply"), "{err}");
+        }
+        for reply in every_response() {
+            let wire = reply_bytes(&reply);
+            assert!(read_client_frame_into(&mut wire.as_slice(), &mut buf).is_err());
+            assert!(read_peer_request_into(&mut wire.as_slice(), &mut buf).is_err());
+        }
     }
 
     #[test]
-    fn peer_port_rejects_client_magics_and_malformed_frames() {
-        // A client JSON frame on the peer port is refused by magic.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Request::Reset).unwrap();
+    fn malformed_peer_frames_are_rejected() {
         let mut buf = Vec::new();
-        assert!(read_peer_request_into(&mut wire.as_slice(), &mut buf).is_err());
-        // Unknown opcode.
-        let mut wire = MAGIC_PEER.to_vec();
-        wire.extend_from_slice(&1u32.to_be_bytes());
-        wire.push(0x7F);
-        assert!(read_peer_request_into(&mut wire.as_slice(), &mut buf).is_err());
-        // Empty payload.
-        let mut wire = MAGIC_PEER.to_vec();
-        wire.extend_from_slice(&0u32.to_be_bytes());
-        assert!(read_peer_request_into(&mut wire.as_slice(), &mut buf).is_err());
-        // Truncated hello body.
-        let mut wire = MAGIC_PEER.to_vec();
-        wire.extend_from_slice(&5u32.to_be_bytes());
-        wire.push(0x01);
-        wire.extend_from_slice(&2u32.to_be_bytes());
-        assert!(read_peer_request_into(&mut wire.as_slice(), &mut buf).is_err());
-        // A request opcode arriving where a reply is expected.
-        let mut frame = Vec::new();
-        peer_tree_sum_into(&mut frame, 0, 1, "s").unwrap();
-        assert!(read_peer_reply_into(&mut frame.as_slice(), &mut buf).is_err());
+        let mut rejects = |payload: &[u8]| {
+            let mut wire = MAGIC.to_vec();
+            wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            wire.extend_from_slice(payload);
+            read_peer_request_into(&mut wire.as_slice(), &mut buf).is_err()
+        };
+        // Unknown op, empty payload, truncated hello, bad scope.
+        assert!(rejects(&[0x7F]));
+        assert!(rejects(&[]));
+        assert!(rejects(&[OP_HELLO, 0, 0, 0, 2]));
+        assert!(rejects(&[OP_SNAPSHOT_PULL, 0, 0, 0, 1, 2]));
     }
 }

@@ -46,7 +46,7 @@ pub(crate) mod sys;
 mod conn;
 
 use crate::dispatch::{FrameOutcome, RequestCore, WalMode};
-use crate::proto::{frame_into, parse_client_frame, ErrorCode, Response};
+use crate::proto::{parse_client_frame, reply_into, ErrorCode, Response};
 use conn::{BufPool, Conn, Fill, HIGH_WATER, LOW_WATER};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -104,7 +104,6 @@ pub(crate) fn run(
         free: Vec::new(),
         pool: BufPool::new(),
         parked: BinaryHeap::new(),
-        scratch_json: String::new(),
         scratch_frame: Vec::with_capacity(256),
         events: Vec::with_capacity(EVENTS_PER_WAIT),
         draining: None,
@@ -168,8 +167,7 @@ struct Reactor {
     /// (the slot was recycled — tickets are never reused).
     parked: BinaryHeap<(Reverse<u64>, usize)>,
     /// Reply formatting scratch, shared across every connection — the
-    /// reactor is single-threaded, so one pair serves 10k sockets.
-    scratch_json: String,
+    /// reactor is single-threaded, so one buffer serves 10k sockets.
     scratch_frame: Vec<u8>,
     /// Copied readiness events (decouples the epoll borrow from the
     /// slab borrow while dispatching).
@@ -347,10 +345,7 @@ impl Reactor {
         conn.recycle_read_buf(&mut self.pool);
         match outcome {
             FrameOutcome::Done(reply, stop) => {
-                if frame_into(&reply, &mut self.scratch_json, &mut self.scratch_frame).is_err() {
-                    self.close_conn(idx);
-                    return;
-                }
+                reply_into(&mut self.scratch_frame, &reply);
                 let Some(conn) = self.conns[idx].as_mut() else { return };
                 // Replies leave in request order: a frame answered
                 // immediately while earlier tickets are still parked
@@ -373,26 +368,19 @@ impl Reactor {
                 // connection (not on the wire) until the commit mark
                 // covers the ticket — ACKed therefore still implies
                 // durable, with zero threads parked.
-                if frame_into(&response, &mut self.scratch_json, &mut self.scratch_frame).is_ok()
-                {
-                    let Some(conn) = self.conns[idx].as_mut() else { return };
-                    let mut parked = self.pool.take(self.scratch_frame.len());
-                    parked.extend_from_slice(&self.scratch_frame);
-                    conn.parked.push_back((ticket, parked));
-                    self.parked.push((Reverse(ticket), idx));
-                } else {
-                    self.close_conn(idx);
-                }
+                reply_into(&mut self.scratch_frame, &response);
+                let Some(conn) = self.conns[idx].as_mut() else { return };
+                let mut parked = self.pool.take(self.scratch_frame.len());
+                parked.extend_from_slice(&self.scratch_frame);
+                conn.parked.push_back((ticket, parked));
+                self.parked.push((Reverse(ticket), idx));
             }
         }
     }
 
     /// Formats `reply` and appends it to the connection's output queue.
     fn queue_reply(&mut self, idx: usize, reply: &Response) {
-        if frame_into(reply, &mut self.scratch_json, &mut self.scratch_frame).is_err() {
-            self.close_conn(idx);
-            return;
-        }
+        reply_into(&mut self.scratch_frame, reply);
         let Some(conn) = self.conns[idx].as_mut() else { return };
         if conn.out.capacity() == 0 {
             conn.out = self.pool.take(self.scratch_frame.len().max(256));

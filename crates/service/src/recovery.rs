@@ -981,7 +981,7 @@ mod tests {
     #[test]
     fn every_logged_total_is_the_listing1_fold_of_its_values() {
         use crate::dispatch::{FrameOutcome, RequestCore, WalMode};
-        use crate::proto::{add_binary_bytes, parse_client_frame, Response, MAGIC_ADD_BIN};
+        use crate::proto::{add_binary_bytes, parse_client_frame, Response, MAGIC};
         use oisum_core::convert::encode_listing1;
         use std::sync::Arc;
         let listing1 = |bytes: &[u8]| {
@@ -1010,7 +1010,7 @@ mod tests {
                 let values: Vec<f64> = (0..n).map(|_| edge_summand(&mut rng)).collect();
                 let bytes = le_bytes(&values);
                 let frame = add_binary_bytes(stream, 5, seq, &values).unwrap();
-                let view = || parse_client_frame(MAGIC_ADD_BIN, &frame[8..]).unwrap();
+                let view = || parse_client_frame(MAGIC, &frame[8..]).unwrap();
                 match path {
                     "append" => wal.append(stream, 5, seq, &bytes).unwrap(),
                     "submit" => {

@@ -15,7 +15,7 @@
 use crate::dispatch::RequestCore;
 use crate::ledger::ShardedLedger;
 use crate::proto::{
-    frame_into, read_client_frame_into, ClientFrameView, ErrorCode, Response,
+    read_client_frame_into, reply_into, ClientFrameView, ErrorCode, Response,
     INITIAL_FRAME_CAPACITY,
 };
 use crate::snapshot;
@@ -259,8 +259,8 @@ pub fn serve_with_core(config: &ServerConfig, core: Arc<RequestCore>) -> io::Res
 
 /// Serves one connection until EOF, protocol error, or shutdown ACK.
 ///
-/// Both protocol versions — JSON `OIS\x01` control requests and binary
-/// `OIS\x02` Adds — are accepted interleaved on the same connection.
+/// Binary Adds and control requests arrive interleaved on the same
+/// connection, all under the one frame header.
 ///
 /// All per-frame buffers live for the whole connection: frames are read
 /// into one reusable payload buffer and parsed in place (a binary Add
@@ -279,7 +279,6 @@ fn serve_connection(conn: TcpStream, core: &RequestCore, stopping: &AtomicBool) 
     // Presized so the first full-size batch never pays a realloc ladder
     // (that one-time growth would land on a single request — the p99).
     let mut read_buf: Vec<u8> = Vec::with_capacity(INITIAL_FRAME_CAPACITY);
-    let mut reply_json = String::new();
     let mut reply_frame: Vec<u8> = Vec::with_capacity(256);
     loop {
         let frame = match read_client_frame_into(&mut reader, &mut read_buf) {
@@ -291,9 +290,8 @@ fn serve_connection(conn: TcpStream, core: &RequestCore, stopping: &AtomicBool) 
                 // once framing is suspect the stream cannot be resynced.
                 let reply =
                     Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
-                if frame_into(&reply, &mut reply_json, &mut reply_frame).is_ok() {
-                    let _ = writer.write_all(&reply_frame);
-                }
+                reply_into(&mut reply_frame, &reply);
+                let _ = writer.write_all(&reply_frame);
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -314,7 +312,7 @@ fn serve_connection(conn: TcpStream, core: &RequestCore, stopping: &AtomicBool) 
         if let Some(FaultAction::Delay { ms }) = oisum_faults::check("server.reply.delay") {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-        frame_into(&reply, &mut reply_json, &mut reply_frame)?;
+        reply_into(&mut reply_frame, &reply);
         if let Some(FaultAction::PartialWrite { keep }) = oisum_faults::check("server.reply.partial") {
             // Send a prefix of the (already formatted) reply frame, then
             // hang up mid-frame.

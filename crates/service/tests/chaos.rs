@@ -171,13 +171,15 @@ fn drop_after_apply_double_applies_nothing() {
 /// Mid-frame disconnects: the server sends only a prefix of the reply
 /// frame, then hangs up. The client sees a truncated frame as a
 /// transport error and retries; the deposit it is retrying was already
-/// applied, so dedup must absorb it.
+/// applied, so dedup must absorb it. Keeps of 0, 3 and 6 cut inside the
+/// 8-byte header; 12 cuts inside the body of the 18-byte `Added` frame,
+/// after its op byte and part of its count.
 #[test]
 fn mid_frame_reply_cut_is_survivable() {
     let _g = chaos_guard();
     let data = dataset(4_000, 303);
     let expected = ServiceHp::sum_f64_slice(&data).as_limbs().to_vec();
-    for (seed, keep) in [(7u64, 0usize), (8, 3), (9, 6)] {
+    for (seed, keep) in [(7u64, 0usize), (8, 3), (9, 6), (10, 12)] {
         registry().reset(seed);
         registry().arm(
             "server.reply.partial",

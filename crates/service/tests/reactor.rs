@@ -12,7 +12,7 @@
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use oisum_service::proto::{
-    add_binary_bytes, frame_bytes, read_frame, Request, Response, StreamStatsRepr,
+    add_binary_bytes, read_response, request_into, Request, Response, StreamStatsRepr,
 };
 use oisum_service::wal::{FsyncPolicy, WalConfig};
 use oisum_service::{
@@ -40,6 +40,12 @@ fn dataset(n: usize, seed: u64) -> Vec<f64> {
             m * 10f64.powi(e)
         })
         .collect()
+}
+
+fn request_bytes(req: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    request_into(&mut frame, req).unwrap();
+    frame
 }
 
 fn epoll_server(config: ServerConfig) -> (oisum_service::ServerHandle, SocketAddr) {
@@ -113,7 +119,7 @@ fn one_byte_trickled_frames_decode_exactly() {
         stream.flush().unwrap();
     }
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let reply: Response = read_frame(&mut reader).unwrap().unwrap();
+    let reply = read_response(&mut reader).unwrap().unwrap();
     match reply {
         Response::Added { count, .. } => assert_eq!(count, values.len() as u64),
         other => panic!("unexpected reply: {other:?}"),
@@ -128,7 +134,7 @@ fn one_byte_trickled_frames_decode_exactly() {
     server.join().unwrap();
 }
 
-/// Many frames — binary Adds with JSON control frames between them —
+/// Many frames — binary Adds with control requests between them —
 /// sent as one contiguous write must produce one reply per frame, in
 /// order, each control reply seeing exactly the Adds ahead of it.
 /// Pipelining is the reactor's bread and butter: a single readable edge
@@ -144,14 +150,13 @@ fn pipelined_mixed_frames_on_one_connection() {
         wire.extend_from_slice(&add_binary_bytes("p", 0, 0, chunk).unwrap());
         replies.push(Response::Added { count: chunk.len() as u64, deduped: false });
         if i % 2 == 1 {
-            wire.extend_from_slice(&frame_bytes(&Request::Sum { stream: "p".to_owned() }).unwrap());
+            wire.extend_from_slice(&request_bytes(&Request::Sum { stream: "p".to_owned() }));
             let prefix = ServiceHp::sum_f64_slice(&data[..60 * (i + 1)]);
             replies.push(Response::Sum { limbs: prefix.as_limbs().to_vec(), poisoned: false });
         }
     }
-    wire.extend_from_slice(&frame_bytes(&Request::Stats).unwrap());
+    wire.extend_from_slice(&request_bytes(&Request::Stats));
     replies.push(Response::Stats {
-        shard_count: 1,
         streams: vec![StreamStatsRepr { name: "p".to_owned(), batches: 10, values: 600, overflows: 0 }],
     });
 
@@ -159,7 +164,7 @@ fn pipelined_mixed_frames_on_one_connection() {
     stream.write_all(&wire).unwrap();
     let mut reader = BufReader::new(stream);
     for (i, expected) in replies.iter().enumerate() {
-        let reply = read_frame::<_, Response>(&mut reader).unwrap().unwrap();
+        let reply = read_response(&mut reader).unwrap().unwrap();
         assert_eq!(&reply, expected, "reply {i}");
     }
 
@@ -181,7 +186,7 @@ fn malformed_frame_is_refused_without_collateral() {
     let mut bad = TcpStream::connect(addr).unwrap();
     bad.write_all(b"BOGUS!!!").unwrap();
     let mut reader = BufReader::new(bad.try_clone().unwrap());
-    match read_frame::<_, Response>(&mut reader).unwrap().unwrap() {
+    match read_response(&mut reader).unwrap().unwrap() {
         Response::Error { .. } => {}
         other => panic!("expected a typed error, got {other:?}"),
     }
@@ -255,7 +260,7 @@ fn duplicate_frames_are_acked_but_not_double_counted() {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(&frame).unwrap();
         let mut reader = BufReader::new(stream);
-        match read_frame::<_, Response>(&mut reader).unwrap().unwrap() {
+        match read_response(&mut reader).unwrap().unwrap() {
             Response::Added { count, .. } => assert_eq!(count, values.len() as u64),
             other => panic!("unexpected reply: {other:?}"),
         }

@@ -1,6 +1,6 @@
 //! End-to-end service tests over real TCP connections.
 
-use oisum_service::proto::{read_frame, ErrorCode, Response, MAGIC};
+use oisum_service::proto::{read_response, ErrorCode, Response, MAGIC};
 use oisum_service::{
     serve, serve_with_core, Client, ClientConfig, ClientError, ClusterOps, ClusterSumOut,
     RequestCore, ServerConfig, ServiceHp, ShardedLedger, Transport, Wal, WalConfig,
@@ -91,8 +91,8 @@ fn bitwise_identical_across_configurations() {
     assert_eq!(run_a, run_b);
 }
 
-/// Both frame versions interleave freely on a single connection: binary
-/// Adds with JSON control requests between them.
+/// Binary Adds and control requests interleave freely on a single
+/// connection.
 #[test]
 fn mixed_protocols_on_one_connection() {
     let data = dataset(4_000, 5);
@@ -265,8 +265,7 @@ fn reset_with_a_wal_is_refused_and_a_restart_keeps_the_sum() {
 /// statistic counts the batch once.
 #[test]
 fn replayed_binary_frame_applies_exactly_once() {
-    use oisum_service::proto::{add_binary_bytes, read_frame, Response};
-    use std::io::Write;
+    use oisum_service::proto::add_binary_bytes;
 
     let server = serve(ServerConfig::default()).unwrap();
     let values = [1.5, -0.25, 5e-324];
@@ -275,7 +274,7 @@ fn replayed_binary_frame_applies_exactly_once() {
     let deliver = |sock: &mut std::net::TcpStream| -> (u64, bool) {
         sock.write_all(&frame).unwrap();
         sock.flush().unwrap();
-        match read_frame::<_, Response>(sock).unwrap().expect("reply") {
+        match read_response(sock).unwrap().expect("reply") {
             Response::Added { count, deduped } => (count, deduped),
             other => panic!("expected Added, got {other:?}"),
         }
@@ -324,27 +323,25 @@ fn garbage_bytes_do_not_wedge_the_server() {
     server.join().unwrap();
 }
 
+/// A well-framed request under an op the protocol does not know gets a
+/// typed `bad_request` naming the op, then a close.
 #[test]
 fn malformed_request_gets_typed_bad_request_reply() {
-    use oisum_service::proto::{read_frame, ErrorCode, Response, MAGIC};
-    use std::io::Write;
     let server = serve(ServerConfig::default()).unwrap();
-    // Well-framed, but an op the protocol does not know.
     let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
-    let payload = br#"{"op":"frobnicate"}"#;
     sock.write_all(&MAGIC).unwrap();
-    sock.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
-    sock.write_all(payload).unwrap();
+    sock.write_all(&1u32.to_be_bytes()).unwrap();
+    sock.write_all(&[0x7E]).unwrap();
     sock.flush().unwrap();
-    match read_frame::<_, Response>(&mut sock).unwrap().expect("typed reply before close") {
+    match read_response(&mut sock).unwrap().expect("typed reply before close") {
         Response::Error { code, message } => {
             assert_eq!(code, ErrorCode::BadRequest);
-            assert!(message.contains("frobnicate"), "{message}");
+            assert!(message.contains("unknown op 0x7e"), "{message}");
         }
         other => panic!("expected a bad_request error reply, got {other:?}"),
     }
     // After the reply the server closes: framing can no longer be trusted.
-    assert!(read_frame::<_, Response>(&mut sock).unwrap().is_none());
+    assert!(read_response(&mut sock).unwrap().is_none());
     drop(sock);
     let mut client = Client::connect(server.addr()).unwrap();
     client.shutdown().unwrap();
@@ -392,22 +389,73 @@ impl ClusterOps for RecordingCluster {
     }
 }
 
-/// A batch travels only as a binary Add. A JSON `add` frame, tracked or
-/// not, into a held or a new stream, is refused as `bad_request` naming
-/// the op and its connection closed, on both transports — before
-/// replication, deposit or WAL append: limbs, stats, the WAL's group
-/// counters and the cluster's replicate calls stay as they were.
-#[test]
-fn json_add_is_refused_before_apply() {
-    // The epoll reactor runs on linux/x86_64 only.
-    let transports: &[Transport] = if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+/// The transports to run a wire test on; the epoll reactor runs on
+/// linux/x86_64 only.
+fn transports() -> &'static [Transport] {
+    if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
         &[Transport::Threads, Transport::Epoll]
     } else {
         &[Transport::Threads]
-    };
-    for &transport in transports {
+    }
+}
+
+/// Sends `wire` on a fresh connection and expects a typed `bad_request`
+/// whose message contains `names`, then a close.
+fn expect_refusal(addr: std::net::SocketAddr, wire: &[u8], names: &str, what: &str) {
+    let mut sock = std::net::TcpStream::connect(addr).unwrap();
+    sock.write_all(wire).unwrap();
+    match read_response(&mut sock).unwrap().expect("typed reply before close") {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::BadRequest, "{what}: {message}");
+            assert!(message.contains(names), "{what}: {message}");
+        }
+        other => panic!("{what}: got {other:?}"),
+    }
+    assert!(read_response(&mut sock).unwrap().is_none(), "{what}: the connection stayed open");
+}
+
+/// `magic`, a u32 BE length and `payload`: a frame of any version.
+fn framed(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+    let mut wire = magic.to_vec();
+    wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    wire.extend_from_slice(payload);
+    wire
+}
+
+/// One frame under each retired version: an `OIS\x01` JSON `sum`, an
+/// `OIS\x02` Add (that version's body: name, identity, values, no op
+/// byte) into a new stream, and an `OIS\x03` peer `Hello`. Then a peer
+/// `Hello` and `MirrorAdd` under the current header, which the client
+/// port refuses by op. On both transports, each is refused as a
+/// `bad_request` naming the version or the op and its connection
+/// closed, before replication, deposit or WAL append: limbs, stats, the
+/// WAL's group counters and the cluster's replicate calls stay as they
+/// were.
+#[test]
+fn retired_versions_and_peer_ops_are_refused_before_apply() {
+    use oisum_service::proto::{le_bytes, peer_hello_into, peer_mirror_add_into};
+    let mut v2_add = vec![0, 5];
+    v2_add.extend_from_slice(b"fresh");
+    v2_add.extend_from_slice(&7u64.to_be_bytes());
+    v2_add.extend_from_slice(&2u64.to_be_bytes());
+    v2_add.extend_from_slice(&le_bytes(&[3.0]));
+    let mut v3_hello = vec![0x01];
+    v3_hello.extend_from_slice(&1u32.to_be_bytes());
+    v3_hello.extend_from_slice(&0xFEEDu64.to_be_bytes());
+    let mut hello = Vec::new();
+    peer_hello_into(&mut hello, 1, 0xFEED).unwrap();
+    let mut mirror = Vec::new();
+    peer_mirror_add_into(&mut mirror, 1, "fresh", 7, 3, &le_bytes(&[4.0])).unwrap();
+    let refusals = [
+        (framed(b"OIS\x01", br#"{"op":"sum","stream":"held"}"#), "retired protocol version 1"),
+        (framed(b"OIS\x02", &v2_add), "retired protocol version 2"),
+        (framed(b"OIS\x03", &v3_hello), "retired protocol version 3"),
+        (hello, "peer op 0x11 refused on the client port"),
+        (mirror, "peer op 0x12 refused on the client port"),
+    ];
+    for &transport in transports() {
         let dir = std::env::temp_dir()
-            .join(format!("oisum-service-test-{}-json-add-{transport}", std::process::id()));
+            .join(format!("oisum-service-test-{}-retired-{transport}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let wal = Arc::new(Wal::open(WalConfig::new(&dir)).unwrap());
         let cluster = Arc::new(RecordingCluster::default());
@@ -425,26 +473,8 @@ fn json_add_is_refused_before_apply() {
         let replicated = cluster.calls.lock().unwrap().clone();
         assert_eq!(replicated.len(), 1, "{transport}: the binary Add was not replicated");
 
-        for payload in [
-            r#"{"op":"add","stream":"held","values":[1.0,2.0],"client_id":7,"seq":1}"#,
-            r#"{"op":"add","stream":"held","values":[1.0,2.0]}"#,
-            r#"{"op":"add","stream":"fresh","values":[3.0],"client_id":7,"seq":2}"#,
-        ] {
-            let mut sock = std::net::TcpStream::connect(server.addr()).unwrap();
-            sock.write_all(&MAGIC).unwrap();
-            sock.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
-            sock.write_all(payload.as_bytes()).unwrap();
-            match read_frame::<_, Response>(&mut sock).unwrap().expect("typed reply before close") {
-                Response::Error { code, message } => {
-                    assert_eq!(code, ErrorCode::BadRequest, "{transport}: {message}");
-                    assert!(message.contains("unknown op `add`"), "{transport}: {message}");
-                }
-                other => panic!("{transport}: a JSON add got {other:?}"),
-            }
-            assert!(
-                read_frame::<_, Response>(&mut sock).unwrap().is_none(),
-                "{transport}: the connection stayed open after the refusal"
-            );
+        for (wire, names) in &refusals {
+            expect_refusal(server.addr(), wire, names, &format!("{transport}: {names}"));
         }
 
         assert_eq!(client.sum("held").unwrap().limbs, limbs, "{transport}");
@@ -453,10 +483,53 @@ fn json_add_is_refused_before_apply() {
             matches!(client.sum("fresh"), Err(ClientError::Server { code: ErrorCode::UnknownStream, .. })),
             "{transport}: a refused Add created its stream"
         );
-        assert_eq!(wal.group_stats(), logged, "{transport}: a refused Add was logged");
+        assert_eq!(wal.group_stats(), logged, "{transport}: a refused frame was logged");
         assert_eq!(*cluster.calls.lock().unwrap(), replicated, "{transport}: a refused Add was replicated");
         client.shutdown().unwrap();
         server.join().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A `Stats` reply too large for one frame — 260 streams with
+/// 65,000-byte names, about 16.9 MB against the 16 MiB cap — is answered
+/// with a typed `internal` error naming the reply's size and the cap,
+/// and the connection keeps serving: a `Sum` follows on it, on both
+/// transports.
+#[test]
+fn an_oversized_stats_reply_is_refused_and_the_connection_serves_on() {
+    use oisum_service::proto::MAX_FRAME;
+    const STREAMS: usize = 260;
+    const NAME: usize = 65_000;
+    for &transport in transports() {
+        let server = serve(ServerConfig { transport, ..ServerConfig::default() }).unwrap();
+        // No retries: every reply below arrives on the one connection.
+        let mut client = Client::connect_with(
+            server.addr(),
+            ClientConfig { retries: 0, ..ClientConfig::default() },
+        )
+        .unwrap();
+        for k in 0..STREAMS {
+            let name = format!("{k:03}{}", "n".repeat(NAME - 3));
+            client.add_binary(&name, &[k as f64]).unwrap();
+        }
+        // The op byte, the stream count, then per stream the name and
+        // its three counters.
+        let size = 5 + STREAMS * (2 + NAME + 24);
+        match client.stats() {
+            Err(ClientError::Server { code: ErrorCode::Internal, message }) => {
+                assert!(message.contains(&format!("{size}-byte")), "{transport}: {message}");
+                assert!(message.contains(&format!("{MAX_FRAME}-byte")), "{transport}: {message}");
+            }
+            other => panic!("{transport}: an oversized Stats reply got {other:?}"),
+        }
+        let first = format!("000{}", "n".repeat(NAME - 3));
+        assert_eq!(
+            client.sum(&first).unwrap().limbs,
+            ServiceHp::sum_f64_slice(&[0.0]).as_limbs().to_vec(),
+            "{transport}"
+        );
+        client.shutdown().unwrap();
+        server.join().unwrap();
     }
 }
